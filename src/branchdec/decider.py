@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .cone_kernel import Cone, MeetResult, cone_meets_subspace, cones_meet
 from .involution import (
-    EmbeddingRecord,
     EmbeddingView,
     InvolutionData,
     InvolutionError,
@@ -22,7 +21,6 @@ from .involution import (
     dim_gprime_cap_q,
     ensure_valid,
     momentum_chamber,
-    validate_embedding,
 )
 from .parabolic import (
     ThetaStableParabolic,
@@ -135,10 +133,7 @@ def _noncompact_cone(q: ThetaStableParabolic) -> tuple[Cone, list[Vec]]:
 
 
 def discretely_decomposable(
-    pair: InvolutionData,
-    q: ThetaStableParabolic,
-    *,
-    validate: bool = True,
+    pair: InvolutionData, q: ThetaStableParabolic
 ) -> Verdict:
     """Does the asymptotic cone of u cap p miss the split part of the torus?
 
@@ -146,8 +141,7 @@ def discretely_decomposable(
     with admissible multiplicities, for every weakly fair parameter.
     """
     inv = _require_involution(pair, q)
-    if validate:
-        ensure_valid(inv)
+    ensure_valid(inv)
     cone, gens = _noncompact_cone(q)
     subspace = inv.t_minus_sigma_basis()
     result = cone_meets_subspace(cone, subspace, q.x)
@@ -176,10 +170,7 @@ def discretely_decomposable(
 
 
 def admissible_sufficient(
-    pair: InvolutionData,
-    q: ThetaStableParabolic,
-    *,
-    validate: bool = True,
+    pair: InvolutionData, q: ThetaStableParabolic
 ) -> Verdict:
     """Sufficient test: the cone of u cap p misses the momentum chamber.
 
@@ -189,14 +180,13 @@ def admissible_sufficient(
     symmetric pairs the subspace test is decisive and is cross-referenced.
     """
     inv = _require_involution(pair, q)
-    if validate:
-        ensure_valid(inv)
+    ensure_valid(inv)
     chamber = momentum_chamber(inv)
     cone, gens = _noncompact_cone(q)
     result = cones_meet(cone, chamber, q.x)
     if result.meets:
         _verify_point(gens, result, None)
-    deco = discretely_decomposable(pair, q, validate=False)
+    deco = discretely_decomposable(pair, q)
     notes = [
         _SCOPE_NOTE,
         f"chamber test intersects: {str(result.meets).lower()}",
@@ -319,27 +309,15 @@ def _induced_rho(view: EmbeddingView, q: ThetaStableParabolic) -> tuple[Vec, int
     return vscale(Fraction(1, 2), total), count
 
 
-def rho_compat_check(
-    pair,
-    q: ThetaStableParabolic,
-    *,
-    validate: bool = True,
-) -> Verdict:
+def rho_compat_check(pair, q: ThetaStableParabolic) -> Verdict:
     """Does rho of u restrict to rho of the induced u'?
 
     Requires the transitivity identity, so the induced parabolic
     q' = g' cap q is defined and its nilradical has a half sum to compare.
     """
-    if validate:
-        if isinstance(pair, InvolutionData):
-            ensure_valid(pair)
-        elif isinstance(pair, EmbeddingRecord):
-            report = validate_embedding(pair)
-            if not report.ok:
-                names = ", ".join(c.name for c in report.failed())
-                raise InvolutionError(
-                    f"{pair.pair_id}: failed checks: {names}"
-                )
+    if not isinstance(pair, EmbeddingView):
+        # a bare view carries no record to validate
+        ensure_valid(pair)
     trans = transitive_check(pair, q)
     if not trans.answer:
         raise UnsupportedQuery(
@@ -405,22 +383,16 @@ def virtually_symmetric_verdict(q: ThetaStableParabolic) -> Verdict:
     )
 
 
-def answer_question(
-    pair,
-    q: ThetaStableParabolic,
-    question: str,
-    *,
-    validate: bool = True,
-) -> Verdict:
+def answer_question(pair, q: ThetaStableParabolic, question: str) -> Verdict:
     """Dispatch by question keyword; the CLI entry point."""
     if question == "deco":
-        return discretely_decomposable(pair, q, validate=validate)
+        return discretely_decomposable(pair, q)
     if question == "admissible":
-        return admissible_sufficient(pair, q, validate=validate)
+        return admissible_sufficient(pair, q)
     if question == "transitive":
         return transitive_check(pair, q)
     if question == "rho":
-        return rho_compat_check(pair, q, validate=validate)
+        return rho_compat_check(pair, q)
     if question == "symtype":
         return symmetric_type_verdict(q)
     if question == "virtsym":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,6 +22,7 @@ from .root_core import (
     RootDatum,
     Vec,
     WeightMultiset,
+    identity,
     in_span,
     is_zero_vec,
     lex_positive,
@@ -68,15 +70,6 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _identity(n: int) -> tuple[Vec, ...]:
-    rows = []
-    for i in range(n):
-        r = [Fraction(0)] * n
-        r[i] = Fraction(1)
-        rows.append(tuple(r))
-    return tuple(rows)
-
-
 def _mat_apply(rows: Sequence[Vec], x: Vec) -> Vec:
     return tuple(vdot(r, x) for r in rows)
 
@@ -110,6 +103,15 @@ class InvolutionData:
     table_rows: tuple[TableRow, ...] = ()
     declared_restricted_positive: tuple[tuple[Vec, int], ...] | None = None
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        """The structural checks of validate_involution, run on first use.
+
+        The record is frozen, so the answer cannot go stale;
+        dataclasses.replace builds a new record that is checked afresh.
+        """
+        return validate_involution(self)
+
     def sigma_weight(self, w: Vec) -> Vec:
         # weights transform by the transpose: (sigma.w)(X) = w(sigma X)
         return _mat_apply(_mat_transpose(self.matrix), w)
@@ -128,7 +130,7 @@ class InvolutionData:
 
     def _eigenbasis(self, sign: Fraction) -> list[Vec]:
         n = self.base.ambient_dim
-        eye = _identity(n)
+        eye = identity(n)
         rows = [vsub(r, vscale(sign, e)) for r, e in zip(self.matrix, eye)]
         rows.extend(self.base.t_constraints)
         return nullspace(rows)
@@ -179,7 +181,7 @@ def validate_involution(inv: InvolutionData) -> ValidationReport:
     if not ok_shape:
         return ValidationReport(tuple(checks))
 
-    eye = _identity(n)
+    eye = identity(n)
     checks.append(CheckResult("matrix-involutive", _mat_mul(m, m) == eye))
     checks.append(
         CheckResult("matrix-orthogonal", _mat_mul(_mat_transpose(m), m) == eye)
@@ -284,11 +286,12 @@ def validate_involution(inv: InvolutionData) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-def ensure_valid(inv: InvolutionData) -> None:
-    report = validate_involution(inv)
+def ensure_valid(pair: InvolutionData | EmbeddingRecord) -> None:
+    """Raise InvolutionError unless the record passes its validation."""
+    report = pair.report
     if not report.ok:
         names = ", ".join(c.name for c in report.failed())
-        raise InvolutionError(f"{inv.pair_id}: failed checks: {names}")
+        raise InvolutionError(f"{pair.pair_id}: failed checks: {names}")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +307,7 @@ def build_theta_involution(base: RootDatum) -> InvolutionData:
         eps.append((part, w, 1 if part == PART_COMPACT else -1))
     return InvolutionData(
         base,
-        _identity(base.ambient_dim),
+        identity(base.ambient_dim),
         tuple(eps),
         0,
         base.dim_k,
@@ -393,13 +396,13 @@ def _chamber_rays(
             dirs.append(p)
     dirs.sort()
     if not dirs:
-        return [], list(_identity(space_dim))
+        return [], list(identity(space_dim))
     lineality = nullspace(dirs)
     ldim = len(lineality)
     rays: set[Vec] = set()
     for size in range(0, len(dirs) + 1):
         for subset in itertools.combinations(dirs, size):
-            space = nullspace(list(subset)) if subset else list(_identity(space_dim))
+            space = nullspace(list(subset)) if subset else list(identity(space_dim))
             if len(space) != ldim + 1:
                 continue
             for v in space:
@@ -512,6 +515,11 @@ class EmbeddingRecord:
     label: str
     pair_id: str
     table_rows: tuple[TableRow, ...] = ()
+
+    @cached_property
+    def report(self) -> ValidationReport:
+        """The checks of validate_embedding, run on first use."""
+        return validate_embedding(self)
 
 
 def validate_embedding(rec: EmbeddingRecord) -> ValidationReport:

@@ -22,6 +22,7 @@ from .root_core import (
     RootDatum,
     Vec,
     WeightMultiset,
+    identity,
     is_zero_vec,
     lex_positive,
     nullspace,
@@ -70,9 +71,6 @@ class ThetaStableParabolic:
 
     def __hash__(self) -> int:
         return hash((self.base, self.signature))
-
-    def sign_of(self, w: Vec) -> int:
-        return _sign(vdot(w, self.x))
 
     def in_q(self, w: Vec) -> bool:
         return vdot(w, self.x) >= 0
@@ -176,12 +174,7 @@ def build_parabolic(base: RootDatum, x: Vec) -> ThetaStableParabolic:
 def _torus_basis(base: RootDatum) -> list[Vec]:
     if base.t_constraints:
         return nullspace(list(base.t_constraints))
-    basis = []
-    for i in range(base.ambient_dim):
-        e = [Fraction(0)] * base.ambient_dim
-        e[i] = Fraction(1)
-        basis.append(tuple(e))
-    return basis
+    return list(identity(base.ambient_dim))
 
 
 def _signed_system_feasible(

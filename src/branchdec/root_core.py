@@ -44,10 +44,6 @@ def as_fraction(x) -> Fraction:
     raise DatumError(f"cannot interpret {x!r} as a rational number")
 
 
-def format_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 def vec(*entries) -> Vec:
     return tuple(as_fraction(e) for e in entries)
 
@@ -58,6 +54,13 @@ def vec_from(entries: Iterable) -> Vec:
 
 def vzero(n: int) -> Vec:
     return (Fraction(0),) * n
+
+
+def identity(n: int) -> tuple[Vec, ...]:
+    """The rows of the n x n identity matrix."""
+    return tuple(
+        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
+    )
 
 
 def vadd(a: Vec, b: Vec) -> Vec:

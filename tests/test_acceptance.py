@@ -143,7 +143,7 @@ def test_criterion_3_maximal_compact_sweep(capsys):
                 continue
             theta = build_theta_involution(base)
             for q in enumerate_parabolics(base):
-                v = discretely_decomposable(theta, q, validate=False)
+                v = discretely_decomposable(theta, q)
                 assert v.answer is True, (aid, q.x)
                 swept += 1
         assert swept >= 400
@@ -316,7 +316,7 @@ def test_criterion_7_property_suite(capsys):
                 continue
             tminus = pair.t_minus_sigma_basis()
             for q in enumerate_parabolics(pair.base, dominant_only=True):
-                v = discretely_decomposable(pair, q, validate=False)
+                v = discretely_decomposable(pair, q)
                 gens = [g for g, _ in q.u_noncompact]
                 if v.witness["kind"] == "intersection-point":
                     point = vec_from(v.witness["point"])

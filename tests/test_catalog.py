@@ -19,7 +19,14 @@ from branchdec.catalog import (
     _embedding_from_json,
     _involution_from_json,
 )
-from branchdec.involution import EmbeddingRecord, InvolutionData, ensure_valid
+from branchdec.decider import answer_question
+from branchdec.involution import (
+    EmbeddingRecord,
+    InvolutionData,
+    InvolutionError,
+    ensure_valid,
+)
+from branchdec.parabolic import build_parabolic
 from branchdec.root_core import RootDatum, vec
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "branchdec" / "data"
@@ -168,7 +175,14 @@ def test_edit_without_reseal_is_refused(tmp_path):
         load_catalog(root)
     # force skips the checksum and the semantic validation
     cat = load_catalog(root, force=True)
-    assert cat.pair("(su(2,2),sp(2,R))").dim_gprime == 11
+    pair = cat.pair("(su(2,2),sp(2,R))")
+    assert pair.dim_gprime == 11
+    # but deco, admissible and rho still refuse the broken pair
+    q = build_parabolic(pair.base, vec(3, -1, -1, -1))
+    for question in ("deco", "admissible", "rho"):
+        with pytest.raises(InvolutionError,
+                           match="fixed-dimension-bookkeeping"):
+            answer_question(pair, q, question)
 
 
 def test_resealed_edit_fails_validation(tmp_path):

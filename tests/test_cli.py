@@ -89,6 +89,18 @@ def test_exit_code_bad_question_value(capsys):
     assert code == EXIT_USAGE
 
 
+def test_negative_leading_x_is_a_value(capsys):
+    # argparse reads "-1,..." as an unknown flag unless told otherwise
+    for x in ("-1,3,-1,-1", "-1/2,3/2,-1/2,-1/2"):
+        code = main(
+            ["check", "--pair", "(su(2,2),sp(2,R))", "--X", x,
+             "--question", "deco", "--format", "json"]
+        )
+        assert code == EXIT_OK, capsys.readouterr().err
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["inputs"]["x"] == x.split(",")
+
+
 def test_tampered_catalog_is_refused(tmp_path, capsys):
     root = _tampered_catalog(tmp_path)
     code = main(["catalog", "--catalog", str(root)])

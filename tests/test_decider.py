@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+from branchdec import involution
 from branchdec.catalog import load_catalog
 from branchdec.decider import (
     DECO_EQUIVALENTS,
@@ -23,6 +25,7 @@ from branchdec.involution import (
     InvolutionError,
     WeightCell,
     build_theta_involution,
+    restricted_roots,
 )
 from branchdec.parabolic import (
     UnsupportedQuery,
@@ -155,7 +158,7 @@ def test_deco_true_for_theta_everywhere():
     base = _cat().algebra("su(2,2)")
     theta = build_theta_involution(base)
     for q in enumerate_parabolics(base):
-        v = discretely_decomposable(theta, q, validate=False)
+        v = discretely_decomposable(theta, q)
         assert v.answer is True
         assert any("split torus part is zero" in n for n in v.notes)
 
@@ -207,8 +210,8 @@ def test_deco_implies_admissible_across_catalog():
         if not isinstance(pair, InvolutionData):
             continue
         for q in enumerate_parabolics(pair.base, dominant_only=True):
-            deco = discretely_decomposable(pair, q, validate=False)
-            adm = admissible_sufficient(pair, q, validate=False)
+            deco = discretely_decomposable(pair, q)
+            adm = admissible_sufficient(pair, q)
             if deco.answer:
                 assert adm.answer, (pid, q.x)
             checked += 1
@@ -310,9 +313,43 @@ def test_rho_validates_pair_first():
     import dataclasses
 
     pair = _pair("(su(2,2),sp(2,R))")
+    # a replaced record is new and unvalidated, even after pair.report ran
+    assert pair.report.ok
     bad = dataclasses.replace(pair, dim_gprime=11)
-    with pytest.raises(InvolutionError, match="fixed-dimension-bookkeeping"):
-        rho_compat_check(bad, _q(pair, vec(3, -1, -1, -1)))
+    q = _q(pair, vec(3, -1, -1, -1))
+    for check in (discretely_decomposable, admissible_sufficient,
+                  rho_compat_check):
+        with pytest.raises(InvolutionError,
+                           match="fixed-dimension-bookkeeping"):
+            check(bad, q)
+
+    emb = _pair("(so(4,3),g2(R))")
+    bad_emb = dataclasses.replace(emb, dim_gprime=13)
+    with pytest.raises(InvolutionError, match="cell-count-bookkeeping"):
+        rho_compat_check(bad_emb, _q(emb, vec(0, 0, 1)))
+
+
+def test_stored_pair_is_validated_once(monkeypatch):
+    calls = Counter()
+
+    def counting(validate):
+        def counted(pair):
+            calls[pair.pair_id] += 1
+            return validate(pair)
+        return counted
+
+    for name in ("validate_involution", "validate_embedding"):
+        monkeypatch.setattr(involution, name,
+                            counting(getattr(involution, name)))
+    cat = load_catalog()
+    assert calls == Counter(cat.pair_ids())
+
+    pair = cat.pair("(su(2,2),sp(2,R))")
+    restricted_roots(pair)
+    q = _q(pair, vec(3, -1, -1, -1))
+    for question in QUESTIONS:
+        answer_question(pair, q, question)
+    assert calls[pair.pair_id] == 1
 
 
 # ---------------------------------------------------------------------------
