@@ -1,9 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 for a completed run (boolean answers are payload, never
-process status), 1 for malformed input or broken catalog data, 2 for an
-unknown algebra or pair id, 3 for questions the data cannot support or
-enumeration beyond the rank bound.
+process status), 1 for malformed input, broken catalog data or a
+certificate that fails its own check, 2 for an unknown algebra or pair id,
+3 for questions the data cannot support or enumeration beyond the rank
+bound.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .catalog import (
 from .cone_kernel import PointednessError
 from .decider import (
     QUESTIONS,
+    CertificateError,
     answer_question,
     discretely_decomposable,
     rho_compat_check,
@@ -401,7 +403,7 @@ def main(argv=None) -> int:
     except UnsupportedQuery as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (CatalogError, DatumError, InvolutionError,
+    except (CatalogError, CertificateError, DatumError, InvolutionError,
             PointednessError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -51,6 +51,15 @@ DECO_EQUIVALENTS = (
     "associated-variety-containment",
 )
 
+
+class CertificateError(RuntimeError):
+    """A certificate failed its own substitution check.
+
+    Raised instead of asserting, so the check also runs under python -O;
+    it means the solver or the pair data is internally inconsistent.
+    """
+
+
 _SCOPE_NOTE = (
     "answer is uniform over nonzero modules attached to q with parameter "
     "in the weakly fair range; no specific parameter enters the test"
@@ -107,14 +116,19 @@ def _verify_point(
 ) -> None:
     # substitution check: the claimed point really is a conic combination
     # and really lies in the claimed subspace
-    assert result.point is not None and result.coefficients is not None
+    if result.point is None or result.coefficients is None:
+        raise CertificateError("intersection claimed without a point")
     total = vzero(len(result.point))
     for c, g in zip(result.coefficients, gens):
-        assert c >= 0
+        if c < 0:
+            raise CertificateError(f"negative cone coefficient {c}")
         total = vadd(total, vscale(c, g))
-    if subspace_rows is not None:
-        assert total == project_onto_span(total, subspace_rows)
-    assert not is_zero_vec(total)
+    if subspace_rows is not None and (
+        total != project_onto_span(total, subspace_rows)
+    ):
+        raise CertificateError("intersection point is outside the subspace")
+    if is_zero_vec(total):
+        raise CertificateError("intersection point is zero")
 
 
 def _meet_witness(result: MeetResult) -> dict:
@@ -224,6 +238,9 @@ def transitive_check(pair, q: ThetaStableParabolic) -> Verdict:
     alongside; for the catalogued families openness upgrades to a
     transitive action, which is what lets induced modules restrict.
     """
+    if not isinstance(pair, EmbeddingView):
+        # a bare view carries no record to validate
+        ensure_valid(pair)
     view = as_embedding_view(pair)
     cap_q = dim_gprime_cap_q(view, q)
     cap_l = dim_gprime_cap_levi(view, q)
@@ -231,10 +248,12 @@ def transitive_check(pair, q: ThetaStableParabolic) -> Verdict:
     manifold = 2 * q.dim_u
     answer = orbit == manifold
     span_identity = (view.dim_gprime - cap_q) == (q.base.dim_g - q.dim_q)
-    if answer:
-        # openness implies the span identity; failure here means the cell
-        # data is internally inconsistent
-        assert span_identity
+    if answer and not span_identity:
+        # openness implies the span identity
+        raise CertificateError(
+            "open orbit without the span identity: the cell data is "
+            "internally inconsistent"
+        )
     notes = [
         f"orbit dimension {orbit}, flag manifold dimension {manifold}",
         "span identity dim g' - dim(g' cap q) == dim g - dim q: "
@@ -315,10 +334,7 @@ def rho_compat_check(pair, q: ThetaStableParabolic) -> Verdict:
     Requires the transitivity identity, so the induced parabolic
     q' = g' cap q is defined and its nilradical has a half sum to compare.
     """
-    if not isinstance(pair, EmbeddingView):
-        # a bare view carries no record to validate
-        ensure_valid(pair)
-    trans = transitive_check(pair, q)
+    trans = transitive_check(pair, q)  # validates the pair first
     if not trans.answer:
         raise UnsupportedQuery(
             "rho comparison needs the transitivity identity; it fails here"

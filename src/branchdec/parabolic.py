@@ -374,11 +374,12 @@ def weakly_fair(q: ThetaStableParabolic, lam: OrbitParameter) -> bool:
 # symmetric type
 
 
-def is_symmetric_type(q: ThetaStableParabolic) -> bool:
-    """Does some X' pair to 0 on Delta(l) and to 1 on all of Delta(u)?
-
-    If so, the period-two inner automorphism attached to X' has fixed
-    algebra l, so l arises from a symmetric pair.
+def _symmetric_system_solvable(
+    q: ThetaStableParabolic, zeroed: frozenset[Vec]
+) -> bool:
+    """Does some X' in t pair to 0 on the nonzero Levi weights and on the
+    compact u-weights whose direction is in zeroed, and to 1 on the rest
+    of Delta(u)?
     """
     rows: list[Vec] = []
     rhs: list[Fraction] = []
@@ -386,9 +387,10 @@ def is_symmetric_type(q: ThetaStableParabolic) -> bool:
         if not is_zero_vec(w):
             rows.append(w)
             rhs.append(Fraction(0))
-    for _, w, _ in q.u_weights():
+    for part, w, _ in q.u_weights():
+        absorbed = part == PART_COMPACT and primitive_direction(w) in zeroed
         rows.append(w)
-        rhs.append(Fraction(1))
+        rhs.append(Fraction(0 if absorbed else 1))
     for c in q.base.t_constraints:
         rows.append(c)
         rhs.append(Fraction(0))
@@ -397,53 +399,31 @@ def is_symmetric_type(q: ThetaStableParabolic) -> bool:
     return solve_linear(rows, rhs) is not None
 
 
+def is_symmetric_type(q: ThetaStableParabolic) -> bool:
+    """Does some X' pair to 0 on Delta(l) and to 1 on all of Delta(u)?
+
+    If so, the period-two inner automorphism attached to X' has fixed
+    algebra l, so l arises from a symmetric pair.
+    """
+    return _symmetric_system_solvable(q, frozenset())
+
+
 def is_virtually_symmetric_type(q: ThetaStableParabolic) -> bool:
     """Can q be enlarged to a symmetric-type parabolic by moving only
     compact weights into the Levi part?
 
-    Searches coarsenings that zero out whole compact hyperplanes while
-    keeping every noncompact sign; any feasible symmetric coarsening wins.
+    Tries each set of compact directions of u, smallest sets first, and
+    asks for an X' in t pairing to 0 on the nonzero Levi weights and the
+    compact u-weights along those directions, and to 1 on the other
+    u-weights.  Such an X' induces that coarsening itself: the weights are
+    closed under negation, so every remaining weight is the negative of
+    one already fixed and pairs to -1 or 0 as the coarsening needs, and
+    the coarser Levi is the fixed algebra of the involution attached to
+    X'.  One exact linear solve therefore settles each set.
     """
-    if is_symmetric_type(q):
-        return True
-    tbasis = _torus_basis(q.base)
-
-    def restrict(w: Vec) -> Vec:
-        return tuple(vdot(w, b) for b in tbasis)
-
-    # compact hyperplane directions currently split by q
-    comp_dirs: list[Vec] = []
-    seen = set()
-    for w, _ in q.u_compact:
-        d = primitive_direction(restrict(w))
-        if d not in seen:
-            seen.add(d)
-            comp_dirs.append(d)
-    comp_dirs.sort()
-
-    entries = list(q.base.weight_entries())
-    for r in range(1, len(comp_dirs) + 1):
-        for zeroed in itertools.combinations(comp_dirs, r):
-            zset = set(zeroed)
-            normals: list[Vec] = []
-            signs: list[int] = []
-            target_sig: list[int] = []
-            for (part, w, _), s in zip(entries, q.signature):
-                if is_zero_vec(w):
-                    target_sig.append(0)
-                    continue
-                d = primitive_direction(restrict(w))
-                ns = 0 if (part == PART_COMPACT and d in zset) else s
-                normals.append(restrict(w))
-                signs.append(ns)
-                target_sig.append(ns)
-            y = _signed_system_feasible(normals, signs, [])
-            if y is None:
-                continue
-            x = vzero(q.base.ambient_dim)
-            for c, b in zip(y, tbasis):
-                x = vadd(x, vscale(c, b))
-            coarser = build_parabolic(q.base, x)
-            if is_symmetric_type(coarser):
-                return True
-    return False
+    directions = sorted({primitive_direction(w) for w, _ in q.u_compact})
+    return any(
+        _symmetric_system_solvable(q, frozenset(zeroed))
+        for r in range(len(directions) + 1)
+        for zeroed in itertools.combinations(directions, r)
+    )

@@ -22,7 +22,6 @@ from branchdec.cone_kernel import (
     cones_meet,
 )
 from branchdec.decider import (
-    admissible_sufficient,
     discretely_decomposable,
     rho_compat_check,
     transitive_check,

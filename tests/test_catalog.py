@@ -177,9 +177,9 @@ def test_edit_without_reseal_is_refused(tmp_path):
     cat = load_catalog(root, force=True)
     pair = cat.pair("(su(2,2),sp(2,R))")
     assert pair.dim_gprime == 11
-    # but deco, admissible and rho still refuse the broken pair
+    # but deco, admissible, transitive and rho still refuse the broken pair
     q = build_parabolic(pair.base, vec(3, -1, -1, -1))
-    for question in ("deco", "admissible", "rho"):
+    for question in ("deco", "admissible", "transitive", "rho"):
         with pytest.raises(InvolutionError,
                            match="fixed-dimension-bookkeeping"):
             answer_question(pair, q, question)

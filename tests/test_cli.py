@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from branchdec.cli import (
     EXIT_OK,
     EXIT_UNKNOWN_ID,

@@ -8,9 +8,12 @@ import pytest
 
 from branchdec import involution
 from branchdec.catalog import load_catalog
+from branchdec.cone_kernel import MeetResult
 from branchdec.decider import (
     DECO_EQUIVALENTS,
     QUESTIONS,
+    CertificateError,
+    _verify_point,
     admissible_sufficient,
     answer_question,
     discretely_decomposable,
@@ -318,15 +321,27 @@ def test_rho_validates_pair_first():
     bad = dataclasses.replace(pair, dim_gprime=11)
     q = _q(pair, vec(3, -1, -1, -1))
     for check in (discretely_decomposable, admissible_sufficient,
-                  rho_compat_check):
+                  transitive_check, rho_compat_check):
         with pytest.raises(InvolutionError,
                            match="fixed-dimension-bookkeeping"):
             check(bad, q)
 
     emb = _pair("(so(4,3),g2(R))")
     bad_emb = dataclasses.replace(emb, dim_gprime=13)
-    with pytest.raises(InvolutionError, match="cell-count-bookkeeping"):
-        rho_compat_check(bad_emb, _q(emb, vec(0, 0, 1)))
+    for check in (transitive_check, rho_compat_check):
+        with pytest.raises(InvolutionError, match="cell-count-bookkeeping"):
+            check(bad_emb, _q(emb, vec(0, 0, 1)))
+
+
+def test_forged_meet_certificate_is_refused():
+    gens = [vec(1, 0), vec(0, 1)]
+    honest = MeetResult(True, vec(1, 1), (F(1), F(1)), ())
+    _verify_point(gens, honest, [vec(1, 1)])
+    negative = MeetResult(True, vec(-1, 2), (F(-1), F(2)), ())
+    with pytest.raises(CertificateError, match="negative"):
+        _verify_point(gens, negative, None)
+    with pytest.raises(CertificateError, match="outside the subspace"):
+        _verify_point(gens, honest, [vec(1, -1)])
 
 
 def test_stored_pair_is_validated_once(monkeypatch):
