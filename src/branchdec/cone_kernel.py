@@ -1,20 +1,21 @@
 """Exact cone intersection tests over Q.
 
-Two independent decision routes are kept side by side on purpose: a phase-1
-simplex with Bland's rule, and a Fourier-Motzkin eliminator that rebuilds the
-same feasibility question from scratch.  Tests compare the two on every
-instance they generate; production callers use the simplex route because it
-also produces witness points and bases.
+Every query is a phase-1 simplex with Bland's rule on an integer tableau;
+it produces witness points and bases.  An independent Fourier-Motzkin
+eliminator that rebuilds the same feasibility questions from scratch lives
+with the tests (``tests/fm_oracle.py``), which compare the two routes on
+every instance they generate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .root_core import (
+    CertificateError,
     Vec,
     identity,
     is_zero_vec,
@@ -78,6 +79,12 @@ class MeetResult:
 # phase-1 simplex
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries; a zero row is kept."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def simplex_feasible(
     rows: Sequence[Vec], rhs: Sequence[Fraction]
 ) -> tuple[Vec | None, tuple[int, ...]]:
@@ -85,6 +92,12 @@ def simplex_feasible(
 
     Returns (solution, basis); solution is None when infeasible.  Bland's
     rule is used for every pivot, so the method terminates.
+
+    The tableau is fraction-free: each stored row, the cost row included,
+    is a positive multiple of the rational tableau row with coprime integer
+    entries.  Positive row scaling changes no ratio and no reduced-cost
+    sign, so the pivots, the basis and the point are exactly those of the
+    rational tableau; ``Fraction`` appears only in the returned point.
     """
     m = len(rows)
     if m != len(rhs):
@@ -92,65 +105,68 @@ def simplex_feasible(
     if m == 0:
         return (), ()
     n = len(rows[0])
-    tab: list[list[Fraction]] = []
-    for row, b in zip(rows, rhs):
-        r = [Fraction(x) for x in row]
-        b = Fraction(b)
-        if b < 0:
-            r = [-x for x in r]
-            b = -b
-        tab.append(r + [Fraction(0)] * m + [b])
-    for i in range(m):
-        tab[i][n + i] = Fraction(1)
-    basis = [n + i for i in range(m)]
     width = n + m + 1
-    # reduced costs for minimising the sum of artificials
-    cost = [Fraction(0)] * width
-    for j in range(width):
-        s = sum(tab[i][j] for i in range(m))
-        cj = Fraction(1) if n <= j < n + m else Fraction(0)
-        cost[j] = cj - s
-    cost[n : n + m] = [Fraction(0)] * m  # artificials are basic, reduced cost 0
+    last = width - 1
+    tab: list[list[int]] = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        scale = lcm(b.denominator, *(x.denominator for x in row))
+        r = [x.numerator * (scale // x.denominator) for x in row]
+        rb = b.numerator * (scale // b.denominator)
+        if rb < 0:
+            r = [-x for x in r]
+            rb = -rb
+        r += [0] * m
+        r[n + i] = scale
+        r.append(rb)
+        tab.append(_primitive(r))
+    basis = [n + i for i in range(m)]
+    # reduced costs for minimising the sum of artificials; the artificials
+    # are basic, so their reduced cost is 0
+    common = lcm(*(tab[i][n + i] for i in range(m)))
+    weights = [common // tab[i][n + i] for i in range(m)]
+    cost = [0] * width
+    for j in (*range(n), last):
+        cost[j] = -sum(w * r[j] for w, r in zip(weights, tab))
 
     def pivot(prow: int, pcol: int) -> None:
-        pv = tab[prow][pcol]
-        tab[prow] = [x / pv for x in tab[prow]]
+        nonlocal cost
+        pr = tab[prow]
+        pv = pr[pcol]
+        if pv < 0:
+            pr = tab[prow] = [-x for x in pr]
+            pv = -pv
         for i in range(m):
-            if i != prow and tab[i][pcol] != 0:
-                f = tab[i][pcol]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[prow])]
+            f = tab[i][pcol]
+            if i != prow and f:
+                tab[i] = _primitive(
+                    [pv * x - f * y for x, y in zip(tab[i], pr)]
+                )
         f = cost[pcol]
-        if f != 0:
-            for j in range(width):
-                cost[j] -= f * tab[prow][j]
+        if f:
+            cost = _primitive([pv * x - f * y for x, y in zip(cost, pr)])
         basis[prow] = pcol
 
     while True:
-        enter = None
-        for j in range(n + m):
-            if cost[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best: Fraction | None = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][width - 1] / tab[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # ratios b_i / a_i compared by cross-multiplying
+                left = tab[i][last] * tab[leave][enter]
+                right = tab[leave][last] * a
+                if left < right or (left == right and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise RuntimeError("phase-1 objective unbounded; system is malformed")
         pivot(leave, enter)
 
-    artificial_level = sum(
-        tab[i][width - 1] for i in range(m) if basis[i] >= n
-    )
-    if artificial_level > 0:
+    if any(tab[i][last] for i in range(m) if basis[i] >= n):
         return None, tuple(basis)
     # drive artificials out of the basis where the row allows it
     for i in range(m):
@@ -162,7 +178,7 @@ def simplex_feasible(
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][width - 1]
+            x[basis[i]] = Fraction(tab[i][last], tab[i][basis[i]])
     return tuple(x), tuple(basis)
 
 
@@ -217,8 +233,10 @@ def cone_meets_subspace(
     point = vzero(dim)
     for c, g in zip(sol, generators):
         point = vadd(point, vscale(c, g))
-    assert not is_zero_vec(point)
-    assert all(vdot(nrm, point) == 0 for nrm in normals)
+    if is_zero_vec(point):
+        raise CertificateError("intersection point is zero")
+    if any(vdot(nrm, point) != 0 for nrm in normals):
+        raise CertificateError("intersection point is outside the subspace")
     return MeetResult(True, point, sol, basis)
 
 
@@ -262,172 +280,6 @@ def cones_meet(
     point = vzero(dim)
     for c, g in zip(coeffs, generators):
         point = vadd(point, vscale(c, g))
-    assert not is_zero_vec(point)
+    if is_zero_vec(point):
+        raise CertificateError("intersection point is zero")
     return MeetResult(True, point, coeffs, basis)
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin route (boolean only, built independently of the LP route)
-
-_FM_ROW_CAP = 200_000
-
-
-def _fm_normalise(
-    coeffs: tuple[Fraction, ...], const: Fraction
-) -> tuple[tuple[Fraction, ...], Fraction] | None | bool:
-    """Canonical form of the row coeffs . x <= const.
-
-    Returns None for a trivially true row, False for a contradiction, or
-    the row scaled to primitive integers.
-    """
-    if all(c == 0 for c in coeffs):
-        return None if const >= 0 else False
-    denom_lcm = const.denominator
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
-    ci = int(const * denom_lcm)
-    g = abs(ci)
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-        ci //= g
-    return tuple(Fraction(v) for v in ints), Fraction(ci)
-
-
-def _fm_feasible(
-    n_vars: int,
-    equalities: list[tuple[tuple[Fraction, ...], Fraction]],
-    inequalities: list[tuple[tuple[Fraction, ...], Fraction]],
-) -> bool:
-    """Feasibility of {a.x = b} and {a.x <= b} by elimination.
-
-    Equalities are consumed first by substitution, which never grows the
-    system; the rest is classical Fourier-Motzkin with a greedy variable
-    order and row deduplication.
-    """
-    eqs = [(tuple(a), Fraction(b)) for a, b in equalities]
-    ineqs = [(tuple(a), Fraction(b)) for a, b in inequalities]
-    active = set(range(n_vars))
-
-    def substitute(
-        row: tuple[tuple[Fraction, ...], Fraction],
-        piv: tuple[tuple[Fraction, ...], Fraction],
-        j: int,
-    ) -> tuple[tuple[Fraction, ...], Fraction]:
-        (a, b), (pa, pb) = row, piv
-        if a[j] == 0:
-            return row
-        f = a[j] / pa[j]
-        na = tuple(x - f * y for x, y in zip(a, pa))
-        return na, b - f * pb
-
-    while eqs:
-        piv = eqs.pop()
-        pa, pb = piv
-        j = next((i for i in sorted(active) if pa[i] != 0), None)
-        if j is None:
-            if pb != 0:
-                return False
-            continue
-        eqs = [substitute(r, piv, j) for r in eqs]
-        ineqs = [substitute(r, piv, j) for r in ineqs]
-        active.discard(j)
-
-    rows: set[tuple[tuple[Fraction, ...], Fraction]] = set()
-    for a, b in ineqs:
-        norm = _fm_normalise(a, b)
-        if norm is False:
-            return False
-        if norm is not None:
-            rows.add(norm)
-
-    while True:
-        target = None
-        best_cost = None
-        for j in sorted(active):
-            pos = sum(1 for a, _ in rows if a[j] > 0)
-            neg = sum(1 for a, _ in rows if a[j] < 0)
-            if pos + neg == 0:
-                active.discard(j)
-                continue
-            cost = pos * neg
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                target = j
-        if target is None:
-            return True
-        j = target
-        pos = [(a, b) for a, b in rows if a[j] > 0]
-        neg = [(a, b) for a, b in rows if a[j] < 0]
-        keep = {(a, b) for a, b in rows if a[j] == 0}
-        for (pa, pb) in pos:
-            for (na, nb) in neg:
-                # positive combination cancelling x_j keeps the direction
-                ca = tuple(-na[j] * x + pa[j] * y for x, y in zip(pa, na))
-                cb = -na[j] * pb + pa[j] * nb
-                norm = _fm_normalise(ca, cb)
-                if norm is False:
-                    return False
-                if norm is not None:
-                    keep.add(norm)
-                if len(keep) > _FM_ROW_CAP:
-                    raise RuntimeError("Fourier-Motzkin row explosion")
-        rows = keep
-        active.discard(j)
-
-
-def brute_force_cone_meets_subspace(
-    generators: Sequence[Vec], subspace_rows: Sequence[Vec]
-) -> bool:
-    """Same question as cone_meets_subspace, settled by elimination alone."""
-    generators = list(generators)
-    if not generators:
-        return False
-    dim = len(generators[0])
-    normals = _complement_basis(subspace_rows, dim)
-    k = len(generators)
-    eqs = [
-        (tuple(vdot(nrm, g) for g in generators), Fraction(0)) for nrm in normals
-    ]
-    eqs.append(((Fraction(1),) * k, Fraction(1)))
-    ineqs = []
-    for i in range(k):
-        a = [Fraction(0)] * k
-        a[i] = Fraction(-1)
-        ineqs.append((tuple(a), Fraction(0)))  # c_i >= 0
-    return _fm_feasible(k, eqs, ineqs)
-
-
-def brute_force_cones_meet(
-    generators: Sequence[Vec],
-    chamber_rays: Sequence[Vec],
-    chamber_lineality: Sequence[Vec],
-) -> bool:
-    """Same question as cones_meet, settled by elimination alone."""
-    generators = list(generators)
-    if not generators:
-        return False
-    dim = len(generators[0])
-    rays = [r for r in chamber_rays if not is_zero_vec(r)]
-    lines = [l for l in chamber_lineality if not is_zero_vec(l)]
-    k, kr, kl = len(generators), len(rays), len(lines)
-    nvars = k + kr + kl  # lineality variables stay free
-    eqs: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for coord in range(dim):
-        row = (
-            [g[coord] for g in generators]
-            + [-r[coord] for r in rays]
-            + [-l[coord] for l in lines]
-        )
-        eqs.append((tuple(row), Fraction(0)))
-    eqs.append(
-        ((Fraction(1),) * k + (Fraction(0),) * (kr + kl), Fraction(1))
-    )
-    ineqs = []
-    for i in range(k + kr):  # c >= 0 and d >= 0; e is free
-        a = [Fraction(0)] * nvars
-        a[i] = Fraction(-1)
-        ineqs.append((tuple(a), Fraction(0)))
-    return _fm_feasible(nvars, eqs, ineqs)

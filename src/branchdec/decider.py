@@ -29,6 +29,7 @@ from .parabolic import (
     is_virtually_symmetric_type,
 )
 from .root_core import (
+    CertificateError,
     Vec,
     is_zero_vec,
     lex_positive,
@@ -50,14 +51,6 @@ DECO_EQUIVALENTS = (
     "admissible-all-weakly-fair",
     "associated-variety-containment",
 )
-
-
-class CertificateError(RuntimeError):
-    """A certificate failed its own substitution check.
-
-    Raised instead of asserting, so the check also runs under python -O;
-    it means the solver or the pair data is internally inconsistent.
-    """
 
 
 _SCOPE_NOTE = (

@@ -26,6 +26,14 @@ class DatumError(ValueError):
     """Raised when root data are malformed or a family string is unknown."""
 
 
+class CertificateError(RuntimeError):
+    """A certificate failed its own substitution check.
+
+    Raised instead of asserting, so the check also runs under python -O;
+    it means the solver or the pair data is internally inconsistent.
+    """
+
+
 # ---------------------------------------------------------------------------
 # scalars and vectors
 
@@ -226,7 +234,8 @@ def project_onto_span(v: Vec, rows: Sequence[Vec]) -> Vec:
     gram = [tuple(vdot(bi, bj) for bj in basis) for bi in basis]
     rhs = [vdot(bi, v) for bi in basis]
     coeffs = solve_linear(gram, rhs)
-    assert coeffs is not None  # Gram matrix of independent rows is invertible
+    if coeffs is None:
+        raise CertificateError("Gram matrix of independent rows is singular")
     out = vzero(len(v))
     for c, b in zip(coeffs, basis):
         out = vadd(out, vscale(c, b))

@@ -13,11 +13,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
+from fm_oracle import brute_force_cone_meets_subspace, brute_force_cones_meet
+
 from branchdec.catalog import load_catalog
 from branchdec.cone_kernel import (
     Cone,
-    brute_force_cone_meets_subspace,
-    brute_force_cones_meet,
     cone_meets_subspace,
     cones_meet,
 )

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from branchdec.cli import (
     EXIT_OK,
@@ -273,3 +276,117 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "su(2,2)" in proc.stdout
+
+
+# full stdout of two deco verdicts, one per witness kind; the witness is
+# the final simplex point or basis, so a change in pivoting shows here
+_DECO_MEETS_JSON = """\
+{
+  "question": "deco",
+  "answer": false,
+  "equivalents": [
+    "deco-some-weakly-fair",
+    "deco-all-weakly-fair",
+    "admissible-some-weakly-fair",
+    "admissible-all-weakly-fair",
+    "associated-variety-containment"
+  ],
+  "witness": {
+    "kind": "intersection-point",
+    "point": [
+      "1/4",
+      "-1/4",
+      "1/4",
+      "-1/4"
+    ],
+    "cone_coefficients": [
+      "1/4",
+      "1/4",
+      "0",
+      "1/2"
+    ]
+  },
+  "inputs": {
+    "pair": "(su(2,2),sp(2,R))",
+    "base": "su(2,2)",
+    "x": [
+      "1/2",
+      "-3/2",
+      "3/2",
+      "-1/2"
+    ]
+  },
+  "criterion": "the closed cone spanned by the noncompact weights of u meets the -1 eigenspace of the involution on the torus only at 0",
+  "notes": [
+    "answer is uniform over nonzero modules attached to q with parameter in the weakly fair range; no specific parameter enters the test"
+  ]
+}
+"""
+
+_DECO_MISSES_JSON = """\
+{
+  "question": "deco",
+  "answer": true,
+  "equivalents": [
+    "deco-some-weakly-fair",
+    "deco-all-weakly-fair",
+    "admissible-some-weakly-fair",
+    "admissible-all-weakly-fair",
+    "associated-variety-containment"
+  ],
+  "witness": {
+    "kind": "infeasibility-basis",
+    "basis": [
+      4,
+      0,
+      2,
+      7
+    ]
+  },
+  "inputs": {
+    "pair": "(su(2,2),sp(2,R))",
+    "base": "su(2,2)",
+    "x": [
+      "-1/2",
+      "-3/2",
+      "3/2",
+      "1/2"
+    ]
+  },
+  "criterion": "the closed cone spanned by the noncompact weights of u meets the -1 eigenspace of the involution on the torus only at 0",
+  "notes": [
+    "answer is uniform over nonzero modules attached to q with parameter in the weakly fair range; no specific parameter enters the test"
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize(
+    ("x", "expected"),
+    [("1/2,-3/2,3/2,-1/2", _DECO_MEETS_JSON),
+     ("-1/2,-3/2,3/2,1/2", _DECO_MISSES_JSON)],
+)
+def test_check_json_witness_bytes_are_pinned(capsys, x, expected):
+    assert main(
+        ["check", "--pair", "(su(2,2),sp(2,R))", f"--X={x}",
+         "--question", "deco", "--format", "json"]
+    ) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+def test_verify_runs_under_python_O():
+    # python -O strips assert statements; every certificate check must
+    # still run and pass
+    src = str(DATA_DIR.parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "branchdec.cli", "verify"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].endswith("all passed")

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from fm_oracle import (
+    _fm_feasible,
+    brute_force_cone_meets_subspace,
+    brute_force_cones_meet,
+)
 
 from branchdec.cone_kernel import (
     Cone,
     PointednessError,
-    brute_force_cone_meets_subspace,
-    brute_force_cones_meet,
     cone_meets_subspace,
     cones_meet,
     simplex_feasible,
@@ -55,6 +58,46 @@ def test_simplex_feasible_substitutes():
         for row, b in zip(rows, rhs):
             assert vdot(row, sol) == b
     assert feas > 50 and infeas > 50
+
+
+def test_simplex_feasible_rational_entries():
+    # mixed denominators exercise the integer scaling of each row; the
+    # verdict is checked both ways against elimination
+    rng = random.Random(20261018)
+    pool = [F(0), F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(5, 7), F(-3, 4)]
+    feas = infeas = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [tuple(rng.choice(pool) for _ in range(n)) for _ in range(m)]
+        rhs = [rng.choice(pool) for _ in range(m)]
+        sol, basis = simplex_feasible(rows, rhs)
+        nonneg = [
+            (tuple(F(-1) if k == j else F(0) for k in range(n)), F(0))
+            for j in range(n)
+        ]
+        assert (sol is not None) == _fm_feasible(n, list(zip(rows, rhs)), nonneg)
+        if sol is None:
+            infeas += 1
+            continue
+        feas += 1
+        assert all(type(c) is Fraction and c >= 0 for c in sol)
+        for row, b in zip(rows, rhs):
+            assert vdot(row, sol) == b
+        # a basic solution: nonzero entries sit only at basic columns
+        assert {j for j, c in enumerate(sol) if c} <= set(basis)
+    assert feas > 50 and infeas > 50
+
+
+def test_simplex_bland_tie_break_pins_basis():
+    # x0 enters first, at row 1, the only row where it is positive; x1
+    # enters next with the ratios of both rows equal to 1.  Bland's rule
+    # lets the row whose basic variable has the smaller index leave, which
+    # is row 1 (x0), not row 0 (its artificial); picking the first row
+    # would end at basis (1, 0)
+    rows = [vec(0, 1, 1), vec(1, 1, 0)]
+    sol, basis = simplex_feasible(rows, [F(1), F(1)])
+    assert sol == vec(0, 1, 0)
+    assert basis == (2, 1)
 
 
 def test_simplex_redundant_rows():
