@@ -277,19 +277,20 @@ def load_catalog(root: Path | None = None, force: bool = False) -> CatalogBundle
             pair_id = str(rec["id"])
             kind = str(rec["kind"])
             base_id = str(rec["base"])
+            if base_id not in algebras:
+                raise CatalogError(
+                    f"{path.name}: base algebra {base_id!r} is not in the "
+                    "catalog"
+                )
+            base = algebras[base_id]
+            if kind == "involution":
+                pair = _involution_from_json(rec, base)
+            elif kind == "embedding":
+                pair = _embedding_from_json(rec, base)
+            else:
+                raise CatalogError(f"{path.name}: unknown pair kind {kind!r}")
         except KeyError as exc:
             raise CatalogError(f"{path.name}: missing field {exc}") from exc
-        if base_id not in algebras:
-            raise CatalogError(
-                f"{path.name}: base algebra {base_id!r} is not in the catalog"
-            )
-        base = algebras[base_id]
-        if kind == "involution":
-            pair = _involution_from_json(rec, base)
-        elif kind == "embedding":
-            pair = _embedding_from_json(rec, base)
-        else:
-            raise CatalogError(f"{path.name}: unknown pair kind {kind!r}")
         if not pair.report.ok:
             if not force:
                 names = ", ".join(c.name for c in pair.report.failed())

@@ -81,10 +81,6 @@ def _load(ns) -> CatalogBundle:
     return load_catalog(path, force=ns.force)
 
 
-def _parse_x(text: str, dim: int):
-    return parse_vector(text, expect_dim=dim)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -193,7 +189,7 @@ def cmd_parabolic(ns) -> int:
         return EXIT_OK
     if ns.x is None:
         raise DatumError("parabolic needs --X (or --enumerate)")
-    q = build_parabolic(base, _parse_x(ns.x, base.ambient_dim))
+    q = build_parabolic(base, parse_vector(ns.x, expect_dim=base.ambient_dim))
     d = q.describe()
     d["symmetric_type"] = is_symmetric_type(q)
     d["virtually_symmetric_type"] = is_virtually_symmetric_type(q)
@@ -212,7 +208,8 @@ def cmd_parabolic(ns) -> int:
 def cmd_check(ns) -> int:
     cat = _load(ns)
     pair = cat.pair(ns.pair)
-    q = build_parabolic(pair.base, _parse_x(ns.x, pair.base.ambient_dim))
+    x = parse_vector(ns.x, expect_dim=pair.base.ambient_dim)
+    q = build_parabolic(pair.base, x)
     verdict = answer_question(pair, q, ns.question)
     payload = verdict.to_json_dict()
     if ns.format == "text":

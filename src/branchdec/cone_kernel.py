@@ -1,10 +1,12 @@
 """Exact cone intersection tests over Q.
 
-Every query is a phase-1 simplex with Bland's rule on an integer tableau;
-it produces witness points and bases.  An independent Fourier-Motzkin
-eliminator that rebuilds the same feasibility questions from scratch lives
-with the tests (``tests/fm_oracle.py``), which compare the two routes on
-every instance they generate.
+Every feasibility question in the package is stated as a list of
+constraints and handed to one builder, ``feasible_point``; it is the one LP
+encoding, and the only caller of the phase-1 simplex (Bland's rule on an
+integer tableau), which produces witness points and bases.  An independent
+Fourier-Motzkin eliminator that rebuilds the same feasibility questions
+from scratch lives with the tests (``tests/fm_oracle.py``), which compare
+the two routes on every instance they generate.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from typing import Sequence
 from .root_core import (
     CertificateError,
     Vec,
-    identity,
     is_zero_vec,
-    nullspace,
+    orthogonal_complement,
     vadd,
     vdot,
+    vneg,
     vscale,
     vzero,
 )
@@ -183,23 +185,78 @@ def simplex_feasible(
 
 
 # ---------------------------------------------------------------------------
-# cone queries, LP route
+# the one LP encoding
 
 
-def _check_pointed(generators: Sequence[Vec], certificate: Vec) -> None:
-    for g in generators:
+def feasible_point(
+    constraints: Sequence[tuple[Vec, bool, Fraction]], n_nonneg: int
+) -> tuple[Vec | None, tuple[int, ...]]:
+    """A point z with row . z = rhs, or row . z >= rhs where is_inequality,
+    for every constraint (row, is_inequality, rhs), or None if there is none.
+
+    The first n_nonneg variables are nonnegative and the rest are free.
+    The phase-1 system has the columns: the nonnegative variables, the
+    positive parts of the free variables, their negative parts, then one
+    surplus column per inequality in row order (row . z - s = rhs).  The
+    returned basis indexes these columns, followed by one artificial
+    column per constraint.
+    """
+    if not constraints:
+        raise ValueError("feasibility query without constraints")
+    n = len(constraints[0][0])
+    n_surplus = sum(1 for _, is_inequality, _ in constraints if is_inequality)
+    rows: list[Vec] = []
+    rhs: list[Fraction] = []
+    surplus_at = 0
+    for row, is_inequality, b in constraints:
+        surplus = [Fraction(0)] * n_surplus
+        if is_inequality:
+            surplus[surplus_at] = Fraction(-1)
+            surplus_at += 1
+        rows.append((*row, *(-x for x in row[n_nonneg:]), *surplus))
+        rhs.append(b)
+    sol, basis = simplex_feasible(rows, rhs)
+    if sol is None:
+        return None, basis
+    free = zip(sol[n_nonneg:n], sol[n : 2 * n - n_nonneg])
+    return (*sol[:n_nonneg], *(p - m for p, m in free)), basis
+
+
+# ---------------------------------------------------------------------------
+# cone queries
+
+
+def _pointed_generators(cone: Cone, certificate: Vec, query: str) -> list[Vec]:
+    """The generators of a cone without lineality, after checking that the
+    certificate pairs strictly positively with each of them."""
+    if cone.lineality:
+        raise ValueError(f"{query} needs a cone without lineality")
+    for g in cone.generators:
         if vdot(g, certificate) <= 0:
             raise PointednessError(
                 "certificate does not pair strictly positively with every "
                 "generator; the cone may fail to be pointed"
             )
+    return list(cone.generators)
 
 
-def _complement_basis(subspace_rows: Sequence[Vec], dim: int) -> list[Vec]:
-    rows = [r for r in subspace_rows if not is_zero_vec(r)]
-    if not rows:
-        return list(identity(dim))
-    return nullspace(rows)
+def _meet(
+    generators: list[Vec],
+    constraints: list[tuple[Vec, bool, Fraction]],
+    n_nonneg: int,
+) -> MeetResult:
+    """Solve the constraints, whose first variables are the generator
+    coefficients, and sum the generators into the meeting point."""
+    z, basis = feasible_point(constraints, n_nonneg)
+    if z is None:
+        return MeetResult(False, None, None, basis)
+    coeffs = z[: len(generators)]
+    point = vzero(len(generators[0]))
+    for c, g in zip(coeffs, generators):
+        point = vadd(point, vscale(c, g))
+    if is_zero_vec(point):
+        raise CertificateError("intersection point is zero")
+    return MeetResult(True, point, coeffs, basis)
 
 
 def cone_meets_subspace(
@@ -213,31 +270,22 @@ def cone_meets_subspace(
     strictly positively with every generator; this makes the
     normalisation sum(c) = 1 exhaustive.
     """
-    if cone.lineality:
-        raise ValueError("cone_meets_subspace needs a cone without lineality")
-    generators = list(cone.generators)
+    generators = _pointed_generators(
+        cone, pointedness_certificate, "cone_meets_subspace"
+    )
     if not generators:
         return MeetResult(False, None, None, ())
-    _check_pointed(generators, pointedness_certificate)
-    dim = len(generators[0])
-    normals = _complement_basis(subspace_rows, dim)
-    k = len(generators)
-    rows: list[Vec] = [
-        tuple(vdot(nrm, g) for g in generators) for nrm in normals
+    # c >= 0 with sum(c) = 1 and sum c_i g_i orthogonal to every normal
+    normals = orthogonal_complement(subspace_rows, cone.ambient_dim)
+    constraints = [
+        (tuple(vdot(nrm, g) for g in generators), False, Fraction(0))
+        for nrm in normals
     ]
-    rows.append((Fraction(1),) * k)
-    rhs = [Fraction(0)] * len(normals) + [Fraction(1)]
-    sol, basis = simplex_feasible(rows, rhs)
-    if sol is None:
-        return MeetResult(False, None, None, basis)
-    point = vzero(dim)
-    for c, g in zip(sol, generators):
-        point = vadd(point, vscale(c, g))
-    if is_zero_vec(point):
-        raise CertificateError("intersection point is zero")
-    if any(vdot(nrm, point) != 0 for nrm in normals):
+    constraints.append(((Fraction(1),) * len(generators), False, Fraction(1)))
+    result = _meet(generators, constraints, len(generators))
+    if result.meets and any(vdot(nrm, result.point) != 0 for nrm in normals):
         raise CertificateError("intersection point is outside the subspace")
-    return MeetResult(True, point, sol, basis)
+    return result
 
 
 def cones_meet(
@@ -250,36 +298,15 @@ def cones_meet(
     Only the first cone needs the pointedness certificate (and must carry
     no lineality); the second may contain lines.
     """
-    if cone.lineality:
-        raise ValueError("cones_meet needs the first cone without lineality")
-    generators = list(cone.generators)
+    generators = _pointed_generators(cone, pointedness_certificate, "cones_meet")
     if not generators:
         return MeetResult(False, None, None, ())
-    _check_pointed(generators, pointedness_certificate)
-    dim = len(generators[0])
-    rays = list(other.generators)
-    lines = list(other.lineality)
-    k, kr, kl = len(generators), len(rays), len(lines)
-    # variables: c (k), d (kr), e+ (kl), e- (kl)
-    nvars = k + kr + 2 * kl
-    rows: list[Vec] = []
-    for coord in range(dim):
-        row = (
-            [g[coord] for g in generators]
-            + [-r[coord] for r in rays]
-            + [-l[coord] for l in lines]
-            + [l[coord] for l in lines]
-        )
-        rows.append(tuple(row))
-    rows.append((Fraction(1),) * k + (Fraction(0),) * (nvars - k))
-    rhs = [Fraction(0)] * dim + [Fraction(1)]
-    sol, basis = simplex_feasible(rows, rhs)
-    if sol is None:
-        return MeetResult(False, None, None, basis)
-    coeffs = sol[:k]
-    point = vzero(dim)
-    for c, g in zip(coeffs, generators):
-        point = vadd(point, vscale(c, g))
-    if is_zero_vec(point):
-        raise CertificateError("intersection point is zero")
-    return MeetResult(True, point, coeffs, basis)
+    # sum c_i g_i = sum d_j r_j + sum e_l l_l with c, d >= 0, e free and
+    # sum(c) = 1; the columns below are g, -r and -l
+    k = len(generators)
+    n_nonneg = k + len(other.generators)
+    columns = generators + [vneg(v) for v in other.generators + other.lineality]
+    constraints = [(row, False, Fraction(0)) for row in zip(*columns)]
+    normalisation = (Fraction(1),) * k + (Fraction(0),) * (len(columns) - k)
+    constraints.append((normalisation, False, Fraction(1)))
+    return _meet(generators, constraints, n_nonneg)

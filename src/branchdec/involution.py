@@ -27,6 +27,7 @@ from .root_core import (
     is_zero_vec,
     lex_positive,
     nullspace,
+    orthogonal_complement,
     primitive_direction,
     project_onto_span,
     rank,
@@ -395,14 +396,12 @@ def _chamber_rays(
             seen.add(p)
             dirs.append(p)
     dirs.sort()
-    if not dirs:
-        return [], list(identity(space_dim))
-    lineality = nullspace(dirs)
+    lineality = orthogonal_complement(dirs, space_dim)
     ldim = len(lineality)
     rays: set[Vec] = set()
     for size in range(0, len(dirs) + 1):
         for subset in itertools.combinations(dirs, size):
-            space = nullspace(list(subset)) if subset else list(identity(space_dim))
+            space = orthogonal_complement(subset, space_dim)
             if len(space) != ldim + 1:
                 continue
             for v in space:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .cone_kernel import simplex_feasible
+from .cone_kernel import feasible_point
 from .root_core import (
     DatumError,
     PART_COMPACT,
@@ -22,10 +22,9 @@ from .root_core import (
     RootDatum,
     Vec,
     WeightMultiset,
-    identity,
     is_zero_vec,
     lex_positive,
-    nullspace,
+    orthogonal_complement,
     primitive_direction,
     solve_linear,
     vadd,
@@ -171,52 +170,6 @@ def build_parabolic(base: RootDatum, x: Vec) -> ThetaStableParabolic:
 # enumeration over arrangement faces
 
 
-def _torus_basis(base: RootDatum) -> list[Vec]:
-    if base.t_constraints:
-        return nullspace(list(base.t_constraints))
-    return list(identity(base.ambient_dim))
-
-
-def _signed_system_feasible(
-    normals: Sequence[Vec], signs: Sequence[int], extra_nonneg: Sequence[Vec]
-) -> Vec | None:
-    """A point y with sign(n_i . y) = signs_i and r . y >= 0 for the extras.
-
-    Strictness is encoded as |n . y| >= 1, which is harmless up to scaling.
-    Returns the point or None.
-    """
-    if not normals and not extra_nonneg:
-        raise DatumError("feasibility query without constraints")
-    k = len(normals[0]) if normals else len(extra_nonneg[0])
-    rows: list[Vec] = []
-    rhs: list[Fraction] = []
-    n_surplus = sum(1 for s in signs if s != 0) + len(extra_nonneg)
-    surplus_at = 0
-
-    def emit(n: Vec, b: Fraction, surplus: bool) -> None:
-        nonlocal surplus_at
-        row = list(n) + [-c for c in n] + [Fraction(0)] * n_surplus
-        if surplus:
-            row[2 * k + surplus_at] = Fraction(-1)
-            surplus_at += 1
-        rows.append(tuple(row))
-        rhs.append(b)
-
-    for n, s in zip(normals, signs):
-        if s == 0:
-            emit(n, Fraction(0), surplus=False)
-        elif s > 0:
-            emit(n, Fraction(1), surplus=True)
-        else:
-            emit(vneg(n), Fraction(1), surplus=True)
-    for r in extra_nonneg:
-        emit(r, Fraction(0), surplus=True)
-    sol, _ = simplex_feasible(rows, rhs)
-    if sol is None:
-        return None
-    return tuple(sol[i] - sol[k + i] for i in range(k))
-
-
 def enumerate_parabolics(
     base: RootDatum,
     dominant_only: bool = False,
@@ -233,7 +186,7 @@ def enumerate_parabolics(
         raise UnsupportedQuery(
             f"rank {base.dim_t} exceeds the enumeration bound {max_rank}"
         )
-    tbasis = _torus_basis(base)
+    tbasis = orthogonal_complement(base.t_constraints, base.ambient_dim)
 
     def restrict(w: Vec) -> Vec:
         return tuple(vdot(w, b) for b in tbasis)
@@ -249,17 +202,27 @@ def enumerate_parabolics(
             normals.append(n)
     normals.sort()
 
-    dominance: list[Vec] = []
-    if dominant_only:
-        for w, _ in base.compact:
-            if lex_positive(w):
-                dominance.append(restrict(w))
+    # sign s of n . y as a constraint on y; strictness is encoded as
+    # |n . y| >= 1, which is harmless up to scaling
+    sign_constraints = [
+        {
+            -1: (vneg(n), True, Fraction(1)),
+            0: (n, False, Fraction(0)),
+            1: (n, True, Fraction(1)),
+        }
+        for n in normals
+    ]
+    dominance = [
+        (restrict(w), True, Fraction(0))
+        for w, _ in base.compact
+        if dominant_only and lex_positive(w)
+    ]
 
     # incremental sign-vector extension; each kept prefix carries a witness
     frontier: list[tuple[tuple[int, ...], Vec]] = [
         ((), vzero(len(tbasis)))
     ]
-    for j, n in enumerate(normals):
+    for n in normals:
         nxt: list[tuple[tuple[int, ...], Vec]] = []
         for signs, y in frontier:
             inherited = _sign(vdot(n, y))
@@ -267,9 +230,10 @@ def enumerate_parabolics(
                 if s == inherited:
                     nxt.append((signs + (s,), y))
                     continue
-                y2 = _signed_system_feasible(
-                    normals[: j + 1], signs + (s,), dominance
-                )
+                constraints = [
+                    sign_constraints[i][t] for i, t in enumerate(signs + (s,))
+                ]
+                y2, _ = feasible_point(constraints + dominance, 0)
                 if y2 is not None:
                     nxt.append((signs + (s,), y2))
         frontier = nxt

@@ -19,7 +19,6 @@ Vec = tuple[Fraction, ...]
 
 PART_COMPACT = "k"
 PART_NONCOMPACT = "p"
-PARTS = (PART_COMPACT, PART_NONCOMPACT)
 
 
 class DatumError(ValueError):
@@ -189,6 +188,15 @@ def nullspace(rows: Sequence[Vec]) -> list[Vec]:
             x[pc] = -row[fc]
         basis.append(tuple(x))
     return basis
+
+
+def orthogonal_complement(rows: Sequence[Vec], dim: int) -> list[Vec]:
+    """Basis of {x in Q^dim : row . x = 0 for every row}; the identity rows
+    when no row is nonzero."""
+    rows = [r for r in rows if not is_zero_vec(r)]
+    if not rows:
+        return list(identity(dim))
+    return nullspace(rows)
 
 
 def solve_linear(rows: Sequence[Vec], rhs: Sequence) -> Vec | None:

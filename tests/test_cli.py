@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -266,6 +267,61 @@ def test_verify_fails_on_tampered_catalog(tmp_path, capsys):
     assert code == 1
     assert out.splitlines()[0].startswith("catalog-integrity: FAIL")
     assert out.splitlines()[-1] == "verify: 1 check, 1 failed"
+
+
+def _pair_without_matrix(tmp_path: Path) -> Path:
+    root = tmp_path / "cat"
+    shutil.copytree(DATA_DIR, root)
+    victim = root / "pairs" / "_su_2_2__sp_2_R__.json"
+    rec = json.loads(victim.read_text())
+    del rec["matrix"]
+    victim.write_text(json.dumps(rec))
+    return root
+
+
+def test_malformed_pair_record_is_refused_not_a_traceback(tmp_path, capsys):
+    root = _pair_without_matrix(tmp_path)
+    code = main(["catalog", "--catalog", str(root), "--force"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "missing field 'matrix'" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_reports_malformed_pair_record(tmp_path, capsys):
+    root = _pair_without_matrix(tmp_path)
+    code = main(["verify", "--catalog", str(root), "--force"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0].startswith("catalog-integrity: FAIL")
+    assert "missing field 'matrix'" in lines[0]
+
+
+# sha256 of the full `parabolic --enumerate --format json` stdout, captured
+# at commit a4677326; the defining elements X are the LP witness points,
+# so a change in how the feasibility systems are built or solved shows here
+@pytest.mark.parametrize(
+    ("algebra", "dominant", "faces", "digest"),
+    [
+        ("sp(2,R)", False, 17,
+         "8ad8e41dd1db2b7c200defabc7cbb4eee11dfef3e3589f8586b2dad7eaf02442"),
+        ("sp(2,R)", True, 10,
+         "ebe7d76953ed28911a58cadd58e8743ce360b8525d674a107f5297a726627798"),
+        ("su(2,2)", False, 75,
+         "8dd2dec05833dbe5b0e0b78ff4516db20aa674deeb2388286410d5698ab9aec1"),
+        ("su(2,2)", True, 26,
+         "4a3a5a3af0a8764b00287774739dd2cf7cb350c9a7e5fc8d6a6a698859f948ec"),
+    ],
+)
+def test_enumerated_x_values_are_pinned(
+    capsys, algebra, dominant, faces, digest
+):
+    argv = ["parabolic", "--algebra", algebra, "--enumerate",
+            "--format", "json"]
+    assert main(argv + ["--dominant"] * dominant) == EXIT_OK
+    out = capsys.readouterr().out
+    assert len(json.loads(out)) == faces
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_module_entry_point():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from fm_oracle import (
@@ -15,6 +17,7 @@ from branchdec.cone_kernel import (
     PointednessError,
     cone_meets_subspace,
     cones_meet,
+    feasible_point,
     simplex_feasible,
 )
 from branchdec.root_core import in_span, vadd, vdot, vec, vscale, vzero
@@ -100,6 +103,102 @@ def test_simplex_bland_tie_break_pins_basis():
     assert basis == (2, 1)
 
 
+def test_feasible_point_substitutes_and_agrees_with_elimination():
+    # mixed nonnegative and free variables, mixed = and >= rows; every
+    # point must satisfy the constraints it was asked for, and every
+    # refusal must be confirmed by elimination
+    rng = random.Random(20261019)
+    pool = [F(0), F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3)]
+    feas = infeas = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        n_nonneg = rng.randint(0, n)
+        constraints = [
+            (
+                tuple(rng.choice(pool) for _ in range(n)),
+                rng.random() < 0.5,
+                rng.choice(pool),
+            )
+            for _ in range(m)
+        ]
+        z, _ = feasible_point(constraints, n_nonneg)
+        if z is not None:
+            feas += 1
+            assert len(z) == n
+            assert all(type(c) is Fraction for c in z)
+            assert all(c >= 0 for c in z[:n_nonneg])
+            for row, is_inequality, b in constraints:
+                if is_inequality:
+                    assert vdot(row, z) >= b
+                else:
+                    assert vdot(row, z) == b
+            continue
+        infeas += 1
+        eqs = [(row, b) for row, ineq, b in constraints if not ineq]
+        # row . z >= b as -row . z <= -b, and z_j >= 0 as -z_j <= 0
+        ineqs = [
+            (tuple(-x for x in row), -b) for row, ineq, b in constraints if ineq
+        ]
+        ineqs += [
+            (tuple(F(-1) if k == j else F(0) for k in range(n)), F(0))
+            for j in range(n_nonneg)
+        ]
+        assert not _fm_feasible(n, eqs, ineqs)
+    assert feas > 50 and infeas > 50
+
+
+def test_feasible_point_basis_indexes_the_column_layout():
+    # z0 >= 0, z1 free, one inequality: columns z0, z1+, z1-, surplus.
+    # z0 - z1 >= 1 with z0 + z1 = 0 leaves z0 = -z1 >= 1/2; the vertex
+    # found has the surplus at 0, with z0 (column 0) and the negative part
+    # of z1 (column 2) basic
+    z, basis = feasible_point(
+        [(vec(1, -1), True, F(1)), (vec(1, 1), False, F(0))], 1
+    )
+    assert z == vec(F(1, 2), F(-1, 2))
+    assert sorted(basis) == [0, 2]
+    with pytest.raises(ValueError):
+        feasible_point([], 0)
+
+
+def _simplex_callers(tree: ast.AST) -> list[str | None]:
+    """Name of the innermost function around each simplex_feasible call."""
+    found: list[str | None] = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and "simplex_feasible" in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None),
+            ):
+                found.append(function)
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_simplex_feasible_is_called_only_by_the_builder():
+    # every feasibility question goes through feasible_point, so no other
+    # code in the package builds a tableau for the kernel itself
+    package = Path(__file__).resolve().parents[1] / "src" / "branchdec"
+    callers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        callers += [(path.name, fn) for fn in _simplex_callers(tree)]
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert "simplex_feasible" not in imported, path.name
+    assert callers == [("cone_kernel.py", "feasible_point")]
+
+
 def test_simplex_redundant_rows():
     rows = [vec(1, 1), vec(2, 2)]
     sol, _ = simplex_feasible(rows, [F(1), F(2)])
@@ -140,6 +239,8 @@ def test_subspace_query_requires_no_lineality():
     cone = Cone((vec(1, 0),), (vec(0, 1),), 2)
     with pytest.raises(ValueError):
         cone_meets_subspace(cone, [vec(1, 1)], vec(1, 0))
+    with pytest.raises(ValueError):
+        cones_meet(cone, Cone.from_generators([vec(1, 1)], 2), vec(1, 0))
 
 
 # ---------------------------------------------------------------------------
