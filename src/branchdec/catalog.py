@@ -257,6 +257,8 @@ def load_catalog(root: Path | None = None, force: bool = False) -> CatalogBundle
             stored = RootDatum.from_dict(rec["datum"])
         except KeyError as exc:
             raise CatalogError(f"{path.name}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CatalogError(f"{path.name}: malformed field: {exc}") from exc
         rebuilt = dataclasses.replace(
             build_root_datum(builder), name=algebra_id
         )
@@ -291,6 +293,8 @@ def load_catalog(root: Path | None = None, force: bool = False) -> CatalogBundle
                 raise CatalogError(f"{path.name}: unknown pair kind {kind!r}")
         except KeyError as exc:
             raise CatalogError(f"{path.name}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CatalogError(f"{path.name}: malformed field: {exc}") from exc
         if not pair.report.ok:
             if not force:
                 names = ", ".join(c.name for c in pair.report.failed())

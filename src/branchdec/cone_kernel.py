@@ -21,11 +21,10 @@ from .root_core import (
     Vec,
     is_zero_vec,
     orthogonal_complement,
-    vadd,
     vdot,
     vneg,
     vscale,
-    vzero,
+    vsum,
 )
 
 
@@ -251,9 +250,10 @@ def _meet(
     if z is None:
         return MeetResult(False, None, None, basis)
     coeffs = z[: len(generators)]
-    point = vzero(len(generators[0]))
-    for c, g in zip(coeffs, generators):
-        point = vadd(point, vscale(c, g))
+    point = vsum(
+        (vscale(c, g) for c, g in zip(coeffs, generators)),
+        len(generators[0]),
+    )
     if is_zero_vec(point):
         raise CertificateError("intersection point is zero")
     return MeetResult(True, point, coeffs, basis)

@@ -9,7 +9,6 @@ view, which is what the dimension and rho bookkeeping consumes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -29,13 +28,15 @@ from .root_core import (
     nullspace,
     orthogonal_complement,
     primitive_direction,
+    primitive_vector,
     project_onto_span,
     rank,
+    simple_system,
     vdot,
     vneg,
-    vadd,
     vscale,
     vsub,
+    vsum,
     vzero,
 )
 
@@ -384,65 +385,30 @@ def restricted_roots(inv: InvolutionData) -> RestrictedRootSystem:
     return RestrictedRootSystem(tminus, roots, positive)
 
 
-def _chamber_rays(
-    constraint_rows: list[Vec], space_dim: int
-) -> tuple[list[Vec], list[Vec]]:
-    """Extreme rays and lineality of {y : c . y >= 0} inside Q^space_dim."""
-    dirs: list[Vec] = []
-    seen = set()
-    for c in constraint_rows:
-        p = primitive_direction(c)
-        if p not in seen and not is_zero_vec(p):
-            seen.add(p)
-            dirs.append(p)
-    dirs.sort()
-    lineality = orthogonal_complement(dirs, space_dim)
-    ldim = len(lineality)
-    rays: set[Vec] = set()
-    for size in range(0, len(dirs) + 1):
-        for subset in itertools.combinations(dirs, size):
-            space = orthogonal_complement(subset, space_dim)
-            if len(space) != ldim + 1:
-                continue
-            for v in space:
-                u = (
-                    vsub(v, project_onto_span(v, lineality))
-                    if lineality
-                    else v
-                )
-                if is_zero_vec(u):
-                    continue
-                u = primitive_direction(u)
-                for cand in (u, vneg(u)):
-                    if all(vdot(d, cand) >= 0 for d in dirs):
-                        rays.add(cand)
-                break
-    return sorted(rays), lineality
-
-
 def momentum_chamber(inv: InvolutionData) -> Cone:
     """The dominant chamber of the restricted root system, inside
-    span(t^{-sigma}), as generators plus lineality."""
+    span(t^{-sigma}), as generators plus lineality.
+
+    The generators are the fundamental coweights of the restricted simple
+    roots; the lineality is the part of t^{-sigma} orthogonal to every
+    restricted root.
+    """
     system = restricted_roots(inv)
     n = inv.base.ambient_dim
     basis = system.space_basis
     if not basis:
         return Cone((), (), n)
-
-    def to_coords(w: Vec) -> Vec:
-        return tuple(vdot(w, b) for b in basis)
-
-    def to_ambient(y: Vec) -> Vec:
-        out = vzero(n)
-        for c, b in zip(y, basis):
-            out = vadd(out, vscale(c, b))
-        return out
-
-    constraint_rows = [to_coords(w) for w, _ in system.positive]
-    rays, lineality = _chamber_rays(constraint_rows, len(basis))
-    gens = tuple(primitive_direction(to_ambient(y)) for y in rays)
-    lines = tuple(primitive_direction(to_ambient(y)) for y in lineality)
-    return Cone(gens, lines, n)
+    _, coweights = simple_system(system.roots.support())
+    rows = [tuple(vdot(w, b) for b in basis) for w in system.roots.support()]
+    lineality = (
+        vsum((vscale(c, b) for c, b in zip(y, basis)), n)
+        for y in orthogonal_complement(rows, len(basis))
+    )
+    return Cone(
+        tuple(sorted(primitive_vector(c) for c in coweights)),
+        tuple(primitive_direction(y) for y in lineality),
+        n,
+    )
 
 
 # ---------------------------------------------------------------------------

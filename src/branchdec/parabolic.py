@@ -3,8 +3,8 @@
 A parabolic is induced by an element X of the torus: weights pairing
 positively with X span u, weights pairing to zero stay in the Levi part l
 (together with the torus and any zero weights of p).  Construction,
-enumeration over arrangement faces, parameter-range predicates and the
-symmetric-type predicates all live here.
+enumeration over arrangement faces and the symmetric-type predicates all
+live here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .cone_kernel import feasible_point
 from .root_core import (
     DatumError,
     PART_COMPACT,
@@ -24,15 +23,14 @@ from .root_core import (
     WeightMultiset,
     is_zero_vec,
     lex_positive,
-    orthogonal_complement,
     primitive_direction,
+    primitive_vector,
+    reflect,
+    simple_system,
     solve_linear,
-    vadd,
     vdot,
-    vneg,
     vscale,
-    vsub,
-    vzero,
+    vsum,
 )
 
 DEFAULT_MAX_RANK = 7
@@ -41,9 +39,9 @@ DEFAULT_MAX_RANK = 7
 class UnsupportedQuery(Exception):
     """A question the model deliberately refuses to answer.
 
-    Raised instead of guessing: non-equal-rank parameter ranges, rank
-    bounds, and pair records that do not support a given check all land
-    here.  The CLI maps this to its own exit code.
+    Raised instead of guessing: rank bounds and pair records that do not
+    support a given check land here.  The CLI maps this to its own exit
+    code.
     """
 
 
@@ -82,11 +80,11 @@ class ThetaStableParabolic:
 
     @property
     def rho_u(self) -> Vec:
-        out = vzero(self.base.ambient_dim)
-        for ws in (self.u_compact, self.u_noncompact):
-            for w, m in ws:
-                out = vadd(out, vscale(m, w))
-        return vscale(Fraction(1, 2), out)
+        total = vsum(
+            (vscale(m, w) for _, w, m in self.u_weights()),
+            self.base.ambient_dim,
+        )
+        return vscale(Fraction(1, 2), total)
 
     @property
     def S(self) -> int:
@@ -177,161 +175,53 @@ def enumerate_parabolics(
 ) -> list[ThetaStableParabolic]:
     """One parabolic per face of the arrangement {w . X = 0}.
 
-    With dominant_only the defining element is confined to the closed
-    dominant chamber of the lexicographic positive system of Delta(k,t),
-    which picks K-conjugacy representatives.  Output order is the
-    canonical signature order, so runs are reproducible.
+    The faces are the Weyl-group images w.F_J of the standard faces: the
+    walk crosses chamber walls by reflections, and each chamber w.C gives
+    X = sum over i not in J of w.coweight_i for each set J of simple
+    roots, scaled to coprime integers.  With dominant_only the walk stays
+    in the chambers inside the dominant chamber of the lexicographic
+    positive system of Delta(k,t), which picks K-conjugacy
+    representatives.  Output order is the canonical signature order, so
+    runs are reproducible.
     """
     if base.dim_t > max_rank:
         raise UnsupportedQuery(
             f"rank {base.dim_t} exceeds the enumeration bound {max_rank}"
         )
-    tbasis = orthogonal_complement(base.t_constraints, base.ambient_dim)
-
-    def restrict(w: Vec) -> Vec:
-        return tuple(vdot(w, b) for b in tbasis)
-
-    normals: list[Vec] = []
-    seen = set()
-    for _, w, _ in base.weight_entries():
-        if is_zero_vec(w):
-            continue
-        n = primitive_direction(restrict(w))
-        if n not in seen:
-            seen.add(n)
-            normals.append(n)
-    normals.sort()
-
-    # sign s of n . y as a constraint on y; strictness is encoded as
-    # |n . y| >= 1, which is harmless up to scaling
-    sign_constraints = [
-        {
-            -1: (vneg(n), True, Fraction(1)),
-            0: (n, False, Fraction(0)),
-            1: (n, True, Fraction(1)),
-        }
-        for n in normals
-    ]
-    dominance = [
-        (restrict(w), True, Fraction(0))
-        for w, _ in base.compact
-        if dominant_only and lex_positive(w)
+    simple, coweights = simple_system(
+        w for _, w, _ in base.weight_entries() if not is_zero_vec(w)
+    )
+    k_positive = [
+        w for w, _ in base.compact if dominant_only and lex_positive(w)
     ]
 
-    # incremental sign-vector extension; each kept prefix carries a witness
-    frontier: list[tuple[tuple[int, ...], Vec]] = [
-        ((), vzero(len(tbasis)))
-    ]
-    for n in normals:
-        nxt: list[tuple[tuple[int, ...], Vec]] = []
-        for signs, y in frontier:
-            inherited = _sign(vdot(n, y))
-            for s in (-1, 0, 1):
-                if s == inherited:
-                    nxt.append((signs + (s,), y))
-                    continue
-                constraints = [
-                    sign_constraints[i][t] for i, t in enumerate(signs + (s,))
-                ]
-                y2, _ = feasible_point(constraints + dominance, 0)
-                if y2 is not None:
-                    nxt.append((signs + (s,), y2))
-        frontier = nxt
+    # a chamber w.C is (its walls w.simple, its rays w.coweights), keyed
+    # by the point w.rho inside it
+    start = vsum(coweights, base.ambient_dim)
+    chambers = {start: (simple, coweights)}
+    todo = [start]
+    while todo:
+        point = todo.pop()
+        walls, rays = chambers[point]
+        for wall in walls:
+            key = reflect(point, wall)
+            if key in chambers or any(vdot(w, key) <= 0 for w in k_positive):
+                continue
+            chambers[key] = (
+                tuple(reflect(r, wall) for r in walls),
+                tuple(reflect(c, wall) for c in rays),
+            )
+            todo.append(key)
 
-    out = []
-    for _, y in frontier:
-        x = vzero(base.ambient_dim)
-        for c, b in zip(y, tbasis):
-            x = vadd(x, vscale(c, b))
-        out.append(build_parabolic(base, x))
+    points = {
+        primitive_vector(vsum(face_rays, base.ambient_dim))
+        for _, rays in chambers.values()
+        for r in range(len(rays) + 1)
+        for face_rays in itertools.combinations(rays, r)
+    }
+    out = [build_parabolic(base, x) for x in points]
     out.sort(key=lambda q: q.signature)
     return out
-
-
-# ---------------------------------------------------------------------------
-# parameter ranges
-
-
-@dataclass(frozen=True)
-class OrbitParameter:
-    """Character parameter for l, as a torus functional.
-
-    Two bookkeeping conventions coexist: 'orbit' carries the infinitesimal
-    character of the underlying coadjoint orbit, 'aq' the module parameter;
-    they differ by rho(u).
-    """
-
-    coords: Vec
-    convention: str
-
-    def __post_init__(self) -> None:
-        if self.convention not in ("orbit", "aq"):
-            raise DatumError(f"unknown parameter convention {self.convention!r}")
-
-    def as_orbit(self, q: ThetaStableParabolic) -> Vec:
-        if self.convention == "orbit":
-            return self.coords
-        return vadd(self.coords, q.rho_u)
-
-    def as_aq(self, q: ThetaStableParabolic) -> Vec:
-        if self.convention == "aq":
-            return self.coords
-        return vsub(self.coords, q.rho_u)
-
-
-def _check_parameter(q: ThetaStableParabolic, lam: Vec) -> None:
-    if len(lam) != q.base.ambient_dim:
-        raise DatumError("parameter has the wrong dimension")
-    for c in q.base.t_constraints:
-        if vdot(c, lam) != 0:
-            raise DatumError("parameter not orthogonal to the torus constraints")
-    for _, w, _ in q.levi_weights():
-        if not is_zero_vec(w) and vdot(lam, w) != 0:
-            raise DatumError("parameter must vanish on the Levi roots")
-
-
-def _rho_levi(q: ThetaStableParabolic) -> Vec:
-    # half sum of the lexicographically positive Levi roots; the good-range
-    # answer is independent of this choice for parameters killing Delta(l)
-    out = vzero(q.base.ambient_dim)
-    for _, w, m in q.levi_weights():
-        if lex_positive(w):
-            out = vadd(out, vscale(m, w))
-    return vscale(Fraction(1, 2), out)
-
-
-def good_range(q: ThetaStableParabolic, lam: OrbitParameter) -> bool:
-    """Strict positivity of <lambda + rho_l, alpha> on Delta(u).
-
-    Only defined when t is a full Cartan subalgebra of g (equal rank);
-    otherwise the condition lives on a bigger Cartan that this model does
-    not carry, and we refuse rather than guess.
-    """
-    if not q.base.equal_rank:
-        raise UnsupportedQuery(
-            "good range needs an equal-rank base; the fundamental Cartan "
-            "is larger than t here"
-        )
-    lam_orbit = lam.as_orbit(q)
-    _check_parameter(q, lam_orbit)
-    shifted = vadd(lam_orbit, _rho_levi(q))
-    return all(
-        vdot(shifted, w) > 0 for _, w, _ in q.u_weights()
-    )
-
-
-def weakly_fair(q: ThetaStableParabolic, lam: OrbitParameter) -> bool:
-    """Weak positivity of <lambda_aq + rho(u), alpha> on Delta(u)."""
-    if not q.base.equal_rank:
-        raise UnsupportedQuery(
-            "weakly fair range needs an equal-rank base"
-        )
-    lam_aq = lam.as_aq(q)
-    _check_parameter(q, lam_aq)
-    shifted = vadd(lam_aq, q.rho_u)
-    return all(
-        vdot(shifted, w) >= 0 for _, w, _ in q.u_weights()
-    )
 
 
 # ---------------------------------------------------------------------------

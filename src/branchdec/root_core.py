@@ -74,6 +74,13 @@ def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
+def vsum(vectors: Iterable[Vec], dim: int) -> Vec:
+    out = vzero(dim)
+    for v in vectors:
+        out = vadd(out, v)
+    return out
+
+
 def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
@@ -103,8 +110,8 @@ def lex_positive(a: Vec) -> bool:
     return False
 
 
-def primitive_direction(a: Vec) -> Vec:
-    """Scale to coprime integer entries with lex-positive sign; 0 stays 0."""
+def primitive_vector(a: Vec) -> Vec:
+    """Scale by a positive factor to coprime integer entries; 0 stays 0."""
     if is_zero_vec(a):
         return a
     denom_lcm = 1
@@ -114,10 +121,18 @@ def primitive_direction(a: Vec) -> Vec:
     g = 0
     for v in ints:
         g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    if not lex_positive(tuple(Fraction(v) for v in ints)):
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    return tuple(Fraction(v // g) for v in ints)
+
+
+def primitive_direction(a: Vec) -> Vec:
+    """primitive_vector of a or of -a, whichever is lex-positive; 0 stays 0."""
+    p = primitive_vector(a)
+    return p if lex_positive(p) or is_zero_vec(p) else vneg(p)
+
+
+def reflect(v: Vec, root: Vec) -> Vec:
+    """The reflection of v in the hyperplane orthogonal to root."""
+    return vsub(v, vscale(2 * vdot(v, root) / vdot(root, root), root))
 
 
 def parse_vector(text: str, expect_dim: int | None = None) -> Vec:
@@ -244,10 +259,7 @@ def project_onto_span(v: Vec, rows: Sequence[Vec]) -> Vec:
     coeffs = solve_linear(gram, rhs)
     if coeffs is None:
         raise CertificateError("Gram matrix of independent rows is singular")
-    out = vzero(len(v))
-    for c, b in zip(coeffs, basis):
-        out = vadd(out, vscale(c, b))
-    return out
+    return vsum((vscale(c, b) for c, b in zip(coeffs, basis)), len(v))
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +318,6 @@ class WeightMultiset:
     def is_negation_closed(self) -> bool:
         return all(self.mult(vneg(w)) == m for w, m in self.entries)
 
-    def weighted_sum(self) -> Vec:
-        if not self.entries:
-            raise DatumError("weighted_sum of an empty multiset has no dimension")
-        out = vzero(len(self.entries[0][0]))
-        for w, m in self.entries:
-            out = vadd(out, vscale(m, w))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # root data
@@ -355,13 +359,6 @@ class RootDatum:
             yield PART_COMPACT, w, m
         for w, m in self.noncompact:
             yield PART_NONCOMPACT, w, m
-
-    def part(self, tag: str) -> WeightMultiset:
-        if tag == PART_COMPACT:
-            return self.compact
-        if tag == PART_NONCOMPACT:
-            return self.noncompact
-        raise DatumError(f"unknown part tag {tag!r}")
 
     def in_torus(self, x: Vec) -> bool:
         return len(x) == self.ambient_dim and all(
@@ -428,6 +425,57 @@ class RootDatum:
         datum = RootDatum(name, ambient, cons, compact, noncompact, dim_g)
         datum.validate()
         return datum
+
+
+# ---------------------------------------------------------------------------
+# root systems
+
+
+def simple_system(
+    weights: Iterable[Vec],
+) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """Simple roots and fundamental coweights of a set of nonzero weights.
+
+    The shortest weight on each ray forms the reduced part, whose
+    lexicographically positive members are the positive system and whose
+    indecomposable positives are the simple roots.  The reduced part must
+    be a root system: the simple reflections permute it with integral
+    Cartan numbers, and there are as many simple roots as its rank;
+    otherwise DatumError.  Coweight i pairs to 1 with simple root i and to
+    0 with the others, and lies in the span of the roots.
+    """
+    rays: dict[Vec, list[Vec]] = {}
+    for w in weights:
+        rays.setdefault(primitive_vector(w), []).append(w)
+    roots = {min(ws, key=lambda w: vdot(w, w)) for ws in rays.values()}
+    positive = {r for r in roots if lex_positive(r)}
+    simple = sorted(
+        a for a in positive if not any(vsub(a, b) in positive for b in positive)
+    )
+    for a in simple:
+        for r in roots:
+            cartan = 2 * vdot(r, a) / vdot(a, a)
+            if cartan.denominator != 1 or vsub(r, vscale(cartan, a)) not in roots:
+                raise DatumError(
+                    f"weights are not a root system: reflecting "
+                    f"{format_vector(r)} in {format_vector(a)}"
+                )
+    if len(simple) != rank(list(roots)):
+        raise DatumError(
+            f"weights are not a root system: {len(simple)} simple roots "
+            f"for rank {rank(list(roots))}"
+        )
+    n = len(simple)
+    gram = [
+        tuple(vdot(a, b) for b in simple) + e
+        for a, e in zip(simple, identity(n))
+    ]
+    inverse = [row[n:] for row in rref(gram)[0]]
+    coweights = tuple(
+        vsum((vscale(c, a) for c, a in zip(row, simple)), len(simple[0]))
+        for row in inverse
+    )
+    return tuple(simple), coweights
 
 
 # ---------------------------------------------------------------------------

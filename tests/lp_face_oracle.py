@@ -1,0 +1,94 @@
+"""LP face walk: an oracle for ``branchdec.parabolic.enumerate_parabolics``.
+
+Test-only.  It finds the faces of the weight hyperplane arrangement by
+extending sign vectors one hyperplane at a time and asking
+``cone_kernel.feasible_point`` whether each extension is realised, so it
+uses no root-system structure at all: no simple roots, no reflections and
+no Weyl group.  The tests compare its signature lists with those of the
+Weyl-orbit enumerator.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from branchdec.cone_kernel import feasible_point
+from branchdec.root_core import (
+    RootDatum,
+    Vec,
+    is_zero_vec,
+    lex_positive,
+    orthogonal_complement,
+    primitive_direction,
+    vdot,
+    vneg,
+    vzero,
+)
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def lp_face_signatures(
+    base: RootDatum, dominant_only: bool
+) -> list[tuple[int, ...]]:
+    """Sorted signatures (signs of every weight entry) of all faces, or of
+    the faces in the closed dominant chamber of the lexicographic positive
+    system of Delta(k,t)."""
+    tbasis = orthogonal_complement(base.t_constraints, base.ambient_dim)
+
+    def restrict(w: Vec) -> Vec:
+        return tuple(vdot(w, b) for b in tbasis)
+
+    normals = sorted({
+        primitive_direction(restrict(w))
+        for _, w, _ in base.weight_entries()
+        if not is_zero_vec(w)
+    })
+    # sign s of n . y as a constraint on y; strictness is encoded as
+    # |n . y| >= 1, which is harmless up to scaling
+    sign_constraints = [
+        {
+            -1: (vneg(n), True, Fraction(1)),
+            0: (n, False, Fraction(0)),
+            1: (n, True, Fraction(1)),
+        }
+        for n in normals
+    ]
+    dominance = [
+        (restrict(w), True, Fraction(0))
+        for w, _ in base.compact
+        if dominant_only and lex_positive(w)
+    ]
+
+    # incremental sign-vector extension; each kept prefix carries a witness
+    frontier: list[tuple[tuple[int, ...], Vec]] = [
+        ((), vzero(len(tbasis)))
+    ]
+    for n in normals:
+        nxt: list[tuple[tuple[int, ...], Vec]] = []
+        for signs, y in frontier:
+            inherited = _sign(vdot(n, y))
+            for s in (-1, 0, 1):
+                if s == inherited:
+                    nxt.append((signs + (s,), y))
+                    continue
+                constraints = [
+                    sign_constraints[i][t] for i, t in enumerate(signs + (s,))
+                ]
+                y2, _ = feasible_point(constraints + dominance, 0)
+                if y2 is not None:
+                    nxt.append((signs + (s,), y2))
+        frontier = nxt
+
+    out = []
+    for _, y in frontier:
+        x = tuple(
+            sum((c * b[i] for c, b in zip(y, tbasis)), Fraction(0))
+            for i in range(base.ambient_dim)
+        )
+        out.append(
+            tuple(_sign(vdot(w, x)) for _, w, _ in base.weight_entries())
+        )
+    return sorted(out)

@@ -255,6 +255,23 @@ def test_unknown_pair_kind(tmp_path):
         load_catalog(root)
 
 
+@pytest.mark.parametrize(
+    ("folder", "name", "edit"),
+    [
+        ("pairs", "_so_4__so_3__.json",
+         lambda rec: rec.update(zero_weight_fixed_dim="x")),
+        ("algebras", "su_2_2_.json",
+         lambda rec: rec["datum"].update(ambient_dim="x")),
+    ],
+    ids=["pair", "algebra"],
+)
+def test_malformed_field_is_a_catalog_error(tmp_path, folder, name, edit):
+    root = _copy(tmp_path)
+    _edit(root / folder / name, edit)
+    with pytest.raises(CatalogError, match=f"{name}: malformed field"):
+        load_catalog(root, force=True)
+
+
 def test_pair_with_missing_base(tmp_path):
     root = _copy(tmp_path)
     _edit(

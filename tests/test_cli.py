@@ -269,14 +269,22 @@ def test_verify_fails_on_tampered_catalog(tmp_path, capsys):
     assert out.splitlines()[-1] == "verify: 1 check, 1 failed"
 
 
-def _pair_without_matrix(tmp_path: Path) -> Path:
+def _edited_sp2r_record(tmp_path: Path, edit) -> Path:
     root = tmp_path / "cat"
     shutil.copytree(DATA_DIR, root)
     victim = root / "pairs" / "_su_2_2__sp_2_R__.json"
     rec = json.loads(victim.read_text())
-    del rec["matrix"]
+    edit(rec)
     victim.write_text(json.dumps(rec))
     return root
+
+
+def _pair_without_matrix(tmp_path: Path) -> Path:
+    return _edited_sp2r_record(tmp_path, lambda rec: rec.pop("matrix"))
+
+
+def _pair_with_int_matrix(tmp_path: Path) -> Path:
+    return _edited_sp2r_record(tmp_path, lambda rec: rec.update(matrix=5))
 
 
 def test_malformed_pair_record_is_refused_not_a_traceback(tmp_path, capsys):
@@ -297,21 +305,44 @@ def test_verify_reports_malformed_pair_record(tmp_path, capsys):
     assert "missing field 'matrix'" in lines[0]
 
 
+def test_non_list_pair_field_is_refused_not_a_traceback(tmp_path, capsys):
+    root = _pair_with_int_matrix(tmp_path)
+    code = main(["catalog", "--catalog", str(root), "--force"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "_su_2_2__sp_2_R__.json: malformed field" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_reports_non_list_pair_field(tmp_path, capsys):
+    root = _pair_with_int_matrix(tmp_path)
+    code = main(["verify", "--catalog", str(root), "--force"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0].startswith("catalog-integrity: FAIL")
+    assert "_su_2_2__sp_2_R__.json: malformed field" in lines[0]
+    assert lines[-1] == "verify: 1 check, 1 failed"
+
+
 # sha256 of the full `parabolic --enumerate --format json` stdout, captured
-# at commit a4677326; the defining elements X are the LP witness points,
-# so a change in how the feasibility systems are built or solved shows here
+# when enumeration became a Weyl-group walk; the defining elements X are
+# the canonical points w . (sum of fundamental coweights) scaled to coprime
+# integers, so a change in the walk or in that scaling shows here
 @pytest.mark.parametrize(
     ("algebra", "dominant", "faces", "digest"),
     [
         ("sp(2,R)", False, 17,
-         "8ad8e41dd1db2b7c200defabc7cbb4eee11dfef3e3589f8586b2dad7eaf02442"),
+         "e168b6d176a847e59944175d7eef8fe15e36708dab376a77b5eac7592ad4eb3f"),
         ("sp(2,R)", True, 10,
-         "ebe7d76953ed28911a58cadd58e8743ce360b8525d674a107f5297a726627798"),
+         "fb9b63f1524354d3e0130f9cf175c05d11a3bbe038fcff82ea64f50191bf49cd"),
         ("su(2,2)", False, 75,
-         "8dd2dec05833dbe5b0e0b78ff4516db20aa674deeb2388286410d5698ab9aec1"),
+         "b2332e4daa457182e02adfee17f301560814f30a018b0dfb4ee982c74e084014"),
         ("su(2,2)", True, 26,
-         "4a3a5a3af0a8764b00287774739dd2cf7cb350c9a7e5fc8d6a6a698859f948ec"),
+         "2cb7b01a97aea52d9ff81763958a82594e46d020a1a2bc1374892fb2a6a4f5de"),
     ],
+    # the digest stays out of the test id, so a re-pin renames no test
+    ids=["sp(2,R)-False-17", "sp(2,R)-True-10", "su(2,2)-False-75",
+         "su(2,2)-True-26"],
 )
 def test_enumerated_x_values_are_pinned(
     capsys, algebra, dominant, faces, digest

@@ -199,6 +199,29 @@ def test_simplex_feasible_is_called_only_by_the_builder():
     assert callers == [("cone_kernel.py", "feasible_point")]
 
 
+def test_enumeration_and_chamber_construction_stay_lp_free():
+    # parabolic enumeration walks the Weyl group and the momentum chamber
+    # comes from fundamental coweights, so neither module reaches the LP
+    package = Path(__file__).resolve().parents[1] / "src" / "branchdec"
+
+    def from_cone_kernel(name):
+        # names imported from the module; importing the module itself
+        # counts as importing everything
+        names = []
+        for node in ast.walk(ast.parse((package / name).read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None) or ""
+                for alias in node.names:
+                    if module.endswith("cone_kernel"):
+                        names.append(alias.name)
+                    elif alias.name.endswith("cone_kernel"):
+                        names.append("*")
+        return sorted(names)
+
+    assert from_cone_kernel("parabolic.py") == []
+    assert from_cone_kernel("involution.py") == ["Cone"]
+
+
 def test_simplex_redundant_rows():
     rows = [vec(1, 1), vec(2, 2)]
     sol, _ = simplex_feasible(rows, [F(1), F(2)])

@@ -26,6 +26,7 @@ from branchdec.involution import (
 from branchdec.parabolic import build_parabolic, enumerate_parabolics
 from branchdec.root_core import (
     PART_COMPACT,
+    PART_NONCOMPACT,
     WeightMultiset,
     build_root_datum,
     in_span,
@@ -370,10 +371,14 @@ def test_involution_view_bookkeeping():
             continue
         view = involution_view(pair)
         assert view.dim_gprime == view.fixed_zero_dim + len(view.cells), pid
+        parts = {
+            PART_COMPACT: pair.base.compact,
+            PART_NONCOMPACT: pair.base.noncompact,
+        }
         for cell in view.cells:
             assert len(cell.members) in (1, 2)
             for w in cell.members:
-                assert pair.base.part(cell.part).mult(w) > 0
+                assert parts[cell.part].mult(w) > 0
 
 
 def test_sp2r_view_cells():

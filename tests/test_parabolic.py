@@ -5,25 +5,25 @@ import math
 from fractions import Fraction
 
 import pytest
+from lp_face_oracle import lp_face_signatures
 
+from branchdec.catalog import load_catalog
 from branchdec.parabolic import (
-    OrbitParameter,
     UnsupportedQuery,
     build_parabolic,
     enumerate_parabolics,
-    good_range,
     is_symmetric_type,
     is_virtually_symmetric_type,
-    weakly_fair,
 )
 from branchdec.root_core import (
     DatumError,
     PART_COMPACT,
+    RootDatum,
+    WeightMultiset,
     build_root_datum,
     lex_positive,
     vdot,
     vec,
-    vscale,
     vzero,
 )
 
@@ -86,6 +86,7 @@ def test_identity_is_the_partition_not_x():
 # ---------------------------------------------------------------------------
 # enumeration
 
+# the all-face count is the sum over sets J of simple roots of |W|/|W_J|
 FACE_COUNTS = {
     "su(1,1)": 3,
     "sl(2,C)": 3,
@@ -98,6 +99,7 @@ FACE_COUNTS = {
     "su(4)": 75,
     "sl(4,C)": 75,
     "so(4,3)": 147,
+    "su(3,2)": 541,
 }
 
 
@@ -183,6 +185,68 @@ def test_enumeration_is_deterministic():
     second = enumerate_parabolics(base)
     assert [q.signature for q in first] == [q.signature for q in second]
     assert [q.x for q in first] == [q.x for q in second]
+    for q in first:
+        assert all(c.denominator == 1 for c in q.x)
+        assert math.gcd(*(int(c) for c in q.x)) in (0, 1)
+
+
+def _signatures(base, dominant):
+    qs = enumerate_parabolics(base, dominant_only=dominant)
+    return [q.signature for q in qs]
+
+
+def test_enumeration_matches_lp_oracle_on_the_catalog():
+    cat = load_catalog()
+    for aid in cat.algebra_ids():
+        base = cat.algebra(aid)
+        for dominant in (False, True):
+            want = lp_face_signatures(base, dominant)
+            assert _signatures(base, dominant) == want, (aid, dominant)
+
+
+@pytest.mark.parametrize(
+    ("name", "dominant"),
+    [("su(3,2)", False), ("su(3,2)", True), ("su(3,3)", True)],
+)
+def test_enumeration_matches_lp_oracle_at_rank_4_and_5(name, dominant):
+    base = build_root_datum(name)
+    assert _signatures(base, dominant) == lp_face_signatures(base, dominant)
+
+
+def _vector_compositions(p, q):
+    # sequences of nonzero (a, b) in N^2 summing to (p, q): the 2-row
+    # contingency tables with row sums p, q and positive column sums, one
+    # per double coset W_K \ W / W_J of S_p x S_q and a Young subgroup
+    if (p, q) == (0, 0):
+        return 1
+    return sum(
+        _vector_compositions(p - a, q - b)
+        for a in range(p + 1)
+        for b in range(q + 1)
+        if (a, b) != (0, 0)
+    )
+
+
+@pytest.mark.parametrize(
+    ("p", "q", "count"), [(2, 2, 26), (3, 2, 76), (3, 3, 252), (4, 3, 768)]
+)
+def test_dominant_count_matches_contingency_tables(p, q, count):
+    assert _vector_compositions(p, q) == count
+    base = build_root_datum(f"su({p},{q})")
+    qs = enumerate_parabolics(base, dominant_only=True)
+    assert len(qs) == count
+
+
+def test_enumeration_refuses_weights_that_are_not_a_root_system():
+    # +-(1,0) and +-(1,1): reflecting (1,1) in (1,0) gives (-1,1), which
+    # is missing, so no Weyl group acts on these weights
+    weights = WeightMultiset.from_vectors(
+        [vec(1, 0), vec(-1, 0), vec(1, 1), vec(-1, -1)]
+    )
+    base = RootDatum("broken", 2, (), weights, WeightMultiset.of([]), 6)
+    base.validate()
+    with pytest.raises(DatumError, match="not a root system"):
+        enumerate_parabolics(base)
 
 
 def test_dominant_enumeration():
@@ -202,69 +266,6 @@ def test_rank_bound():
     base = build_root_datum("su(2,2)")
     with pytest.raises(UnsupportedQuery):
         enumerate_parabolics(base, max_rank=2)
-
-
-# ---------------------------------------------------------------------------
-# parameter ranges
-
-
-def test_good_range_su11():
-    base = build_root_datum("su(1,1)")
-    q = build_parabolic(base, vec(1))
-    assert good_range(q, OrbitParameter(vec(1), "orbit"))
-    assert not good_range(q, OrbitParameter(vec(0), "orbit"))
-    assert weakly_fair(q, OrbitParameter(vec(0), "orbit"))
-    assert not weakly_fair(q, OrbitParameter(vec(-1), "orbit"))
-    # the aq convention shifts by rho_u = (1)
-    assert weakly_fair(q, OrbitParameter(vec(-1), "aq"))
-    assert not weakly_fair(q, OrbitParameter(vec(-2), "aq"))
-
-
-def test_good_range_su22_thresholds():
-    base = build_root_datum("su(2,2)")
-    q = build_parabolic(base, vec(3, -1, -1, -1))
-    for t, good, fair in (
-        (F(1), True, True),
-        (F(1, 4), False, True),
-        (F(0), False, True),
-        (F(-1), False, False),
-    ):
-        lam = OrbitParameter(vscale(t, vec(3, -1, -1, -1)), "orbit")
-        assert good_range(q, lam) is good
-        assert weakly_fair(q, lam) is fair
-
-
-def test_good_range_convention_invariance():
-    base = build_root_datum("su(2,2)")
-    q = build_parabolic(base, vec(3, -1, -1, -1))
-    v = vscale(F(1, 2), vec(3, -1, -1, -1))
-    a = OrbitParameter(v, "orbit")
-    b = OrbitParameter(a.as_aq(q), "aq")
-    assert a.as_orbit(q) == b.as_orbit(q)
-    assert good_range(q, a) == good_range(q, b)
-    assert weakly_fair(q, a) == weakly_fair(q, b)
-
-
-def test_parameter_validation():
-    base = build_root_datum("su(2,2)")
-    q = build_parabolic(base, vec(3, -1, -1, -1))
-    with pytest.raises(DatumError):
-        OrbitParameter(vec(1), "banana")
-    with pytest.raises(DatumError):
-        good_range(q, OrbitParameter(vec(1, -1), "orbit"))
-    with pytest.raises(DatumError):
-        # does not vanish on the Levi roots
-        good_range(q, OrbitParameter(vec(1, 1, -1, -1), "orbit"))
-
-
-def test_parameter_ranges_refuse_unequal_rank():
-    base = build_root_datum("sl(2,C)")
-    q = build_parabolic(base, vec(1, -1))
-    lam = OrbitParameter(vec(1, -1), "orbit")
-    with pytest.raises(UnsupportedQuery):
-        good_range(q, lam)
-    with pytest.raises(UnsupportedQuery):
-        weakly_fair(q, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,7 @@ def test_virtually_symmetric_negative_case():
 
 def test_virtually_symmetric_matches_face_poset_oracle():
     # q is virtually symmetric iff some symmetric-type face differs from q
-    # only by zeros at compact entries; this oracle uses the LP enumerator
+    # only by zeros at compact entries; this oracle uses the face enumerator
     # and is_symmetric_type, not the coarsening search
     for name in ("su(2,2)", "sp(2,R)", "g2(R)", "sl(4,C)",
                  "su(1,1)+su(1,1)"):

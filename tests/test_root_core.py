@@ -19,9 +19,11 @@ from branchdec.root_core import (
     nullspace,
     parse_vector,
     primitive_direction,
+    primitive_vector,
     project_onto_span,
     rank,
     rref,
+    simple_system,
     solve_linear,
     vadd,
     vdot,
@@ -97,6 +99,9 @@ def test_primitive_direction_canonicalises_lines():
         assert primitive_direction(vscale(scale, v)) == p
     assert primitive_direction(vec("1/2", "-1/2")) == vec(1, -1)
     assert primitive_direction(vec(-2, 4)) == vec(1, -2)
+    # primitive_vector keeps the sign: a lex-negative X stays on its side
+    assert primitive_vector(vec(-2, 4)) == vec(-1, 2)
+    assert primitive_vector(vec("-1/2", "-3/4")) == vec(-2, -3)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +205,6 @@ def test_weight_multiset_zero_handling():
     assert ws.nonzero().total() == 2
     assert ws.is_negation_closed()
     assert not WeightMultiset.of([(vec(1, 0), 1)]).is_negation_closed()
-    assert ws.weighted_sum() == vec(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +315,25 @@ def test_round_trip_serialisation():
         d = build_root_datum(name)
         again = RootDatum.from_dict(d.to_dict())
         assert again == d
+
+
+def test_simple_system_of_a_non_reduced_system():
+    # BC2: the doubles (2,0) and (0,2) lie on the rays of (1,0) and (0,1)
+    # and drop out of the reduced part, which is B2
+    bc2 = [vec(1, 0), vec(2, 0), vec(0, 1), vec(0, 2), vec(1, 1), vec(1, -1)]
+    simple, coweights = simple_system(bc2 + [vneg(w) for w in bc2])
+    assert simple == (vec(0, 1), vec(1, -1))
+    assert coweights == (vec(1, 1), vec(1, 0))
+    for i, a in enumerate(simple):
+        assert [vdot(a, c) for c in coweights] == [int(i == j) for j in (0, 1)]
+
+
+def test_simple_system_refuses_a_non_integral_cartan_number():
+    # B2 plus +-(3,1): (3,1) is indecomposable, so it is a third simple
+    # root, and 2 ((1,0) . (3,1)) / ((3,1) . (3,1)) = 3/5
+    weights = [vec(1, 0), vec(0, 1), vec(1, 1), vec(1, -1), vec(3, 1)]
+    with pytest.raises(DatumError, match="not a root system"):
+        simple_system(weights + [vneg(w) for w in weights])
 
 
 def test_from_dict_validates():
