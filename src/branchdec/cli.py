@@ -32,7 +32,6 @@ from .decider import (
     transitive_check,
 )
 from .involution import (
-    EmbeddingRecord,
     InvolutionData,
     InvolutionError,
     build_theta_involution,
@@ -121,14 +120,14 @@ def _pair_payload(pair) -> dict:
             "eps_entries": len(pair.eps),
             "zero_weight_fixed_dim": pair.zero_weight_fixed_dim,
             "dim_gprime": pair.dim_gprime,
-            "dim_t_sigma": len(pair.t_sigma_basis()),
-            "dim_t_minus_sigma": len(pair.t_minus_sigma_basis()),
+            "dim_t_sigma": len(pair.t_sigma),
+            "dim_t_minus_sigma": len(pair.t_minus_sigma),
             "table_rows": [
                 {"X": [str(c) for c in r.x], "levi": r.levi}
                 for r in pair.table_rows
             ],
         }
-    assert isinstance(pair, EmbeddingRecord)
+    # otherwise an EmbeddingRecord
     return {
         "id": pair.pair_id,
         "kind": "embedding",
@@ -172,6 +171,10 @@ def cmd_pair(ns) -> int:
 
 
 def cmd_parabolic(ns) -> int:
+    if ns.enumerate and ns.x is not None:
+        raise DatumError("parabolic takes --X or --enumerate, not both")
+    if ns.dominant and not ns.enumerate:
+        raise DatumError("parabolic --dominant needs --enumerate")
     cat = _load(ns)
     base = cat.algebra(ns.algebra)
     if ns.enumerate:

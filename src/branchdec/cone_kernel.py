@@ -164,7 +164,10 @@ def simplex_feasible(
                 if left < right or (left == right and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            raise RuntimeError("phase-1 objective unbounded; system is malformed")
+            # the phase-1 objective is bounded below by 0
+            raise CertificateError(
+                "phase-1 objective unbounded; system is malformed"
+            )
         pivot(leave, enter)
 
     if any(tab[i][last] for i in range(m) if basis[i] >= n):

@@ -33,6 +33,7 @@ from .root_core import (
     Vec,
     is_zero_vec,
     lex_positive,
+    mat_apply,
     vadd,
     vneg,
     vscale,
@@ -334,11 +335,7 @@ def rho_compat_check(pair, q: ThetaStableParabolic) -> Verdict:
         )
     view = as_embedding_view(pair)
     rho_prime, uprime_cells = _induced_rho(view, q)
-    restricted = (
-        project_onto_span(q.rho_u, list(view.tprime_rows))
-        if view.tprime_rows
-        else vzero(view.base.ambient_dim)
-    )
+    restricted = mat_apply(view.tprime_projection, q.rho_u)
     answer = restricted == rho_prime
     return Verdict(
         question="rho",

@@ -25,11 +25,12 @@ from .root_core import (
     in_span,
     is_zero_vec,
     lex_positive,
+    mat_apply,
     nullspace,
     orthogonal_complement,
     primitive_direction,
     primitive_vector,
-    project_onto_span,
+    projection_matrix,
     rank,
     simple_system,
     vdot,
@@ -72,10 +73,6 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _mat_apply(rows: Sequence[Vec], x: Vec) -> Vec:
-    return tuple(vdot(r, x) for r in rows)
-
-
 def _mat_transpose(rows: Sequence[Vec]) -> tuple[Vec, ...]:
     n = len(rows)
     return tuple(tuple(rows[i][j] for i in range(n)) for j in range(n))
@@ -105,37 +102,85 @@ class InvolutionData:
     table_rows: tuple[TableRow, ...] = ()
     declared_restricted_positive: tuple[tuple[Vec, int], ...] | None = None
 
+    # Everything below derived from the fields is computed on first use
+    # and kept on the record.  The record is frozen, so nothing can go
+    # stale; dataclasses.replace builds a new record with empty caches.
+
     @cached_property
     def report(self) -> ValidationReport:
-        """The structural checks of validate_involution, run on first use.
-
-        The record is frozen, so the answer cannot go stale;
-        dataclasses.replace builds a new record that is checked afresh.
-        """
+        """The structural checks of validate_involution."""
         return validate_involution(self)
+
+    @cached_property
+    def sigma_transpose(self) -> tuple[Vec, ...]:
+        return _mat_transpose(self.matrix)
+
+    @cached_property
+    def sigma_images(self) -> dict[Vec, Vec]:
+        """sigma_weight of every weight of the base datum."""
+        return {
+            w: mat_apply(self.sigma_transpose, w)
+            for _, w, _ in self.base.weight_entries()
+        }
+
+    @cached_property
+    def eps_signs(self) -> dict[tuple[str, Vec], int]:
+        """The eps entries by (part, weight); the first entry of a key wins."""
+        signs: dict[tuple[str, Vec], int] = {}
+        for p, v, s in self.eps:
+            signs.setdefault((p, v), s)
+        return signs
+
+    @cached_property
+    def t_sigma(self) -> tuple[Vec, ...]:
+        return self._eigenbasis(Fraction(1))
+
+    @cached_property
+    def t_minus_sigma(self) -> tuple[Vec, ...]:
+        return self._eigenbasis(Fraction(-1))
+
+    @cached_property
+    def t_sigma_projection(self) -> tuple[Vec, ...]:
+        return projection_matrix(self.t_sigma, self.base.ambient_dim)
+
+    @cached_property
+    def t_minus_sigma_projection(self) -> tuple[Vec, ...]:
+        return projection_matrix(self.t_minus_sigma, self.base.ambient_dim)
+
+    @cached_property
+    def view(self) -> EmbeddingView:
+        return involution_view(self)
+
+    @cached_property
+    def restricted(self) -> RestrictedRootSystem:
+        """The restricted roots, unvalidated; restricted_roots validates."""
+        return _restricted_root_system(self)
+
+    @cached_property
+    def chamber(self) -> Cone:
+        """The momentum chamber, unvalidated; momentum_chamber validates."""
+        return _chamber_cone(self)
 
     def sigma_weight(self, w: Vec) -> Vec:
         # weights transform by the transpose: (sigma.w)(X) = w(sigma X)
-        return _mat_apply(_mat_transpose(self.matrix), w)
+        image = self.sigma_images.get(w)
+        return mat_apply(self.sigma_transpose, w) if image is None else image
 
     def eps_of(self, part: str, w: Vec) -> int | None:
-        for p, v, s in self.eps:
-            if p == part and v == w:
-                return s
-        return None
+        return self.eps_signs.get((part, w))
 
     def t_sigma_basis(self) -> list[Vec]:
-        return self._eigenbasis(Fraction(1))
+        return list(self.t_sigma)
 
     def t_minus_sigma_basis(self) -> list[Vec]:
-        return self._eigenbasis(Fraction(-1))
+        return list(self.t_minus_sigma)
 
-    def _eigenbasis(self, sign: Fraction) -> list[Vec]:
+    def _eigenbasis(self, sign: Fraction) -> tuple[Vec, ...]:
         n = self.base.ambient_dim
         eye = identity(n)
         rows = [vsub(r, vscale(sign, e)) for r, e in zip(self.matrix, eye)]
         rows.extend(self.base.t_constraints)
-        return nullspace(rows)
+        return tuple(nullspace(rows))
 
     def fixed_pair_counts(self) -> tuple[int, int, int]:
         """(#pairs {w, sigma w}, #fixed with eps +1, #fixed with eps -1),
@@ -184,14 +229,12 @@ def validate_involution(inv: InvolutionData) -> ValidationReport:
         return ValidationReport(tuple(checks))
 
     eye = identity(n)
+    mt = inv.sigma_transpose
     checks.append(CheckResult("matrix-involutive", _mat_mul(m, m) == eye))
-    checks.append(
-        CheckResult("matrix-orthogonal", _mat_mul(_mat_transpose(m), m) == eye)
-    )
+    checks.append(CheckResult("matrix-orthogonal", _mat_mul(mt, m) == eye))
 
     cons = list(inv.base.t_constraints)
-    mt = _mat_transpose(m)
-    torus_ok = all(in_span(_mat_apply(mt, c), cons) for c in cons) if cons else True
+    torus_ok = all(in_span(mat_apply(mt, c), cons) for c in cons) if cons else True
     checks.append(
         CheckResult(
             "matrix-preserves-torus",
@@ -266,14 +309,10 @@ def validate_involution(inv: InvolutionData) -> ValidationReport:
 
     # necessary condition for t^{-sigma} maximal abelian in k^{-sigma}:
     # a compact root vanishing on t^{-sigma} must be sigma-fixed with +1
-    tminus = inv.t_minus_sigma_basis()
     max_ok = True
     bad = None
     for w, _ in inv.base.compact:
-        restr = (
-            project_onto_span(w, tminus) if tminus else vzero(n)
-        )
-        if is_zero_vec(restr):
+        if is_zero_vec(mat_apply(inv.t_minus_sigma_projection, w)):
             if inv.sigma_weight(w) != w or inv.eps_of(PART_COMPACT, w) != 1:
                 max_ok = False
                 bad = w
@@ -363,37 +402,43 @@ class RestrictedRootSystem:
 
 
 def restricted_roots(inv: InvolutionData) -> RestrictedRootSystem:
-    """Nonzero projections of Delta(k,t) onto span(t^{-sigma}).
-
-    Positivity is lexicographic in ambient coordinates, which is generic
-    for any finite root collection and fixed across runs.
-    """
+    """Nonzero projections of Delta(k,t) onto span(t^{-sigma}), read
+    from the record once it has passed its validation."""
     ensure_valid(inv)
-    tminus = tuple(inv.t_minus_sigma_basis())
-    if not tminus:
-        empty = WeightMultiset.of([])
-        return RestrictedRootSystem((), empty, empty)
+    return inv.restricted
+
+
+def _restricted_root_system(inv: InvolutionData) -> RestrictedRootSystem:
+    """Positivity is lexicographic in ambient coordinates, which is generic
+    for any finite root collection and fixed across runs."""
     acc: list[tuple[Vec, int]] = []
     for w, m in inv.base.compact:
-        r = project_onto_span(w, tminus)
+        r = mat_apply(inv.t_minus_sigma_projection, w)
         if not is_zero_vec(r):
             acc.append((r, m))
     roots = WeightMultiset.of(acc)
     positive = WeightMultiset.of(
         (w, m) for w, m in roots if lex_positive(w)
     )
-    return RestrictedRootSystem(tminus, roots, positive)
+    return RestrictedRootSystem(inv.t_minus_sigma, roots, positive)
 
 
 def momentum_chamber(inv: InvolutionData) -> Cone:
     """The dominant chamber of the restricted root system, inside
-    span(t^{-sigma}), as generators plus lineality.
+    span(t^{-sigma}), read from the record once it has passed its
+    validation."""
+    ensure_valid(inv)
+    return inv.chamber
+
+
+def _chamber_cone(inv: InvolutionData) -> Cone:
+    """The chamber as generators plus lineality.
 
     The generators are the fundamental coweights of the restricted simple
     roots; the lineality is the part of t^{-sigma} orthogonal to every
     restricted root.
     """
-    system = restricted_roots(inv)
+    system = inv.restricted
     n = inv.base.ambient_dim
     basis = system.space_basis
     if not basis:
@@ -438,9 +483,13 @@ class EmbeddingView:
     dim_gprime: int
     pair_id: str
 
+    @cached_property
+    def tprime_projection(self) -> tuple[Vec, ...]:
+        return projection_matrix(self.tprime_rows, self.base.ambient_dim)
+
 
 def involution_view(inv: InvolutionData) -> EmbeddingView:
-    tplus = tuple(inv.t_sigma_basis())
+    tplus = inv.t_sigma
     cells: list[WeightCell] = []
     for part, w, m in inv.base.weight_entries():
         if is_zero_vec(w):
@@ -448,10 +497,10 @@ def involution_view(inv: InvolutionData) -> EmbeddingView:
         sw = inv.sigma_weight(w)
         if sw == w:
             if inv.eps_of(part, w) == 1:
-                restr = project_onto_span(w, tplus) if tplus else vzero(len(w))
+                restr = mat_apply(inv.t_sigma_projection, w)
                 cells.extend([WeightCell(part, (w,), restr)] * m)
         elif w < sw:
-            restr = project_onto_span(w, tplus) if tplus else vzero(len(w))
+            restr = mat_apply(inv.t_sigma_projection, w)
             cells.extend([WeightCell(part, (w, sw), restr)] * m)
     return EmbeddingView(
         inv.base,
@@ -481,10 +530,20 @@ class EmbeddingRecord:
     pair_id: str
     table_rows: tuple[TableRow, ...] = ()
 
+    # derived data is cached as on InvolutionData
+
     @cached_property
     def report(self) -> ValidationReport:
-        """The checks of validate_embedding, run on first use."""
+        """The checks of validate_embedding."""
         return validate_embedding(self)
+
+    @cached_property
+    def tprime_projection(self) -> tuple[Vec, ...]:
+        return projection_matrix(self.tprime_rows, self.base.ambient_dim)
+
+    @cached_property
+    def view(self) -> EmbeddingView:
+        return embedding_view(self)
 
 
 def validate_embedding(rec: EmbeddingRecord) -> ValidationReport:
@@ -507,7 +566,7 @@ def validate_embedding(rec: EmbeddingRecord) -> ValidationReport:
     for _, w, _ in rec.base.weight_entries():
         if is_zero_vec(w):
             continue
-        if is_zero_vec(project_onto_span(w, rec.tprime_rows)):
+        if is_zero_vec(mat_apply(rec.tprime_projection, w)):
             vanish = w
             break
     checks.append(
@@ -518,7 +577,7 @@ def validate_embedding(rec: EmbeddingRecord) -> ValidationReport:
         )
     )
 
-    view = embedding_view(rec)
+    view = rec.view
     total = view.fixed_zero_dim + len(view.cells)
     checks.append(
         CheckResult(
@@ -538,7 +597,7 @@ def embedding_view(rec: EmbeddingRecord) -> EmbeddingView:
     for part, w, _ in rec.base.weight_entries():
         if is_zero_vec(w):
             continue
-        r = project_onto_span(w, rec.tprime_rows)
+        r = mat_apply(rec.tprime_projection, w)
         if is_zero_vec(r):
             continue
         key = (part, r)
@@ -561,10 +620,8 @@ def as_embedding_view(
 ) -> EmbeddingView:
     if isinstance(pair, EmbeddingView):
         return pair
-    if isinstance(pair, InvolutionData):
-        return involution_view(pair)
-    if isinstance(pair, EmbeddingRecord):
-        return embedding_view(pair)
+    if isinstance(pair, (InvolutionData, EmbeddingRecord)):
+        return pair.view
     raise InvolutionError(f"cannot view {type(pair).__name__} as an embedding")
 
 

@@ -237,29 +237,62 @@ def in_span(v: Vec, rows: Sequence[Vec]) -> bool:
     return rank(base + [v]) == rank(base) if base else is_zero_vec(v)
 
 
-def independent_rows(rows: Sequence[Vec]) -> list[Vec]:
-    """Greedy maximal independent subset, preserving order."""
-    picked: list[Vec] = []
-    r = 0
-    for row in rows:
-        cand = picked + [row]
-        if rank(cand) > r:
-            picked = cand
-            r += 1
-    return picked
+def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
+    """The vectors c_i in the span of independent rows b_j with
+    c_i . b_j = 1 if i == j and 0 otherwise.
+
+    They are the rows of G^-1 B for the Gram matrix G = B B^T, read off
+    one rref of [G | I].
+    """
+    if not basis:
+        return ()
+    k = len(basis)
+    gram = [
+        tuple(vdot(a, b) for b in basis) + e
+        for a, e in zip(basis, identity(k))
+    ]
+    reduced, pivots = rref(gram)
+    if pivots != list(range(k)):
+        raise CertificateError("Gram matrix of independent rows is singular")
+    return tuple(
+        vsum((vscale(c, b) for c, b in zip(row[k:], basis)), len(basis[0]))
+        for row in reduced
+    )
+
+
+def projection_matrix(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
+    """The dim x dim matrix of the orthogonal projection onto span(rows).
+
+    Built once from an rref basis B of the span and its dual basis C as
+    B^T C; apply it with mat_apply.  Zero and dependent rows are allowed,
+    and no rows give the zero matrix.
+    """
+    basis = rref(rows)[0]
+    dual = dual_basis(basis)
+    return tuple(
+        tuple(
+            sum((b[i] * c[j] for b, c in zip(basis, dual)), Fraction(0))
+            for j in range(dim)
+        )
+        for i in range(dim)
+    )
+
+
+def mat_apply(rows: Sequence[Vec], x: Vec) -> Vec:
+    """The matrix with the given rows applied to x.
+
+    Zero entries are skipped; every catalogued sigma is a signed
+    permutation matrix.
+    """
+    return tuple(
+        sum((a * b for a, b in zip(r, x, strict=True) if a), Fraction(0))
+        for r in rows
+    )
 
 
 def project_onto_span(v: Vec, rows: Sequence[Vec]) -> Vec:
     """Orthogonal projection of v onto the span of the given rows."""
-    basis = independent_rows([r for r in rows if not is_zero_vec(r)])
-    if not basis:
-        return vzero(len(v))
-    gram = [tuple(vdot(bi, bj) for bj in basis) for bi in basis]
-    rhs = [vdot(bi, v) for bi in basis]
-    coeffs = solve_linear(gram, rhs)
-    if coeffs is None:
-        raise CertificateError("Gram matrix of independent rows is singular")
-    return vsum((vscale(c, b) for c, b in zip(coeffs, basis)), len(v))
+    return mat_apply(projection_matrix(rows, len(v)), v)
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +498,7 @@ def simple_system(
             f"weights are not a root system: {len(simple)} simple roots "
             f"for rank {rank(list(roots))}"
         )
-    n = len(simple)
-    gram = [
-        tuple(vdot(a, b) for b in simple) + e
-        for a, e in zip(simple, identity(n))
-    ]
-    inverse = [row[n:] for row in rref(gram)[0]]
-    coweights = tuple(
-        vsum((vscale(c, a) for c, a in zip(row, simple)), len(simple[0]))
-        for row in inverse
-    )
-    return tuple(simple), coweights
+    return tuple(simple), dual_basis(simple)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -192,6 +193,24 @@ def test_parabolic_enumerate_counts(capsys):
                  "--dominant"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "26 parabolic classes for su(2,2)"
+
+
+def test_parabolic_refuses_x_with_enumerate(capsys):
+    code = main(["parabolic", "--algebra", "su(2,2)", "--enumerate",
+                 "--X", "3,-1,-1,-1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "--X or --enumerate, not both" in captured.err
+
+
+def test_parabolic_refuses_dominant_without_enumerate(capsys):
+    code = main(["parabolic", "--algebra", "su(2,2)", "--dominant",
+                 "--X", "3,-1,-1,-1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "--dominant needs --enumerate" in captured.err
 
 
 def test_classify_golden_table(capsys):
@@ -477,3 +496,19 @@ def test_verify_runs_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].endswith("all passed")
+
+
+def test_no_check_is_stripped_by_python_O():
+    # python -O drops assert statements, and a bare RuntimeError escapes
+    # the CLI as a traceback; checks raise the package's own errors
+    package = DATA_DIR.parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno} assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                    offenders.append(f"{path.name}:{node.lineno} RuntimeError")
+    assert offenders == []

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from branchdec import involution
+from branchdec import cli, involution
 from branchdec.catalog import load_catalog
 from branchdec.cone_kernel import MeetResult
 from branchdec.decider import (
@@ -365,6 +365,26 @@ def test_stored_pair_is_validated_once(monkeypatch):
     for question in QUESTIONS:
         answer_question(pair, q, question)
     assert calls[pair.pair_id] == 1
+
+
+@pytest.mark.parametrize(
+    "pair_id", ["(su(2,2),sp(2,R))", "(so(4,3),g2(R))", "theta:su(2,2)"]
+)
+def test_classify_builds_the_pair_view_once(monkeypatch, capsys, pair_id):
+    calls = Counter()
+
+    def counting(build):
+        def counted(pair):
+            calls[pair.pair_id] += 1
+            return build(pair)
+        return counted
+
+    for name in ("involution_view", "embedding_view"):
+        monkeypatch.setattr(involution, name,
+                            counting(getattr(involution, name)))
+    assert cli.main(["classify", "--pair", pair_id]) == 0
+    capsys.readouterr()
+    assert calls[pair_id] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from projection_oracle import gram_projection, independent_rows
 
 from branchdec.catalog import load_catalog
 from branchdec.involution import (
     EmbeddingRecord,
+    EmbeddingView,
     InvolutionData,
     InvolutionError,
+    WeightCell,
     build_swap_involution,
     build_theta_involution,
     dim_gprime_cap_levi,
@@ -30,7 +33,10 @@ from branchdec.root_core import (
     WeightMultiset,
     build_root_datum,
     in_span,
-    independent_rows,
+    is_zero_vec,
+    lex_positive,
+    mat_apply,
+    nullspace,
     primitive_direction,
     rank,
     vdot,
@@ -418,6 +424,131 @@ def test_cap_functions_reject_foreign_parabolic():
         dim_gprime_cap_q(pair, other)
     with pytest.raises(InvolutionError):
         dim_gprime_cap_levi(pair, other)
+
+
+# ---------------------------------------------------------------------------
+# derived data cached on the records
+
+_CACHE_PAIRS = ("theta:so(4,3)", "theta:su(2,2)", "swap:su(1,1)^2")
+
+
+def _fresh_eigenbasis(inv, sign):
+    n = inv.base.ambient_dim
+    rows = [
+        tuple(r[j] - (sign if i == j else 0) for j in range(n))
+        for i, r in enumerate(inv.matrix)
+    ]
+    return tuple(nullspace(rows + list(inv.base.t_constraints)))
+
+
+def _assert_involution_caches_fresh(inv):
+    # every value is recomputed here without the record's caches, with
+    # the Gram-solve oracle wherever the record uses a projection matrix
+    n = inv.base.ambient_dim
+    tplus = _fresh_eigenbasis(inv, 1)
+    tminus = _fresh_eigenbasis(inv, -1)
+    assert inv.t_sigma == tplus and inv.t_sigma_basis() == list(tplus)
+    assert inv.t_minus_sigma == tminus
+    assert inv.t_minus_sigma_basis() == list(tminus)
+    for part, w, _ in inv.base.weight_entries():
+        image = tuple(
+            sum((inv.matrix[i][j] * w[i] for i in range(n)), F(0))
+            for j in range(n)
+        )
+        assert inv.sigma_images[w] == image == inv.sigma_weight(w)
+        first = next((s for p, v, s in inv.eps if (p, v) == (part, w)), None)
+        assert inv.eps_of(part, w) == first
+        assert mat_apply(inv.t_sigma_projection, w) == gram_projection(w, tplus)
+        assert mat_apply(inv.t_minus_sigma_projection, w) == (
+            gram_projection(w, tminus)
+        )
+
+    cells = []
+    for part, w, m in inv.base.weight_entries():
+        sw = inv.sigma_images[w]
+        if is_zero_vec(w) or (sw == w and inv.eps_of(part, w) != 1):
+            continue
+        if sw == w or w < sw:
+            members = (w,) if sw == w else (w, sw)
+            cells += [WeightCell(part, members, gram_projection(w, tplus))] * m
+    assert inv.view == EmbeddingView(
+        inv.base, tplus, len(tplus) + inv.zero_weight_fixed_dim,
+        tuple(cells), inv.dim_gprime, inv.pair_id,
+    )
+
+    roots = WeightMultiset.of(
+        (r, m)
+        for r, m in ((gram_projection(w, tminus), m) for w, m in inv.base.compact)
+        if not is_zero_vec(r)
+    )
+    assert inv.restricted.space_basis == tminus
+    assert inv.restricted.roots == roots
+    assert inv.restricted.positive == WeightMultiset.of(
+        (r, m) for r, m in roots if lex_positive(r)
+    )
+    assert inv.chamber == dataclasses.replace(inv).chamber
+    for attr in ("view", "restricted", "chamber", "sigma_images"):
+        assert getattr(inv, attr) is getattr(inv, attr)
+
+
+def _assert_embedding_caches_fresh(rec):
+    groups = {}
+    for part, w, _ in rec.base.weight_entries():
+        r = gram_projection(w, rec.tprime_rows)
+        if not is_zero_vec(r):
+            groups.setdefault((part, r), []).append(w)
+    cells = tuple(
+        WeightCell(part, tuple(sorted(ws)), r)
+        for (part, r), ws in sorted(groups.items())
+    )
+    assert rec.view == EmbeddingView(
+        rec.base, rec.tprime_rows, len(rec.tprime_rows) + rec.extra_zero_dim,
+        cells, rec.dim_gprime, rec.pair_id,
+    )
+    for _, w, _ in rec.base.weight_entries():
+        assert mat_apply(rec.tprime_projection, w) == (
+            gram_projection(w, rec.tprime_rows)
+        )
+        assert mat_apply(rec.view.tprime_projection, w) == (
+            gram_projection(w, rec.tprime_rows)
+        )
+    assert rec.view is rec.view
+
+
+def test_cached_pair_data_equals_a_fresh_computation():
+    cat = _cat()
+    for pid in cat.pair_ids() + list(_CACHE_PAIRS):
+        pair = cat.pair(pid)
+        if isinstance(pair, InvolutionData):
+            # fill the caches the way the verdicts do
+            momentum_chamber(pair)
+            _assert_involution_caches_fresh(pair)
+        else:
+            _assert_embedding_caches_fresh(pair)
+
+
+def test_replaced_record_recomputes_its_derived_data():
+    pair = _pair("(su(2,2),sp(2,R))")
+    before = (pair.t_minus_sigma, pair.view, pair.restricted, pair.chamber)
+    assert before[0]
+    # the identity fixes the whole torus, so t^-sigma becomes zero
+    replaced = dataclasses.replace(
+        pair, matrix=tuple(tuple(F(int(i == j)) for j in range(4))
+                           for i in range(4))
+    )
+    _assert_involution_caches_fresh(replaced)
+    assert replaced.t_minus_sigma == ()
+    assert replaced.restricted.roots == WeightMultiset.of([])
+    assert replaced.chamber.is_zero()
+    assert replaced.view != before[1]
+    assert (pair.t_minus_sigma, pair.view, pair.restricted,
+            pair.chamber) == before
+
+    emb = _pair("(so(4,3),g2(R))")
+    emb.view
+    moved = dataclasses.replace(emb, tprime_rows=(vec(1, 0, 0),))
+    _assert_embedding_caches_fresh(moved)
+    assert moved.view != emb.view
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from projection_oracle import gram_projection, independent_rows
 
 from branchdec.root_core import (
     DatumError,
@@ -12,15 +13,17 @@ from branchdec.root_core import (
     as_fraction,
     build_root_datum,
     direct_sum,
+    dual_basis,
     format_vector,
     in_span,
-    independent_rows,
     lex_positive,
+    mat_apply,
     nullspace,
     parse_vector,
     primitive_direction,
     primitive_vector,
     project_onto_span,
+    projection_matrix,
     rank,
     rref,
     simple_system,
@@ -172,6 +175,38 @@ def test_project_onto_span_random_idempotent():
         p = project_onto_span(v, rows)
         assert project_onto_span(p, rows) == p
         assert all(vdot(vsub(v, p), r) == 0 for r in rows)
+
+
+def test_project_onto_span_matches_gram_oracle():
+    # dependent and zero rows, and row sets with no nonzero row at all
+    rng = random.Random(20261018)
+    dependent = spanless = 0
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        rows = [_rand_vec(rng, n) for _ in range(rng.randint(0, 3))]
+        if rows and rng.random() < 0.5:
+            rows.append(vscale(rng.choice([-2, F(1, 3), 3]), rng.choice(rows)))
+        if rng.random() < 0.3:
+            rows.insert(rng.randint(0, len(rows)), vzero(n))
+        rng.shuffle(rows)
+        dependent += rank(rows) < len(rows)
+        spanless += rank(rows) == 0
+        matrix = projection_matrix(rows, n)
+        for _ in range(3):
+            v = _rand_vec(rng, n)
+            expected = gram_projection(v, rows)
+            assert project_onto_span(v, rows) == expected
+            assert mat_apply(matrix, v) == expected
+    assert dependent > 50 and spanless > 5
+    assert projection_matrix([], 2) == (vzero(2), vzero(2))
+
+
+def test_dual_basis_pairs_to_the_identity():
+    basis = [vec(1, -1, 0), vec(0, 1, -1)]
+    dual = dual_basis(basis)
+    assert [[vdot(c, b) for b in basis] for c in dual] == [[1, 0], [0, 1]]
+    assert all(in_span(c, basis) for c in dual)
+    assert dual_basis([]) == ()
 
 
 def test_independent_rows_is_a_basis_of_the_row_span():
