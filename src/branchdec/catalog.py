@@ -1,10 +1,13 @@
 """Catalog files: algebras, pairs, integrity metadata.
 
 Each algebra file stores both a builder expression and the expanded
-datum; the loader rebuilds from the expression and refuses silently
+datum; the bundle rebuilds from the expression and refuses silently
 edited files.  Pair files hold involution or embedding records keyed to
 a base algebra.  theta: and swap: pairs are synthesised on demand rather
 than stored.
+
+Loading checks the seal and decodes every file; each record is built
+and validated on its first access.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .involution import (
     EmbeddingRecord,
@@ -179,39 +183,119 @@ def compute_checksum(root: Path) -> str:
 # bundle
 
 
+class RecordFile(NamedTuple):
+    """One decoded catalog file; ``name`` prefixes every error about it."""
+
+    name: str
+    data: dict
+
+
+@contextmanager
+def _field_errors(name: str):
+    """Report a missing or mistyped field as a CatalogError naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise CatalogError(f"{name}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CatalogError(f"{name}: malformed field: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class CatalogBundle:
+    """The decoded catalog files, keyed by id.
+
+    A record is built, compared with its builder or declared data and
+    validated on its first access, and kept on the bundle.  A record
+    that fails is not kept, so every access raises its CatalogError
+    again.  ``check_all`` builds every record.
+    """
+
     root: Path
     version: str
     checksum: str
-    algebras: Mapping[str, RootDatum]
-    builders: Mapping[str, str]
-    stored_pairs: Mapping[str, InvolutionData | EmbeddingRecord]
+    force: bool
+    algebra_files: Mapping[str, RecordFile]
+    stored_pairs: Mapping[str, RecordFile]
+    _algebras: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+    _pairs: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def algebra_ids(self) -> list[str]:
-        return sorted(self.algebras)
+        return sorted(self.algebra_files)
 
     def pair_ids(self) -> list[str]:
         return sorted(self.stored_pairs)
 
     def algebra(self, algebra_id: str) -> RootDatum:
-        try:
-            return self.algebras[algebra_id]
-        except KeyError:
-            raise UnknownIdError(f"unknown algebra id {algebra_id!r}") from None
+        if algebra_id not in self._algebras:
+            self._algebras[algebra_id] = self._build_algebra(algebra_id)
+        return self._algebras[algebra_id]
 
     def pair(self, pair_id: str) -> InvolutionData | EmbeddingRecord:
         if pair_id in self.stored_pairs:
-            return self.stored_pairs[pair_id]
+            if pair_id not in self._pairs:
+                self._pairs[pair_id] = self._build_pair(pair_id)
+            return self._pairs[pair_id]
         if pair_id.startswith("theta:"):
             return build_theta_involution(self.algebra(pair_id[6:]))
         if pair_id.startswith("swap:"):
             return self._swap_pair(pair_id[5:])
         raise UnknownIdError(f"unknown pair id {pair_id!r}")
 
+    def check_all(self) -> None:
+        """Build every record in file order; raise the first failure."""
+        for algebra_id in self.algebra_files:
+            self.algebra(algebra_id)
+        for pair_id in self.stored_pairs:
+            self.pair(pair_id)
+
+    def _build_algebra(self, algebra_id: str) -> RootDatum:
+        try:
+            name, rec = self.algebra_files[algebra_id]
+        except KeyError:
+            raise UnknownIdError(f"unknown algebra id {algebra_id!r}") from None
+        with _field_errors(name):
+            builder = str(rec["builder"])
+            stored = RootDatum.from_dict(rec["datum"])
+        rebuilt = dataclasses.replace(
+            build_root_datum(builder), name=algebra_id
+        )
+        if stored != rebuilt and not self.force:
+            raise CatalogError(
+                f"{name}: stored datum disagrees with builder {builder!r}"
+            )
+        return stored
+
+    def _build_pair(self, pair_id: str) -> InvolutionData | EmbeddingRecord:
+        name, rec = self.stored_pairs[pair_id]
+        base = self.algebra(str(rec["base"]))
+        with _field_errors(name):
+            if str(rec["kind"]) == "involution":
+                pair = _involution_from_json(rec, base)
+            else:
+                pair = _embedding_from_json(rec, base)
+        if not pair.report.ok:
+            if not self.force:
+                names = ", ".join(c.name for c in pair.report.failed())
+                raise CatalogError(f"{name}: validation failed: {names}")
+        elif (
+            isinstance(pair, InvolutionData)
+            and pair.declared_restricted_positive is not None
+        ):
+            computed = restricted_roots(pair).positive
+            declared = WeightMultiset.of(pair.declared_restricted_positive)
+            if computed != declared and not self.force:
+                raise CatalogError(
+                    f"{name}: computed restricted positive system "
+                    "disagrees with the declared one"
+                )
+        return pair
+
     def _swap_pair(self, algebra_id: str) -> InvolutionData:
         base = self.algebra(algebra_id)
-        builder = self.builders[algebra_id]
+        builder = str(self.algebra_files[algebra_id].data["builder"])
         parts = builder.split("+")
         n = len(parts)
         if n < 2 or n % 2 != 0 or parts[: n // 2] != parts[n // 2 :]:
@@ -230,6 +314,12 @@ def _load_json(path: Path) -> dict:
 
 
 def load_catalog(root: Path | None = None, force: bool = False) -> CatalogBundle:
+    """Check the seal and index the catalog files; records build lazily.
+
+    With ``force`` a checksum mismatch, and on access a datum that
+    disagrees with its builder or a pair that fails validation or its
+    declared restricted roots, are let through.
+    """
     root = Path(root) if root is not None else default_catalog_dir()
     if not root.is_dir():
         raise CatalogError(f"catalog directory {root} does not exist")
@@ -238,87 +328,55 @@ def load_catalog(root: Path | None = None, force: bool = False) -> CatalogBundle
     if not meta_path.is_file():
         raise CatalogError(f"{root}: missing meta.json")
     meta = _load_json(meta_path)
-    version = str(meta.get("version", ""))
-    declared_checksum = str(meta.get("checksum", ""))
     actual = compute_checksum(root)
-    if actual != declared_checksum and not force:
+    if actual != str(meta.get("checksum", "")) and not force:
         raise CatalogError(
             "catalog checksum mismatch: files were edited without "
             "regenerating meta.json (use force to load anyway)"
         )
+    return index_catalog(root, str(meta.get("version", "")), actual, force)
 
-    algebras: dict[str, RootDatum] = {}
-    builders: dict[str, str] = {}
+
+def index_catalog(
+    root: Path, version: str, checksum: str, force: bool
+) -> CatalogBundle:
+    """Decode every record file and key it by id, building no record.
+
+    Invalid JSON, a missing or mistyped id, kind or base, an unknown
+    pair kind, a base that is not catalogued and a duplicate id are
+    refused here; everything else waits for the record's first access.
+    """
+    algebras: dict[str, RecordFile] = {}
     for path in sorted((root / "algebras").glob("*.json")):
         rec = _load_json(path)
-        try:
+        with _field_errors(path.name):
             algebra_id = str(rec["id"])
-            builder = str(rec["builder"])
-            stored = RootDatum.from_dict(rec["datum"])
-        except KeyError as exc:
-            raise CatalogError(f"{path.name}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise CatalogError(f"{path.name}: malformed field: {exc}") from exc
-        rebuilt = dataclasses.replace(
-            build_root_datum(builder), name=algebra_id
-        )
-        if stored != rebuilt and not force:
-            raise CatalogError(
-                f"{path.name}: stored datum disagrees with builder "
-                f"{builder!r}"
-            )
         if algebra_id in algebras:
             raise CatalogError(f"duplicate algebra id {algebra_id!r}")
-        algebras[algebra_id] = stored
-        builders[algebra_id] = builder
+        algebras[algebra_id] = RecordFile(path.name, rec)
 
-    pairs: dict[str, InvolutionData | EmbeddingRecord] = {}
+    pairs: dict[str, RecordFile] = {}
     for path in sorted((root / "pairs").glob("*.json")):
         rec = _load_json(path)
-        try:
+        with _field_errors(path.name):
             pair_id = str(rec["id"])
             kind = str(rec["kind"])
             base_id = str(rec["base"])
-            if base_id not in algebras:
-                raise CatalogError(
-                    f"{path.name}: base algebra {base_id!r} is not in the "
-                    "catalog"
-                )
-            base = algebras[base_id]
-            if kind == "involution":
-                pair = _involution_from_json(rec, base)
-            elif kind == "embedding":
-                pair = _embedding_from_json(rec, base)
-            else:
-                raise CatalogError(f"{path.name}: unknown pair kind {kind!r}")
-        except KeyError as exc:
-            raise CatalogError(f"{path.name}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise CatalogError(f"{path.name}: malformed field: {exc}") from exc
-        if not pair.report.ok:
-            if not force:
-                names = ", ".join(c.name for c in pair.report.failed())
-                raise CatalogError(f"{path.name}: validation failed: {names}")
-        elif (
-            kind == "involution"
-            and pair.declared_restricted_positive is not None
-        ):
-            computed = restricted_roots(pair).positive
-            declared = WeightMultiset.of(pair.declared_restricted_positive)
-            if computed != declared and not force:
-                raise CatalogError(
-                    f"{path.name}: computed restricted positive system "
-                    "disagrees with the declared one"
-                )
+        if base_id not in algebras:
+            raise CatalogError(
+                f"{path.name}: base algebra {base_id!r} is not in the catalog"
+            )
+        if kind not in ("involution", "embedding"):
+            raise CatalogError(f"{path.name}: unknown pair kind {kind!r}")
         if pair_id in pairs:
             raise CatalogError(f"duplicate pair id {pair_id!r}")
-        pairs[pair_id] = pair
+        pairs[pair_id] = RecordFile(path.name, rec)
 
     return CatalogBundle(
         root=root,
         version=version,
-        checksum=actual,
-        algebras=MappingProxyType(algebras),
-        builders=MappingProxyType(builders),
+        checksum=checksum,
+        force=force,
+        algebra_files=MappingProxyType(algebras),
         stored_pairs=MappingProxyType(pairs),
     )

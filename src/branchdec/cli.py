@@ -86,6 +86,7 @@ def _load(ns) -> CatalogBundle:
 
 def cmd_catalog(ns) -> int:
     cat = _load(ns)
+    cat.check_all()
     if ns.format == "json":
         payload = {
             "version": cat.version,
@@ -301,6 +302,7 @@ def _verify_checks(cat: CatalogBundle, max_rank: int):
 def cmd_verify(ns) -> int:
     try:
         cat = _load(ns)
+        cat.check_all()
     except CatalogError as exc:
         print(f"catalog-integrity: FAIL ({exc})")
         print("verify: 1 check, 1 failed")

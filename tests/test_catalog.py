@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from branchdec.catalog import (
     _embedding_from_json,
     _involution_from_json,
 )
+from branchdec.cli import main
 from branchdec.decider import answer_question
 from branchdec.involution import (
     EmbeddingRecord,
@@ -29,7 +33,8 @@ from branchdec.involution import (
 from branchdec.parabolic import build_parabolic
 from branchdec.root_core import RootDatum, vec
 
-DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "branchdec" / "data"
+REPO = Path(__file__).resolve().parents[1]
+DATA_DIR = REPO / "src" / "branchdec" / "data"
 
 
 def _copy(tmp_path: Path) -> Path:
@@ -48,6 +53,15 @@ def _edit(path: Path, mutate) -> None:
     rec = json.loads(path.read_text())
     mutate(rec)
     path.write_text(json.dumps(rec, indent=2, sort_keys=True))
+
+
+def _verify_fails(capsys, root: Path, pattern: str, *flags: str) -> None:
+    """verify refuses the catalog with a message matching ``pattern``."""
+    capsys.readouterr()
+    assert main(["verify", "--catalog", str(root), *flags]) == 1
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("catalog-integrity: FAIL")
+    assert re.search(pattern, first)
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +199,22 @@ def test_edit_without_reseal_is_refused(tmp_path):
             answer_question(pair, q, question)
 
 
-def test_resealed_edit_fails_validation(tmp_path):
+def test_resealed_edit_fails_validation(tmp_path, capsys):
     root = _copy(tmp_path)
     _edit(
         root / "pairs" / "_su_2_2__sp_2_R__.json",
         lambda rec: rec.update(dim_gprime=11),
     )
     _reseal(root)
+    cat = load_catalog(root)
     with pytest.raises(
         CatalogError, match="fixed-dimension-bookkeeping"
     ):
-        load_catalog(root)
+        cat.pair("(su(2,2),sp(2,R))")
+    _verify_fails(capsys, root, "fixed-dimension-bookkeeping")
 
 
-def test_resealed_algebra_edit_fails_rebuild_comparison(tmp_path):
+def test_resealed_algebra_edit_fails_rebuild_comparison(tmp_path, capsys):
     root = _copy(tmp_path)
 
     def rescale_constraint(rec):
@@ -207,12 +223,14 @@ def test_resealed_algebra_edit_fails_rebuild_comparison(tmp_path):
 
     _edit(root / "algebras" / "su_2_2_.json", rescale_constraint)
     _reseal(root)
+    cat = load_catalog(root)
     with pytest.raises(CatalogError, match="disagrees with builder"):
-        load_catalog(root)
+        cat.algebra("su(2,2)")
+    _verify_fails(capsys, root, "disagrees with builder")
     assert load_catalog(root, force=True).algebra("su(2,2)") is not None
 
 
-def test_declared_restricted_comparison(tmp_path):
+def test_declared_restricted_comparison(tmp_path, capsys):
     root = _copy(tmp_path)
 
     def bump_mult(rec):
@@ -220,9 +238,11 @@ def test_declared_restricted_comparison(tmp_path):
 
     _edit(root / "pairs" / "_sl_4_C__sp_2_C__.json", bump_mult)
     _reseal(root)
+    cat = load_catalog(root)
     with pytest.raises(CatalogError, match="declared"):
-        load_catalog(root)
-    load_catalog(root, force=True)
+        cat.pair("(sl(4,C),sp(2,C))")
+    _verify_fails(capsys, root, "declared")
+    load_catalog(root, force=True).pair("(sl(4,C),sp(2,C))")
 
 
 def test_structural_errors(tmp_path):
@@ -256,20 +276,26 @@ def test_unknown_pair_kind(tmp_path):
 
 
 @pytest.mark.parametrize(
-    ("folder", "name", "edit"),
+    ("folder", "name", "edit", "access"),
     [
         ("pairs", "_so_4__so_3__.json",
-         lambda rec: rec.update(zero_weight_fixed_dim="x")),
+         lambda rec: rec.update(zero_weight_fixed_dim="x"),
+         lambda cat: cat.pair("(so(4),so(3))")),
         ("algebras", "su_2_2_.json",
-         lambda rec: rec["datum"].update(ambient_dim="x")),
+         lambda rec: rec["datum"].update(ambient_dim="x"),
+         lambda cat: cat.algebra("su(2,2)")),
     ],
     ids=["pair", "algebra"],
 )
-def test_malformed_field_is_a_catalog_error(tmp_path, folder, name, edit):
+def test_malformed_field_is_a_catalog_error(
+    tmp_path, capsys, folder, name, edit, access
+):
     root = _copy(tmp_path)
     _edit(root / folder / name, edit)
+    cat = load_catalog(root, force=True)
     with pytest.raises(CatalogError, match=f"{name}: malformed field"):
-        load_catalog(root, force=True)
+        access(cat)
+    _verify_fails(capsys, root, f"{name}: malformed field", "--force")
 
 
 def test_pair_with_missing_base(tmp_path):
@@ -308,3 +334,73 @@ def test_env_var_overrides_default_dir(tmp_path, monkeypatch):
 
     monkeypatch.delenv("BRANCHDEC_CATALOG")
     assert default_catalog_dir() == DATA_DIR
+
+
+# ---------------------------------------------------------------------------
+# records build on first access
+
+
+def test_load_builds_no_record_and_a_broken_one_keeps_failing(
+    tmp_path, capsys
+):
+    root = _copy(tmp_path)
+    _edit(
+        root / "pairs" / "_su_2_2__sp_2_R__.json",
+        lambda rec: rec.update(dim_gprime=11),
+    )
+    _reseal(root)
+    cat = load_catalog(root)
+    assert cat.pair_ids() == load_catalog().pair_ids()
+    # the other pair on the same base builds, and is kept
+    other = cat.pair("(su(2,2),sp(1,1))")
+    assert cat.pair("(su(2,2),sp(1,1))") is other
+    assert cat.algebra("su(2,2)") is other.base
+    for _ in range(2):
+        with pytest.raises(CatalogError, match="fixed-dimension-bookkeeping"):
+            cat.pair("(su(2,2),sp(2,R))")
+    with pytest.raises(CatalogError, match="fixed-dimension-bookkeeping"):
+        cat.check_all()
+    load_catalog().check_all()
+
+
+# ---------------------------------------------------------------------------
+# the generation tool
+
+
+def _make_catalog_module():
+    spec = importlib.util.spec_from_file_location(
+        "make_catalog", REPO / "tools" / "make_catalog.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_make_catalog_reproduces_the_shipped_data(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert _make_catalog_module().main(["make_catalog.py", str(out)]) == 0
+    written = sorted(p.relative_to(out) for p in out.rglob("*.json"))
+    shipped = sorted(p.relative_to(DATA_DIR) for p in DATA_DIR.rglob("*.json"))
+    assert written == shipped
+    for rel in shipped:
+        assert (out / rel).read_bytes() == (DATA_DIR / rel).read_bytes(), rel
+
+
+def test_make_catalog_does_not_seal_a_broken_catalog(
+    tmp_path, capsys, monkeypatch
+):
+    tool = _make_catalog_module()
+    build_pairs = tool.build_pairs
+
+    def broken_pairs():
+        return [
+            dataclasses.replace(p, dim_gprime=11)
+            if p.pair_id == "(su(2,2),sp(2,R))" else p
+            for p in build_pairs()
+        ]
+
+    monkeypatch.setattr(tool, "build_pairs", broken_pairs)
+    out = tmp_path / "data"
+    assert tool.main(["make_catalog.py", str(out)]) == 1
+    assert "fixed-dimension-bookkeeping" in capsys.readouterr().err
+    assert not (out / "meta.json").exists()

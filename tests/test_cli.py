@@ -7,10 +7,13 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from branchdec import catalog, involution
+from branchdec.catalog import compute_checksum, load_catalog
 from branchdec.cli import (
     EXIT_OK,
     EXIT_UNKNOWN_ID,
@@ -341,6 +344,89 @@ def test_verify_reports_non_list_pair_field(tmp_path, capsys):
     assert lines[0].startswith("catalog-integrity: FAIL")
     assert "_su_2_2__sp_2_R__.json: malformed field" in lines[0]
     assert lines[-1] == "verify: 1 check, 1 failed"
+
+
+def _resealed_sp2r_with_dim_11(tmp_path: Path) -> Path:
+    root = _edited_sp2r_record(
+        tmp_path, lambda rec: rec.update(dim_gprime=11)
+    )
+    meta = json.loads((root / "meta.json").read_text())
+    meta["checksum"] = compute_checksum(root)
+    (root / "meta.json").write_text(json.dumps(meta))
+    return root
+
+
+def test_a_broken_pair_refuses_only_the_commands_that_touch_it(
+    tmp_path, capsys
+):
+    root = _resealed_sp2r_with_dim_11(tmp_path)
+    untouched = [
+        ["check", "--pair", "(so(4,3),g2(R))", "--X", "0,0,1",
+         "--question", "transitive", "--format", "json"],
+        ["pair", "--pair", "(su(2,2),sp(1,1))"],
+        ["parabolic", "--algebra", "su(2,2)", "--X", "3,-1,-1,-1"],
+        ["classify", "--pair", "(so(4),so(3))"],
+    ]
+    for argv in untouched:
+        assert main(argv) == EXIT_OK
+        pristine = capsys.readouterr().out
+        assert main(argv + ["--catalog", str(root)]) == EXIT_OK
+        assert capsys.readouterr().out == pristine, argv
+
+    for argv in (
+        ["check", "--pair", "(su(2,2),sp(2,R))", "--X", "3,-1,-1,-1",
+         "--question", "transitive"],
+        ["pair", "--pair", "(su(2,2),sp(2,R))"],
+    ):
+        assert main(argv + ["--catalog", str(root)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fixed-dimension-bookkeeping" in captured.err
+
+    assert main(["verify", "--catalog", str(root)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("catalog-integrity: FAIL")
+    assert "fixed-dimension-bookkeeping" in out[0]
+    assert main(["catalog", "--catalog", str(root)]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    ("argv", "validations", "rebuilds"),
+    [
+        (["check", "--pair", "(su(2,2),sp(2,R))", "--X", "3,-1,-1,-1",
+          "--question", "deco"], 1, 1),
+        (["check", "--pair", "(so(4,3),g2(R))", "--X", "0,0,1",
+          "--question", "rho"], 1, 1),
+        (["parabolic", "--algebra", "su(2,2)", "--X", "3,-1,-1,-1"], 0, 1),
+        (["catalog"], 8, 13),
+    ],
+    ids=["check-involution", "check-embedding", "parabolic", "catalog"],
+)
+def test_a_command_builds_only_the_records_it_reads(
+    monkeypatch, capsys, argv, validations, rebuilds
+):
+    calls = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(involution, "validate_involution")
+    counting(involution, "validate_embedding")
+    counting(catalog, "build_root_datum")
+    load_catalog()
+    assert calls == Counter()
+
+    assert main(argv) == EXIT_OK
+    assert calls["validate_involution"] + calls["validate_embedding"] == (
+        validations
+    )
+    assert calls["build_root_datum"] == rebuilds
 
 
 # sha256 of the full `parabolic --enumerate --format json` stdout, captured

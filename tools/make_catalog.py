@@ -5,7 +5,9 @@ Run from the repository root:
     python tools/make_catalog.py [output-dir]
 
 Writes algebras/, pairs/ and meta.json.  The default output directory is
-the package data directory, so a plain run refreshes what ships.
+the package data directory, so a plain run refreshes what ships.  Every
+record is built and validated before meta.json seals the files; if one
+fails, the run exits 1 without writing meta.json.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from pathlib import Path
 
 from branchdec.catalog import (
     CATALOG_VERSION,
+    CatalogError,
     algebra_to_json,
     compute_checksum,
     embedding_to_json,
+    index_catalog,
     involution_to_json,
 )
 from branchdec.involution import EmbeddingRecord, InvolutionData, TableRow
@@ -257,7 +261,13 @@ def main(argv: list[str]) -> int:
             payload = embedding_to_json(pair, base_id)
         dump(root / "pairs" / file_name(pair.pair_id), payload)
 
-    meta = {"version": CATALOG_VERSION, "checksum": compute_checksum(root)}
+    checksum = compute_checksum(root)
+    try:
+        index_catalog(root, CATALOG_VERSION, checksum, force=False).check_all()
+    except CatalogError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    meta = {"version": CATALOG_VERSION, "checksum": checksum}
     dump(root / "meta.json", meta)
     print(f"wrote catalog to {root}")
     return 0
