@@ -13,14 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .root_core import (
     CertificateError,
     Vec,
+    clear_denominators,
     is_zero_vec,
     orthogonal_complement,
+    primitive_ints,
     vdot,
     vneg,
     vscale,
@@ -80,12 +82,6 @@ class MeetResult:
 # phase-1 simplex
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries; a zero row is kept."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
 def simplex_feasible(
     rows: Sequence[Vec], rhs: Sequence[Fraction]
 ) -> tuple[Vec | None, tuple[int, ...]]:
@@ -110,16 +106,15 @@ def simplex_feasible(
     last = width - 1
     tab: list[list[int]] = []
     for i, (row, b) in enumerate(zip(rows, rhs)):
-        scale = lcm(b.denominator, *(x.denominator for x in row))
-        r = [x.numerator * (scale // x.denominator) for x in row]
-        rb = b.numerator * (scale // b.denominator)
+        r, scale = clear_denominators((*row, b))
+        rb = r.pop()
         if rb < 0:
             r = [-x for x in r]
             rb = -rb
         r += [0] * m
         r[n + i] = scale
         r.append(rb)
-        tab.append(_primitive(r))
+        tab.append(primitive_ints(r))
     basis = [n + i for i in range(m)]
     # reduced costs for minimising the sum of artificials; the artificials
     # are basic, so their reduced cost is 0
@@ -139,12 +134,12 @@ def simplex_feasible(
         for i in range(m):
             f = tab[i][pcol]
             if i != prow and f:
-                tab[i] = _primitive(
+                tab[i] = primitive_ints(
                     [pv * x - f * y for x, y in zip(tab[i], pr)]
                 )
         f = cost[pcol]
         if f:
-            cost = _primitive([pv * x - f * y for x, y in zip(cost, pr)])
+            cost = primitive_ints([pv * x - f * y for x, y in zip(cost, pr)])
         basis[prow] = pcol
 
     while True:

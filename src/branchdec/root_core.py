@@ -4,6 +4,15 @@ Everything downstream works over Q.  Vectors are tuples of Fraction, weights
 of the complexified isotropy representation are stored as multisets, and a
 RootDatum bundles the torus description together with the compact and
 noncompact weight multisets of a real reductive Lie algebra.
+
+The kernels compute over Python integers and build a Fraction only for the
+values they return.  ``vdot`` (and ``mat_apply`` and ``projection_matrix``
+through it) sums numerators over a running common denominator.  One
+fraction-free Gauss-Jordan routine, ``_echelon``, backs ``rref``, ``rank``,
+``nullspace``, ``solve_linear``, ``in_span``, ``dual_basis`` and
+``projection_matrix``; ``clear_denominators`` and ``primitive_ints`` turn
+rational rows into coprime integer rows for it, for ``primitive_vector`` and
+for the simplex tableau in ``cone_kernel``.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -95,7 +104,21 @@ def vscale(c, a: Vec) -> Vec:
 
 
 def vdot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+    """The dot product; int and Fraction entries mix freely."""
+    # integer numerators over a running common denominator, so the only
+    # Fraction built is the result
+    num, den = 0, 1
+    for x, y in zip(a, b, strict=True):
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
+        d = xd * yd
+        if d == den:
+            num += xn * yn
+        else:
+            g = gcd(den, d)
+            num = num * (d // g) + xn * yn * (den // g)
+            den = den // g * d
+    return Fraction(num, den)
 
 
 def is_zero_vec(a: Vec) -> bool:
@@ -110,18 +133,27 @@ def lex_positive(a: Vec) -> bool:
     return False
 
 
+def clear_denominators(row: Iterable) -> tuple[list[int], int]:
+    """The integers n_i and the least d > 0 with row_i = n_i / d."""
+    ratios = [x.as_integer_ratio() for x in row]
+    scale = lcm(*(d for _, d in ratios))
+    if scale == 1:
+        return [n for n, _ in ratios], 1
+    return [n * (scale // d) for n, d in ratios], scale
+
+
+def primitive_ints(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries; a zero row is kept."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def primitive_vector(a: Vec) -> Vec:
     """Scale by a positive factor to coprime integer entries; 0 stays 0."""
-    if is_zero_vec(a):
+    ints = clear_denominators(a)[0]
+    if not any(ints):
         return a
-    denom_lcm = 1
-    for x in a:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in a]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(Fraction(v // g) for v in ints)
+    return tuple(Fraction(v) for v in primitive_ints(ints))
 
 
 def primitive_direction(a: Vec) -> Vec:
@@ -154,38 +186,52 @@ def format_vector(a: Vec) -> str:
 # exact linear algebra (rows are vectors, systems are small)
 
 
-def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
+def _echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination: the nonzero rows, as
+    integers, and their pivot columns.
+
+    Each row is cleared of denominators, eliminated with pv*row_i - f*row_r
+    and divided by the gcd of its entries, so every stored row is a
+    nonzero multiple of the row that rational elimination would hold, with
+    coprime entries: the zero tests, and so the pivots, are the same, and
+    row i divided by its pivot entry is row i of the reduced row echelon
+    form.
+    """
+    mat = [primitive_ints(clear_denominators(r)[0]) for r in rows]
     if not mat:
         return [], []
-    ncols = len(mat[0])
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
+    for c in range(len(mat[0])):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
+        pr = mat[r]
+        pv = pr[c]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if f and i != r:
+                mat[i] = primitive_ints(
+                    [pv * x - f * y for x, y in zip(mat[i], pr)]
+                )
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    return mat[:r], pivots
+
+
+def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    mat, pivots = _echelon(rows)
+    return [
+        tuple(Fraction(x, row[c]) for x in row) for row, c in zip(mat, pivots)
+    ], pivots
 
 
 def rank(rows: Sequence[Vec]) -> int:
-    return len(rref(rows)[0])
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows: Sequence[Vec]) -> list[Vec]:
@@ -193,14 +239,14 @@ def nullspace(rows: Sequence[Vec]) -> list[Vec]:
     if not rows:
         raise DatumError("nullspace needs at least one row to fix the dimension")
     ncols = len(rows[0])
-    reduced, pivots = rref(rows)
+    reduced, pivots = _echelon(rows)
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis: list[Vec] = []
     for fc in free_cols:
         x = [Fraction(0)] * ncols
         x[fc] = Fraction(1)
         for row, pc in zip(reduced, pivots):
-            x[pc] = -row[fc]
+            x[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(x))
     return basis
 
@@ -223,12 +269,12 @@ def solve_linear(rows: Sequence[Vec], rhs: Sequence) -> Vec | None:
         raise DatumError("solve_linear needs at least one row")
     ncols = len(rows[0])
     aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
+    reduced, pivots = _echelon(aug)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
     for row, pc in zip(reduced, pivots):
-        x[pc] = row[ncols]
+        x[pc] = Fraction(row[ncols], row[pc])
     return tuple(x)
 
 
@@ -242,7 +288,8 @@ def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
     c_i . b_j = 1 if i == j and 0 otherwise.
 
     They are the rows of G^-1 B for the Gram matrix G = B B^T, read off
-    one rref of [G | I].
+    one elimination of [G | I]: row i, divided by its pivot, holds the
+    coefficients of c_i.
     """
     if not basis:
         return ()
@@ -251,43 +298,35 @@ def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
         tuple(vdot(a, b) for b in basis) + e
         for a, e in zip(basis, identity(k))
     ]
-    reduced, pivots = rref(gram)
+    reduced, pivots = _echelon(gram)
     if pivots != list(range(k)):
         raise CertificateError("Gram matrix of independent rows is singular")
+    columns = list(zip(*basis))
     return tuple(
-        vsum((vscale(c, b) for c, b in zip(row[k:], basis)), len(basis[0]))
-        for row in reduced
+        tuple(vdot(row[k:], col) / row[i] for col in columns)
+        for i, row in enumerate(reduced)
     )
 
 
 def projection_matrix(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
     """The dim x dim matrix of the orthogonal projection onto span(rows).
 
-    Built once from an rref basis B of the span and its dual basis C as
-    B^T C; apply it with mat_apply.  Zero and dependent rows are allowed,
-    and no rows give the zero matrix.
+    Built once from an integer echelon basis B of the span and its dual
+    basis C as B^T C; apply it with mat_apply.  Zero and dependent rows
+    are allowed, and no rows give the zero matrix.
     """
-    basis = rref(rows)[0]
+    basis = _echelon(rows)[0]
     dual = dual_basis(basis)
+    basis_columns = [tuple(b[i] for b in basis) for i in range(dim)]
+    dual_columns = [tuple(c[j] for c in dual) for j in range(dim)]
     return tuple(
-        tuple(
-            sum((b[i] * c[j] for b, c in zip(basis, dual)), Fraction(0))
-            for j in range(dim)
-        )
-        for i in range(dim)
+        tuple(vdot(b, c) for c in dual_columns) for b in basis_columns
     )
 
 
 def mat_apply(rows: Sequence[Vec], x: Vec) -> Vec:
-    """The matrix with the given rows applied to x.
-
-    Zero entries are skipped; every catalogued sigma is a signed
-    permutation matrix.
-    """
-    return tuple(
-        sum((a * b for a, b in zip(r, x, strict=True) if a), Fraction(0))
-        for r in rows
-    )
+    """The matrix with the given rows applied to x."""
+    return tuple(vdot(r, x) for r in rows)
 
 
 def project_onto_span(v: Vec, rows: Sequence[Vec]) -> Vec:

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from branchdec import cli, involution
+from branchdec import cli, cone_kernel, involution
 from branchdec.catalog import load_catalog
 from branchdec.cone_kernel import MeetResult
 from branchdec.decider import (
@@ -219,6 +219,37 @@ def test_deco_implies_admissible_across_catalog():
                 assert adm.answer, (pid, q.x)
             checked += 1
     assert checked > 50
+
+
+def test_a_meeting_chamber_test_settles_the_subspace_note_without_an_lp(
+    monkeypatch,
+):
+    # the momentum chamber lies in t^{-sigma}, so a chamber point is a
+    # subspace point: one LP, and the note still matches the deco verdict
+    lps = []
+    simplex = cone_kernel.simplex_feasible
+    monkeypatch.setattr(
+        cone_kernel,
+        "simplex_feasible",
+        lambda *args: lps.append(args) or simplex(*args),
+    )
+    met = missed = 0
+    for pid in _cat().pair_ids():
+        pair = _pair(pid)
+        if not isinstance(pair, InvolutionData):
+            continue
+        for q in enumerate_parabolics(pair.base, dominant_only=True):
+            deco = discretely_decomposable(pair, q)
+            lps.clear()
+            adm = admissible_sufficient(pair, q)
+            note = f"full subspace test intersects: {str(not deco.answer).lower()}"
+            assert note in adm.notes, (pid, q.x)
+            if adm.answer:
+                missed += 1
+            else:
+                assert len(lps) == 1, (pid, q.x)
+                met += 1
+    assert met > 10 and missed > 10
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
+import linalg_oracle
 import pytest
 from projection_oracle import gram_projection, independent_rows
 
 from branchdec.root_core import (
     DatumError,
+    _echelon,
     RootDatum,
     WeightMultiset,
     as_fraction,
@@ -115,6 +118,138 @@ def test_rref_small_example():
     rows, pivots = rref([vec(1, 2, 3), vec(2, 4, 6), vec(0, 0, 1)])
     assert pivots == [0, 2]
     assert rows == [vec(1, 2, 0), vec(0, 0, 1)]
+
+
+def test_int_fraction_and_mixed_rows_give_exact_fractions():
+    want = ([(F(1), F(0)), (F(0), F(1))], [0, 1])
+    third = ([(F(1), F(1, 3), F(0))], [0])
+    for cast in (int, F, lambda k: F(k) if k % 2 else k):
+        got = rref([tuple(map(cast, r)) for r in [(2, 1), (1, 3)]])
+        assert got == want
+        assert all(type(x) is F for row in got[0] for x in row)
+        got = rref([tuple(map(cast, r)) for r in [(3, 1, 0), (0, 0, 0)]])
+        assert got == third
+        assert all(type(x) is F for row in got[0] for x in row)
+        null = nullspace([tuple(map(cast, (3, 1, 0)))])
+        assert null == [(F(-1, 3), F(1), F(0)), (F(0), F(0), F(1))]
+        assert all(type(x) is F for v in null for x in v)
+    # a float elimination loses the last unit and finds rank 1
+    big = 10**17
+    assert rank([(big + 1, big), (big, big - 1)]) == 2
+
+
+def _random_entry(rng: random.Random, large: bool):
+    if large:
+        return F(rng.randint(-(10**30), 10**30), rng.randint(1, 10**6))
+    num = rng.randint(-9, 9)
+    if rng.random() < 0.4:
+        return num
+    return F(num, rng.choice([1, 2, 3, 4, 7]))
+
+
+def _random_matrix(rng: random.Random) -> tuple[list[tuple], set[str]]:
+    """Rows mixing int and Fraction entries, with the features drawn."""
+    n = rng.randint(1, 6)
+    m = rng.choice([0, *range(1, 7)])
+    large = rng.random() < 0.2
+    zero_cols = {c for c in range(n) if rng.random() < 0.15}
+    rows = [
+        tuple(0 if c in zero_cols else _random_entry(rng, large) for c in range(n))
+        for _ in range(m)
+    ]
+    if rows and rng.random() < 0.4:
+        a, b = rng.choice(rows), rng.choice(rows)
+        s, t = rng.choice([-2, F(1, 3), 3]), rng.choice([0, 1, F(-5, 2)])
+        rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+    if rows and rng.random() < 0.3:
+        rows.insert(rng.randint(0, len(rows)), (0,) * n)
+    features = set()
+    if not rows:
+        features.add("empty")
+    if any(not any(r) for r in rows):
+        features.add("zero row")
+    if rows and linalg_oracle.rank(rows) < len(rows):
+        features.add("dependent")
+    if rows and any(not any(r[c] for r in rows) for c in range(n)):
+        features.add("zero column")
+    entries = [x for r in rows for x in r]
+    if any(isinstance(x, F) and x.denominator > 1 for x in entries):
+        features.add("non-integral")
+    if any(x < 0 for x in entries):
+        features.add("negative")
+    if large and rows:
+        features.add("large")
+    if {type(x) for x in entries} == {int, F}:
+        features.add("mixed")
+    return rows, features
+
+
+def _same(got, want) -> bool:
+    """Equal, with the same type at every position."""
+    if isinstance(want, (list, tuple)):
+        return (
+            type(got) is type(want)
+            and len(got) == len(want)
+            and all(_same(g, w) for g, w in zip(got, want))
+        )
+    return type(got) is type(want) and got == want
+
+
+def test_integer_kernels_match_the_fraction_oracle():
+    rng = random.Random(20261018)
+    seen: dict[str, int] = {}
+    for _ in range(320):
+        rows, features = _random_matrix(rng)
+        for f in features:
+            seen[f] = seen.get(f, 0) + 1
+        n = len(rows[0]) if rows else rng.randint(1, 4)
+        assert _same(rref(rows), linalg_oracle.rref(rows))
+        assert _same(rank(rows), linalg_oracle.rank(rows))
+        v = tuple(_random_entry(rng, False) for _ in range(n))
+        coeffs = [rng.randint(-2, 2) for _ in rows]
+        combo = tuple(
+            sum((k * r[c] for k, r in zip(coeffs, rows)), 0) for c in range(n)
+        )
+        for u in (v, combo):
+            assert _same(in_span(u, rows), linalg_oracle.in_span(u, rows))
+            for r in rows:
+                assert _same(vdot(r, u), linalg_oracle.vdot(r, u))
+        if not rows:
+            with pytest.raises(DatumError):
+                nullspace(rows)
+            with pytest.raises(DatumError):
+                solve_linear(rows, [])
+            continue
+        assert _same(nullspace(rows), linalg_oracle.nullspace(rows))
+        x = tuple(_random_entry(rng, False) for _ in range(n))
+        for rhs in (
+            [vdot(r, x) for r in rows],
+            [_random_entry(rng, False) for _ in rows],
+        ):
+            assert _same(
+                solve_linear(rows, rhs),
+                linalg_oracle.solve_linear(rows, [F(b) for b in rhs]),
+            )
+    for feature in ("dependent", "zero row", "zero column", "non-integral",
+                    "negative", "large", "mixed"):
+        assert seen.get(feature, 0) >= 20, (feature, seen)
+    assert seen.get("empty", 0) >= 10, seen
+    assert _same(rref([()]), ([], []))
+    with pytest.raises(ValueError):
+        vdot(vec(1, 2), vec(1, 2, 3))
+
+
+def test_echelon_rows_are_coprime_multiples_of_the_rref_rows():
+    rng = random.Random(20261019)
+    for _ in range(150):
+        rows, _ = _random_matrix(rng)
+        ints, pivots = _echelon(rows)
+        reduced, want_pivots = linalg_oracle.rref(rows)
+        assert pivots == want_pivots
+        for row, pc, want in zip(ints, pivots, reduced, strict=True):
+            assert all(type(x) is int for x in row)
+            assert gcd(*row) == 1
+            assert tuple(F(x, row[pc]) for x in row) == want
 
 
 def test_rank_nullspace_dimension_formula():
