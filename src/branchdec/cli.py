@@ -10,6 +10,7 @@ bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -225,10 +226,6 @@ def cmd_check(ns) -> int:
     return EXIT_OK
 
 
-_CLASSIFY_COLUMNS = ("deco", "admissible", "transitive", "rho",
-                     "symtype", "virtsym")
-
-
 def _classify_cell(pair, q, question: str) -> str:
     try:
         verdict = answer_question(pair, q, question)
@@ -245,7 +242,7 @@ def cmd_classify(ns) -> int:
     )
     rows = []
     for q in qs:
-        cells = {c: _classify_cell(pair, q, c) for c in _CLASSIFY_COLUMNS}
+        cells = {c: _classify_cell(pair, q, c) for c in QUESTIONS}
         rows.append({
             "X": ",".join(str(c) for c in q.x),
             "dim_levi": q.dim_levi,
@@ -255,7 +252,7 @@ def cmd_classify(ns) -> int:
     if ns.format == "json":
         print(_dump_json({"pair": ns.pair, "rows": rows}))
         return EXIT_OK
-    header = ["X", "dim_levi", "dim_u", *_CLASSIFY_COLUMNS]
+    header = ["X", "dim_levi", "dim_u", *QUESTIONS]
     print("\t".join(header))
     for row in rows:
         print("\t".join(str(row[h]) for h in header))
@@ -336,7 +333,10 @@ def cmd_verify(ns) -> int:
 # parser and dispatch
 
 
+@functools.cache
 def build_arg_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every command reuses it."""
     parser = _Parser(prog="branchdec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

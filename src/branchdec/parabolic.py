@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .root_core import (
@@ -21,13 +22,9 @@ from .root_core import (
     RootDatum,
     Vec,
     WeightMultiset,
-    is_zero_vec,
     lex_positive,
-    primitive_direction,
     primitive_vector,
     reflect,
-    simple_system,
-    solve_linear,
     vdot,
     vscale,
     vsum,
@@ -110,17 +107,27 @@ class ThetaStableParabolic:
     def is_full_algebra(self) -> bool:
         return self.dim_u == 0
 
-    def levi_weights(self) -> Iterator[tuple[str, Vec, int]]:
-        for w, m in self.levi_compact:
-            yield PART_COMPACT, w, m
-        for w, m in self.levi_noncompact:
-            yield PART_NONCOMPACT, w, m
-
     def u_weights(self) -> Iterator[tuple[str, Vec, int]]:
         for w, m in self.u_compact:
             yield PART_COMPACT, w, m
         for w, m in self.u_noncompact:
             yield PART_NONCOMPACT, w, m
+
+    @cached_property
+    def free_coefficients(self) -> tuple[tuple[str, Vec], ...]:
+        """(part, c) per u-weight w: c_i = coweight_i . w for the free
+        simple roots i of q, the walls pairing > 0 with x once the base
+        frame is walked across walls until x pairs >= 0 with every wall."""
+        walls, rays = self.base.frame
+        while (wall := next((a for a in walls if vdot(a, self.x) < 0),
+                            None)) is not None:
+            walls = tuple(reflect(a, wall) for a in walls)
+            rays = tuple(reflect(c, wall) for c in rays)
+        free = [c for a, c in zip(walls, rays) if vdot(a, self.x) > 0]
+        return tuple(
+            (part, tuple(vdot(c, w) for c in free))
+            for part, w, _ in self.u_weights()
+        )
 
     def describe(self) -> dict:
         return {
@@ -188,17 +195,14 @@ def enumerate_parabolics(
         raise UnsupportedQuery(
             f"rank {base.dim_t} exceeds the enumeration bound {max_rank}"
         )
-    simple, coweights = simple_system(
-        w for _, w, _ in base.weight_entries() if not is_zero_vec(w)
-    )
     k_positive = [
         w for w, _ in base.compact if dominant_only and lex_positive(w)
     ]
 
     # a chamber w.C is (its walls w.simple, its rays w.coweights), keyed
     # by the point w.rho inside it
-    start = vsum(coweights, base.ambient_dim)
-    chambers = {start: (simple, coweights)}
+    start = vsum(base.frame[1], base.ambient_dim)
+    chambers = {start: base.frame}
     todo = [start]
     while todo:
         point = todo.pop()
@@ -228,56 +232,40 @@ def enumerate_parabolics(
 # symmetric type
 
 
-def _symmetric_system_solvable(
-    q: ThetaStableParabolic, zeroed: frozenset[Vec]
-) -> bool:
-    """Does some X' in t pair to 0 on the nonzero Levi weights and on the
-    compact u-weights whose direction is in zeroed, and to 1 on the rest
-    of Delta(u)?
-    """
-    rows: list[Vec] = []
-    rhs: list[Fraction] = []
-    for _, w, _ in q.levi_weights():
-        if not is_zero_vec(w):
-            rows.append(w)
-            rhs.append(Fraction(0))
-    for part, w, _ in q.u_weights():
-        absorbed = part == PART_COMPACT and primitive_direction(w) in zeroed
-        rows.append(w)
-        rhs.append(Fraction(0 if absorbed else 1))
-    for c in q.base.t_constraints:
-        rows.append(c)
-        rhs.append(Fraction(0))
-    if not rows:
-        return True
-    return solve_linear(rows, rhs) is not None
-
-
 def is_symmetric_type(q: ThetaStableParabolic) -> bool:
     """Does some X' pair to 0 on Delta(l) and to 1 on all of Delta(u)?
 
     If so, the period-two inner automorphism attached to X' has fixed
-    algebra l, so l arises from a symmetric pair.
+    algebra l, so l arises from a symmetric pair.  Such an X' is dominant
+    for the frame of q, so it is the sum of the free coweights.
     """
-    return _symmetric_system_solvable(q, frozenset())
+    return all(sum(c) == 1 for _, c in q.free_coefficients)
 
 
 def is_virtually_symmetric_type(q: ThetaStableParabolic) -> bool:
     """Can q be enlarged to a symmetric-type parabolic by moving only
     compact weights into the Levi part?
 
-    Tries each set of compact directions of u, smallest sets first, and
-    asks for an X' in t pairing to 0 on the nonzero Levi weights and the
-    compact u-weights along those directions, and to 1 on the other
-    u-weights.  Such an X' induces that coarsening itself: the weights are
-    closed under negation, so every remaining weight is the negative of
-    one already fixed and pairs to -1 or 0 as the coarsening needs, and
-    the coarser Levi is the fixed algebra of the involution attached to
-    X'.  One exact linear solve therefore settles each set.
+    That asks for an X' pairing to 0 on the Levi weights, 0 or 1 on the
+    compact u-weights and 1 on the noncompact ones; X' induces the
+    coarsening, whose Levi is the fixed algebra of its involution.  X' is
+    dominant for the frame of q, so it is a sum of free coweights, at most
+    one per simple factor as the highest root of a factor lies in u.  So
+    each factor is tried with no free coweight and with each one alone:
+    at most 2 * rank candidates, each checked once on the u-weights.
     """
-    directions = sorted({primitive_direction(w) for w, _ in q.u_compact})
-    return any(
-        _symmetric_system_solvable(q, frozenset(zeroed))
-        for r in range(len(directions) + 1)
-        for zeroed in itertools.combinations(directions, r)
-    )
+    rows = q.free_coefficients
+    free = range(len(rows[0][1]) if rows else 0)
+    # by the highest root, the free roots sharing a u-weight with root i
+    # are the free roots of the simple factor of i
+    factors = {frozenset(j for _, c in rows if c[i] for j in free if c[j])
+               for i in free}
+    for factor in factors:
+        members = [(p, c) for p, c in rows if any(c[j] for j in factor)]
+        if not (all(p == PART_COMPACT for p, _ in members) or any(
+            all(c[i] == 1 or c[i] == 0 and p == PART_COMPACT
+                for p, c in members)
+            for i in factor
+        )):
+            return False
+    return True

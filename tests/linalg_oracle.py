@@ -4,7 +4,8 @@ Test-only.  This is rational Gauss-Jordan elimination and a ``Fraction``
 dot product, with every entry made a ``Fraction`` first, so the tests can
 compare the runtime kernels, which compute over integers and build a
 ``Fraction`` only for what they return, with it value for value and type
-for type.
+for type.  ``simple_system`` is the lexicographic simple system worked
+out on ``Fraction`` vectors, for the integer-row ``simple_system``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from branchdec.root_core import DatumError, Vec
+from branchdec.root_core import DatumError, Vec, lex_positive, primitive_vector
 
 
 def vdot(a: Vec, b: Vec) -> Fraction:
@@ -84,3 +85,30 @@ def in_span(v: Vec, rows: Sequence[Vec]) -> bool:
     if not base:
         return all(x == 0 for x in v)
     return rank(base + [v]) == rank(base)
+
+
+def simple_system(weights) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """Simple roots of the lexicographic positive system of the shortest
+    weight on each ray, and their dual basis in the span of the roots.
+
+    The input is assumed to be a root system; nothing is validated.
+    """
+    rays: dict[Vec, list[Vec]] = {}
+    for w in weights:
+        rays.setdefault(primitive_vector(w), []).append(w)
+    roots = {min(ws, key=lambda w: vdot(w, w)) for ws in rays.values()}
+    positive = {r for r in roots if lex_positive(r)}
+    simple = sorted(
+        a for a in positive
+        if not any(tuple(x - y for x, y in zip(a, b)) in positive
+                   for b in positive)
+    )
+    gram = [tuple(vdot(a, b) for b in simple) for a in simple]
+    coweights = []
+    for i in range(len(simple)):
+        g = solve_linear(gram, [Fraction(int(i == j)) for j in range(len(simple))])
+        coweights.append(tuple(
+            sum((c * a[k] for c, a in zip(g, simple)), Fraction(0))
+            for k in range(len(simple[0]))
+        ))
+    return tuple(simple), tuple(coweights)

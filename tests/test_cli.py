@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from branchdec import catalog, involution
+from branchdec import catalog, cli, involution
 from branchdec.catalog import compute_checksum, load_catalog
 from branchdec.cli import (
     EXIT_OK,
@@ -93,6 +93,59 @@ def test_exit_code_bad_question_value(capsys):
          "--question", "decide"]
     )
     assert code == EXIT_USAGE
+
+
+def test_one_parser_serves_every_command(capsys):
+    # the parser is built once per process; commands and usage errors
+    # in a row print and exit as each would with a parser of its own
+    commands = [
+        ["check", "--pair", "(su(2,2),sp(2,R))", "--X=-1,3,-1,-1",
+         "--question", "virtsym"],
+        ["parabolic", "--algebra", "su(2,2)", "--X", "3,1,-1,-3"],
+        ["check", "--pair", "(su(2,2),sp(2,R))", "--X", "3,-1,-1,-1",
+         "--question", "decide"],
+        ["classify", "--pair", "(so(2,2),so(2,1))", "--format", "json"],
+        ["pair"],
+        ["check", "--pair", "(su(2,2),sp(2,R))", "--X", "3,-1,-1,-1",
+         "--question", "symtype", "--format", "json"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in commands:
+        cli.build_arg_parser.cache_clear()
+        fresh.append(run(argv))
+    assert cli.build_arg_parser() is cli.build_arg_parser()
+    shared = [run(argv) for argv in commands + commands]
+    assert shared == fresh + fresh
+    assert [code for code, _, _ in fresh] == [
+        EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_USAGE, EXIT_OK]
+
+
+def test_symmetric_questions_refuse_a_forced_datum_that_is_no_root_system(
+    tmp_path, capsys
+):
+    # with --force a stored datum may disagree with its builder; weights
+    # +-(1,0), +-(1,1) admit no Weyl group, so symtype and virtsym refuse
+    root = tmp_path / "cat"
+    shutil.copytree(DATA_DIR, root)
+    victim = root / "algebras" / "so_4_.json"
+    rec = json.loads(victim.read_text())
+    rec["datum"]["compact"] = [
+        {"weight": list(w), "mult": 1}
+        for w in (["1", "0"], ["-1", "0"], ["1", "1"], ["-1", "-1"])
+    ]
+    victim.write_text(json.dumps(rec))
+    code = main(["parabolic", "--catalog", str(root), "--force",
+                 "--algebra", "so(4)", "--X", "1,0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "not a root system" in captured.err
+    assert captured.out == ""
 
 
 def test_negative_leading_x_is_a_value(capsys):

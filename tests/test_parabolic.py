@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import virtsym_oracle
 from lp_face_oracle import lp_face_signatures
 
 from branchdec.catalog import load_catalog
@@ -18,12 +21,15 @@ from branchdec.parabolic import (
 from branchdec.root_core import (
     DatumError,
     PART_COMPACT,
+    PART_NONCOMPACT,
     RootDatum,
     WeightMultiset,
     build_root_datum,
     lex_positive,
+    simple_system,
     vdot,
     vec,
+    vneg,
     vzero,
 )
 
@@ -309,3 +315,113 @@ def test_virtually_symmetric_matches_face_poset_oracle():
             expect = any(absorbs(q.signature, s2) for s2 in symmetric)
             assert is_virtually_symmetric_type(q) == expect, (
                 name, q.signature)
+
+
+def _predicates(q) -> tuple[bool, bool]:
+    return is_symmetric_type(q), is_virtually_symmetric_type(q)
+
+
+def _oracle_predicates(q) -> tuple[bool, bool]:
+    return (virtsym_oracle.symmetric_type(q),
+            virtsym_oracle.virtually_symmetric_type(q))
+
+
+@pytest.mark.parametrize(
+    ("name", "dominant"),
+    [("catalog", False), ("su(3,2)", False), ("so(5,3)", False),
+     ("sp(2,1)", False), ("so(6,2)", True), ("su(3,3)", True)],
+)
+def test_symmetric_predicates_match_the_subset_walk(name, dominant):
+    if name == "catalog":
+        cat = load_catalog()
+        bases = [cat.algebra(a) for a in cat.algebra_ids()]
+    else:
+        bases = [build_root_datum(name)]
+    for base in bases:
+        for q in enumerate_parabolics(base, dominant_only=dominant):
+            assert _predicates(q) == _oracle_predicates(q), (
+                base.name, q.signature)
+
+
+def test_symmetric_predicates_on_every_split_of_bc2():
+    # the non-reduced BC2 weights +-e_i, +-2e_i and +-e1+-e2, with each
+    # +- pair compact or noncompact: 64 data, every face of each
+    lines = [vec(1, 0), vec(0, 1), vec(2, 0), vec(0, 2), vec(1, 1),
+             vec(1, -1)]
+    seen = set()
+    for split in itertools.product((PART_COMPACT, PART_NONCOMPACT),
+                                   repeat=len(lines)):
+        parts = {PART_COMPACT: [], PART_NONCOMPACT: []}
+        for part, w in zip(split, lines):
+            parts[part] += [w, vneg(w)]
+        base = RootDatum(
+            "bc2", 2, (),
+            WeightMultiset.from_vectors(parts[PART_COMPACT]),
+            WeightMultiset.from_vectors(parts[PART_NONCOMPACT]),
+            14,
+        )
+        base.validate()
+        for q in enumerate_parabolics(base):
+            got = _predicates(q)
+            assert got == _oracle_predicates(q), (split, q.signature)
+            seen.add(got)
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize(
+    ("name", "x"),
+    [("sp(6,R)", (32, 17, 9, 5, 3, 1)),
+     ("sp(7,R)", (64, 33, 17, 9, 5, 3, 1))],
+)
+def test_symmetric_predicates_at_a_large_borel(name, x):
+    # 15 and 21 compact directions in u: 2^15 and 2^21 subsets for the
+    # subset walk; X' = (1/2, ..., 1/2), the coweight of the long simple
+    # root, absorbs every compact root into the Levi u(n)
+    q = build_parabolic(build_root_datum(name), vec(*x))
+    assert _predicates(q) == (False, True)
+
+
+def test_symmetric_predicates_refuse_weights_that_are_not_a_root_system():
+    weights = WeightMultiset.from_vectors(
+        [vec(1, 0), vec(-1, 0), vec(1, 1), vec(-1, -1)]
+    )
+    base = RootDatum("broken", 2, (), weights, WeightMultiset.of([]), 6)
+    q = build_parabolic(base, vec(1, 0))
+    for predicate in (is_symmetric_type, is_virtually_symmetric_type):
+        with pytest.raises(DatumError, match="not a root system"):
+            predicate(q)
+
+
+def test_parabolic_module_makes_no_linear_solve():
+    # the symmetric predicates read simple-root coefficients; a solve per
+    # set of u-directions would bring the subset walk back
+    path = Path(__file__).resolve().parents[1] / "src" / "branchdec"
+    tree = ast.parse((path / "parabolic.py").read_text())
+    called = {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "solve_linear" not in called | imported
+
+
+def test_walked_frame_frees_the_coweights_of_the_frame_of_x():
+    # the walk from the base frame and simple_system with x may stop in
+    # different chambers around x, but both free the coweights of the
+    # rays of the face of x, so the coefficient columns agree as a set
+    cat = load_catalog()
+    for aid in cat.algebra_ids():
+        base = cat.algebra(aid)
+        weights = [w for _, w, _ in base.weight_entries() if any(w)]
+        for q in enumerate_parabolics(base):
+            simple, coweights = simple_system(weights, q.x)
+            free = [c for a, c in zip(simple, coweights) if vdot(a, q.x) > 0]
+            want = [[vdot(c, w) for _, w, _ in q.u_weights()] for c in free]
+            got = [list(col) for col in zip(*(c for _, c in q.free_coefficients))]
+            assert sorted(got) == sorted(want), (aid, q.x)

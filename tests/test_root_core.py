@@ -8,6 +8,7 @@ import linalg_oracle
 import pytest
 from projection_oracle import gram_projection, independent_rows
 
+from branchdec.catalog import load_catalog
 from branchdec.root_core import (
     DatumError,
     _echelon,
@@ -496,6 +497,48 @@ def test_simple_system_of_a_non_reduced_system():
     assert coweights == (vec(1, 1), vec(1, 0))
     for i, a in enumerate(simple):
         assert [vdot(a, c) for c in coweights] == [int(i == j) for j in (0, 1)]
+
+
+def _frame_data() -> list[RootDatum]:
+    cat = load_catalog()
+    return [cat.algebra(a) for a in cat.algebra_ids()] + [
+        build_root_datum(name) for name in ("su(4,3)", "so(6,6)")
+    ]
+
+
+def test_simple_system_matches_the_fraction_oracle():
+    # the integer rows change nothing: same simple roots, same coweights,
+    # as Fractions, and RootDatum.frame is that result
+    for d in _frame_data():
+        ws = [w for _, w, _ in d.weight_entries() if any(w)]
+        got = simple_system(ws)
+        assert got == linalg_oracle.simple_system(ws), d.name
+        assert all(type(x) is F for v in got[0] + got[1] for x in v)
+        assert d.frame == got
+
+
+def test_simple_system_of_an_element_is_a_base_it_dominates():
+    # with x, every simple root pairs >= 0 with x, and the simple roots are
+    # a base: each root has integral coefficients of one sign along them;
+    # x = 0 leaves the lexicographic order
+    rng = random.Random(7)
+    for d in _frame_data():
+        ws = [w for _, w, _ in d.weight_entries() if any(w)]
+        n = d.ambient_dim
+        assert simple_system(ws, vzero(n)) == simple_system(ws)
+        for _ in range(12):
+            x = tuple(F(rng.choice([0, 0, 1, -1, 2, -3])) for _ in range(n))
+            for c in d.t_constraints:
+                x = vsub(x, vscale(vdot(x, c) / vdot(c, c), c))
+            simple, coweights = simple_system(ws, x)
+            assert len(simple) == rank(ws)
+            assert all(vdot(a, x) >= 0 for a in simple), (d.name, x)
+            for w in ws:
+                coeffs = [vdot(c, w) for c in coweights]
+                assert all(c >= 0 for c in coeffs) or all(
+                    c <= 0 for c in coeffs)
+                if vdot(w, x) > 0:
+                    assert all(c >= 0 for c in coeffs)
 
 
 def test_simple_system_refuses_a_non_integral_cartan_number():
