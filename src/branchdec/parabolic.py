@@ -22,9 +22,11 @@ from .root_core import (
     RootDatum,
     Vec,
     WeightMultiset,
+    is_zero_vec,
     lex_positive,
     primitive_vector,
     reflect,
+    simple_system,
     vdot,
     vscale,
     vsum,
@@ -115,15 +117,14 @@ class ThetaStableParabolic:
 
     @cached_property
     def free_coefficients(self) -> tuple[tuple[str, Vec], ...]:
-        """(part, c) per u-weight w: c_i = coweight_i . w for the free
-        simple roots i of q, the walls pairing > 0 with x once the base
-        frame is walked across walls until x pairs >= 0 with every wall."""
-        walls, rays = self.base.frame
-        while (wall := next((a for a in walls if vdot(a, self.x) < 0),
-                            None)) is not None:
-            walls = tuple(reflect(a, wall) for a in walls)
-            rays = tuple(reflect(c, wall) for c in rays)
-        free = [c for a, c in zip(walls, rays) if vdot(a, self.x) > 0]
+        """(part, c) per u-weight w: c_i = coweight_i . w for each free
+        simple root i of q, a simple root of the positive system that x
+        orders first (simple_system with x) that pairs > 0 with x."""
+        simple, coweights = simple_system(
+            (w for _, w, _ in self.base.weight_entries() if not is_zero_vec(w)),
+            self.x,
+        )
+        free = [c for a, c in zip(simple, coweights) if vdot(a, self.x) > 0]
         return tuple(
             (part, tuple(vdot(c, w) for c in free))
             for part, w, _ in self.u_weights()
@@ -195,14 +196,17 @@ def enumerate_parabolics(
         raise UnsupportedQuery(
             f"rank {base.dim_t} exceeds the enumeration bound {max_rank}"
         )
+    simple, coweights = simple_system(
+        w for _, w, _ in base.weight_entries() if not is_zero_vec(w)
+    )
     k_positive = [
         w for w, _ in base.compact if dominant_only and lex_positive(w)
     ]
 
     # a chamber w.C is (its walls w.simple, its rays w.coweights), keyed
     # by the point w.rho inside it
-    start = vsum(base.frame[1], base.ambient_dim)
-    chambers = {start: base.frame}
+    start = vsum(coweights, base.ambient_dim)
+    chambers = {start: (simple, coweights)}
     todo = [start]
     while todo:
         point = todo.pop()
@@ -236,8 +240,8 @@ def is_symmetric_type(q: ThetaStableParabolic) -> bool:
     """Does some X' pair to 0 on Delta(l) and to 1 on all of Delta(u)?
 
     If so, the period-two inner automorphism attached to X' has fixed
-    algebra l, so l arises from a symmetric pair.  Such an X' is dominant
-    for the frame of q, so it is the sum of the free coweights.
+    algebra l, so l arises from a symmetric pair.  Such an X' pairs >= 0
+    with the simple roots of q, so it is the sum of the free coweights.
     """
     return all(sum(c) == 1 for _, c in q.free_coefficients)
 
@@ -248,11 +252,12 @@ def is_virtually_symmetric_type(q: ThetaStableParabolic) -> bool:
 
     That asks for an X' pairing to 0 on the Levi weights, 0 or 1 on the
     compact u-weights and 1 on the noncompact ones; X' induces the
-    coarsening, whose Levi is the fixed algebra of its involution.  X' is
-    dominant for the frame of q, so it is a sum of free coweights, at most
-    one per simple factor as the highest root of a factor lies in u.  So
-    each factor is tried with no free coweight and with each one alone:
-    at most 2 * rank candidates, each checked once on the u-weights.
+    coarsening, whose Levi is the fixed algebra of its involution.  X'
+    pairs >= 0 with the simple roots of q, so it is a sum of free
+    coweights, at most one per simple factor as the highest root of a
+    factor lies in u.  So each factor is tried with no free coweight and
+    with each one alone: at most 2 * rank candidates, each checked once on
+    the u-weights.
     """
     rows = q.free_coefficients
     free = range(len(rows[0][1]) if rows else 0)

@@ -21,8 +21,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
+from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -290,22 +290,26 @@ def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
 
     They are the rows of G^-1 B for the Gram matrix G = B B^T, read off
     one elimination of [G | I]: row i, divided by its pivot, holds the
-    coefficients of c_i.
+    coefficients of c_i.  B is the integer rows n_j with b_j = n_j / d_j,
+    and c_i is d_i times the dual vector of n_i.
     """
     if not basis:
         return ()
     k = len(basis)
+    cleared = [clear_denominators(b) for b in basis]
+    ints = [n for n, _ in cleared]
     gram = [
-        tuple(vdot(a, b) for b in basis) + e
-        for a, e in zip(basis, identity(k))
+        [sum(map(mul, a, b)) for b in ints] + [int(i == j) for j in range(k)]
+        for i, a in enumerate(ints)
     ]
     reduced, pivots = _echelon(gram)
     if pivots != list(range(k)):
         raise CertificateError("Gram matrix of independent rows is singular")
-    columns = list(zip(*basis))
+    columns = list(zip(*ints))
     return tuple(
-        tuple(vdot(row[k:], col) / row[i] for col in columns)
-        for i, row in enumerate(reduced)
+        tuple(Fraction(d * sum(map(mul, row[k:], col)), row[i])
+              for col in columns)
+        for i, (row, (_, d)) in enumerate(zip(reduced, cleared))
     )
 
 
@@ -433,11 +437,6 @@ class RootDatum:
         for w, m in self.noncompact:
             yield PART_NONCOMPACT, w, m
 
-    @cached_property
-    def frame(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        """simple_system of the nonzero weights, computed once."""
-        return simple_system(w for _, w, _ in self.weight_entries() if any(w))
-
     def in_torus(self, x: Vec) -> bool:
         return len(x) == self.ambient_dim and all(
             vdot(c, x) == 0 for c in self.t_constraints
@@ -515,46 +514,43 @@ def simple_system(
     """Simple roots and fundamental coweights of a set of nonzero weights.
 
     The shortest weight on each ray forms the reduced part.  Its positive
-    members pair > 0 with x, or 0 and are lexicographically positive, and
-    its indecomposable positives are the simple roots.  The reduced part
-    must be a root system: the simple reflections permute it with integral
-    Cartan numbers, and there are as many simple roots as its rank;
-    otherwise DatumError.  Coweight i pairs to 1 with simple root i and to
-    0 with the others, and lies in the span of the roots.  The work runs
-    on integer rows, the weights times one common denominator.
+    members pair > 0 with x, or to 0 and are lexicographically positive,
+    and its indecomposable positives are the simple roots.  The reduced
+    part must be a root system: the simple reflections permute it with
+    integral Cartan numbers, and there are as many simple roots as its
+    rank; otherwise DatumError.  Coweight i pairs to 1 with simple root i
+    and to 0 with the others, and lies in the span of the roots.  The work
+    runs on integer rows, the weights times one common denominator.
     """
     weights = list(weights)
     n = len(weights[0]) if weights else 0
     flat = clear_denominators(itertools.chain.from_iterable(weights))[0]
     rows = {tuple(flat[k * n:(k + 1) * n]): w for k, w in enumerate(weights)}
-
-    def dot(a, b) -> int:
-        return sum(s * t for s, t in zip(a, b))
-
-    # longest first, so the shortest row of each ray is stored last
-    roots = set({
-        tuple(primitive_ints(list(r))): r
-        for r in sorted(rows, key=lambda r: -dot(r, r))
-    }.values())
+    norm = {r: sum(map(mul, r, r)) for r in rows}
+    rays: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for r in rows:
+        rays.setdefault(tuple(primitive_ints(r)), []).append(r)
+    roots = {min(rs, key=norm.get) for rs in rays.values()}
     xs = clear_denominators(x)[0] if x is not None else [0] * n
-    positive = {
-        r for r in roots if (s := dot(xs, r)) > 0 or s == 0 and lex_positive(r)
-    }
-    simple = sorted(
-        a for a in positive if not any(vsub(a, b) in positive for b in positive)
-    )
+    positive = {r for r in roots if (s := sum(map(mul, xs, r))) > 0
+                or s == 0 and lex_positive(r)}
+    simple = sorted(a for a in positive
+                    if not any(tuple(map(sub, a, b)) in positive for b in positive))
     for a in simple:
         for r in roots:
-            cartan, rest = divmod(2 * dot(r, a), dot(a, a))
+            cartan, rest = divmod(2 * sum(map(mul, r, a)), norm[a])
             if rest or tuple(s - cartan * t for s, t in zip(r, a)) not in roots:
                 raise DatumError(
                     f"weights are not a root system: reflecting "
                     f"{format_vector(rows[r])} in {format_vector(rows[a])}"
                 )
-    if len(simple) != rank(list(roots)):
+    # the positives are sums of simple roots, so the roots span what the
+    # simple roots and the roots whose negative is missing span
+    lone = [r for r in roots if tuple(-t for t in r) not in roots]
+    if len(simple) != (k := rank(simple + lone)):
         raise DatumError(
             f"weights are not a root system: {len(simple)} simple roots "
-            f"for rank {rank(list(roots))}"
+            f"for rank {k}"
         )
     simple = tuple(rows[a] for a in simple)
     return simple, dual_basis(simple)
@@ -595,8 +591,8 @@ def _su_datum(p: int, q: int) -> RootDatum:
     )
 
 
-def _so_vector_weights(coords: list[int], ambient: int) -> list[Vec]:
-    """+-e_c for each c: the nonzero weights of the vector rep of so(n)."""
+def _so_vector_weights(size: int, coords: list[int], ambient: int) -> list[Vec]:
+    """Nonzero weights (with repetition) of the vector rep of so(size)."""
     out: list[Vec] = []
     for c in coords:
         for s in (1, -1):
@@ -614,7 +610,7 @@ def _so_root_list(size: int, coords: list[int], ambient: int) -> list[Vec]:
             w[a], w[b] = Fraction(sa), Fraction(sb)
             out.append(tuple(w))
     if size % 2 == 1:
-        out.extend(_so_vector_weights(coords, ambient))
+        out.extend(_so_vector_weights(size, coords, ambient))
     return out
 
 
@@ -629,10 +625,10 @@ def _so_datum(p: int, q: int) -> RootDatum:
     comp = _so_root_list(p, a_coords, ambient) + _so_root_list(q, b_coords, ambient)
     noncomp: list[tuple[Vec, int]] = []
     # p-part is the tensor product of the two vector representations
-    a_ws = _so_vector_weights(a_coords, ambient)
+    a_ws = _so_vector_weights(p, a_coords, ambient)
     if p % 2 == 1:
         a_ws.append(vzero(ambient))
-    b_ws = _so_vector_weights(b_coords, ambient)
+    b_ws = _so_vector_weights(q, b_coords, ambient)
     if q % 2 == 1:
         b_ws.append(vzero(ambient))
     for wa in a_ws:
@@ -680,10 +676,18 @@ def _sp_real_datum(n: int) -> RootDatum:
 
 
 def _sp_c_roots(coords: list[int], ambient: int) -> list[Vec]:
-    # the C roots: the D roots +-e_a +- e_b and the long roots +-2 e_a
-    return _so_root_list(2 * len(coords), coords, ambient) + [
-        vscale(2, w) for w in _so_vector_weights(coords, ambient)
-    ]
+    out: list[Vec] = []
+    for a, b in itertools.combinations(coords, 2):
+        for sa, sb in itertools.product((1, -1), repeat=2):
+            w = [Fraction(0)] * ambient
+            w[a], w[b] = Fraction(sa), Fraction(sb)
+            out.append(tuple(w))
+    for a in coords:
+        for s in (2, -2):
+            w = [Fraction(0)] * ambient
+            w[a] = Fraction(s)
+            out.append(tuple(w))
+    return out
 
 
 def _sp_pq_datum(p: int, q: int) -> RootDatum:

@@ -87,6 +87,20 @@ def in_span(v: Vec, rows: Sequence[Vec]) -> bool:
     return rank(base + [v]) == rank(base)
 
 
+def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
+    """The c_i in the span of the rows b_j with c_i . b_j = 1 if i == j and
+    0 otherwise: one solve against the Gram matrix per i."""
+    gram = [tuple(vdot(a, b) for b in basis) for a in basis]
+    coweights = []
+    for i in range(len(basis)):
+        g = solve_linear(gram, [Fraction(int(i == j)) for j in range(len(basis))])
+        coweights.append(tuple(
+            sum((c * a[k] for c, a in zip(g, basis)), Fraction(0))
+            for k in range(len(basis[0]))
+        ))
+    return tuple(coweights)
+
+
 def simple_system(weights) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """Simple roots of the lexicographic positive system of the shortest
     weight on each ray, and their dual basis in the span of the roots.
@@ -103,12 +117,4 @@ def simple_system(weights) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         if not any(tuple(x - y for x, y in zip(a, b)) in positive
                    for b in positive)
     )
-    gram = [tuple(vdot(a, b) for b in simple) for a in simple]
-    coweights = []
-    for i in range(len(simple)):
-        g = solve_linear(gram, [Fraction(int(i == j)) for j in range(len(simple))])
-        coweights.append(tuple(
-            sum((c * a[k] for c, a in zip(g, simple)), Fraction(0))
-            for k in range(len(simple[0]))
-        ))
-    return tuple(simple), tuple(coweights)
+    return tuple(simple), dual_basis(simple)

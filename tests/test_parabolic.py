@@ -26,7 +26,6 @@ from branchdec.root_core import (
     WeightMultiset,
     build_root_datum,
     lex_positive,
-    simple_system,
     vdot,
     vec,
     vneg,
@@ -409,19 +408,3 @@ def test_parabolic_module_makes_no_linear_solve():
         for alias in node.names
     }
     assert "solve_linear" not in called | imported
-
-
-def test_walked_frame_frees_the_coweights_of_the_frame_of_x():
-    # the walk from the base frame and simple_system with x may stop in
-    # different chambers around x, but both free the coweights of the
-    # rays of the face of x, so the coefficient columns agree as a set
-    cat = load_catalog()
-    for aid in cat.algebra_ids():
-        base = cat.algebra(aid)
-        weights = [w for _, w, _ in base.weight_entries() if any(w)]
-        for q in enumerate_parabolics(base):
-            simple, coweights = simple_system(weights, q.x)
-            free = [c for a, c in zip(simple, coweights) if vdot(a, q.x) > 0]
-            want = [[vdot(c, w) for _, w, _ in q.u_weights()] for c in free]
-            got = [list(col) for col in zip(*(c for _, c in q.free_coefficients))]
-            assert sorted(got) == sorted(want), (aid, q.x)
