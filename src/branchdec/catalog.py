@@ -1,10 +1,9 @@
 """Catalog files: algebras, pairs, integrity metadata.
 
-Each algebra file stores both a builder expression and the expanded
-datum; the bundle rebuilds from the expression and refuses silently
-edited files.  Pair files hold involution or embedding records keyed to
-a base algebra.  theta: and swap: pairs are synthesised on demand rather
-than stored.
+Each algebra file holds an id and a builder expression such as
+"su(2,2)"; the datum is built from the expression and validated.  Pair
+files hold involution or embedding records keyed to a base algebra.
+theta: and swap: pairs are synthesised on demand rather than stored.
 
 Loading checks the seal and decodes every file; each record is built
 and validated on its first access.
@@ -34,10 +33,10 @@ from .involution import (
 )
 from .root_core import (
     RootDatum,
-    Vec,
     WeightMultiset,
     build_root_datum,
     vec_from,
+    vector_strings,
 )
 
 CATALOG_VERSION = "1"
@@ -63,16 +62,12 @@ def default_catalog_dir() -> Path:
 # serialization shared by the loader and the generation tool
 
 
-def _ser_vec(v: Vec) -> list[str]:
-    return [str(c) for c in v]
-
-
 def _ser_rows(rows) -> list[list[str]]:
-    return [_ser_vec(r) for r in rows]
+    return [vector_strings(r) for r in rows]
 
 
 def _table_rows_to_json(rows: tuple[TableRow, ...]) -> list[dict]:
-    return [{"X": _ser_vec(r.x), "levi": r.levi} for r in rows]
+    return [{"X": vector_strings(r.x), "levi": r.levi} for r in rows]
 
 
 def _table_rows_from_json(items) -> tuple[TableRow, ...]:
@@ -80,9 +75,7 @@ def _table_rows_from_json(items) -> tuple[TableRow, ...]:
 
 
 def algebra_to_json(algebra_id: str, builder: str) -> dict:
-    datum = build_root_datum(builder)
-    datum = dataclasses.replace(datum, name=algebra_id)
-    return {"id": algebra_id, "builder": builder, "datum": datum.to_dict()}
+    return {"id": algebra_id, "builder": builder}
 
 
 def involution_to_json(inv: InvolutionData, base_id: str) -> dict:
@@ -93,7 +86,7 @@ def involution_to_json(inv: InvolutionData, base_id: str) -> dict:
         "label": inv.label,
         "matrix": _ser_rows(inv.matrix),
         "eps": [
-            {"part": p, "weight": _ser_vec(w), "sign": s}
+            {"part": p, "weight": vector_strings(w), "sign": s}
             for p, w, s in inv.eps
         ],
         "zero_weight_fixed_dim": inv.zero_weight_fixed_dim,
@@ -102,7 +95,7 @@ def involution_to_json(inv: InvolutionData, base_id: str) -> dict:
     }
     if inv.declared_restricted_positive is not None:
         out["declared_restricted_positive"] = [
-            {"weight": _ser_vec(w), "mult": m}
+            {"weight": vector_strings(w), "mult": m}
             for w, m in inv.declared_restricted_positive
         ]
     else:
@@ -205,10 +198,10 @@ def _field_errors(name: str):
 class CatalogBundle:
     """The decoded catalog files, keyed by id.
 
-    A record is built, compared with its builder or declared data and
-    validated on its first access, and kept on the bundle.  A record
-    that fails is not kept, so every access raises its CatalogError
-    again.  ``check_all`` builds every record.
+    A record is built, validated and, for a pair, compared with its
+    declared restricted roots on its first access, and kept on the
+    bundle.  A record that fails is not kept, so every access raises its
+    CatalogError again.  ``check_all`` builds every record.
     """
 
     root: Path
@@ -257,16 +250,11 @@ class CatalogBundle:
         except KeyError:
             raise UnknownIdError(f"unknown algebra id {algebra_id!r}") from None
         with _field_errors(name):
-            builder = str(rec["builder"])
-            stored = RootDatum.from_dict(rec["datum"])
-        rebuilt = dataclasses.replace(
-            build_root_datum(builder), name=algebra_id
-        )
-        if stored != rebuilt and not self.force:
-            raise CatalogError(
-                f"{name}: stored datum disagrees with builder {builder!r}"
+            datum = dataclasses.replace(
+                build_root_datum(str(rec["builder"])), name=algebra_id
             )
-        return stored
+            datum.validate()
+        return datum
 
     def _build_pair(self, pair_id: str) -> InvolutionData | EmbeddingRecord:
         name, rec = self.stored_pairs[pair_id]
@@ -316,9 +304,8 @@ def _load_json(path: Path) -> dict:
 def load_catalog(root: Path | None = None, force: bool = False) -> CatalogBundle:
     """Check the seal and index the catalog files; records build lazily.
 
-    With ``force`` a checksum mismatch, and on access a datum that
-    disagrees with its builder or a pair that fails validation or its
-    declared restricted roots, are let through.
+    With ``force`` a checksum mismatch, and on access a pair that fails
+    validation or its declared restricted roots, are let through.
     """
     root = Path(root) if root is not None else default_catalog_dir()
     if not root.is_dir():

@@ -45,7 +45,13 @@ from .parabolic import (
     is_symmetric_type,
     is_virtually_symmetric_type,
 )
-from .root_core import DatumError, parse_vector, vneg
+from .root_core import (
+    DatumError,
+    format_vector,
+    parse_vector,
+    vector_strings,
+    vneg,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,10 +67,10 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse takes any "-..." that is not a plain negative number for
-        # a flag; read a comma separated list of rationals such as
-        # "-1,3,-1,-1" or "-1/2,0" as a value too
+        # a flag; read a comma separated list of the rationals as_fraction
+        # accepts, such as "-1,3,-1,-1" or "-1/2,0", as a value too
         self._negative_number_matcher = re.compile(
-            r"^-\d*\.?\d+(/\d+)?(,-?\d*\.?\d+(/\d+)?)*$"
+            r"^-\d+(/\d+)?(,[+-]?\d+(/\d+)?)*$", re.ASCII
         )
 
     # argparse exits with its own code on bad flags; route through ours
@@ -118,14 +124,14 @@ def _pair_payload(pair) -> dict:
             "kind": "involution",
             "base": pair.base.name,
             "label": pair.label,
-            "matrix": [[str(c) for c in row] for row in pair.matrix],
+            "matrix": [vector_strings(row) for row in pair.matrix],
             "eps_entries": len(pair.eps),
             "zero_weight_fixed_dim": pair.zero_weight_fixed_dim,
             "dim_gprime": pair.dim_gprime,
             "dim_t_sigma": len(pair.t_sigma),
             "dim_t_minus_sigma": len(pair.t_minus_sigma),
             "table_rows": [
-                {"X": [str(c) for c in r.x], "levi": r.levi}
+                {"X": vector_strings(r.x), "levi": r.levi}
                 for r in pair.table_rows
             ],
         }
@@ -135,11 +141,11 @@ def _pair_payload(pair) -> dict:
         "kind": "embedding",
         "base": pair.base.name,
         "label": pair.label,
-        "tprime_rows": [[str(c) for c in row] for row in pair.tprime_rows],
+        "tprime_rows": [vector_strings(row) for row in pair.tprime_rows],
         "extra_zero_dim": pair.extra_zero_dim,
         "dim_gprime": pair.dim_gprime,
         "table_rows": [
-            {"X": [str(c) for c in r.x], "levi": r.levi}
+            {"X": vector_strings(r.x), "levi": r.levi}
             for r in pair.table_rows
         ],
     }
@@ -244,7 +250,7 @@ def cmd_classify(ns) -> int:
     for q in qs:
         cells = {c: _classify_cell(pair, q, c) for c in QUESTIONS}
         rows.append({
-            "X": ",".join(str(c) for c in q.x),
+            "X": format_vector(q.x),
             "dim_levi": q.dim_levi,
             "dim_u": q.dim_u,
             **cells,
@@ -273,9 +279,8 @@ def _verify_checks(cat: CatalogBundle, max_rank: int):
                     ok = t.answer and r.answer
                 except UnsupportedQuery as exc:
                     ok, deco_note = False, str(exc)
-                xs = ",".join(str(c) for c in x)
                 yield (
-                    f"table-row {pid} levi {row.levi} X={xs}",
+                    f"table-row {pid} levi {row.levi} X={format_vector(x)}",
                     ok,
                     deco_note,
                 )

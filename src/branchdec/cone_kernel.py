@@ -58,9 +58,6 @@ class Cone:
     def from_generators(gens: Sequence[Vec], dim: int) -> "Cone":
         return Cone(tuple(g for g in gens if not is_zero_vec(g)), (), dim)
 
-    def is_zero(self) -> bool:
-        return not self.generators and not self.lineality
-
 
 @dataclass(frozen=True)
 class MeetResult:

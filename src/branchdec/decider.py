@@ -35,6 +35,7 @@ from .root_core import (
     lex_positive,
     mat_apply,
     vadd,
+    vector_strings,
     vneg,
     vscale,
     vzero,
@@ -82,15 +83,11 @@ class Verdict:
         }
 
 
-def _fmt_vec(v: Vec) -> list[str]:
-    return [str(c) for c in v]
-
-
 def _inputs(pair: object, q: ThetaStableParabolic) -> dict:
     return {
         "pair": getattr(pair, "pair_id", None),
         "base": q.base.name,
-        "x": _fmt_vec(q.x),
+        "x": vector_strings(q.x),
     }
 
 
@@ -136,8 +133,8 @@ def _meet_witness(result: MeetResult) -> dict:
     if result.meets:
         return {
             "kind": "intersection-point",
-            "point": _fmt_vec(result.point),
-            "cone_coefficients": [str(c) for c in result.coefficients],
+            "point": vector_strings(result.point),
+            "cone_coefficients": vector_strings(result.coefficients),
         }
     return {"kind": "infeasibility-basis", "basis": list(result.basis)}
 
@@ -353,8 +350,8 @@ def rho_compat_check(pair, q: ThetaStableParabolic) -> Verdict:
         equivalents=(),
         witness={
             "kind": "rho-vectors",
-            "rho_u_restricted": _fmt_vec(restricted),
-            "rho_u_prime": _fmt_vec(rho_prime),
+            "rho_u_restricted": vector_strings(restricted),
+            "rho_u_prime": vector_strings(rho_prime),
         },
         inputs=_inputs(pair, q),
         criterion=(
@@ -372,7 +369,7 @@ def symmetric_type_verdict(q: ThetaStableParabolic) -> Verdict:
         answer=answer,
         equivalents=(),
         witness=None,
-        inputs={"base": q.base.name, "x": _fmt_vec(q.x)},
+        inputs={"base": q.base.name, "x": vector_strings(q.x)},
         criterion=(
             "some torus element pairs to 0 on the Levi weights and to 1 "
             "on the nilradical weights, so the Levi is a symmetric-pair "
@@ -390,7 +387,7 @@ def virtually_symmetric_verdict(q: ThetaStableParabolic) -> Verdict:
         answer=answer,
         equivalents=(),
         witness=None,
-        inputs={"base": q.base.name, "x": _fmt_vec(q.x)},
+        inputs={"base": q.base.name, "x": vector_strings(q.x)},
         criterion=(
             "some enlargement of q obtained by absorbing compact walls "
             "into the Levi has symmetric type"

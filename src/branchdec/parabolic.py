@@ -28,6 +28,7 @@ from .root_core import (
     reflect,
     simple_system,
     vdot,
+    vector_strings,
     vscale,
     vsum,
 )
@@ -71,9 +72,6 @@ class ThetaStableParabolic:
     def in_q(self, w: Vec) -> bool:
         return vdot(w, self.x) >= 0
 
-    def in_u(self, w: Vec) -> bool:
-        return vdot(w, self.x) > 0
-
     def in_levi(self, w: Vec) -> bool:
         return vdot(w, self.x) == 0
 
@@ -105,10 +103,6 @@ class ThetaStableParabolic:
     def dim_q(self) -> int:
         return self.dim_levi + self.dim_u
 
-    @property
-    def is_full_algebra(self) -> bool:
-        return self.dim_u == 0
-
     def u_weights(self) -> Iterator[tuple[str, Vec, int]]:
         for w, m in self.u_compact:
             yield PART_COMPACT, w, m
@@ -132,13 +126,13 @@ class ThetaStableParabolic:
 
     def describe(self) -> dict:
         return {
-            "X": [str(c) for c in self.x],
+            "X": vector_strings(self.x),
             "dim_levi": self.dim_levi,
             "dim_u": self.dim_u,
             "u_compact": self.u_compact.total(),
             "u_noncompact": self.u_noncompact.total(),
             "S": self.S,
-            "rho_u": [str(c) for c in self.rho_u],
+            "rho_u": vector_strings(self.rho_u),
         }
 
 

@@ -47,15 +47,22 @@ class CertificateError(RuntimeError):
 # scalars and vectors
 
 
+# the literals the program writes, 'p' or 'p/q' in decimal digits; no
+# decimal point and no exponent, whose power of ten Fraction would expand
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
 def as_fraction(x) -> Fraction:
-    """Coerce int, Fraction, or a 'p/q' string to Fraction."""
+    """Coerce int, Fraction, or a 'p' or 'p/q' string to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x.strip()):
+            raise DatumError(f"bad rational literal {x!r}")
         try:
-            return Fraction(x.strip())
+            return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise DatumError(f"bad rational literal {x!r}") from exc
     raise DatumError(f"cannot interpret {x!r} as a rational number")
@@ -179,8 +186,13 @@ def parse_vector(text: str, expect_dim: int | None = None) -> Vec:
     return v
 
 
+def vector_strings(a: Iterable) -> list[str]:
+    """The entries as the literals parse_vector reads, e.g. ['1/2', '-1']."""
+    return [str(x) for x in a]
+
+
 def format_vector(a: Vec) -> str:
-    return ",".join(str(x) for x in a)
+    return ",".join(vector_strings(a))
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +435,6 @@ class RootDatum:
         return self.ambient_dim - rank(list(self.t_constraints))
 
     @property
-    def equal_rank(self) -> bool:
-        # t is a Cartan of g exactly when nothing in p commutes with it
-        return self.noncompact.zero_mult() == 0
-
-    @property
     def dim_k(self) -> int:
         return self.dim_t + self.compact.total()
 
@@ -466,42 +473,6 @@ class RootDatum:
             raise DatumError(
                 f"{self.name}: dim bookkeeping {expect} != declared {self.dim_g}"
             )
-
-    # -- serialisation ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        def ser_ws(ws: WeightMultiset) -> list[dict]:
-            return [
-                {"weight": [str(x) for x in w], "mult": m} for w, m in ws.entries
-            ]
-
-        return {
-            "name": self.name,
-            "ambient_dim": self.ambient_dim,
-            "t_constraints": [[str(x) for x in c] for c in self.t_constraints],
-            "compact": ser_ws(self.compact),
-            "noncompact": ser_ws(self.noncompact),
-            "dim_g": self.dim_g,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RootDatum":
-        try:
-            name = d["name"]
-            ambient = int(d["ambient_dim"])
-            cons = tuple(vec_from(c) for c in d["t_constraints"])
-            compact = WeightMultiset.of(
-                (vec_from(e["weight"]), int(e["mult"])) for e in d["compact"]
-            )
-            noncompact = WeightMultiset.of(
-                (vec_from(e["weight"]), int(e["mult"])) for e in d["noncompact"]
-            )
-            dim_g = int(d["dim_g"])
-        except (KeyError, TypeError) as exc:
-            raise DatumError(f"malformed root datum record: {exc}") from exc
-        datum = RootDatum(name, ambient, cons, compact, noncompact, dim_g)
-        datum.validate()
-        return datum
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 from branchdec.catalog import (
     CatalogError,
     UnknownIdError,
-    algebra_to_json,
     catalog_files,
     compute_checksum,
     default_catalog_dir,
@@ -124,14 +123,6 @@ def test_stored_pairs_kinds():
 # serialization round trips
 
 
-def test_algebra_json_round_trip():
-    rec = algebra_to_json("su(2,2)", "su(2,2)")
-    assert rec["id"] == "su(2,2)"
-    restored = RootDatum.from_dict(rec["datum"])
-    assert restored.name == "su(2,2)"
-    assert restored.dim_g == 15
-
-
 def test_involution_json_round_trip():
     cat = load_catalog()
     for pid in cat.pair_ids():
@@ -214,20 +205,20 @@ def test_resealed_edit_fails_validation(tmp_path, capsys):
     _verify_fails(capsys, root, "fixed-dimension-bookkeeping")
 
 
-def test_resealed_algebra_edit_fails_rebuild_comparison(tmp_path, capsys):
+def test_resealed_unknown_or_missing_builder_is_refused(tmp_path, capsys):
     root = _copy(tmp_path)
-
-    def rescale_constraint(rec):
-        # still a valid datum on its own, but not what the builder makes
-        rec["datum"]["t_constraints"] = [["2", "2", "2", "2"]]
-
-    _edit(root / "algebras" / "su_2_2_.json", rescale_constraint)
+    victim = root / "algebras" / "su_2_2_.json"
+    _edit(victim, lambda rec: rec.update(builder="su(2,2"))
     _reseal(root)
-    cat = load_catalog(root)
-    with pytest.raises(CatalogError, match="disagrees with builder"):
-        cat.algebra("su(2,2)")
-    _verify_fails(capsys, root, "disagrees with builder")
-    assert load_catalog(root, force=True).algebra("su(2,2)") is not None
+    with pytest.raises(CatalogError, match="su_2_2_.json: malformed field"):
+        load_catalog(root).algebra("su(2,2)")
+    _verify_fails(capsys, root, "su_2_2_.json: malformed field")
+
+    _edit(victim, lambda rec: rec.pop("builder"))
+    _reseal(root)
+    with pytest.raises(CatalogError, match="missing field 'builder'"):
+        load_catalog(root).algebra("su(2,2)")
+    _verify_fails(capsys, root, "su_2_2_.json: missing field 'builder'")
 
 
 def test_declared_restricted_comparison(tmp_path, capsys):
@@ -282,7 +273,7 @@ def test_unknown_pair_kind(tmp_path):
          lambda rec: rec.update(zero_weight_fixed_dim="x"),
          lambda cat: cat.pair("(so(4),so(3))")),
         ("algebras", "su_2_2_.json",
-         lambda rec: rec["datum"].update(ambient_dim="x"),
+         lambda rec: rec.update(builder=["su(2,2)"]),
          lambda cat: cat.algebra("su(2,2)")),
     ],
     ids=["pair", "algebra"],

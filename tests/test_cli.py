@@ -126,28 +126,6 @@ def test_one_parser_serves_every_command(capsys):
         EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_USAGE, EXIT_OK]
 
 
-def test_symmetric_questions_refuse_a_forced_datum_that_is_no_root_system(
-    tmp_path, capsys
-):
-    # with --force a stored datum may disagree with its builder; weights
-    # +-(1,0), +-(1,1) admit no Weyl group, so symtype and virtsym refuse
-    root = tmp_path / "cat"
-    shutil.copytree(DATA_DIR, root)
-    victim = root / "algebras" / "so_4_.json"
-    rec = json.loads(victim.read_text())
-    rec["datum"]["compact"] = [
-        {"weight": list(w), "mult": 1}
-        for w in (["1", "0"], ["-1", "0"], ["1", "1"], ["-1", "-1"])
-    ]
-    victim.write_text(json.dumps(rec))
-    code = main(["parabolic", "--catalog", str(root), "--force",
-                 "--algebra", "so(4)", "--X", "1,0"])
-    captured = capsys.readouterr()
-    assert code == EXIT_USAGE
-    assert "not a root system" in captured.err
-    assert captured.out == ""
-
-
 def test_negative_leading_x_is_a_value(capsys):
     # argparse reads "-1,..." as an unknown flag unless told otherwise
     for x in ("-1,3,-1,-1", "-1/2,3/2,-1/2,-1/2"):
@@ -158,6 +136,22 @@ def test_negative_leading_x_is_a_value(capsys):
         assert code == EXIT_OK, capsys.readouterr().err
         payload = json.loads(capsys.readouterr().out)
         assert payload["inputs"]["x"] == x.split(",")
+
+
+def test_x_takes_only_integer_and_fraction_literals(capsys):
+    # an exponent is refused before Fraction can expand its power of ten;
+    # a decimal point is refused too, and argparse reads "-0.5,..." as a flag
+    for flag in ("--X=1e1000000,0,0,-1e1000000", "--X=0.5,-0.5,0,0"):
+        code = main(["check", "--pair", "(su(2,2),sp(2,R))", flag,
+                     "--question", "deco"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "bad rational literal" in captured.err
+        assert captured.out == ""
+    code = main(["check", "--pair", "(su(2,2),sp(2,R))",
+                 "--X", "-0.5,0.5,0,0", "--question", "deco"])
+    assert code == EXIT_USAGE
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_tampered_catalog_is_refused(tmp_path, capsys):

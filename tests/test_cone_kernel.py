@@ -243,7 +243,8 @@ def test_cone_rejects_zero_and_mismatched_vectors():
         Cone((), (vzero(3),), 3)
     c = Cone.from_generators([vec(1, 0), vzero(2)], 2)
     assert c.generators == (vec(1, 0),)
-    assert Cone.from_generators([], 2).is_zero()
+    zero = Cone.from_generators([], 2)
+    assert (zero.generators, zero.lineality) == ((), ())
 
 
 def test_pointedness_certificate_is_checked():
