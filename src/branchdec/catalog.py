@@ -5,8 +5,8 @@ Each algebra file holds an id and a builder expression such as
 files hold involution or embedding records keyed to a base algebra.
 theta: and swap: pairs are synthesised on demand rather than stored.
 
-Loading checks the seal and decodes every file; each record is built
-and validated on its first access.
+Loading reads each file once, checks the seal on its bytes and decodes
+the same bytes; each record is built and validated on its first access.
 """
 
 from __future__ import annotations
@@ -162,14 +162,25 @@ def catalog_files(root: Path) -> list[Path]:
     return files
 
 
-def compute_checksum(root: Path) -> str:
+def read_catalog_files(root: Path) -> list[tuple[Path, bytes]]:
+    """(path, bytes) of every record file, read once, in catalog_files
+    order."""
+    return [(path, path.read_bytes()) for path in catalog_files(root)]
+
+
+def seal(files: list[tuple[Path, bytes]]) -> str:
+    """The checksum of the record files read by read_catalog_files."""
     h = hashlib.sha256()
-    for path in catalog_files(root):
+    for path, raw in files:
         h.update(path.name.encode())
         h.update(b"\0")
-        h.update(path.read_bytes())
+        h.update(raw)
         h.update(b"\0")
     return h.hexdigest()
+
+
+def compute_checksum(root: Path) -> str:
+    return seal(read_catalog_files(root))
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +305,11 @@ class CatalogBundle:
         return build_swap_involution(base, half)
 
 
-def _load_json(path: Path) -> dict:
+def _decode_json(name: str, raw: bytes) -> dict:
     try:
-        return json.loads(path.read_text())
+        return json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise CatalogError(f"{path.name}: invalid JSON: {exc}") from exc
+        raise CatalogError(f"{name}: invalid JSON: {exc}") from exc
 
 
 def load_catalog(root: Path | None = None, force: bool = False) -> CatalogBundle:
@@ -314,37 +325,45 @@ def load_catalog(root: Path | None = None, force: bool = False) -> CatalogBundle
     meta_path = root / "meta.json"
     if not meta_path.is_file():
         raise CatalogError(f"{root}: missing meta.json")
-    meta = _load_json(meta_path)
-    actual = compute_checksum(root)
+    meta = _decode_json(meta_path.name, meta_path.read_bytes())
+    files = read_catalog_files(root)
+    actual = seal(files)
     if actual != str(meta.get("checksum", "")) and not force:
         raise CatalogError(
             "catalog checksum mismatch: files were edited without "
             "regenerating meta.json (use force to load anyway)"
         )
-    return index_catalog(root, str(meta.get("version", "")), actual, force)
+    return index_catalog(
+        root, files, str(meta.get("version", "")), actual, force
+    )
 
 
 def index_catalog(
-    root: Path, version: str, checksum: str, force: bool
+    root: Path,
+    files: list[tuple[Path, bytes]],
+    version: str,
+    checksum: str,
+    force: bool,
 ) -> CatalogBundle:
-    """Decode every record file and key it by id, building no record.
+    """Decode the record files read by read_catalog_files and key each by
+    id, building no record.
 
     Invalid JSON, a missing or mistyped id, kind or base, an unknown
     pair kind, a base that is not catalogued and a duplicate id are
     refused here; everything else waits for the record's first access.
     """
     algebras: dict[str, RecordFile] = {}
-    for path in sorted((root / "algebras").glob("*.json")):
-        rec = _load_json(path)
-        with _field_errors(path.name):
-            algebra_id = str(rec["id"])
-        if algebra_id in algebras:
-            raise CatalogError(f"duplicate algebra id {algebra_id!r}")
-        algebras[algebra_id] = RecordFile(path.name, rec)
-
     pairs: dict[str, RecordFile] = {}
-    for path in sorted((root / "pairs").glob("*.json")):
-        rec = _load_json(path)
+    # catalog_files lists every algebra before the first pair
+    for path, raw in files:
+        rec = _decode_json(path.name, raw)
+        if path.parent.name == "algebras":
+            with _field_errors(path.name):
+                algebra_id = str(rec["id"])
+            if algebra_id in algebras:
+                raise CatalogError(f"duplicate algebra id {algebra_id!r}")
+            algebras[algebra_id] = RecordFile(path.name, rec)
+            continue
         with _field_errors(path.name):
             pair_id = str(rec["id"])
             kind = str(rec["kind"])

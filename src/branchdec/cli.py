@@ -38,7 +38,6 @@ from .involution import (
     build_theta_involution,
 )
 from .parabolic import (
-    DEFAULT_MAX_RANK,
     UnsupportedQuery,
     build_parabolic,
     enumerate_parabolics,
@@ -186,9 +185,7 @@ def cmd_parabolic(ns) -> int:
     cat = _load(ns)
     base = cat.algebra(ns.algebra)
     if ns.enumerate:
-        qs = enumerate_parabolics(
-            base, dominant_only=ns.dominant, max_rank=ns.max_rank
-        )
+        qs = enumerate_parabolics(base, dominant_only=ns.dominant)
         if ns.format == "json":
             print(_dump_json([q.describe() for q in qs]))
             return EXIT_OK
@@ -243,9 +240,7 @@ def _classify_cell(pair, q, question: str) -> str:
 def cmd_classify(ns) -> int:
     cat = _load(ns)
     pair = cat.pair(ns.pair)
-    qs = enumerate_parabolics(
-        pair.base, dominant_only=True, max_rank=ns.max_rank
-    )
+    qs = enumerate_parabolics(pair.base, dominant_only=True)
     rows = []
     for q in qs:
         cells = {c: _classify_cell(pair, q, c) for c in QUESTIONS}
@@ -265,7 +260,7 @@ def cmd_classify(ns) -> int:
     return EXIT_OK
 
 
-def _verify_checks(cat: CatalogBundle, max_rank: int):
+def _verify_checks(cat: CatalogBundle):
     """Yield (name, passed, detail) triples; order is deterministic."""
     for pid in cat.pair_ids():
         pair = cat.pair(pid)
@@ -289,7 +284,7 @@ def _verify_checks(cat: CatalogBundle, max_rank: int):
         if base.dim_t > 3:
             continue
         theta = build_theta_involution(base)
-        qs = enumerate_parabolics(base, max_rank=max_rank)
+        qs = enumerate_parabolics(base)
         bad = 0
         for q in qs:
             if not discretely_decomposable(theta, q).answer:
@@ -311,7 +306,7 @@ def cmd_verify(ns) -> int:
         return 1
     print("catalog-integrity: PASS")
     total, failed = 1, 0
-    checks = _verify_checks(cat, ns.max_rank)
+    checks = _verify_checks(cat)
     while True:
         # time the lazy production of the next check, not just the print
         t0 = time.monotonic()
@@ -370,7 +365,6 @@ def build_arg_parser() -> _Parser:
                    help="defining element, comma separated rationals")
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--dominant", action="store_true")
-    p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
     p.set_defaults(func=cmd_parabolic)
 
     p = sub.add_parser("check", help="answer one question for one parabolic")
@@ -384,12 +378,10 @@ def build_arg_parser() -> _Parser:
                        help="all questions for all dominant parabolics")
     common(p)
     p.add_argument("--pair", required=True)
-    p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run the catalog verification report")
     common(p)
-    p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .cone_kernel import Cone, MeetResult, cone_meets_subspace, cones_meet
 from .involution import (
@@ -29,6 +30,7 @@ from .parabolic import (
     is_virtually_symmetric_type,
 )
 from .root_core import (
+    PART_NONCOMPACT,
     CertificateError,
     Vec,
     is_zero_vec,
@@ -103,7 +105,7 @@ def _require_involution(pair: object, q: ThetaStableParabolic) -> InvolutionData
 
 
 def _verify_point(
-    gens: list[Vec], result: MeetResult, subspace_rows: list[Vec]
+    gens: list[Vec], result: MeetResult, subspace_rows: Sequence[Vec]
 ) -> None:
     # substitution check: the claimed point really is a conic combination
     # and really lies in the claimed subspace
@@ -121,7 +123,7 @@ def _verify_point(
 
 
 def _subspace_meet(
-    cone: Cone, gens: list[Vec], subspace: list[Vec], x: Vec
+    cone: Cone, gens: list[Vec], subspace: Sequence[Vec], x: Vec
 ) -> MeetResult:
     result = cone_meets_subspace(cone, subspace, x)
     if result.meets:
@@ -140,7 +142,7 @@ def _meet_witness(result: MeetResult) -> dict:
 
 
 def _noncompact_cone(q: ThetaStableParabolic) -> tuple[Cone, list[Vec]]:
-    gens = [w for w, _ in q.u_noncompact]
+    gens = [w for part, w, _ in q.u_weights() if part == PART_NONCOMPACT]
     return Cone.from_generators(gens, q.base.ambient_dim), gens
 
 
@@ -155,7 +157,7 @@ def discretely_decomposable(
     inv = _require_involution(pair, q)
     ensure_valid(inv)
     cone, gens = _noncompact_cone(q)
-    subspace = inv.t_minus_sigma_basis()
+    subspace = inv.t_minus_sigma
     result = _subspace_meet(cone, gens, subspace, q.x)
     notes = [_SCOPE_NOTE]
     if not gens:
@@ -193,7 +195,7 @@ def admissible_sufficient(
     ensure_valid(inv)
     chamber = momentum_chamber(inv)
     cone, gens = _noncompact_cone(q)
-    subspace = inv.t_minus_sigma_basis()
+    subspace = inv.t_minus_sigma
     result = cones_meet(cone, chamber, q.x)
     if result.meets:
         # the chamber lies in t^{-sigma}, so its point settles the

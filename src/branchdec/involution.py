@@ -169,12 +169,6 @@ class InvolutionData:
     def eps_of(self, part: str, w: Vec) -> int | None:
         return self.eps_signs.get((part, w))
 
-    def t_sigma_basis(self) -> list[Vec]:
-        return list(self.t_sigma)
-
-    def t_minus_sigma_basis(self) -> list[Vec]:
-        return list(self.t_minus_sigma)
-
     def _eigenbasis(self, sign: Fraction) -> tuple[Vec, ...]:
         n = self.base.ambient_dim
         eye = identity(n)
@@ -204,16 +198,11 @@ class InvolutionData:
     def dim_g_sigma(self) -> int:
         pairs, plus, _ = self.fixed_pair_counts()
         return (
-            len(self.t_sigma_basis())
+            len(self.t_sigma)
             + self.zero_weight_fixed_dim
             + pairs
             + plus
         )
-
-    def dim_g_minus_sigma(self) -> int:
-        pairs, _, minus = self.fixed_pair_counts()
-        zminus = self.base.noncompact.zero_mult() - self.zero_weight_fixed_dim
-        return len(self.t_minus_sigma_basis()) + zminus + pairs + minus
 
 
 def validate_involution(inv: InvolutionData) -> ValidationReport:

@@ -18,10 +18,8 @@ from typing import Iterator
 from .root_core import (
     DatumError,
     PART_COMPACT,
-    PART_NONCOMPACT,
     RootDatum,
     Vec,
-    WeightMultiset,
     is_zero_vec,
     lex_positive,
     primitive_vector,
@@ -51,14 +49,15 @@ def _sign(x: Fraction) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ThetaStableParabolic:
-    """q = l + u determined by X; identity is the weight partition, not X."""
+    """q = l + u determined by X; identity is the weight partition, not X.
+
+    The partition is the signature: the sign of w . X for each entry w of
+    base.weight_entries(), in that order.  Sign +1 puts w in u, 0 in the
+    Levi part l.
+    """
 
     base: RootDatum
     x: Vec
-    levi_compact: WeightMultiset
-    levi_noncompact: WeightMultiset
-    u_compact: WeightMultiset
-    u_noncompact: WeightMultiset
     signature: tuple[int, ...]
 
     def __eq__(self, other) -> bool:
@@ -85,18 +84,18 @@ class ThetaStableParabolic:
 
     @property
     def S(self) -> int:
-        return self.u_compact.total()
+        return sum(m for part, _, m in self.u_weights() if part == PART_COMPACT)
 
     @property
     def dim_u(self) -> int:
-        return self.u_compact.total() + self.u_noncompact.total()
+        return sum(m for _, _, m in self.u_weights())
 
     @property
     def dim_levi(self) -> int:
-        return (
-            self.base.dim_t
-            + self.levi_compact.total()
-            + self.levi_noncompact.total()
+        return self.base.dim_t + sum(
+            m
+            for (_, _, m), s in zip(self.base.weight_entries(), self.signature)
+            if s == 0
         )
 
     @property
@@ -104,10 +103,11 @@ class ThetaStableParabolic:
         return self.dim_levi + self.dim_u
 
     def u_weights(self) -> Iterator[tuple[str, Vec, int]]:
-        for w, m in self.u_compact:
-            yield PART_COMPACT, w, m
-        for w, m in self.u_noncompact:
-            yield PART_NONCOMPACT, w, m
+        """(part, w, m) for the weights of u, compact ones first, each part
+        in the canonical order of the base datum."""
+        for entry, s in zip(self.base.weight_entries(), self.signature):
+            if s > 0:
+                yield entry
 
     @cached_property
     def free_coefficients(self) -> tuple[tuple[str, Vec], ...]:
@@ -129,8 +129,8 @@ class ThetaStableParabolic:
             "X": vector_strings(self.x),
             "dim_levi": self.dim_levi,
             "dim_u": self.dim_u,
-            "u_compact": self.u_compact.total(),
-            "u_noncompact": self.u_noncompact.total(),
+            "u_compact": self.S,
+            "u_noncompact": self.dim_u - self.S,
             "S": self.S,
             "rho_u": vector_strings(self.rho_u),
         }
@@ -145,25 +145,8 @@ def build_parabolic(base: RootDatum, x: Vec) -> ThetaStableParabolic:
         )
     if not base.in_torus(x):
         raise DatumError("defining element violates the torus constraints")
-    levi = {PART_COMPACT: [], PART_NONCOMPACT: []}
-    upper = {PART_COMPACT: [], PART_NONCOMPACT: []}
-    signature = []
-    for part, w, m in base.weight_entries():
-        s = _sign(vdot(w, x))
-        signature.append(s)
-        if s == 0:
-            levi[part].append((w, m))
-        elif s > 0:
-            upper[part].append((w, m))
-    return ThetaStableParabolic(
-        base,
-        x,
-        WeightMultiset.of(levi[PART_COMPACT]),
-        WeightMultiset.of(levi[PART_NONCOMPACT]),
-        WeightMultiset.of(upper[PART_COMPACT]),
-        WeightMultiset.of(upper[PART_NONCOMPACT]),
-        tuple(signature),
-    )
+    signature = tuple(_sign(vdot(w, x)) for _, w, _ in base.weight_entries())
+    return ThetaStableParabolic(base, x, signature)
 
 
 # ---------------------------------------------------------------------------
@@ -171,25 +154,28 @@ def build_parabolic(base: RootDatum, x: Vec) -> ThetaStableParabolic:
 
 
 def enumerate_parabolics(
-    base: RootDatum,
-    dominant_only: bool = False,
-    max_rank: int = DEFAULT_MAX_RANK,
+    base: RootDatum, dominant_only: bool = False
 ) -> list[ThetaStableParabolic]:
     """One parabolic per face of the arrangement {w . X = 0}.
 
     The faces are the Weyl-group images w.F_J of the standard faces: the
     walk crosses chamber walls by reflections, and each chamber w.C gives
-    X = sum over i not in J of w.coweight_i for each set J of simple
-    roots, scaled to coprime integers.  With dominant_only the walk stays
-    in the chambers inside the dominant chamber of the lexicographic
-    positive system of Delta(k,t), which picks K-conjugacy
-    representatives.  Output order is the canonical signature order, so
-    runs are reproducible.
+    X = sum over i not in J of w.coweight_i, scaled to coprime integers.
+    Each face is built once, from its minimal chamber: the coset wW_J has
+    one element w with w.alpha_j > 0 for every j in J, and every element
+    gives the same X, as W_J fixes the coweights outside J.  With
+    dominant_only the walk stays in the chambers inside the dominant
+    chamber of the lexicographic positive system of Delta(k,t), which
+    picks K-conjugacy representatives; the minimal chamber of a face in
+    its closure lies inside too.  Output order is the canonical signature
+    order, so runs are reproducible.
     """
-    if base.dim_t > max_rank:
+    if base.dim_t > DEFAULT_MAX_RANK:
         raise UnsupportedQuery(
-            f"rank {base.dim_t} exceeds the enumeration bound {max_rank}"
+            f"rank {base.dim_t} exceeds the enumeration bound "
+            f"{DEFAULT_MAX_RANK}"
         )
+    n = base.ambient_dim
     simple, coweights = simple_system(
         w for _, w, _ in base.weight_entries() if not is_zero_vec(w)
     )
@@ -198,8 +184,9 @@ def enumerate_parabolics(
     ]
 
     # a chamber w.C is (its walls w.simple, its rays w.coweights), keyed
-    # by the point w.rho inside it
-    start = vsum(coweights, base.ambient_dim)
+    # by the point w.rho inside it; a root is positive iff it pairs > 0
+    # with the starting point rho
+    start = vsum(coweights, n)
     chambers = {start: (simple, coweights)}
     todo = [start]
     while todo:
@@ -215,13 +202,15 @@ def enumerate_parabolics(
             )
             todo.append(key)
 
-    points = {
-        primitive_vector(vsum(face_rays, base.ambient_dim))
-        for _, rays in chambers.values()
-        for r in range(len(rays) + 1)
-        for face_rays in itertools.combinations(rays, r)
-    }
-    out = [build_parabolic(base, x) for x in points]
+    out = []
+    for walls, rays in chambers.values():
+        positive = [i for i, a in enumerate(walls) if vdot(a, start) > 0]
+        for r in range(len(positive) + 1):
+            for on_walls in itertools.combinations(positive, r):
+                x = vsum(
+                    (c for i, c in enumerate(rays) if i not in on_walls), n
+                )
+                out.append(build_parabolic(base, primitive_vector(x)))
     out.sort(key=lambda q: q.signature)
     return out
 

@@ -21,6 +21,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
@@ -389,11 +390,12 @@ class WeightMultiset:
     def total(self) -> int:
         return sum(m for _, m in self.entries)
 
+    @cached_property
+    def _index(self) -> dict[Vec, int]:
+        return dict(self.entries)
+
     def mult(self, w: Vec) -> int:
-        for v, m in self.entries:
-            if v == w:
-                return m
-        return 0
+        return self._index.get(w, 0)
 
     def support(self) -> tuple[Vec, ...]:
         return tuple(w for w, _ in self.entries)

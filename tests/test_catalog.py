@@ -5,6 +5,7 @@ import importlib.util
 import json
 import re
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,29 @@ def test_invalid_json_reported_with_filename(tmp_path):
     _reseal(root)
     with pytest.raises(CatalogError, match="invalid JSON"):
         load_catalog(root)
+
+
+def test_seal_is_checked_before_json_is_decoded(tmp_path):
+    root = _copy(tmp_path)
+    (root / "pairs" / "_so_4__so_3__.json").write_text("{not json")
+    with pytest.raises(CatalogError, match="checksum mismatch"):
+        load_catalog(root)
+    with pytest.raises(CatalogError, match="invalid JSON"):
+        load_catalog(root, force=True)
+
+
+def test_load_reads_each_catalog_file_once(monkeypatch):
+    reads = Counter()
+    for method in ("read_bytes", "read_text"):
+        def counted(self, *args, _read=getattr(Path, method), **kwargs):
+            reads[self.name] += 1
+            return _read(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, method, counted)
+    load_catalog(DATA_DIR)
+    names = [path.name for path in catalog_files(DATA_DIR)]
+    assert len(names) == 21
+    assert reads == Counter(names + ["meta.json"])
 
 
 def test_unknown_pair_kind(tmp_path):

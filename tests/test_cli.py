@@ -87,6 +87,19 @@ def test_exit_code_usage_errors(capsys):
     assert "parabolic needs --X (or --enumerate)" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify"],
+    ["parabolic", "--algebra", "su(2,2)", "--enumerate"],
+    ["classify", "--pair", "(su(2,2),sp(2,R))"],
+])
+def test_max_rank_is_not_an_option(capsys, command):
+    # the enumeration bound is the constant DEFAULT_MAX_RANK, not an option
+    assert main([*command, "--max-rank", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --max-rank 1" in captured.err
+
+
 def test_exit_code_bad_question_value(capsys):
     code = main(
         ["check", "--pair", "(su(2,2),sp(2,R))", "--X", "3,-1,-1,-1",

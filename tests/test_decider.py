@@ -41,6 +41,7 @@ from branchdec.root_core import (
     build_root_datum,
     in_span,
     vadd,
+    vdot,
     vec,
     vneg,
     vscale,
@@ -138,12 +139,12 @@ def test_deco_swap_pair_frozen_witness():
     }
     # re-derive the point from the coefficients and the stored generators
     q = _q(pair, vec(1, -1))
-    gens = [w for w, _ in q.u_noncompact]
+    gens = [w for w, _ in q.base.noncompact if vdot(w, q.x) > 0]
     point = vzero(2)
     for c, g in zip((F(1, 2), F(1, 2)), gens):
         point = vadd(point, vscale(c, g))
     assert point == vec(1, -1)
-    assert in_span(point, pair.t_minus_sigma_basis())
+    assert in_span(point, pair.t_minus_sigma)
 
 
 def test_deco_so32_borel_frozen_witness():

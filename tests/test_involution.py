@@ -72,12 +72,20 @@ def test_theta_involution_su22():
     assert inv.pair_id == "theta:su(2,2)"
     assert validate_involution(inv).ok
     assert inv.dim_gprime == base.dim_k == 7
-    assert len(inv.t_sigma_basis()) == 3
-    assert inv.t_minus_sigma_basis() == []
+    assert len(inv.t_sigma) == 3
+    assert inv.t_minus_sigma == ()
     system = restricted_roots(inv)
     assert system.roots.total() == 0
     chamber = momentum_chamber(inv)
     assert (chamber.generators, chamber.lineality) == ((), ())
+
+
+def _dim_g_minus_sigma(inv):
+    # t^{-sigma}, the zero weights of p that sigma negates, one vector per
+    # pair {w, sigma w} and the fixed weights with eps -1
+    pairs, _, minus = inv.fixed_pair_counts()
+    zminus = inv.base.noncompact.zero_mult() - inv.zero_weight_fixed_dim
+    return len(inv.t_minus_sigma) + zminus + pairs + minus
 
 
 def test_theta_dimension_split_on_all_catalog_algebras():
@@ -86,7 +94,7 @@ def test_theta_dimension_split_on_all_catalog_algebras():
         inv = build_theta_involution(base)
         assert validate_involution(inv).ok, name
         assert inv.dim_g_sigma() == base.dim_k
-        assert inv.dim_g_sigma() + inv.dim_g_minus_sigma() == base.dim_g
+        assert inv.dim_g_sigma() + _dim_g_minus_sigma(inv) == base.dim_g
         chamber = momentum_chamber(inv)
         assert (chamber.generators, chamber.lineality) == ((), ())
 
@@ -97,8 +105,8 @@ def test_swap_involution_doubled_su11():
     inv = build_swap_involution(base, half)
     assert validate_involution(inv).ok
     assert inv.dim_gprime == 3
-    tplus = inv.t_sigma_basis()
-    tminus = inv.t_minus_sigma_basis()
+    tplus = inv.t_sigma
+    tminus = inv.t_minus_sigma
     assert len(tplus) == 1 and in_span(vec(1, 1), tplus)
     assert len(tminus) == 1 and in_span(vec(1, -1), tminus)
     # no compact roots, so the chamber is the whole antidiagonal line
@@ -123,10 +131,10 @@ def test_sp2r_pair_structure():
     inv = _pair("(su(2,2),sp(2,R))")
     assert validate_involution(inv).ok
     assert inv.dim_gprime == 10
-    assert inv.dim_g_sigma() + inv.dim_g_minus_sigma() == 15
+    assert inv.dim_g_sigma() + _dim_g_minus_sigma(inv) == 15
 
-    tplus = inv.t_sigma_basis()
-    tminus = inv.t_minus_sigma_basis()
+    tplus = inv.t_sigma
+    tminus = inv.t_minus_sigma
     assert len(tplus) == 2 and len(tminus) == 1
     assert in_span(vec(1, 0, -1, 0), tplus) and in_span(vec(0, 1, 0, -1), tplus)
     assert in_span(vec(1, -1, 1, -1), tminus)
@@ -187,7 +195,7 @@ def test_momentum_chamber_lives_in_tminus_and_is_dominant():
         pair = _pair(pid)
         if not isinstance(pair, InvolutionData):
             continue
-        tminus = pair.t_minus_sigma_basis()
+        tminus = pair.t_minus_sigma
         system = restricted_roots(pair)
         chamber = momentum_chamber(pair)
         for v in chamber.generators + chamber.lineality:
@@ -449,9 +457,8 @@ def _assert_involution_caches_fresh(inv):
     n = inv.base.ambient_dim
     tplus = _fresh_eigenbasis(inv, 1)
     tminus = _fresh_eigenbasis(inv, -1)
-    assert inv.t_sigma == tplus and inv.t_sigma_basis() == list(tplus)
+    assert inv.t_sigma == tplus
     assert inv.t_minus_sigma == tminus
-    assert inv.t_minus_sigma_basis() == list(tminus)
     for part, w, _ in inv.base.weight_entries():
         image = tuple(
             sum((inv.matrix[i][j] * w[i] for i in range(n)), F(0))

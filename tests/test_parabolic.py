@@ -10,6 +10,7 @@ import pytest
 import virtsym_oracle
 from lp_face_oracle import lp_face_signatures
 
+from branchdec import parabolic
 from branchdec.catalog import load_catalog
 from branchdec.parabolic import (
     UnsupportedQuery,
@@ -26,6 +27,7 @@ from branchdec.root_core import (
     WeightMultiset,
     build_root_datum,
     lex_positive,
+    primitive_vector,
     vdot,
     vec,
     vneg,
@@ -74,7 +76,7 @@ def test_su22_hermitian_parabolic():
     base = build_root_datum("su(2,2)")
     q = build_parabolic(base, vec(1, 1, -1, -1))
     assert q.S == 0 and q.dim_u == 4
-    assert q.u_noncompact.total() == 4
+    assert sum(m for w, m in base.noncompact if vdot(w, q.x) > 0) == 4
     assert q.rho_u == vec(1, 1, -1, -1)
 
 
@@ -114,6 +116,45 @@ def test_enumeration_counts(name):
     qs = enumerate_parabolics(base)
     assert len(qs) == FACE_COUNTS[name]
     assert len({q.signature for q in qs}) == len(qs)
+
+
+@pytest.mark.parametrize("dominant", [False, True])
+def test_enumeration_builds_each_face_once(monkeypatch, dominant):
+    # each face comes from its minimal chamber only, so no candidate point
+    # is made twice and none is thrown away
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return primitive_vector(v)
+
+    monkeypatch.setattr(parabolic, "primitive_vector", counted)
+    qs = enumerate_parabolics(build_root_datum("su(3,2)"), dominant)
+    assert len(qs) == (76 if dominant else 541)
+    assert len(calls) == len(qs)
+
+
+def test_face_sizes_match_a_direct_count_by_sign():
+    cat = load_catalog()
+    bases = [cat.algebra(aid) for aid in cat.algebra_ids()]
+    for base in bases + [build_root_datum("su(3,2)")]:
+        for q in enumerate_parabolics(base):
+            signed = [(p, w, m, vdot(w, q.x))
+                      for p, w, m in base.weight_entries()]
+            u_compact = sum(m for p, _, m, d in signed
+                            if p == PART_COMPACT and d > 0)
+            u_noncompact = [(w, m) for p, w, m, d in signed
+                            if p == PART_NONCOMPACT and d > 0]
+            levi = sum(m for _, _, m, d in signed if d == 0)
+            assert q.S == u_compact
+            assert q.dim_u == u_compact + sum(m for _, m in u_noncompact)
+            assert q.dim_levi == base.dim_t + levi
+            assert [(w, m) for p, w, m in q.u_weights()
+                    if p == PART_NONCOMPACT] == u_noncompact
+            assert q.dim_levi + 2 * q.dim_u == base.dim_g
+            d = q.describe()
+            assert (d["u_compact"], d["u_noncompact"]) == (
+                u_compact, q.dim_u - u_compact)
 
 
 def test_enumeration_matches_fubini_count():
@@ -267,10 +308,16 @@ def test_dominant_enumeration():
                 assert vdot(w, q.x) >= 0
 
 
-def test_rank_bound():
-    base = build_root_datum("su(2,2)")
-    with pytest.raises(UnsupportedQuery):
-        enumerate_parabolics(base, max_rank=2)
+def test_rank_bound(monkeypatch):
+    base = build_root_datum("su(5,4)")
+    assert base.dim_t == 8 > parabolic.DEFAULT_MAX_RANK
+
+    def no_walk(*args):
+        raise AssertionError("the walk started before the rank check")
+
+    monkeypatch.setattr(parabolic, "simple_system", no_walk)
+    with pytest.raises(UnsupportedQuery, match="rank 8 exceeds"):
+        enumerate_parabolics(base)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from branchdec.root_core import (
     is_zero_vec,
     primitive_direction,
     solve_linear,
+    vdot,
 )
 
 
@@ -34,11 +35,10 @@ def symmetric_system_solvable(
     """
     rows: list[Vec] = []
     rhs: list[Fraction] = []
-    for ws in (q.levi_compact, q.levi_noncompact):
-        for w, _ in ws:
-            if not is_zero_vec(w):
-                rows.append(w)
-                rhs.append(Fraction(0))
+    for _, w, _ in q.base.weight_entries():
+        if vdot(w, q.x) == 0 and not is_zero_vec(w):
+            rows.append(w)
+            rhs.append(Fraction(0))
     for part, w, _ in q.u_weights():
         absorbed = part == PART_COMPACT and primitive_direction(w) in zeroed
         rows.append(w)
@@ -56,7 +56,9 @@ def symmetric_type(q: ThetaStableParabolic) -> bool:
 
 
 def virtually_symmetric_type(q: ThetaStableParabolic) -> bool:
-    directions = sorted({primitive_direction(w) for w, _ in q.u_compact})
+    directions = sorted({
+        primitive_direction(w) for w, _ in q.base.compact if vdot(w, q.x) > 0
+    })
     return any(
         symmetric_system_solvable(q, frozenset(zeroed))
         for r in range(len(directions) + 1)

@@ -21,10 +21,11 @@ from branchdec.catalog import (
     CATALOG_VERSION,
     CatalogError,
     algebra_to_json,
-    compute_checksum,
     embedding_to_json,
     index_catalog,
     involution_to_json,
+    read_catalog_files,
+    seal,
 )
 from branchdec.involution import EmbeddingRecord, InvolutionData, TableRow
 from branchdec.root_core import build_root_datum
@@ -261,9 +262,11 @@ def main(argv: list[str]) -> int:
             payload = embedding_to_json(pair, base_id)
         dump(root / "pairs" / file_name(pair.pair_id), payload)
 
-    checksum = compute_checksum(root)
+    files = read_catalog_files(root)
+    checksum = seal(files)
     try:
-        index_catalog(root, CATALOG_VERSION, checksum, force=False).check_all()
+        index_catalog(root, files, CATALOG_VERSION, checksum,
+                      force=False).check_all()
     except CatalogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
