@@ -66,7 +66,7 @@ def _ser_rows(rows) -> list[list[str]]:
     return [vector_strings(r) for r in rows]
 
 
-def _table_rows_to_json(rows: tuple[TableRow, ...]) -> list[dict]:
+def table_rows_to_json(rows: tuple[TableRow, ...]) -> list[dict]:
     return [{"X": vector_strings(r.x), "levi": r.levi} for r in rows]
 
 
@@ -91,7 +91,7 @@ def involution_to_json(inv: InvolutionData, base_id: str) -> dict:
         ],
         "zero_weight_fixed_dim": inv.zero_weight_fixed_dim,
         "dim_gprime": inv.dim_gprime,
-        "table_rows": _table_rows_to_json(inv.table_rows),
+        "table_rows": table_rows_to_json(inv.table_rows),
     }
     if inv.declared_restricted_positive is not None:
         out["declared_restricted_positive"] = [
@@ -112,7 +112,7 @@ def embedding_to_json(rec: EmbeddingRecord, base_id: str) -> dict:
         "tprime_rows": _ser_rows(rec.tprime_rows),
         "extra_zero_dim": rec.extra_zero_dim,
         "dim_gprime": rec.dim_gprime,
-        "table_rows": _table_rows_to_json(rec.table_rows),
+        "table_rows": table_rows_to_json(rec.table_rows),
     }
 
 

@@ -22,6 +22,7 @@ from .catalog import (
     CatalogError,
     UnknownIdError,
     load_catalog,
+    table_rows_to_json,
 )
 from .cone_kernel import PointednessError
 from .decider import (
@@ -129,10 +130,7 @@ def _pair_payload(pair) -> dict:
             "dim_gprime": pair.dim_gprime,
             "dim_t_sigma": len(pair.t_sigma),
             "dim_t_minus_sigma": len(pair.t_minus_sigma),
-            "table_rows": [
-                {"X": vector_strings(r.x), "levi": r.levi}
-                for r in pair.table_rows
-            ],
+            "table_rows": table_rows_to_json(pair.table_rows),
         }
     # otherwise an EmbeddingRecord
     return {
@@ -143,10 +141,7 @@ def _pair_payload(pair) -> dict:
         "tprime_rows": [vector_strings(row) for row in pair.tprime_rows],
         "extra_zero_dim": pair.extra_zero_dim,
         "dim_gprime": pair.dim_gprime,
-        "table_rows": [
-            {"X": vector_strings(r.x), "levi": r.levi}
-            for r in pair.table_rows
-        ],
+        "table_rows": table_rows_to_json(pair.table_rows),
     }
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .cone_kernel import Cone, MeetResult, cone_meets_subspace, cones_meet
 from .involution import (
@@ -41,7 +40,6 @@ from .root_core import (
     vneg,
     vscale,
     vzero,
-    project_onto_span,
 )
 
 QUESTIONS = ("deco", "admissible", "transitive", "rho", "symtype", "virtsym")
@@ -105,10 +103,11 @@ def _require_involution(pair: object, q: ThetaStableParabolic) -> InvolutionData
 
 
 def _verify_point(
-    gens: list[Vec], result: MeetResult, subspace_rows: Sequence[Vec]
+    inv: InvolutionData, gens: list[Vec], result: MeetResult
 ) -> None:
     # substitution check: the claimed point really is a conic combination
-    # and really lies in the claimed subspace
+    # and really lies in t^{-sigma}.  As a sum of weights it lies in t,
+    # so that means sigma p = -p.
     if result.point is None or result.coefficients is None:
         raise CertificateError("intersection claimed without a point")
     total = vzero(len(result.point))
@@ -116,18 +115,19 @@ def _verify_point(
         if c < 0:
             raise CertificateError(f"negative cone coefficient {c}")
         total = vadd(total, vscale(c, g))
-    if total != project_onto_span(total, subspace_rows):
+    if inv.sigma_weight(total) != vneg(total):
         raise CertificateError("intersection point is outside the subspace")
     if is_zero_vec(total):
         raise CertificateError("intersection point is zero")
 
 
 def _subspace_meet(
-    cone: Cone, gens: list[Vec], subspace: Sequence[Vec], x: Vec
+    cone: Cone, gens: list[Vec], inv: InvolutionData, x: Vec
 ) -> MeetResult:
-    result = cone_meets_subspace(cone, subspace, x)
+    """Does the cone meet t^{-sigma} away from 0, with a checked point?"""
+    result = cone_meets_subspace(cone, inv.t_minus_sigma, x)
     if result.meets:
-        _verify_point(gens, result, subspace)
+        _verify_point(inv, gens, result)
     return result
 
 
@@ -157,12 +157,11 @@ def discretely_decomposable(
     inv = _require_involution(pair, q)
     ensure_valid(inv)
     cone, gens = _noncompact_cone(q)
-    subspace = inv.t_minus_sigma
-    result = _subspace_meet(cone, gens, subspace, q.x)
+    result = _subspace_meet(cone, gens, inv, q.x)
     notes = [_SCOPE_NOTE]
     if not gens:
         notes.append("u contains no noncompact weights; the cone is zero")
-    if not subspace:
+    if not inv.t_minus_sigma:
         notes.append(
             "the split torus part is zero; restriction to the fixed "
             "subgroup is automatically admissible"
@@ -195,15 +194,14 @@ def admissible_sufficient(
     ensure_valid(inv)
     chamber = momentum_chamber(inv)
     cone, gens = _noncompact_cone(q)
-    subspace = inv.t_minus_sigma
     result = cones_meet(cone, chamber, q.x)
     if result.meets:
         # the chamber lies in t^{-sigma}, so its point settles the
         # subspace test too, once checked to lie there
-        _verify_point(gens, result, subspace)
+        _verify_point(inv, gens, result)
         subspace_meets = True
     else:
-        subspace_meets = _subspace_meet(cone, gens, subspace, q.x).meets
+        subspace_meets = _subspace_meet(cone, gens, inv, q.x).meets
     notes = [
         _SCOPE_NOTE,
         f"chamber test intersects: {str(result.meets).lower()}",
@@ -296,6 +294,7 @@ def _induced_rho(view: EmbeddingView, q: ThetaStableParabolic) -> tuple[Vec, int
     ill-defined at this level of data and are reported as unsupported.
     """
     n = view.base.ambient_dim
+    signs = q.weight_signs
     per_line: dict[Vec, list[int]] = {}
     # counts per canonical line: [plus_total, plus_in_q, minus_total, minus_in_q]
     for cell in view.cells:
@@ -307,7 +306,7 @@ def _induced_rho(view: EmbeddingView, q: ThetaStableParabolic) -> tuple[Vec, int
         rec = per_line.setdefault(key, [0, 0, 0, 0])
         off = 0 if pos else 2
         rec[off] += 1
-        if all(q.in_q(w) for w in cell.members):
+        if all(signs[w] >= 0 for w in cell.members):
             rec[off + 1] += 1
     total = vzero(n)
     count = 0

@@ -5,6 +5,11 @@ matrix on the torus plus catalog-supplied signs on the sigma-fixed weight
 lines.  A separate EmbeddingRecord covers the one catalogued reductive
 subalgebra that is not symmetric.  Both reduce to the same weight-cell
 view, which is what the dimension and rho bookkeeping consumes.
+
+Once validation has made sigma an orthogonal involution of t, a weight w
+restricts to t^{sigma} and t^{-sigma} as (w + sigma w)/2 and
+(w - sigma w)/2, so involutions need no projection matrix; only the
+torus rows of an embedding are projected onto.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .root_core import (
     projection_matrix,
     rank,
     simple_system,
+    vadd,
     vdot,
     vneg,
     vscale,
@@ -138,14 +144,6 @@ class InvolutionData:
     @cached_property
     def t_minus_sigma(self) -> tuple[Vec, ...]:
         return self._eigenbasis(Fraction(-1))
-
-    @cached_property
-    def t_sigma_projection(self) -> tuple[Vec, ...]:
-        return projection_matrix(self.t_sigma, self.base.ambient_dim)
-
-    @cached_property
-    def t_minus_sigma_projection(self) -> tuple[Vec, ...]:
-        return projection_matrix(self.t_minus_sigma, self.base.ambient_dim)
 
     @cached_property
     def view(self) -> EmbeddingView:
@@ -297,15 +295,14 @@ def validate_involution(inv: InvolutionData) -> ValidationReport:
     )
 
     # necessary condition for t^{-sigma} maximal abelian in k^{-sigma}:
-    # a compact root vanishing on t^{-sigma} must be sigma-fixed with +1
-    max_ok = True
-    bad = None
-    for w, _ in inv.base.compact:
-        if is_zero_vec(mat_apply(inv.t_minus_sigma_projection, w)):
-            if inv.sigma_weight(w) != w or inv.eps_of(PART_COMPACT, w) != 1:
-                max_ok = False
-                bad = w
-                break
+    # a compact root vanishing on t^{-sigma} must have sign +1; it
+    # restricts there to (w - sigma w)/2, so it vanishes iff sigma-fixed
+    bad = next(
+        (w for w, _ in inv.base.compact
+         if inv.sigma_weight(w) == w and inv.eps_of(PART_COMPACT, w) != 1),
+        None,
+    )
+    max_ok = bad is None
     checks.append(
         CheckResult(
             "tminus-maximality-necessary",
@@ -391,18 +388,20 @@ class RestrictedRootSystem:
 
 
 def restricted_roots(inv: InvolutionData) -> RestrictedRootSystem:
-    """Nonzero projections of Delta(k,t) onto span(t^{-sigma}), read
-    from the record once it has passed its validation."""
+    """Nonzero restrictions of Delta(k,t) to t^{-sigma}, read from the
+    record once it has passed its validation."""
     ensure_valid(inv)
     return inv.restricted
 
 
 def _restricted_root_system(inv: InvolutionData) -> RestrictedRootSystem:
-    """Positivity is lexicographic in ambient coordinates, which is generic
-    for any finite root collection and fixed across runs."""
+    """Each root w restricts to (w - sigma w)/2: w lies in t, which
+    sigma splits orthogonally into t^sigma and t^{-sigma}.  Positivity
+    is lexicographic in ambient coordinates, which is generic for any
+    finite root collection and fixed across runs."""
     acc: list[tuple[Vec, int]] = []
     for w, m in inv.base.compact:
-        r = mat_apply(inv.t_minus_sigma_projection, w)
+        r = vscale(Fraction(1, 2), vsub(w, inv.sigma_weight(w)))
         if not is_zero_vec(r):
             acc.append((r, m))
     roots = WeightMultiset.of(acc)
@@ -478,6 +477,8 @@ class EmbeddingView:
 
 
 def involution_view(inv: InvolutionData) -> EmbeddingView:
+    """One cell per line of g^sigma: a sigma-fixed weight with sign +1,
+    or a pair {w, sigma w}, restricted to t^sigma as (w + sigma w)/2."""
     tplus = inv.t_sigma
     cells: list[WeightCell] = []
     for part, w, m in inv.base.weight_entries():
@@ -486,10 +487,9 @@ def involution_view(inv: InvolutionData) -> EmbeddingView:
         sw = inv.sigma_weight(w)
         if sw == w:
             if inv.eps_of(part, w) == 1:
-                restr = mat_apply(inv.t_sigma_projection, w)
-                cells.extend([WeightCell(part, (w,), restr)] * m)
+                cells.extend([WeightCell(part, (w,), w)] * m)
         elif w < sw:
-            restr = mat_apply(inv.t_sigma_projection, w)
+            restr = vscale(Fraction(1, 2), vadd(w, sw))
             cells.extend([WeightCell(part, (w, sw), restr)] * m)
     return EmbeddingView(
         inv.base,
@@ -527,10 +527,6 @@ class EmbeddingRecord:
         return validate_embedding(self)
 
     @cached_property
-    def tprime_projection(self) -> tuple[Vec, ...]:
-        return projection_matrix(self.tprime_rows, self.base.ambient_dim)
-
-    @cached_property
     def view(self) -> EmbeddingView:
         return embedding_view(self)
 
@@ -551,13 +547,13 @@ def validate_embedding(rec: EmbeddingRecord) -> ValidationReport:
     in_torus = all(rec.base.in_torus(r) for r in rec.tprime_rows)
     checks.append(CheckResult("tprime-in-torus", in_torus))
 
-    vanish = None
-    for _, w, _ in rec.base.weight_entries():
-        if is_zero_vec(w):
-            continue
-        if is_zero_vec(mat_apply(rec.tprime_projection, w)):
-            vanish = w
-            break
+    # a weight vanishes on t' iff it is orthogonal to every row
+    vanish = next(
+        (w for _, w, _ in rec.base.weight_entries()
+         if not is_zero_vec(w)
+         and all(vdot(w, r) == 0 for r in rec.tprime_rows)),
+        None,
+    )
     checks.append(
         CheckResult(
             "no-weight-vanishes-on-tprime",
@@ -582,11 +578,12 @@ def validate_embedding(rec: EmbeddingRecord) -> ValidationReport:
 
 
 def embedding_view(rec: EmbeddingRecord) -> EmbeddingView:
+    projection = projection_matrix(rec.tprime_rows, rec.base.ambient_dim)
     groups: dict[tuple[str, Vec], list[Vec]] = {}
     for part, w, _ in rec.base.weight_entries():
         if is_zero_vec(w):
             continue
-        r = mat_apply(rec.tprime_projection, w)
+        r = mat_apply(projection, w)
         if is_zero_vec(r):
             continue
         key = (part, r)
@@ -627,11 +624,10 @@ def dim_gprime_cap_q(
     view = as_embedding_view(pair)
     if view.base != q.base:
         raise InvolutionError("parabolic and pair live over different data")
-    total = view.fixed_zero_dim
-    for cell in view.cells:
-        if all(q.in_q(w) for w in cell.members):
-            total += 1
-    return total
+    signs = q.weight_signs
+    return view.fixed_zero_dim + sum(
+        all(signs[w] >= 0 for w in cell.members) for cell in view.cells
+    )
 
 
 def dim_gprime_cap_levi(
@@ -647,8 +643,7 @@ def dim_gprime_cap_levi(
     view = as_embedding_view(pair)
     if view.base != q.base:
         raise InvolutionError("parabolic and pair live over different data")
-    total = view.fixed_zero_dim
-    for cell in view.cells:
-        if all(q.in_levi(w) for w in cell.members):
-            total += 1
-    return total
+    signs = q.weight_signs
+    return view.fixed_zero_dim + sum(
+        all(signs[w] == 0 for w in cell.members) for cell in view.cells
+    )

@@ -68,11 +68,12 @@ class ThetaStableParabolic:
     def __hash__(self) -> int:
         return hash((self.base, self.signature))
 
-    def in_q(self, w: Vec) -> bool:
-        return vdot(w, self.x) >= 0
-
-    def in_levi(self, w: Vec) -> bool:
-        return vdot(w, self.x) == 0
+    @cached_property
+    def weight_signs(self) -> dict[Vec, int]:
+        """The signature by weight: w lies in u at +1, in l at 0 and in
+        the opposite nilradical at -1, so in q exactly when >= 0."""
+        entries = self.base.weight_entries()
+        return {w: s for (_, w, _), s in zip(entries, self.signature)}
 
     @property
     def rho_u(self) -> Vec:
@@ -113,12 +114,13 @@ class ThetaStableParabolic:
     def free_coefficients(self) -> tuple[tuple[str, Vec], ...]:
         """(part, c) per u-weight w: c_i = coweight_i . w for each free
         simple root i of q, a simple root of the positive system that x
-        orders first (simple_system with x) that pairs > 0 with x."""
+        orders first (simple_system with x) that lies in u."""
         simple, coweights = simple_system(
             (w for _, w, _ in self.base.weight_entries() if not is_zero_vec(w)),
             self.x,
         )
-        free = [c for a, c in zip(simple, coweights) if vdot(a, self.x) > 0]
+        signs = self.weight_signs
+        free = [c for a, c in zip(simple, coweights) if signs[a] > 0]
         return tuple(
             (part, tuple(vdot(c, w) for c in free))
             for part, w, _ in self.u_weights()

@@ -432,7 +432,7 @@ class RootDatum:
     noncompact: WeightMultiset
     dim_g: int
 
-    @property
+    @cached_property
     def dim_t(self) -> int:
         return self.ambient_dim - rank(list(self.t_constraints))
 

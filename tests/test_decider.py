@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from branchdec import cli, cone_kernel, involution
+from branchdec import cli, cone_kernel, involution, root_core
 from branchdec.catalog import load_catalog
 from branchdec.cone_kernel import MeetResult
 from branchdec.decider import (
@@ -366,14 +366,18 @@ def test_rho_validates_pair_first():
 
 
 def test_forged_meet_certificate_is_refused():
-    gens = [vec(1, 0), vec(0, 1)]
-    honest = MeetResult(True, vec(1, 1), (F(1), F(1)), ())
-    _verify_point(gens, honest, [vec(1, 1)])
-    negative = MeetResult(True, vec(-1, 2), (F(-1), F(2)), ())
+    # sigma maps x to -(x3, x4, x1, x2), so t^{-sigma} is the line
+    # through (1, -1, 1, -1), the sum of the two noncompact weights
+    inv = _pair("(su(2,2),sp(2,R))")
+    gens = [vec(1, 0, 0, -1), vec(0, -1, 1, 0)]
+    honest = MeetResult(True, vec(1, -1, 1, -1), (F(1), F(1)), ())
+    _verify_point(inv, gens, honest)
+    negative = MeetResult(True, vec(-1, -2, 2, 1), (F(-1), F(2)), ())
     with pytest.raises(CertificateError, match="negative"):
-        _verify_point(gens, negative, None)
+        _verify_point(inv, gens, negative)
+    outside = MeetResult(True, vec(1, 0, 0, -1), (F(1), F(0)), ())
     with pytest.raises(CertificateError, match="outside the subspace"):
-        _verify_point(gens, honest, [vec(1, -1)])
+        _verify_point(inv, gens, outside)
 
 
 def test_stored_pair_is_validated_once(monkeypatch):
@@ -397,6 +401,27 @@ def test_stored_pair_is_validated_once(monkeypatch):
     for question in QUESTIONS:
         answer_question(pair, q, question)
     assert calls == Counter({pair.pair_id: 1})
+
+
+def test_involution_verdicts_build_no_projection_matrix(monkeypatch):
+    # sigma restricts every weight and tests every certified point, so
+    # only rho, which restricts rho_u to the torus of g', projects
+    built = []
+    projection_matrix = root_core.projection_matrix
+
+    def counted(rows, dim):
+        built.append(len(rows))
+        return projection_matrix(rows, dim)
+
+    for module in (root_core, involution):
+        monkeypatch.setattr(module, "projection_matrix", counted)
+    pair = load_catalog().pair("(su(2,2),sp(2,R))")
+    q = _q(pair, vec(3, -1, -1, -1))
+    for question in ("deco", "admissible", "transitive"):
+        answer_question(pair, q, question)
+    assert built == []
+    assert answer_question(pair, q, "rho").answer
+    assert built == [len(pair.t_sigma)]
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ from branchdec.root_core import (
     nullspace,
     primitive_direction,
     rank,
+    vadd,
     vdot,
     vec,
     vneg,
@@ -451,26 +452,26 @@ def _fresh_eigenbasis(inv, sign):
     return tuple(nullspace(rows + list(inv.base.t_constraints)))
 
 
+def _fresh_sigma_image(inv, w):
+    n = inv.base.ambient_dim
+    return tuple(
+        sum((inv.matrix[i][j] * w[i] for i in range(n)), F(0))
+        for j in range(n)
+    )
+
+
 def _assert_involution_caches_fresh(inv):
     # every value is recomputed here without the record's caches, with
-    # the Gram-solve oracle wherever the record uses a projection matrix
-    n = inv.base.ambient_dim
+    # the Gram-solve oracle for every restriction to a torus
     tplus = _fresh_eigenbasis(inv, 1)
     tminus = _fresh_eigenbasis(inv, -1)
     assert inv.t_sigma == tplus
     assert inv.t_minus_sigma == tminus
     for part, w, _ in inv.base.weight_entries():
-        image = tuple(
-            sum((inv.matrix[i][j] * w[i] for i in range(n)), F(0))
-            for j in range(n)
-        )
+        image = _fresh_sigma_image(inv, w)
         assert inv.sigma_images[w] == image == inv.sigma_weight(w)
         first = next((s for p, v, s in inv.eps if (p, v) == (part, w)), None)
         assert inv.eps_of(part, w) == first
-        assert mat_apply(inv.t_sigma_projection, w) == gram_projection(w, tplus)
-        assert mat_apply(inv.t_minus_sigma_projection, w) == (
-            gram_projection(w, tminus)
-        )
 
     cells = []
     for part, w, m in inv.base.weight_entries():
@@ -515,9 +516,6 @@ def _assert_embedding_caches_fresh(rec):
         cells, rec.dim_gprime, rec.pair_id,
     )
     for _, w, _ in rec.base.weight_entries():
-        assert mat_apply(rec.tprime_projection, w) == (
-            gram_projection(w, rec.tprime_rows)
-        )
         assert mat_apply(rec.view.tprime_projection, w) == (
             gram_projection(w, rec.tprime_rows)
         )
@@ -534,6 +532,29 @@ def test_cached_pair_data_equals_a_fresh_computation():
             _assert_involution_caches_fresh(pair)
         else:
             _assert_embedding_caches_fresh(pair)
+
+
+def test_sigma_restriction_equals_the_gram_projection():
+    # a valid sigma is an orthogonal involution preserving t, so a weight
+    # w restricts to t^{+-sigma} as (w +- sigma w)/2, as the runtime
+    # assumes; sigma w is computed here without the record's caches
+    cat = _cat()
+    seen = set()
+    for pid in cat.pair_ids() + list(_CACHE_PAIRS):
+        inv = cat.pair(pid)
+        if not isinstance(inv, InvolutionData):
+            continue
+        ensure_valid(inv)
+        seen.add(pid)
+        for _, w, _ in inv.base.weight_entries():
+            sw = _fresh_sigma_image(inv, w)
+            assert vscale(F(1, 2), vadd(w, sw)) == (
+                gram_projection(w, inv.t_sigma)
+            ), (pid, w)
+            assert vscale(F(1, 2), vsub(w, sw)) == (
+                gram_projection(w, inv.t_minus_sigma)
+            ), (pid, w)
+    assert len(seen) == 10 and set(_CACHE_PAIRS) <= seen
 
 
 def test_replaced_record_recomputes_its_derived_data():

@@ -65,8 +65,10 @@ def test_su22_one_three_parabolic():
     assert q.rho_u == vec(F(3, 2), F(-1, 2), F(-1, 2), F(-1, 2))
     for w in (vec(1, -1, 0, 0), vec(1, 0, -1, 0)):
         assert vdot(w, q.x) > 0  # w is a weight of u
-    assert q.in_levi(vec(0, 0, 1, -1)) and q.in_levi(vec(0, 1, 0, -1))
-    assert q.in_q(vec(0, 1, -1, 0)) and not q.in_q(vec(-1, 1, 0, 0))
+    signs = q.weight_signs
+    assert signs[vec(0, 0, 1, -1)] == signs[vec(0, 1, 0, -1)] == 0  # in l
+    assert signs[vec(0, 1, -1, 0)] >= 0  # in q
+    assert signs[vec(-1, 1, 0, 0)] < 0  # not in q
     d = q.describe()
     assert d["S"] == 1 and d["dim_levi"] == 9
     assert d["rho_u"] == ["3/2", "-1/2", "-1/2", "-1/2"]

@@ -9,6 +9,7 @@ import linalg_oracle
 import pytest
 from projection_oracle import gram_projection, independent_rows
 
+from branchdec import root_core
 from branchdec.catalog import load_catalog
 from branchdec.root_core import (
     DatumError,
@@ -476,6 +477,19 @@ def test_direct_sum_blocks():
     assert s.noncompact.mult(vec(2, 0, 0)) == 1
     assert s.noncompact.mult(vec(0, 2, 0)) == 1
     assert s.compact.mult(vec(0, 1, -1)) == 1
+
+
+def test_dim_t_is_computed_once_per_datum(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(root_core, "rank", counted)
+    d = build_root_datum("su(2,2)")
+    assert d.dim_t == d.dim_t == 3
+    assert calls == [1]
 
 
 def test_build_root_datum_parses_sum_expressions():

@@ -218,18 +218,6 @@ def build_pairs() -> list[InvolutionData | EmbeddingRecord]:
     return pairs
 
 
-BASE_IDS = {
-    "(su(2,2),sp(2,R))": "su(2,2)",
-    "(su(2,2),sp(1,1))": "su(2,2)",
-    "(su(4),sp(2))": "su(4)",
-    "(sl(4,C),sp(2,C))": "sl(4,C)",
-    "(so(2,2),so(2,1))": "so(2,2)",
-    "(so(4),so(3))": "so(4)",
-    "(so(5,C),so(3,2))": "so(5,C)",
-    "(so(4,3),g2(R))": "so(4,3)",
-}
-
-
 def file_name(some_id: str) -> str:
     keep = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
     out = []
@@ -255,7 +243,8 @@ def main(argv: list[str]) -> int:
              algebra_to_json(algebra_id, builder))
 
     for pair in build_pairs():
-        base_id = BASE_IDS[pair.pair_id]
+        # every base is built by the builder of the same name as its id
+        base_id = pair.base.name
         if isinstance(pair, InvolutionData):
             payload = involution_to_json(pair, base_id)
         else:
