@@ -20,6 +20,7 @@ from .involution import (
     dim_gprime_cap_levi,
     dim_gprime_cap_q,
     ensure_valid,
+    member_signs,
     momentum_chamber,
 )
 from .parabolic import (
@@ -294,10 +295,9 @@ def _induced_rho(view: EmbeddingView, q: ThetaStableParabolic) -> tuple[Vec, int
     ill-defined at this level of data and are reported as unsupported.
     """
     n = view.base.ambient_dim
-    signs = q.weight_signs
     per_line: dict[Vec, list[int]] = {}
     # counts per canonical line: [plus_total, plus_in_q, minus_total, minus_in_q]
-    for cell in view.cells:
+    for cell, signs in zip(view.cells, member_signs(view, q)):
         beta = cell.restricted
         if is_zero_vec(beta):
             continue  # centralises the small torus: always induced-Levi
@@ -306,7 +306,7 @@ def _induced_rho(view: EmbeddingView, q: ThetaStableParabolic) -> tuple[Vec, int
         rec = per_line.setdefault(key, [0, 0, 0, 0])
         off = 0 if pos else 2
         rec[off] += 1
-        if all(signs[w] >= 0 for w in cell.members):
+        if all(s >= 0 for s in signs):
             rec[off + 1] += 1
     total = vzero(n)
     count = 0

@@ -14,7 +14,7 @@ torus rows of an embedding are projected onto.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -26,6 +26,7 @@ from .root_core import (
     RootDatum,
     Vec,
     WeightMultiset,
+    format_vector,
     identity,
     in_span,
     is_zero_vec,
@@ -470,9 +471,16 @@ class EmbeddingView:
     cells: tuple[WeightCell, ...]
     dim_gprime: int
     pair_id: str
+    # the projection onto span(tprime_rows) when the builder already has
+    # it; otherwise tprime_projection builds it on first use
+    projection: tuple[Vec, ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @cached_property
     def tprime_projection(self) -> tuple[Vec, ...]:
+        if self.projection is not None:
+            return self.projection
         return projection_matrix(self.tprime_rows, self.base.ambient_dim)
 
 
@@ -598,6 +606,7 @@ def embedding_view(rec: EmbeddingRecord) -> EmbeddingView:
         tuple(cells),
         rec.dim_gprime,
         rec.pair_id,
+        projection,
     )
 
 
@@ -622,11 +631,8 @@ def dim_gprime_cap_q(
     in Delta(q).
     """
     view = as_embedding_view(pair)
-    if view.base != q.base:
-        raise InvolutionError("parabolic and pair live over different data")
-    signs = q.weight_signs
     return view.fixed_zero_dim + sum(
-        all(signs[w] >= 0 for w in cell.members) for cell in view.cells
+        all(s >= 0 for s in signs) for signs in member_signs(view, q)
     )
 
 
@@ -641,9 +647,26 @@ def dim_gprime_cap_levi(
     dimension of the subgroup orbit there.
     """
     view = as_embedding_view(pair)
+    return view.fixed_zero_dim + sum(
+        not any(signs) for signs in member_signs(view, q)
+    )
+
+
+def member_signs(
+    view: EmbeddingView, q: ThetaStableParabolic
+) -> list[list[int]]:
+    """The signs under q of the member weights, cell by cell.
+
+    Raises InvolutionError when the view and q live over different data
+    or a cell member is not a weight of the base.
+    """
     if view.base != q.base:
         raise InvolutionError("parabolic and pair live over different data")
     signs = q.weight_signs
-    return view.fixed_zero_dim + sum(
-        all(signs[w] == 0 for w in cell.members) for cell in view.cells
-    )
+    try:
+        return [[signs[w] for w in cell.members] for cell in view.cells]
+    except KeyError as exc:
+        raise InvolutionError(
+            f"{view.pair_id}: cell member {format_vector(exc.args[0])} is "
+            f"not a weight of {view.base.name}"
+        ) from None

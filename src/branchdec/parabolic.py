@@ -13,18 +13,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterator
 
 from .root_core import (
     DatumError,
     PART_COMPACT,
+    IntVec,
     RootDatum,
     Vec,
-    is_zero_vec,
+    clear_denominators,
     lex_positive,
-    primitive_vector,
-    reflect,
-    simple_system,
+    primitive_ints,
     vdot,
     vector_strings,
     vscale,
@@ -43,8 +43,12 @@ class UnsupportedQuery(Exception):
     """
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
+
+
+def _dot(a: IntVec, b: IntVec) -> int:
+    return sum(map(mul, a, b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +73,7 @@ class ThetaStableParabolic:
         return hash((self.base, self.signature))
 
     @cached_property
-    def weight_signs(self) -> dict[Vec, int]:
+    def weight_signs(self) -> dict[IntVec, int]:
         """The signature by weight: w lies in u at +1, in l at 0 and in
         the opposite nilradical at -1, so in q exactly when >= 0."""
         entries = self.base.weight_entries()
@@ -115,10 +119,7 @@ class ThetaStableParabolic:
         """(part, c) per u-weight w: c_i = coweight_i . w for each free
         simple root i of q, a simple root of the positive system that x
         orders first (simple_system with x) that lies in u."""
-        simple, coweights = simple_system(
-            (w for _, w, _ in self.base.weight_entries() if not is_zero_vec(w)),
-            self.x,
-        )
+        simple, coweights = self.base.root_system.simple_system(self.x)
         signs = self.weight_signs
         free = [c for a, c in zip(simple, coweights) if signs[a] > 0]
         return tuple(
@@ -139,15 +140,21 @@ class ThetaStableParabolic:
 
 
 def build_parabolic(base: RootDatum, x: Vec) -> ThetaStableParabolic:
-    """Partition the weights of the base datum by their sign against x."""
+    """Partition the weights of the base datum by their sign against x.
+
+    The signs are read against the integer row of x, a positive multiple.
+    """
     if len(x) != base.ambient_dim:
         raise DatumError(
             f"defining element has {len(x)} coordinates, expected "
             f"{base.ambient_dim}"
         )
-    if not base.in_torus(x):
+    xi = clear_denominators(x)[0]
+    if not base.in_torus(xi):
         raise DatumError("defining element violates the torus constraints")
-    signature = tuple(_sign(vdot(w, x)) for _, w, _ in base.weight_entries())
+    signature = tuple(
+        _sign(sum(map(mul, w, xi))) for _, w, _ in base.weight_entries()
+    )
     return ThetaStableParabolic(base, x, signature)
 
 
@@ -171,6 +178,15 @@ def enumerate_parabolics(
     picks K-conjugacy representatives; the minimal chamber of a face in
     its closure lies inside too.  Output order is the canonical signature
     order, so runs are reproducible.
+
+    The walk runs on integer rows: the walls and rays start as the simple
+    roots and coweights, each set scaled by one positive factor to
+    coprime integers.  Walls reflect with their integral Cartan numbers.
+    Crossing wall a maps each ray r to |a|^2 r - 2 (r.a) a, |a|^2 times
+    its reflection, and the chamber's rays are then divided by their
+    common gcd, one positive scale for all of them.  So every sum of rays
+    is a positive multiple of the X it stands for, and a chamber is keyed
+    by the primitive integer point on its w.rho.
     """
     if base.dim_t > DEFAULT_MAX_RANK:
         raise UnsupportedQuery(
@@ -178,43 +194,69 @@ def enumerate_parabolics(
             f"{DEFAULT_MAX_RANK}"
         )
     n = base.ambient_dim
-    simple, coweights = simple_system(
-        w for _, w, _ in base.weight_entries() if not is_zero_vec(w)
-    )
+    simple, coweights = base.root_system.simple_system()
+    walls = _primitive_rows(simple, n)
+    norms = [_dot(a, a) for a in walls]
     k_positive = [
         w for w, _ in base.compact if dominant_only and lex_positive(w)
     ]
 
     # a chamber w.C is (its walls w.simple, its rays w.coweights), keyed
-    # by the point w.rho inside it; a root is positive iff it pairs > 0
+    # by a point on w.rho inside it; a root is positive iff it pairs > 0
     # with the starting point rho
-    start = vsum(coweights, n)
-    chambers = {start: (simple, coweights)}
+    rays = _primitive_rows(coweights, n)
+    start = _ray_sum(rays, n)
+    chambers = {start: (walls, rays)}
     todo = [start]
     while todo:
         point = todo.pop()
         walls, rays = chambers[point]
-        for wall in walls:
-            key = reflect(point, wall)
-            if key in chambers or any(vdot(w, key) <= 0 for w in k_positive):
+        for a, norm in zip(walls, norms):
+            key = tuple(primitive_ints(_mirror(point, a, norm)))
+            if key in chambers or any(_dot(w, key) <= 0 for w in k_positive):
                 continue
-            chambers[key] = (
-                tuple(reflect(r, wall) for r in walls),
-                tuple(reflect(c, wall) for c in rays),
-            )
+            new_walls = []
+            for b in walls:
+                cartan = 2 * _dot(b, a) // norm
+                new_walls.append(tuple(s - cartan * t for s, t in zip(b, a)))
+            new_rays = [_mirror(r, a, norm) for r in rays]
+            chambers[key] = (tuple(new_walls), _primitive_rows(new_rays, n))
             todo.append(key)
 
     out = []
     for walls, rays in chambers.values():
-        positive = [i for i, a in enumerate(walls) if vdot(a, start) > 0]
+        positive = [i for i, a in enumerate(walls) if _dot(a, start) > 0]
         for r in range(len(positive) + 1):
             for on_walls in itertools.combinations(positive, r):
-                x = vsum(
+                x = _ray_sum(
                     (c for i, c in enumerate(rays) if i not in on_walls), n
                 )
-                out.append(build_parabolic(base, primitive_vector(x)))
+                out.append(build_parabolic(base, tuple(map(Fraction, x))))
     out.sort(key=lambda q: q.signature)
     return out
+
+
+def _mirror(v: IntVec, a: IntVec, norm: int) -> list[int]:
+    """|a|^2 times the reflection of v in the wall a, with norm |a|^2."""
+    c = 2 * _dot(v, a)
+    return [norm * s - c * t for s, t in zip(v, a)]
+
+
+def _primitive_rows(rows, n: int) -> tuple[IntVec, ...]:
+    """The rows times one positive scale, to integers with no common
+    factor."""
+    flat = primitive_ints(
+        clear_denominators(itertools.chain.from_iterable(rows))[0]
+    )
+    return tuple(tuple(flat[k:k + n]) for k in range(0, len(flat), n))
+
+
+def _ray_sum(rays, n: int) -> IntVec:
+    """The primitive integer point on the sum of the rays; 0 stays 0."""
+    total = [0] * n
+    for r in rays:
+        total = [s + t for s, t in zip(total, r)]
+    return tuple(primitive_ints(total))
 
 
 # ---------------------------------------------------------------------------

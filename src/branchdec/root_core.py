@@ -1,9 +1,12 @@
-"""Exact rational vectors, small dense linear algebra, and root data.
+"""Exact vectors, small dense linear algebra, and root data.
 
-Everything downstream works over Q.  Vectors are tuples of Fraction, weights
-of the complexified isotropy representation are stored as multisets, and a
-RootDatum bundles the torus description together with the compact and
-noncompact weight multisets of a real reductive Lie algebra.
+Weights are integer vectors: a RootDatum bundles the torus description
+together with the compact and noncompact weight multisets of a real
+reductive Lie algebra, all as tuples of int, and ``RootDatum.validate``
+refuses any other.  Values that are really rational (coweights,
+projections, restricted roots, LP points, a defining element as given)
+are tuples of Fraction; ints and Fractions mix freely in the kernels, and
+an int prints, hashes and compares as the Fraction of the same value.
 
 The kernels compute over Python integers and build a Fraction only for the
 values they return.  ``vdot`` (and ``mat_apply`` and ``projection_matrix``
@@ -27,6 +30,7 @@ from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[Fraction, ...]
+IntVec = tuple[int, ...]
 
 PART_COMPACT = "k"
 PART_NONCOMPACT = "p"
@@ -77,8 +81,8 @@ def vec_from(entries: Iterable) -> Vec:
     return tuple(as_fraction(e) for e in entries)
 
 
-def vzero(n: int) -> Vec:
-    return (Fraction(0),) * n
+def vzero(n: int) -> IntVec:
+    return (0,) * n
 
 
 def identity(n: int) -> tuple[Vec, ...]:
@@ -169,11 +173,6 @@ def primitive_direction(a: Vec) -> Vec:
     """primitive_vector of a or of -a, whichever is lex-positive; 0 stays 0."""
     p = primitive_vector(a)
     return p if lex_positive(p) or is_zero_vec(p) else vneg(p)
-
-
-def reflect(v: Vec, root: Vec) -> Vec:
-    """The reflection of v in the hyperplane orthogonal to root."""
-    return vsub(v, vscale(2 * vdot(v, root) / vdot(root, root), root))
 
 
 def parse_vector(text: str, expect_dim: int | None = None) -> Vec:
@@ -419,15 +418,16 @@ class RootDatum:
     """Weights of ad(t) on a real reductive Lie algebra g = k + p.
 
     Coordinates live in an ambient Q^n; the torus t is the subspace cut out
-    by t_constraints.  Weight vectors are stored orthogonal to the
-    constraints so that the pairing weight(X) is the plain dot product.
-    The compact part never contains zero weights; zero weights of p are kept
-    explicitly since they decide whether t is a full Cartan subalgebra.
+    by t_constraints.  Weights and constraints are integer vectors.  Weight
+    vectors are stored orthogonal to the constraints so that the pairing
+    weight(X) is the plain dot product.  The compact part never contains
+    zero weights; zero weights of p are kept explicitly since they decide
+    whether t is a full Cartan subalgebra.
     """
 
     name: str
     ambient_dim: int
-    t_constraints: tuple[Vec, ...]
+    t_constraints: tuple[IntVec, ...]
     compact: WeightMultiset
     noncompact: WeightMultiset
     dim_g: int
@@ -436,28 +436,50 @@ class RootDatum:
     def dim_t(self) -> int:
         return self.ambient_dim - rank(list(self.t_constraints))
 
+    @cached_property
+    def root_system(self) -> RootSystem:
+        """The reduced roots of the nonzero weights, checked once."""
+        return RootSystem(
+            w for _, w, _ in self.weight_entries() if not is_zero_vec(w)
+        )
+
     @property
     def dim_k(self) -> int:
         return self.dim_t + self.compact.total()
 
-    def weight_entries(self) -> Iterator[tuple[str, Vec, int]]:
+    def weight_entries(self) -> Iterator[tuple[str, IntVec, int]]:
         for w, m in self.compact:
             yield PART_COMPACT, w, m
         for w, m in self.noncompact:
             yield PART_NONCOMPACT, w, m
 
     def in_torus(self, x: Vec) -> bool:
-        return len(x) == self.ambient_dim and all(
-            vdot(c, x) == 0 for c in self.t_constraints
+        return len(x) == self.ambient_dim and not any(
+            sum(map(mul, c, x)) for c in self.t_constraints
         )
 
     def validate(self) -> None:
+        """Raise DatumError unless the datum is well formed.
+
+        Weights and constraints must be integral: the parabolic and
+        enumeration code pair them with integer rows.
+        """
         for c in self.t_constraints:
             if len(c) != self.ambient_dim:
                 raise DatumError(f"{self.name}: constraint row of wrong length")
+            if not _is_integral(c):
+                raise DatumError(
+                    f"{self.name}: torus constraint {format_vector(c)} is "
+                    "not integral"
+                )
         for part, w, m in self.weight_entries():
             if len(w) != self.ambient_dim:
                 raise DatumError(f"{self.name}: weight of wrong length in part {part}")
+            if not _is_integral(w):
+                raise DatumError(
+                    f"{self.name}: weight {format_vector(w)} in part {part} "
+                    "is not integral"
+                )
             for c in self.t_constraints:
                 if vdot(c, w) != 0:
                     raise DatumError(
@@ -477,56 +499,88 @@ class RootDatum:
             )
 
 
+def _is_integral(v: Vec) -> bool:
+    return all(x.as_integer_ratio()[1] == 1 for x in v)
+
+
 # ---------------------------------------------------------------------------
 # root systems
+
+
+class RootSystem:
+    """The reduced part of a finite set of nonzero weights, checked once.
+
+    The shortest weight on each ray forms the reduced part, kept as integer
+    rows: the weights times one common denominator.  It must be a root
+    system: the simple reflections of its lexicographic base permute it
+    with integral Cartan numbers, and there are as many simple roots as its
+    rank; otherwise DatumError.  One base decides it for all: the simple
+    reflections then permute the positive roots but one, so every root is
+    conjugate to a simple one and its reflection permutes the roots too.
+    """
+
+    def __init__(self, weights: Iterable[Vec]):
+        weights = list(weights)
+        n = len(weights[0]) if weights else 0
+        flat = clear_denominators(itertools.chain.from_iterable(weights))[0]
+        rows = {tuple(flat[k * n:(k + 1) * n]): w
+                for k, w in enumerate(weights)}
+        norm = {r: sum(map(mul, r, r)) for r in rows}
+        rays: dict[IntVec, list[IntVec]] = {}
+        for r in rows:
+            rays.setdefault(tuple(primitive_ints(r)), []).append(r)
+        roots = {min(rs, key=norm.get) for rs in rays.values()}
+        # the roots as integer rows, each with the weight it stands for
+        self._weight = {r: rows[r] for r in roots}
+        self._dim = n
+        self._lex = self._simple(None)
+        for a in self._lex:
+            for r in roots:
+                cartan, rest = divmod(2 * sum(map(mul, r, a)), norm[a])
+                if rest or tuple(s - cartan * t for s, t in zip(r, a)) not in roots:
+                    raise DatumError(
+                        f"weights are not a root system: reflecting "
+                        f"{format_vector(rows[r])} in {format_vector(rows[a])}"
+                    )
+        # the positives are sums of simple roots, so the roots span what the
+        # simple roots and the roots whose negative is missing span
+        lone = [r for r in roots if tuple(-t for t in r) not in roots]
+        if len(self._lex) != (k := rank(self._lex + lone)):
+            raise DatumError(
+                f"weights are not a root system: {len(self._lex)} simple "
+                f"roots for rank {k}"
+            )
+
+    def _simple(self, x: Vec | None) -> list[IntVec]:
+        """The indecomposable members of the positive system of x, sorted:
+        the roots that pair > 0 with x, or to 0 and are lexicographically
+        positive."""
+        xs = clear_denominators(x)[0] if x is not None else [0] * self._dim
+        positive = {r for r in self._weight
+                    if (s := sum(map(mul, xs, r))) > 0
+                    or s == 0 and lex_positive(r)}
+        return sorted(a for a in positive if not any(
+            tuple(map(sub, a, b)) in positive for b in positive))
+
+    def simple_system(
+        self, x: Vec | None = None
+    ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+        """Simple roots of the positive system that x orders first, as the
+        given weights, and the fundamental coweights: coweight i pairs to 1
+        with simple root i and to 0 with the others, and lies in the span
+        of the roots."""
+        simple = self._lex if x is None else self._simple(x)
+        roots = tuple(self._weight[a] for a in simple)
+        return roots, dual_basis(roots)
 
 
 def simple_system(
     weights: Iterable[Vec], x: Vec | None = None
 ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """Simple roots and fundamental coweights of a set of nonzero weights.
-
-    The shortest weight on each ray forms the reduced part.  Its positive
-    members pair > 0 with x, or to 0 and are lexicographically positive,
-    and its indecomposable positives are the simple roots.  The reduced
-    part must be a root system: the simple reflections permute it with
-    integral Cartan numbers, and there are as many simple roots as its
-    rank; otherwise DatumError.  Coweight i pairs to 1 with simple root i
-    and to 0 with the others, and lies in the span of the roots.  The work
-    runs on integer rows, the weights times one common denominator.
-    """
-    weights = list(weights)
-    n = len(weights[0]) if weights else 0
-    flat = clear_denominators(itertools.chain.from_iterable(weights))[0]
-    rows = {tuple(flat[k * n:(k + 1) * n]): w for k, w in enumerate(weights)}
-    norm = {r: sum(map(mul, r, r)) for r in rows}
-    rays: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for r in rows:
-        rays.setdefault(tuple(primitive_ints(r)), []).append(r)
-    roots = {min(rs, key=norm.get) for rs in rays.values()}
-    xs = clear_denominators(x)[0] if x is not None else [0] * n
-    positive = {r for r in roots if (s := sum(map(mul, xs, r))) > 0
-                or s == 0 and lex_positive(r)}
-    simple = sorted(a for a in positive
-                    if not any(tuple(map(sub, a, b)) in positive for b in positive))
-    for a in simple:
-        for r in roots:
-            cartan, rest = divmod(2 * sum(map(mul, r, a)), norm[a])
-            if rest or tuple(s - cartan * t for s, t in zip(r, a)) not in roots:
-                raise DatumError(
-                    f"weights are not a root system: reflecting "
-                    f"{format_vector(rows[r])} in {format_vector(rows[a])}"
-                )
-    # the positives are sums of simple roots, so the roots span what the
-    # simple roots and the roots whose negative is missing span
-    lone = [r for r in roots if tuple(-t for t in r) not in roots]
-    if len(simple) != (k := rank(simple + lone)):
-        raise DatumError(
-            f"weights are not a root system: {len(simple)} simple roots "
-            f"for rank {k}"
-        )
-    simple = tuple(rows[a] for a in simple)
-    return simple, dual_basis(simple)
+    """Simple roots and fundamental coweights of a set of nonzero weights,
+    for the positive system that x orders first (lexicographic without x);
+    see RootSystem."""
+    return RootSystem(weights).simple_system(x)
 
 
 # ---------------------------------------------------------------------------
@@ -540,18 +594,18 @@ def _su_datum(p: int, q: int) -> RootDatum:
         raise DatumError(f"{name}: need p+q >= 2")
     if n == 2:
         # one coordinate t = diag(t, -t); the single root pairs as 2t
-        root = vec(2)
+        root = (2,)
         ws = WeightMultiset.of([(root, 1), (vneg(root), 1)])
         empty = WeightMultiset.of([])
         if q == 0:
             return RootDatum(name, 1, (), ws, empty, 3)
         return RootDatum(name, 1, (), empty, ws, 3)
-    cons = (vec(*([1] * n)),)
-    comp: list[Vec] = []
-    noncomp: list[Vec] = []
+    cons = ((1,) * n,)
+    comp: list[IntVec] = []
+    noncomp: list[IntVec] = []
     for i, j in itertools.permutations(range(n), 2):
-        w = [Fraction(0)] * n
-        w[i], w[j] = Fraction(1), Fraction(-1)
+        w = [0] * n
+        w[i], w[j] = 1, -1
         same_block = (i < p) == (j < p)
         (comp if same_block else noncomp).append(tuple(w))
     return RootDatum(
@@ -564,23 +618,23 @@ def _su_datum(p: int, q: int) -> RootDatum:
     )
 
 
-def _so_vector_weights(size: int, coords: list[int], ambient: int) -> list[Vec]:
+def _so_vector_weights(size: int, coords: list[int], ambient: int) -> list[IntVec]:
     """Nonzero weights (with repetition) of the vector rep of so(size)."""
-    out: list[Vec] = []
+    out: list[IntVec] = []
     for c in coords:
         for s in (1, -1):
-            w = [Fraction(0)] * ambient
-            w[c] = Fraction(s)
+            w = [0] * ambient
+            w[c] = s
             out.append(tuple(w))
     return out
 
 
-def _so_root_list(size: int, coords: list[int], ambient: int) -> list[Vec]:
-    out: list[Vec] = []
+def _so_root_list(size: int, coords: list[int], ambient: int) -> list[IntVec]:
+    out: list[IntVec] = []
     for a, b in itertools.combinations(coords, 2):
         for sa, sb in itertools.product((1, -1), repeat=2):
-            w = [Fraction(0)] * ambient
-            w[a], w[b] = Fraction(sa), Fraction(sb)
+            w = [0] * ambient
+            w[a], w[b] = sa, sb
             out.append(tuple(w))
     if size % 2 == 1:
         out.extend(_so_vector_weights(size, coords, ambient))
@@ -596,7 +650,7 @@ def _so_datum(p: int, q: int) -> RootDatum:
     a_coords = list(range(m))
     b_coords = list(range(m, m + l))
     comp = _so_root_list(p, a_coords, ambient) + _so_root_list(q, b_coords, ambient)
-    noncomp: list[tuple[Vec, int]] = []
+    noncomp: list[tuple[IntVec, int]] = []
     # p-part is the tensor product of the two vector representations
     a_ws = _so_vector_weights(p, a_coords, ambient)
     if p % 2 == 1:
@@ -622,20 +676,20 @@ def _sp_real_datum(n: int) -> RootDatum:
     # split symplectic sp(n, R), maximal compact u(n)
     if n < 1:
         raise DatumError("sp(n,R): need n >= 1")
-    comp: list[Vec] = []
-    noncomp: list[Vec] = []
+    comp: list[IntVec] = []
+    noncomp: list[IntVec] = []
     for i, j in itertools.permutations(range(n), 2):
-        w = [Fraction(0)] * n
-        w[i], w[j] = Fraction(1), Fraction(-1)
+        w = [0] * n
+        w[i], w[j] = 1, -1
         comp.append(tuple(w))
     for i, j in itertools.combinations(range(n), 2):
-        w = [Fraction(0)] * n
-        w[i] = w[j] = Fraction(1)
+        w = [0] * n
+        w[i] = w[j] = 1
         noncomp.append(tuple(w))
         noncomp.append(vneg(tuple(w)))
     for i in range(n):
-        w = [Fraction(0)] * n
-        w[i] = Fraction(2)
+        w = [0] * n
+        w[i] = 2
         noncomp.append(tuple(w))
         noncomp.append(vneg(tuple(w)))
     return RootDatum(
@@ -648,17 +702,17 @@ def _sp_real_datum(n: int) -> RootDatum:
     )
 
 
-def _sp_c_roots(coords: list[int], ambient: int) -> list[Vec]:
-    out: list[Vec] = []
+def _sp_c_roots(coords: list[int], ambient: int) -> list[IntVec]:
+    out: list[IntVec] = []
     for a, b in itertools.combinations(coords, 2):
         for sa, sb in itertools.product((1, -1), repeat=2):
-            w = [Fraction(0)] * ambient
-            w[a], w[b] = Fraction(sa), Fraction(sb)
+            w = [0] * ambient
+            w[a], w[b] = sa, sb
             out.append(tuple(w))
     for a in coords:
         for s in (2, -2):
-            w = [Fraction(0)] * ambient
-            w[a] = Fraction(s)
+            w = [0] * ambient
+            w[a] = s
             out.append(tuple(w))
     return out
 
@@ -671,12 +725,12 @@ def _sp_pq_datum(p: int, q: int) -> RootDatum:
     a_coords = list(range(p))
     b_coords = list(range(p, n))
     comp = _sp_c_roots(a_coords, n) + _sp_c_roots(b_coords, n)
-    noncomp: list[Vec] = []
+    noncomp: list[IntVec] = []
     for a in a_coords:
         for b in b_coords:
             for sa, sb in itertools.product((1, -1), repeat=2):
-                w = [Fraction(0)] * n
-                w[a], w[b] = Fraction(sa), Fraction(sb)
+                w = [0] * n
+                w[a], w[b] = sa, sb
                 noncomp.append(tuple(w))
     return RootDatum(
         name,
@@ -688,17 +742,17 @@ def _sp_pq_datum(p: int, q: int) -> RootDatum:
     )
 
 
-def _g2_roots() -> tuple[list[Vec], list[Vec]]:
+def _g2_roots() -> tuple[list[IntVec], list[IntVec]]:
     """(short, long) G2 roots in the sum-zero plane of Q^3."""
-    short: list[Vec] = []
+    short: list[IntVec] = []
     for i, j in itertools.permutations(range(3), 2):
-        w = [Fraction(0)] * 3
-        w[i], w[j] = Fraction(1), Fraction(-1)
+        w = [0] * 3
+        w[i], w[j] = 1, -1
         short.append(tuple(w))
-    long_: list[Vec] = []
+    long_: list[IntVec] = []
     for i in range(3):
-        w = [Fraction(-1)] * 3
-        w[i] = Fraction(2)
+        w = [-1] * 3
+        w[i] = 2
         long_.append(tuple(w))
         long_.append(vneg(tuple(w)))
     return short, long_
@@ -708,13 +762,13 @@ def _g2_split_datum() -> RootDatum:
     # maximal compact su(2)+su(2): one short and one long root pair,
     # mutually orthogonal
     short, long_ = _g2_roots()
-    comp = [vec(1, -1, 0), vec(-1, 1, 0), vec(-1, -1, 2), vec(1, 1, -2)]
+    comp = [(1, -1, 0), (-1, 1, 0), (-1, -1, 2), (1, 1, -2)]
     comp_set = set(comp)
     noncomp = [w for w in short + long_ if w not in comp_set]
     return RootDatum(
         "g2(R)",
         3,
-        (vec(1, 1, 1),),
+        ((1, 1, 1),),
         WeightMultiset.from_vectors(comp),
         WeightMultiset.from_vectors(noncomp),
         14,
@@ -726,23 +780,23 @@ def _g2_compact_datum() -> RootDatum:
     return RootDatum(
         "g2",
         3,
-        (vec(1, 1, 1),),
+        ((1, 1, 1),),
         WeightMultiset.from_vectors(short + long_),
         WeightMultiset.of([]),
         14,
     )
 
 
-def _complex_root_list(family: str, r: int) -> tuple[int, tuple[Vec, ...], list[Vec]]:
+def _complex_root_list(family: str, r: int) -> tuple[int, tuple[IntVec, ...], list[IntVec]]:
     """(ambient_dim, constraints, roots) for the split Cartan type."""
     if family == "A":
         n = r + 1
-        roots: list[Vec] = []
+        roots: list[IntVec] = []
         for i, j in itertools.permutations(range(n), 2):
-            w = [Fraction(0)] * n
-            w[i], w[j] = Fraction(1), Fraction(-1)
+            w = [0] * n
+            w[i], w[j] = 1, -1
             roots.append(tuple(w))
-        return n, (vec(*([1] * n)),), roots
+        return n, ((1,) * n,), roots
     if family == "B":
         return r, (), _so_root_list(2 * r + 1, list(range(r)), r)
     if family == "D":
@@ -751,7 +805,7 @@ def _complex_root_list(family: str, r: int) -> tuple[int, tuple[Vec, ...], list[
         return r, (), _sp_c_roots(list(range(r)), r)
     if family == "G":
         short, long_ = _g2_roots()
-        return 3, (vec(1, 1, 1),), short + long_
+        return 3, ((1, 1, 1),), short + long_
     raise DatumError(f"unknown Cartan family {family!r}")
 
 
@@ -777,10 +831,10 @@ def _complex_datum(name: str, family: str, r: int) -> RootDatum:
 def direct_sum(a: RootDatum, b: RootDatum, name: str | None = None) -> RootDatum:
     """Concatenate coordinates; weights of each factor are padded with zeros."""
 
-    def pad_left(w: Vec) -> Vec:
+    def pad_left(w: IntVec) -> IntVec:
         return w + vzero(b.ambient_dim)
 
-    def pad_right(w: Vec) -> Vec:
+    def pad_right(w: IntVec) -> IntVec:
         return vzero(a.ambient_dim) + w
 
     cons = tuple(pad_left(c) for c in a.t_constraints) + tuple(

@@ -13,6 +13,7 @@ from branchdec.decider import (
     DECO_EQUIVALENTS,
     QUESTIONS,
     CertificateError,
+    _induced_rho,
     _verify_point,
     admissible_sufficient,
     answer_question,
@@ -28,6 +29,8 @@ from branchdec.involution import (
     InvolutionError,
     WeightCell,
     build_theta_involution,
+    dim_gprime_cap_levi,
+    dim_gprime_cap_q,
     restricted_roots,
 )
 from branchdec.parabolic import (
@@ -442,6 +445,65 @@ def test_classify_builds_the_pair_view_once(monkeypatch, capsys, pair_id):
     assert cli.main(["classify", "--pair", pair_id]) == 0
     capsys.readouterr()
     assert calls[pair_id] == 1
+
+
+@pytest.mark.parametrize(
+    "pair_id", ["(su(2,2),sp(2,R))", "(so(4,3),g2(R))", "theta:su(2,2)"]
+)
+def test_classify_checks_the_base_root_system_once(monkeypatch, capsys,
+                                                   pair_id):
+    # every row reads the simple roots of its q; the root system of the
+    # base behind them is checked once per datum, not once per row
+    checked = Counter()
+    check = root_core.RootSystem
+
+    def counted(weights):
+        weights = tuple(weights)
+        checked[frozenset(weights)] += 1
+        return check(weights)
+
+    monkeypatch.setattr(root_core, "RootSystem", counted)
+    assert cli.main(["classify", "--pair", pair_id]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    base = load_catalog().pair(pair_id).base
+    roots = frozenset(w for _, w, _ in base.weight_entries() if any(w))
+    assert len(rows) > 1
+    assert checked[roots] == 1
+
+
+def test_rho_on_an_embedding_builds_one_projection_matrix(monkeypatch):
+    # embedding_view groups the weights with the projection onto t' and
+    # hands the same matrix to the view, where rho reads it
+    built = []
+    projection_matrix = root_core.projection_matrix
+
+    def counted(rows, dim):
+        built.append(len(rows))
+        return projection_matrix(rows, dim)
+
+    for module in (root_core, involution):
+        monkeypatch.setattr(module, "projection_matrix", counted)
+    pair = load_catalog().pair("(so(4,3),g2(R))")
+    answer_question(pair, _q(pair, vec(1, 0, 0)), "rho")
+    assert built == [len(pair.tprime_rows)] == [2]
+
+
+def test_a_cell_member_outside_the_base_is_refused():
+    # a bare view built by library code may name any vector as a member
+    base = build_root_datum("so(4,3)")
+    view = EmbeddingView(
+        base=base,
+        tprime_rows=(vec(1, 0, 0),),
+        fixed_zero_dim=1,
+        cells=(WeightCell(PART_NONCOMPACT, (vec(5, 0, 0),), vec(5, 0, 0)),),
+        dim_gprime=2,
+        pair_id="synthetic",
+    )
+    q = build_parabolic(base, vec(1, 0, 0))
+    for count in (dim_gprime_cap_q, dim_gprime_cap_levi, _induced_rho):
+        with pytest.raises(InvolutionError,
+                           match="member 5,0,0 is not a weight of so"):
+            count(view, q)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import reflection_walk_oracle
 import virtsym_oracle
 from lp_face_oracle import lp_face_signatures
 
@@ -27,7 +28,6 @@ from branchdec.root_core import (
     WeightMultiset,
     build_root_datum,
     lex_positive,
-    primitive_vector,
     vdot,
     vec,
     vneg,
@@ -125,15 +125,46 @@ def test_enumeration_builds_each_face_once(monkeypatch, dominant):
     # each face comes from its minimal chamber only, so no candidate point
     # is made twice and none is thrown away
     calls = []
+    build = parabolic.build_parabolic
 
-    def counted(v):
-        calls.append(v)
-        return primitive_vector(v)
+    def counted(base, x):
+        calls.append(x)
+        return build(base, x)
 
-    monkeypatch.setattr(parabolic, "primitive_vector", counted)
+    monkeypatch.setattr(parabolic, "build_parabolic", counted)
     qs = enumerate_parabolics(build_root_datum("su(3,2)"), dominant)
     assert len(qs) == (76 if dominant else 541)
     assert len(calls) == len(qs)
+
+
+def _integer_weight_data() -> list[RootDatum]:
+    cat = load_catalog()
+    return [cat.algebra(a) for a in cat.algebra_ids()] + [
+        build_root_datum(name) for name in ("su(3,2)", "su(3,3)", "so(5,4)")
+    ]
+
+
+def test_weights_are_int_tuples():
+    data = _integer_weight_data()
+    assert len(data) == 16
+    for d in data:
+        for _, w, _ in d.weight_entries():
+            assert type(w) is tuple and all(type(x) is int for x in w), d.name
+        for c in d.t_constraints:
+            assert type(c) is tuple and all(type(x) is int for x in c), d.name
+
+
+@pytest.mark.parametrize("dominant", [False, True])
+def test_integer_walk_matches_the_fraction_walk(dominant):
+    # same faces, same X (as Fractions, so the same strings), same order
+    for d in _integer_weight_data():
+        qs = enumerate_parabolics(d, dominant)
+        assert all(type(v) is Fraction for q in qs for v in q.x), d.name
+        want = reflection_walk_oracle.faces(d, dominant)
+        assert [(q.signature, q.x) for q in qs] == want, d.name
+        assert [",".join(map(str, q.x)) for q in qs] == [
+            ",".join(map(str, x)) for _, x in want
+        ]
 
 
 def test_face_sizes_match_a_direct_count_by_sign():
@@ -317,7 +348,7 @@ def test_rank_bound(monkeypatch):
     def no_walk(*args):
         raise AssertionError("the walk started before the rank check")
 
-    monkeypatch.setattr(parabolic, "simple_system", no_walk)
+    monkeypatch.setattr(RootDatum, "root_system", property(no_walk))
     with pytest.raises(UnsupportedQuery, match="rank 8 exceeds"):
         enumerate_parabolics(base)
 

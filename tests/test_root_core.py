@@ -525,13 +525,14 @@ def _frame_data() -> list[RootDatum]:
 
 
 def test_simple_system_matches_the_fraction_oracle():
-    # the integer rows change nothing: same simple roots, same coweights,
-    # as Fractions
+    # the integer rows change nothing: same simple roots, same coweights;
+    # the simple roots are the integer weights, the coweights Fractions
     for d in _frame_data():
         ws = [w for _, w, _ in d.weight_entries() if any(w)]
         got = simple_system(ws)
         assert got == linalg_oracle.simple_system(ws), d.name
-        assert all(type(x) is F for v in got[0] + got[1] for x in v)
+        assert all(type(x) is int for v in got[0] for x in v)
+        assert all(type(x) is F for v in got[1] for x in v)
 
 
 def test_simple_system_of_an_element_is_a_base_it_dominates():
@@ -571,6 +572,18 @@ def test_simple_system_refuses_a_root_outside_the_span_of_the_simple_roots():
     # e1, for rank 2
     with pytest.raises(DatumError, match="1 simple roots for rank 2"):
         simple_system([vec(1, 0), vec(-1, 0), vec(0, -1)])
+
+
+def test_validate_refuses_a_non_integral_weight():
+    # su(1,1) with its weights halved: +-1/2 in place of +-2
+    half = WeightMultiset.of([(vec(F(1, 2)), 1), (vec(F(-1, 2)), 1)])
+    d = RootDatum("half", 1, (), WeightMultiset.of([]), half, 3)
+    with pytest.raises(DatumError, match="weight -1/2 in part p is not integral"):
+        d.validate()
+    d = build_root_datum("su(2,2)")
+    cons = (vec(F(1, 2), F(1, 2), F(1, 2), F(1, 2)),)
+    with pytest.raises(DatumError, match="constraint 1/2,1/2,1/2,1/2 is not"):
+        dataclasses.replace(d, t_constraints=cons).validate()
 
 
 def test_from_dict_validates():
