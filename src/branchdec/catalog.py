@@ -275,9 +275,9 @@ class CatalogBundle:
                 pair = _involution_from_json(rec, base)
             else:
                 pair = _embedding_from_json(rec, base)
-        if not pair.report.ok:
+        if pair.report:
             if not self.force:
-                names = ", ".join(c.name for c in pair.report.failed())
+                names = ", ".join(pair.report)
                 raise CatalogError(f"{name}: validation failed: {names}")
         elif (
             isinstance(pair, InvolutionData)

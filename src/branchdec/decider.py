@@ -343,7 +343,7 @@ def rho_compat_check(pair, q: ThetaStableParabolic) -> Verdict:
         )
     view = as_embedding_view(pair)
     rho_prime, uprime_cells = _induced_rho(view, q)
-    restricted = mat_apply(view.tprime_projection, q.rho_u)
+    restricted = mat_apply(view.restriction, q.rho_u)
     answer = restricted == rho_prime
     return Verdict(
         question="rho",

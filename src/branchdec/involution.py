@@ -6,15 +6,17 @@ lines.  A separate EmbeddingRecord covers the one catalogued reductive
 subalgebra that is not symmetric.  Both reduce to the same weight-cell
 view, which is what the dimension and rho bookkeeping consumes.
 
-Once validation has made sigma an orthogonal involution of t, a weight w
-restricts to t^{sigma} and t^{-sigma} as (w + sigma w)/2 and
-(w - sigma w)/2, so involutions need no projection matrix; only the
-torus rows of an embedding are projected onto.
+A record's validation is the tuple of the names of the checks it fails,
+() when it passes.  Once validation has made sigma an orthogonal
+involution of t, a weight w restricts to t^{sigma} and t^{-sigma} as
+(w + sigma w)/2 and (w - sigma w)/2, so an involution's view restricts
+by (I + sigma^T)/2 and needs no projection matrix; only the torus rows
+of an embedding are projected onto.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -61,25 +63,6 @@ class TableRow:
     levi: str
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
 def _mat_transpose(rows: Sequence[Vec]) -> tuple[Vec, ...]:
     n = len(rows)
     return tuple(tuple(rows[i][j] for i in range(n)) for j in range(n))
@@ -114,8 +97,8 @@ class InvolutionData:
     # stale; dataclasses.replace builds a new record with empty caches.
 
     @cached_property
-    def report(self) -> ValidationReport:
-        """The structural checks of validate_involution."""
+    def report(self) -> tuple[str, ...]:
+        """The names of the checks validate_involution fails."""
         return validate_involution(self)
 
     @cached_property
@@ -204,121 +187,70 @@ class InvolutionData:
         )
 
 
-def validate_involution(inv: InvolutionData) -> ValidationReport:
-    """Named structural checks; report-style, never raises."""
-    checks: list[CheckResult] = []
+def validate_involution(inv: InvolutionData) -> tuple[str, ...]:
+    """The names of the structural checks the record fails, in a fixed
+    order; () when it passes.  Never raises."""
     n = inv.base.ambient_dim
     m = inv.matrix
-    ok_shape = len(m) == n and all(len(r) == n for r in m)
-    checks.append(
-        CheckResult("matrix-shape", ok_shape, "" if ok_shape else "not square")
-    )
-    if not ok_shape:
-        return ValidationReport(tuple(checks))
+    if not (len(m) == n and all(len(r) == n for r in m)):
+        return ("matrix-shape",)
 
     eye = identity(n)
     mt = inv.sigma_transpose
-    checks.append(CheckResult("matrix-involutive", _mat_mul(m, m) == eye))
-    checks.append(CheckResult("matrix-orthogonal", _mat_mul(mt, m) == eye))
+    cons = inv.base.t_constraints
+    fixed = [
+        (part, w, mm)
+        for part, w, mm in inv.base.weight_entries()
+        if not is_zero_vec(w) and inv.sigma_weight(w) == w
+    ]
 
-    cons = list(inv.base.t_constraints)
-    torus_ok = all(in_span(mat_apply(mt, c), cons) for c in cons) if cons else True
-    checks.append(
-        CheckResult(
-            "matrix-preserves-torus",
-            torus_ok,
-            "" if torus_ok else "sigma does not stabilise the torus",
-        )
-    )
-
-    for tag, ws in (
-        ("permutes-compact-weights", inv.base.compact),
-        ("permutes-noncompact-weights", inv.base.noncompact),
-    ):
-        good = all(
+    def permutes(ws: WeightMultiset) -> bool:
+        return all(
             ws.mult(inv.sigma_weight(w)) == mm
             for w, mm in ws
             if not is_zero_vec(w)
         )
-        checks.append(CheckResult(tag, good))
 
-    fixed_needed = set()
-    mult_ok = True
-    for part, w, mm in inv.base.weight_entries():
-        if is_zero_vec(w):
-            continue
-        if inv.sigma_weight(w) == w:
-            fixed_needed.add((part, w))
-            if mm != 1:
-                mult_ok = False
-    eps_keys = {(p, w) for p, w, _ in inv.eps}
-    eps_signs_ok = all(s in (1, -1) for _, _, s in inv.eps)
-    cover = fixed_needed == eps_keys and eps_signs_ok and mult_ok
-    detail = ""
-    if not cover:
-        missing = sorted(fixed_needed - eps_keys)
-        extra = sorted(eps_keys - fixed_needed)
-        bits = []
-        if missing:
-            bits.append(f"{len(missing)} fixed weights lack a sign")
-        if extra:
-            bits.append(f"{len(extra)} sign entries match no fixed weight")
-        if not eps_signs_ok:
-            bits.append("signs outside {+1,-1}")
-        if not mult_ok:
-            bits.append("fixed weight of multiplicity > 1 unsupported")
-        detail = "; ".join(bits)
-    checks.append(CheckResult("eps-covers-fixed-weights", cover, detail))
-
-    neg_ok = all(
-        inv.eps_of(p, vneg(w)) == s for p, w, s in inv.eps
-    )
-    checks.append(CheckResult("eps-negation-symmetric", neg_ok))
-
-    zmax = inv.base.noncompact.zero_mult()
-    zr = 0 <= inv.zero_weight_fixed_dim <= zmax
-    checks.append(
-        CheckResult(
-            "zero-weight-fixed-dim-range",
-            zr,
-            "" if zr else f"must lie in [0, {zmax}]",
-        )
-    )
-
-    dim = inv.dim_g_sigma()
-    dims_ok = dim == inv.dim_gprime
-    checks.append(
-        CheckResult(
-            "fixed-dimension-bookkeeping",
-            dims_ok,
-            "" if dims_ok else f"computed {dim}, declared {inv.dim_gprime}",
-        )
-    )
-
-    # necessary condition for t^{-sigma} maximal abelian in k^{-sigma}:
-    # a compact root vanishing on t^{-sigma} must have sign +1; it
-    # restricts there to (w - sigma w)/2, so it vanishes iff sigma-fixed
-    bad = next(
-        (w for w, _ in inv.base.compact
-         if inv.sigma_weight(w) == w and inv.eps_of(PART_COMPACT, w) != 1),
-        None,
-    )
-    max_ok = bad is None
-    checks.append(
-        CheckResult(
-            "tminus-maximality-necessary",
-            max_ok,
-            "" if max_ok else f"compact weight {bad} could enlarge t^-sigma",
-        )
-    )
-    return ValidationReport(tuple(checks))
+    checks = {
+        "matrix-involutive": _mat_mul(m, m) == eye,
+        "matrix-orthogonal": _mat_mul(mt, m) == eye,
+        "matrix-preserves-torus": all(
+            in_span(mat_apply(mt, c), cons) for c in cons
+        ),
+        "permutes-compact-weights": permutes(inv.base.compact),
+        "permutes-noncompact-weights": permutes(inv.base.noncompact),
+        # one sign in {+1,-1} per fixed weight line, each of multiplicity 1
+        "eps-covers-fixed-weights": (
+            {(p, w) for p, w, _ in fixed} == {(p, w) for p, w, _ in inv.eps}
+            and all(s in (1, -1) for _, _, s in inv.eps)
+            and all(mm == 1 for _, _, mm in fixed)
+        ),
+        "eps-negation-symmetric": all(
+            inv.eps_of(p, vneg(w)) == s for p, w, s in inv.eps
+        ),
+        "zero-weight-fixed-dim-range": (
+            0 <= inv.zero_weight_fixed_dim <= inv.base.noncompact.zero_mult()
+        ),
+        "fixed-dimension-bookkeeping": inv.dim_g_sigma() == inv.dim_gprime,
+        # necessary condition for t^{-sigma} maximal abelian in
+        # k^{-sigma}: a compact root vanishing on t^{-sigma} must have
+        # sign +1; it restricts there to (w - sigma w)/2, so it vanishes
+        # iff sigma-fixed
+        "tminus-maximality-necessary": all(
+            inv.sigma_weight(w) != w or inv.eps_of(PART_COMPACT, w) == 1
+            for w, _ in inv.base.compact
+        ),
+        "table-rows-in-torus": all(
+            inv.base.in_torus(row.x) for row in inv.table_rows
+        ),
+    }
+    return tuple(name for name, passed in checks.items() if not passed)
 
 
 def ensure_valid(pair: InvolutionData | EmbeddingRecord) -> None:
     """Raise InvolutionError unless the record passes its validation."""
-    report = pair.report
-    if not report.ok:
-        names = ", ".join(c.name for c in report.failed())
+    if pair.report:
+        names = ", ".join(pair.report)
         raise InvolutionError(f"{pair.pair_id}: failed checks: {names}")
 
 
@@ -465,29 +397,27 @@ class WeightCell:
 
 @dataclass(frozen=True)
 class EmbeddingView:
+    """The weight cells of a subalgebra and ``restriction``, the matrix
+    taking a vector of t to its restriction to the subalgebra torus."""
+
     base: RootDatum
-    tprime_rows: tuple[Vec, ...]
+    restriction: tuple[Vec, ...]
     fixed_zero_dim: int
     cells: tuple[WeightCell, ...]
     dim_gprime: int
     pair_id: str
-    # the projection onto span(tprime_rows) when the builder already has
-    # it; otherwise tprime_projection builds it on first use
-    projection: tuple[Vec, ...] | None = field(
-        default=None, compare=False, repr=False
-    )
-
-    @cached_property
-    def tprime_projection(self) -> tuple[Vec, ...]:
-        if self.projection is not None:
-            return self.projection
-        return projection_matrix(self.tprime_rows, self.base.ambient_dim)
 
 
 def involution_view(inv: InvolutionData) -> EmbeddingView:
     """One cell per line of g^sigma: a sigma-fixed weight with sign +1,
-    or a pair {w, sigma w}, restricted to t^sigma as (w + sigma w)/2."""
+    or a pair {w, sigma w}, restricted to t^sigma as (w + sigma w)/2.
+    The restriction is (I + sigma^T)/2, built with no elimination."""
     tplus = inv.t_sigma
+    half = Fraction(1, 2)
+    restriction = tuple(
+        vscale(half, vadd(e, row))
+        for e, row in zip(identity(inv.base.ambient_dim), inv.sigma_transpose)
+    )
     cells: list[WeightCell] = []
     for part, w, m in inv.base.weight_entries():
         if is_zero_vec(w):
@@ -497,11 +427,11 @@ def involution_view(inv: InvolutionData) -> EmbeddingView:
             if inv.eps_of(part, w) == 1:
                 cells.extend([WeightCell(part, (w,), w)] * m)
         elif w < sw:
-            restr = vscale(Fraction(1, 2), vadd(w, sw))
+            restr = vscale(half, vadd(w, sw))
             cells.extend([WeightCell(part, (w, sw), restr)] * m)
     return EmbeddingView(
         inv.base,
-        tplus,
+        restriction,
         len(tplus) + inv.zero_weight_fixed_dim,
         tuple(cells),
         inv.dim_gprime,
@@ -530,8 +460,8 @@ class EmbeddingRecord:
     # derived data is cached as on InvolutionData
 
     @cached_property
-    def report(self) -> ValidationReport:
-        """The checks of validate_embedding."""
+    def report(self) -> tuple[str, ...]:
+        """The names of the checks validate_embedding fails."""
         return validate_embedding(self)
 
     @cached_property
@@ -539,50 +469,29 @@ class EmbeddingRecord:
         return embedding_view(self)
 
 
-def validate_embedding(rec: EmbeddingRecord) -> ValidationReport:
-    checks: list[CheckResult] = []
+def validate_embedding(rec: EmbeddingRecord) -> tuple[str, ...]:
+    """The names of the checks the record fails, in a fixed order; ()
+    when it passes.  Never raises."""
     n = rec.base.ambient_dim
-    rows_ok = all(len(r) == n for r in rec.tprime_rows)
-    checks.append(CheckResult("tprime-shape", rows_ok))
-    if not rows_ok:
-        return ValidationReport(tuple(checks))
-    checks.append(
-        CheckResult(
-            "tprime-independent",
-            rank(list(rec.tprime_rows)) == len(rec.tprime_rows),
-        )
-    )
-    in_torus = all(rec.base.in_torus(r) for r in rec.tprime_rows)
-    checks.append(CheckResult("tprime-in-torus", in_torus))
-
-    # a weight vanishes on t' iff it is orthogonal to every row
-    vanish = next(
-        (w for _, w, _ in rec.base.weight_entries()
-         if not is_zero_vec(w)
-         and all(vdot(w, r) == 0 for r in rec.tprime_rows)),
-        None,
-    )
-    checks.append(
-        CheckResult(
-            "no-weight-vanishes-on-tprime",
-            vanish is None,
-            "" if vanish is None else f"weight {vanish} centralises t'",
-        )
-    )
-
-    view = rec.view
-    total = view.fixed_zero_dim + len(view.cells)
-    checks.append(
-        CheckResult(
-            "cell-count-bookkeeping",
-            total == rec.dim_gprime,
-            "" if total == rec.dim_gprime else (
-                f"torus {view.fixed_zero_dim} + cells {len(view.cells)} "
-                f"= {total}, declared {rec.dim_gprime}"
-            ),
-        )
-    )
-    return ValidationReport(tuple(checks))
+    rows = rec.tprime_rows
+    if not all(len(r) == n for r in rows):
+        return ("tprime-shape",)
+    checks = {
+        "tprime-independent": rank(list(rows)) == len(rows),
+        "tprime-in-torus": all(rec.base.in_torus(r) for r in rows),
+        # a weight vanishes on t' iff it is orthogonal to every row
+        "no-weight-vanishes-on-tprime": not any(
+            not is_zero_vec(w) and all(vdot(w, r) == 0 for r in rows)
+            for _, w, _ in rec.base.weight_entries()
+        ),
+        "cell-count-bookkeeping": (
+            rec.view.fixed_zero_dim + len(rec.view.cells) == rec.dim_gprime
+        ),
+        "table-rows-in-torus": all(
+            rec.base.in_torus(row.x) for row in rec.table_rows
+        ),
+    }
+    return tuple(name for name, passed in checks.items() if not passed)
 
 
 def embedding_view(rec: EmbeddingRecord) -> EmbeddingView:
@@ -601,12 +510,11 @@ def embedding_view(rec: EmbeddingRecord) -> EmbeddingView:
         cells.append(WeightCell(part, tuple(sorted(members)), r))
     return EmbeddingView(
         rec.base,
-        rec.tprime_rows,
+        projection,
         len(rec.tprime_rows) + rec.extra_zero_dim,
         tuple(cells),
         rec.dim_gprime,
         rec.pair_id,
-        projection,
     )
 
 

@@ -206,6 +206,30 @@ def test_resealed_edit_fails_validation(tmp_path, capsys):
     _verify_fails(capsys, root, "fixed-dimension-bookkeeping")
 
 
+@pytest.mark.parametrize("x", [["1", "1", "1", "1"], ["3", "-1", "-1"]])
+def test_resealed_table_row_off_the_torus_fails_validation(
+    tmp_path, capsys, x
+):
+    root = _copy(tmp_path)
+    _edit(
+        root / "pairs" / "_su_2_2__sp_2_R__.json",
+        lambda rec: rec["table_rows"][0].update(X=x),
+    )
+    _reseal(root)
+    message = "_su_2_2__sp_2_R__.json: validation failed: table-rows-in-torus"
+    _verify_fails(capsys, root, re.escape(message))
+    assert main(["catalog", "--catalog", str(root)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    # a command on another pair never builds the broken one
+    argv = ["check", "--pair", "(so(4),so(3))", "--X", "1,1",
+            "--question", "deco"]
+    assert main(argv) == 0
+    pristine = capsys.readouterr().out
+    assert main(argv + ["--catalog", str(root)]) == 0
+    assert capsys.readouterr().out == pristine
+
+
 def test_resealed_unknown_or_missing_builder_is_refused(tmp_path, capsys):
     root = _copy(tmp_path)
     victim = root / "algebras" / "su_2_2_.json"
@@ -407,15 +431,23 @@ def test_make_catalog_does_not_seal_a_broken_catalog(
     tool = _make_catalog_module()
     build_pairs = tool.build_pairs
 
-    def broken_pairs():
-        return [
-            dataclasses.replace(p, dim_gprime=11)
-            if p.pair_id == "(su(2,2),sp(2,R))" else p
-            for p in build_pairs()
-        ]
+    def off_torus_row(p):
+        row = dataclasses.replace(p.table_rows[0], x=vec(1, 1, 1, 1))
+        return dataclasses.replace(p, table_rows=(row,))
 
-    monkeypatch.setattr(tool, "build_pairs", broken_pairs)
-    out = tmp_path / "data"
-    assert tool.main(["make_catalog.py", str(out)]) == 1
-    assert "fixed-dimension-bookkeeping" in capsys.readouterr().err
-    assert not (out / "meta.json").exists()
+    for breaks, name, check in (
+        (lambda p: dataclasses.replace(p, dim_gprime=11), "dim",
+         "fixed-dimension-bookkeeping"),
+        (off_torus_row, "row", "table-rows-in-torus"),
+    ):
+        def broken_pairs():
+            return [
+                breaks(p) if p.pair_id == "(su(2,2),sp(2,R))" else p
+                for p in build_pairs()
+            ]
+
+        monkeypatch.setattr(tool, "build_pairs", broken_pairs)
+        out = tmp_path / name
+        assert tool.main(["make_catalog.py", str(out)]) == 1
+        assert check in capsys.readouterr().err
+        assert not (out / "meta.json").exists()

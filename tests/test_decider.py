@@ -352,7 +352,7 @@ def test_rho_validates_pair_first():
 
     pair = _pair("(su(2,2),sp(2,R))")
     # a replaced record is new and unvalidated, even after pair.report ran
-    assert pair.report.ok
+    assert pair.report == ()
     bad = dataclasses.replace(pair, dim_gprime=11)
     q = _q(pair, vec(3, -1, -1, -1))
     for check in (discretely_decomposable, admissible_sufficient,
@@ -407,8 +407,8 @@ def test_stored_pair_is_validated_once(monkeypatch):
 
 
 def test_involution_verdicts_build_no_projection_matrix(monkeypatch):
-    # sigma restricts every weight and tests every certified point, so
-    # only rho, which restricts rho_u to the torus of g', projects
+    # sigma restricts every weight, tests every certified point and gives
+    # rho its restriction to the torus of g' as (I + sigma^T)/2
     built = []
     projection_matrix = root_core.projection_matrix
 
@@ -424,7 +424,7 @@ def test_involution_verdicts_build_no_projection_matrix(monkeypatch):
         answer_question(pair, q, question)
     assert built == []
     assert answer_question(pair, q, "rho").answer
-    assert built == [len(pair.t_sigma)]
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -493,7 +493,7 @@ def test_a_cell_member_outside_the_base_is_refused():
     base = build_root_datum("so(4,3)")
     view = EmbeddingView(
         base=base,
-        tprime_rows=(vec(1, 0, 0),),
+        restriction=(vec(1, 0, 0), vzero(3), vzero(3)),
         fixed_zero_dim=1,
         cells=(WeightCell(PART_NONCOMPACT, (vec(5, 0, 0),), vec(5, 0, 0)),),
         dim_gprime=2,
@@ -516,7 +516,8 @@ _HALF_D = vec(F(1, 2), 0, 0, F(-1, 2))
 def _synthetic_view(cells):
     return EmbeddingView(
         base=build_root_datum("su(2,2)"),
-        tprime_rows=(_D,),
+        # the projection onto the line through _D
+        restriction=(_HALF_D, vzero(4), vzero(4), vneg(_HALF_D)),
         fixed_zero_dim=1,
         cells=tuple(cells),
         dim_gprime=1 + len(cells),

@@ -59,10 +59,6 @@ def _pair(pid: str):
     return _cat().pair(pid)
 
 
-def _failed_names(report) -> set[str]:
-    return {c.name for c in report.failed()}
-
-
 # ---------------------------------------------------------------------------
 # theta and swap builders
 
@@ -71,7 +67,7 @@ def test_theta_involution_su22():
     base = build_root_datum("su(2,2)")
     inv = build_theta_involution(base)
     assert inv.pair_id == "theta:su(2,2)"
-    assert validate_involution(inv).ok
+    assert validate_involution(inv) == ()
     assert inv.dim_gprime == base.dim_k == 7
     assert len(inv.t_sigma) == 3
     assert inv.t_minus_sigma == ()
@@ -93,7 +89,7 @@ def test_theta_dimension_split_on_all_catalog_algebras():
     for name in _cat().algebra_ids():
         base = _cat().algebra(name)
         inv = build_theta_involution(base)
-        assert validate_involution(inv).ok, name
+        assert validate_involution(inv) == (), name
         assert inv.dim_g_sigma() == base.dim_k
         assert inv.dim_g_sigma() + _dim_g_minus_sigma(inv) == base.dim_g
         chamber = momentum_chamber(inv)
@@ -104,7 +100,7 @@ def test_swap_involution_doubled_su11():
     base = build_root_datum("su(1,1)+su(1,1)")
     half = build_root_datum("su(1,1)")
     inv = build_swap_involution(base, half)
-    assert validate_involution(inv).ok
+    assert validate_involution(inv) == ()
     assert inv.dim_gprime == 3
     tplus = inv.t_sigma
     tminus = inv.t_minus_sigma
@@ -130,7 +126,7 @@ def test_swap_involution_rejects_wrong_half():
 
 def test_sp2r_pair_structure():
     inv = _pair("(su(2,2),sp(2,R))")
-    assert validate_involution(inv).ok
+    assert validate_involution(inv) == ()
     assert inv.dim_gprime == 10
     assert inv.dim_g_sigma() + _dim_g_minus_sigma(inv) == 15
 
@@ -151,7 +147,7 @@ def test_sp2r_pair_structure():
 
 def test_sp11_pair_structure():
     inv = _pair("(su(2,2),sp(1,1))")
-    assert validate_involution(inv).ok
+    assert validate_involution(inv) == ()
     assert inv.dim_gprime == 10
     system = restricted_roots(inv)
     # both compact root lines are sigma-fixed, nothing survives restriction
@@ -164,7 +160,7 @@ def test_sp11_pair_structure():
 
 def test_so32_pair_structure():
     inv = _pair("(so(5,C),so(3,2))")
-    assert validate_involution(inv).ok
+    assert validate_involution(inv) == ()
     assert inv.zero_weight_fixed_dim == 2
     system = restricted_roots(inv)
     assert system.positive == WeightMultiset.of(
@@ -217,7 +213,7 @@ def test_validation_flags_non_involutive_matrix():
         vscale(2, row) if i == 0 else row for i, row in enumerate(inv.matrix)
     )
     bad = dataclasses.replace(inv, matrix=bad_matrix)
-    names = _failed_names(validate_involution(bad))
+    names = set(validate_involution(bad))
     assert "matrix-involutive" in names
     assert "matrix-orthogonal" in names
 
@@ -232,7 +228,7 @@ def test_validation_flags_torus_violation():
         vec(0, 0, 0, -1),
     )
     bad = dataclasses.replace(inv, matrix=reflect_last)
-    assert "matrix-preserves-torus" in _failed_names(validate_involution(bad))
+    assert "matrix-preserves-torus" in set(validate_involution(bad))
 
 
 def test_validation_flags_part_mixing_matrix():
@@ -247,7 +243,7 @@ def test_validation_flags_part_mixing_matrix():
         vec(0, 0, 0, 1),
     )
     bad = dataclasses.replace(inv, matrix=swap_middle)
-    names = _failed_names(validate_involution(bad))
+    names = set(validate_involution(bad))
     assert "permutes-compact-weights" in names
     assert "permutes-noncompact-weights" in names
 
@@ -255,15 +251,15 @@ def test_validation_flags_part_mixing_matrix():
 def test_validation_flags_missing_eps():
     inv = _pair("(su(2,2),sp(2,R))")
     bad = dataclasses.replace(inv, eps=inv.eps[1:])
-    assert "eps-covers-fixed-weights" in _failed_names(validate_involution(bad))
+    assert "eps-covers-fixed-weights" in set(validate_involution(bad))
 
 
 def test_validation_flags_asymmetric_eps():
     inv = _pair("(su(2,2),sp(2,R))")
     part, w, s = inv.eps[0]
     flipped = ((part, w, -s),) + inv.eps[1:]
-    assert "eps-negation-symmetric" in _failed_names(
-        validate_involution(dataclasses.replace(inv, eps=flipped))
+    assert "eps-negation-symmetric" in validate_involution(
+        dataclasses.replace(inv, eps=flipped)
     )
 
 
@@ -276,7 +272,7 @@ def test_validation_catches_eps_perturbation_through_dimensions():
         (p, v, -sv) if v in (w, vneg(w)) else (p, v, sv) for p, v, sv in inv.eps
     )
     bad = dataclasses.replace(inv, eps=flipped)
-    assert _failed_names(validate_involution(bad)) == {
+    assert set(validate_involution(bad)) == {
         "fixed-dimension-bookkeeping"
     }
     with pytest.raises(InvolutionError, match="fixed-dimension-bookkeeping"):
@@ -286,15 +282,15 @@ def test_validation_catches_eps_perturbation_through_dimensions():
 def test_validation_flags_zero_weight_dim_out_of_range():
     inv = _pair("(so(5,C),so(3,2))")
     bad = dataclasses.replace(inv, zero_weight_fixed_dim=3)
-    assert "zero-weight-fixed-dim-range" in _failed_names(validate_involution(bad))
+    assert "zero-weight-fixed-dim-range" in set(validate_involution(bad))
     low = dataclasses.replace(inv, zero_weight_fixed_dim=1)
-    assert "fixed-dimension-bookkeeping" in _failed_names(validate_involution(low))
+    assert "fixed-dimension-bookkeeping" in set(validate_involution(low))
 
 
 def test_validation_flags_wrong_declared_dimension():
     inv = _pair("(su(2,2),sp(2,R))")
     bad = dataclasses.replace(inv, dim_gprime=11)
-    assert _failed_names(validate_involution(bad)) == {
+    assert set(validate_involution(bad)) == {
         "fixed-dimension-bookkeeping"
     }
 
@@ -310,9 +306,71 @@ def test_validation_flags_compact_centraliser_of_tminus():
         for p, v, s in inv.eps
     )
     bad = dataclasses.replace(inv, eps=flipped)
-    names = _failed_names(validate_involution(bad))
+    names = set(validate_involution(bad))
     assert "tminus-maximality-necessary" in names
     assert "fixed-dimension-bookkeeping" in names
+
+
+def test_validation_flags_non_square_matrix():
+    # a matrix of the wrong shape stops validation before any product
+    inv = _pair("(su(2,2),sp(2,R))")
+    for matrix in (inv.matrix[:3], tuple(row[:3] for row in inv.matrix)):
+        bad = dataclasses.replace(inv, matrix=matrix)
+        assert set(validate_involution(bad)) == {"matrix-shape"}
+
+
+def test_validation_flags_short_tprime_row():
+    emb = _pair("(so(4,3),g2(R))")
+    r1, r2 = emb.tprime_rows
+    bad = dataclasses.replace(emb, tprime_rows=(r1, r2[:2]))
+    assert set(validate_embedding(bad)) == {"tprime-shape"}
+
+
+def test_validation_flags_dependent_tprime_rows():
+    # the sum of the two rows spans nothing new, so the cells are those of
+    # g2(R); one more torus row is declared with them
+    emb = _pair("(so(4,3),g2(R))")
+    r1, r2 = emb.tprime_rows
+    bad = dataclasses.replace(
+        emb, tprime_rows=(r1, r2, vadd(r1, r2)), dim_gprime=15
+    )
+    assert set(validate_embedding(bad)) == {"tprime-independent"}
+
+
+def test_validation_flags_tprime_row_off_the_torus():
+    # so(4,3) has no torus constraints, so a row of the right length is
+    # always in its torus; su(2,2)'s torus is x1 + x2 + x3 + x4 = 0, and
+    # its whole torus plus 1,1,1,1 with every root line is u(2,2)
+    base = build_root_datum("su(2,2)")
+    torus = (vec(1, 1, -1, -1), vec(1, -1, 1, -1), vec(1, -1, -1, 1))
+    assert validate_embedding(
+        EmbeddingRecord(base, torus, 0, 15, "su(2,2)", "whole")
+    ) == ()
+    bad = EmbeddingRecord(base, torus + (vec(1, 1, 1, 1),), 0, 16,
+                          "u(2,2)", "off-torus")
+    assert set(validate_embedding(bad)) == {"tprime-in-torus"}
+
+
+def test_validation_flags_weight_vanishing_on_tprime():
+    # on the line through 1,-1,0 the roots +-(1,1,0) and +-e3 vanish; the
+    # declared dimension is the one the cells give
+    emb = _pair("(so(4,3),g2(R))")
+    bad = dataclasses.replace(emb, tprime_rows=emb.tprime_rows[:1],
+                              dim_gprime=5)
+    assert set(validate_embedding(bad)) == {
+        "no-weight-vanishes-on-tprime"
+    }
+
+
+def test_validation_flags_table_row_off_the_torus():
+    # a table row is a defining element X, so it must lie in the torus
+    inv = _pair("(su(2,2),sp(2,R))")
+    emb = _pair("(so(4,3),g2(R))")
+    for pair, x in ((inv, vec(1, 1, 1, 1)), (inv, vec(3, -1, -1)),
+                    (emb, vec(1, 0))):
+        row = dataclasses.replace(pair.table_rows[0], x=x)
+        bad = dataclasses.replace(pair, table_rows=(row,))
+        assert bad.report == ("table-rows-in-torus",), x
 
 
 def test_ensure_valid_passes_catalog_pairs():
@@ -360,7 +418,7 @@ def test_conjugating_by_a_datum_symmetry_transports_restricted_roots():
         declared_restricted_positive=None,
         pair_id="conjugated",
     )
-    assert validate_involution(conj).ok
+    assert validate_involution(conj) == ()
     before = _line_multiset(restricted_roots(inv).roots)
     after = _line_multiset(restricted_roots(conj).roots)
     transported = {
@@ -409,7 +467,7 @@ def test_sp2r_view_cells():
 def test_g2_embedding_view_matches_branching():
     rec = _pair("(so(4,3),g2(R))")
     assert isinstance(rec, EmbeddingRecord)
-    assert validate_embedding(rec).ok
+    assert validate_embedding(rec) == ()
     view = embedding_view(rec)
     assert view.fixed_zero_dim == 2
     assert len(view.cells) == 12
@@ -481,10 +539,18 @@ def _assert_involution_caches_fresh(inv):
         if sw == w or w < sw:
             members = (w,) if sw == w else (w, sw)
             cells += [WeightCell(part, members, gram_projection(w, tplus))] * m
+    n = inv.base.ambient_dim
+    # (I + sigma^T)/2, read off the matrix as stored
+    restriction = tuple(
+        tuple((int(i == j) + inv.matrix[j][i]) / F(2) for j in range(n))
+        for i in range(n)
+    )
     assert inv.view == EmbeddingView(
-        inv.base, tplus, len(tplus) + inv.zero_weight_fixed_dim,
+        inv.base, restriction, len(tplus) + inv.zero_weight_fixed_dim,
         tuple(cells), inv.dim_gprime, inv.pair_id,
     )
+    for _, w, _ in inv.base.weight_entries():
+        assert mat_apply(inv.view.restriction, w) == gram_projection(w, tplus)
 
     roots = WeightMultiset.of(
         (r, m)
@@ -511,12 +577,19 @@ def _assert_embedding_caches_fresh(rec):
         WeightCell(part, tuple(sorted(ws)), r)
         for (part, r), ws in sorted(groups.items())
     )
+    # the projection is symmetric, so its row j is the image of e_j
+    n = rec.base.ambient_dim
+    restriction = tuple(
+        gram_projection(tuple(F(int(i == j)) for i in range(n)),
+                        rec.tprime_rows)
+        for j in range(n)
+    )
     assert rec.view == EmbeddingView(
-        rec.base, rec.tprime_rows, len(rec.tprime_rows) + rec.extra_zero_dim,
+        rec.base, restriction, len(rec.tprime_rows) + rec.extra_zero_dim,
         cells, rec.dim_gprime, rec.pair_id,
     )
     for _, w, _ in rec.base.weight_entries():
-        assert mat_apply(rec.view.tprime_projection, w) == (
+        assert mat_apply(rec.view.restriction, w) == (
             gram_projection(w, rec.tprime_rows)
         )
     assert rec.view is rec.view
