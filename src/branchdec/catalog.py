@@ -7,6 +7,9 @@ theta: and swap: pairs are synthesised on demand rather than stored.
 
 Loading reads each file once, checks the seal on its bytes and decodes
 the same bytes; each record is built and validated on its first access.
+A pair's vectors decode with ``vec_from``: an integral literal becomes an
+int and any other a Fraction, so a stored integer sigma is validated and
+restricts weights with integer products.
 """
 
 from __future__ import annotations

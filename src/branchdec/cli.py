@@ -58,6 +58,11 @@ EXIT_USAGE = 1
 EXIT_UNKNOWN_ID = 2
 EXIT_UNSUPPORTED = 3
 
+# malformed input, broken catalog data or a certificate that fails its
+# own check: exit 1, and a failed check in verify
+_DATA_ERRORS = (CatalogError, CertificateError, DatumError, InvolutionError,
+                PointednessError, ValueError)
+
 
 class _ArgumentError(Exception):
     pass
@@ -255,24 +260,28 @@ def cmd_classify(ns) -> int:
     return EXIT_OK
 
 
+def _table_row_check(pair, x) -> tuple[bool, str]:
+    q = build_parabolic(pair.base, x)
+    t = transitive_check(pair, q)
+    r = rho_compat_check(pair, q)
+    return t.answer and r.answer, ""
+
+
+def _theta_sweep_check(theta, qs) -> tuple[bool, str]:
+    bad = sum(not discretely_decomposable(theta, q).answer for q in qs)
+    return bad == 0, "" if bad == 0 else f"{bad} failures"
+
+
 def _verify_checks(cat: CatalogBundle):
-    """Yield (name, passed, detail) triples; order is deterministic."""
+    """Yield (name, check) pairs in a fixed order; check() returns
+    (passed, detail) and may raise."""
     for pid in cat.pair_ids():
         pair = cat.pair(pid)
         for row in pair.table_rows:
             for x in (row.x, vneg(row.x)):
-                q = build_parabolic(pair.base, x)
-                deco_note = ""
-                try:
-                    t = transitive_check(pair, q)
-                    r = rho_compat_check(pair, q)
-                    ok = t.answer and r.answer
-                except UnsupportedQuery as exc:
-                    ok, deco_note = False, str(exc)
                 yield (
                     f"table-row {pid} levi {row.levi} X={format_vector(x)}",
-                    ok,
-                    deco_note,
+                    functools.partial(_table_row_check, pair, x),
                 )
     for aid in cat.algebra_ids():
         base = cat.algebra(aid)
@@ -280,18 +289,15 @@ def _verify_checks(cat: CatalogBundle):
             continue
         theta = build_theta_involution(base)
         qs = enumerate_parabolics(base)
-        bad = 0
-        for q in qs:
-            if not discretely_decomposable(theta, q).answer:
-                bad += 1
         yield (
             f"theta-sweep {aid} ({len(qs)} parabolics)",
-            bad == 0,
-            "" if bad == 0 else f"{bad} failures",
+            functools.partial(_theta_sweep_check, theta, qs),
         )
 
 
 def cmd_verify(ns) -> int:
+    """Each check prints one line; a check that raises fails with the
+    error as its detail, and the summary line always ends the report."""
     try:
         cat = _load(ns)
         cat.check_all()
@@ -301,14 +307,13 @@ def cmd_verify(ns) -> int:
         return 1
     print("catalog-integrity: PASS")
     total, failed = 1, 0
-    checks = _verify_checks(cat)
-    while True:
-        # time the lazy production of the next check, not just the print
-        t0 = time.monotonic()
+    # time the lazy production of each check too, not just its run
+    t0 = time.monotonic()
+    for name, check in _verify_checks(cat):
         try:
-            name, ok, detail = next(checks)
-        except StopIteration:
-            break
+            ok, detail = check()
+        except (UnsupportedQuery, *_DATA_ERRORS) as exc:
+            ok, detail = False, str(exc)
         elapsed = (time.monotonic() - t0) * 1000
         total += 1
         tag = "PASS" if ok else "FAIL"
@@ -317,6 +322,7 @@ def cmd_verify(ns) -> int:
         if not ok:
             failed += 1
         print(f"  [{name}] {elapsed:.1f} ms", file=sys.stderr)
+        t0 = time.monotonic()
     if failed:
         print(f"verify: {total} checks, {failed} failed")
         return 1
@@ -397,8 +403,7 @@ def main(argv=None) -> int:
     except UnsupportedQuery as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (CatalogError, CertificateError, DatumError, InvolutionError,
-            PointednessError, ValueError) as exc:
+    except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

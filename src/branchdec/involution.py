@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Sequence
 
 from .cone_kernel import Cone
@@ -28,6 +27,7 @@ from .root_core import (
     RootDatum,
     Vec,
     WeightMultiset,
+    dot,
     format_vector,
     identity,
     in_span,
@@ -43,6 +43,7 @@ from .root_core import (
     simple_system,
     vadd,
     vdot,
+    vhalf,
     vneg,
     vscale,
     vsub,
@@ -70,7 +71,7 @@ def _mat_transpose(rows: Sequence[Vec]) -> tuple[Vec, ...]:
 
 def _mat_mul(a: Sequence[Vec], b: Sequence[Vec]) -> tuple[Vec, ...]:
     bt = _mat_transpose(b)
-    return tuple(tuple(vdot(row, col) for col in bt) for row in a)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,11 @@ class InvolutionData:
 
     @cached_property
     def t_sigma(self) -> tuple[Vec, ...]:
-        return self._eigenbasis(Fraction(1))
+        return self._eigenbasis(1)
 
     @cached_property
     def t_minus_sigma(self) -> tuple[Vec, ...]:
-        return self._eigenbasis(Fraction(-1))
+        return self._eigenbasis(-1)
 
     @cached_property
     def view(self) -> EmbeddingView:
@@ -151,10 +152,12 @@ class InvolutionData:
     def eps_of(self, part: str, w: Vec) -> int | None:
         return self.eps_signs.get((part, w))
 
-    def _eigenbasis(self, sign: Fraction) -> tuple[Vec, ...]:
-        n = self.base.ambient_dim
-        eye = identity(n)
-        rows = [vsub(r, vscale(sign, e)) for r, e in zip(self.matrix, eye)]
+    def _eigenbasis(self, sign: int) -> tuple[Vec, ...]:
+        eye = identity(self.base.ambient_dim)
+        rows = [
+            tuple(x - sign * y for x, y in zip(r, e))
+            for r, e in zip(self.matrix, eye)
+        ]
         rows.extend(self.base.t_constraints)
         return tuple(nullspace(rows))
 
@@ -295,8 +298,8 @@ def build_swap_involution(base: RootDatum, half: RootDatum) -> InvolutionData:
             )
     rows = []
     for i in range(2 * h):
-        r = [Fraction(0)] * (2 * h)
-        r[(i + h) % (2 * h)] = Fraction(1)
+        r = [0] * (2 * h)
+        r[(i + h) % (2 * h)] = 1
         rows.append(tuple(r))
     return InvolutionData(
         base,
@@ -329,12 +332,13 @@ def restricted_roots(inv: InvolutionData) -> RestrictedRootSystem:
 
 def _restricted_root_system(inv: InvolutionData) -> RestrictedRootSystem:
     """Each root w restricts to (w - sigma w)/2: w lies in t, which
-    sigma splits orthogonally into t^sigma and t^{-sigma}.  Positivity
-    is lexicographic in ambient coordinates, which is generic for any
-    finite root collection and fixed across runs."""
+    sigma splits orthogonally into t^sigma and t^{-sigma}.  The integer
+    difference is halved, so a Fraction is built only for an odd entry.
+    Positivity is lexicographic in ambient coordinates, which is generic
+    for any finite root collection and fixed across runs."""
     acc: list[tuple[Vec, int]] = []
     for w, m in inv.base.compact:
-        r = vscale(Fraction(1, 2), vsub(w, inv.sigma_weight(w)))
+        r = vhalf(vsub(w, inv.sigma_weight(w)))
         if not is_zero_vec(r):
             acc.append((r, m))
     roots = WeightMultiset.of(acc)
@@ -413,9 +417,8 @@ def involution_view(inv: InvolutionData) -> EmbeddingView:
     or a pair {w, sigma w}, restricted to t^sigma as (w + sigma w)/2.
     The restriction is (I + sigma^T)/2, built with no elimination."""
     tplus = inv.t_sigma
-    half = Fraction(1, 2)
     restriction = tuple(
-        vscale(half, vadd(e, row))
+        vhalf(vadd(e, row))
         for e, row in zip(identity(inv.base.ambient_dim), inv.sigma_transpose)
     )
     cells: list[WeightCell] = []
@@ -427,7 +430,7 @@ def involution_view(inv: InvolutionData) -> EmbeddingView:
             if inv.eps_of(part, w) == 1:
                 cells.extend([WeightCell(part, (w,), w)] * m)
         elif w < sw:
-            restr = vscale(half, vadd(w, sw))
+            restr = vhalf(vadd(w, sw))
             cells.extend([WeightCell(part, (w, sw), restr)] * m)
     return EmbeddingView(
         inv.base,
@@ -481,7 +484,7 @@ def validate_embedding(rec: EmbeddingRecord) -> tuple[str, ...]:
         "tprime-in-torus": all(rec.base.in_torus(r) for r in rows),
         # a weight vanishes on t' iff it is orthogonal to every row
         "no-weight-vanishes-on-tprime": not any(
-            not is_zero_vec(w) and all(vdot(w, r) == 0 for r in rows)
+            not is_zero_vec(w) and all(dot(w, r) == 0 for r in rows)
             for _, w, _ in rec.base.weight_entries()
         ),
         "cell-count-bookkeeping": (
@@ -495,19 +498,25 @@ def validate_embedding(rec: EmbeddingRecord) -> tuple[str, ...]:
 
 
 def embedding_view(rec: EmbeddingRecord) -> EmbeddingView:
+    """Weights with equal dot products with every t' row have equal
+    projections onto t', so the weights are grouped by those integer dot
+    products and each cell is projected once, by vdot, which builds one
+    Fraction per entry of the rational projection; a weight whose
+    products all vanish restricts to 0 and is in no cell."""
     projection = projection_matrix(rec.tprime_rows, rec.base.ambient_dim)
-    groups: dict[tuple[str, Vec], list[Vec]] = {}
+    groups: dict[tuple[str, tuple], list[Vec]] = {}
     for part, w, _ in rec.base.weight_entries():
-        if is_zero_vec(w):
-            continue
-        r = mat_apply(projection, w)
-        if is_zero_vec(r):
-            continue
-        key = (part, r)
-        groups.setdefault(key, []).append(w)
-    cells = []
-    for (part, r), members in sorted(groups.items()):
-        cells.append(WeightCell(part, tuple(sorted(members)), r))
+        products = tuple(dot(w, r) for r in rec.tprime_rows)
+        if any(products):
+            groups.setdefault((part, products), []).append(w)
+    cells = sorted(
+        (
+            WeightCell(part, tuple(sorted(members)),
+                       tuple(vdot(row, members[0]) for row in projection))
+            for (part, _), members in groups.items()
+        ),
+        key=lambda cell: (cell.part, cell.restricted),
+    )
     return EmbeddingView(
         rec.base,
         projection,

@@ -32,13 +32,16 @@ from .root_core import (
 )
 
 DEFAULT_MAX_RANK = 7
+# the most faces one enumeration may list: su(4,3) has 47,293 and runs,
+# su(4,4) has 545,835 and is refused part way through its walk
+MAX_FACES = 100_000
 
 
 class UnsupportedQuery(Exception):
     """A question the model deliberately refuses to answer.
 
-    Raised instead of guessing: rank bounds and pair records that do not
-    support a given check land here.  The CLI maps this to its own exit
+    Raised instead of guessing: enumeration bounds and pair records that do
+    not support a given check land here.  The CLI maps this to its own exit
     code.
     """
 
@@ -187,6 +190,10 @@ def enumerate_parabolics(
     common gcd, one positive scale for all of them.  So every sum of rays
     is a positive multiple of the X it stands for, and a chamber is keyed
     by the primitive integer point on its w.rho.
+
+    A datum of rank above DEFAULT_MAX_RANK is refused before the walk,
+    and the walk is refused with UnsupportedQuery as soon as the chambers
+    it has reached give more than MAX_FACES faces.
     """
     if base.dim_t > DEFAULT_MAX_RANK:
         raise UnsupportedQuery(
@@ -201,16 +208,18 @@ def enumerate_parabolics(
         w for w, _ in base.compact if dominant_only and lex_positive(w)
     ]
 
-    # a chamber w.C is (its walls w.simple, its rays w.coweights), keyed
-    # by a point on w.rho inside it; a root is positive iff it pairs > 0
-    # with the starting point rho
+    # a chamber w.C is (its walls w.simple, its rays w.coweights, the
+    # indices of its positive walls), keyed by a point on w.rho inside it;
+    # a root is positive iff it pairs > 0 with the starting point rho, and
+    # the faces built from the chamber are the subsets of its positive walls
     rays = _primitive_rows(coweights, n)
     start = _ray_sum(rays, n)
-    chambers = {start: (walls, rays)}
+    chambers = {start: (walls, rays, range(len(walls)))}
+    faces = 1 << len(walls)
     todo = [start]
     while todo:
         point = todo.pop()
-        walls, rays = chambers[point]
+        walls, rays, _ = chambers[point]
         for a, norm in zip(walls, norms):
             key = tuple(primitive_ints(_mirror(point, a, norm)))
             if key in chambers or any(_dot(w, key) <= 0 for w in k_positive):
@@ -220,12 +229,20 @@ def enumerate_parabolics(
                 cartan = 2 * _dot(b, a) // norm
                 new_walls.append(tuple(s - cartan * t for s, t in zip(b, a)))
             new_rays = [_mirror(r, a, norm) for r in rays]
-            chambers[key] = (tuple(new_walls), _primitive_rows(new_rays, n))
+            positive = [i for i, b in enumerate(new_walls)
+                        if _dot(b, start) > 0]
+            faces += 1 << len(positive)
+            if faces > MAX_FACES:
+                raise UnsupportedQuery(
+                    f"{base.name} has more than {MAX_FACES} faces, the "
+                    "enumeration bound"
+                )
+            chambers[key] = (tuple(new_walls), _primitive_rows(new_rays, n),
+                             positive)
             todo.append(key)
 
     out = []
-    for walls, rays in chambers.values():
-        positive = [i for i, a in enumerate(walls) if _dot(a, start) > 0]
+    for _, rays, positive in chambers.values():
         for r in range(len(positive) + 1):
             for on_walls in itertools.combinations(positive, r):
                 x = _ray_sum(

@@ -4,13 +4,16 @@ Weights are integer vectors: a RootDatum bundles the torus description
 together with the compact and noncompact weight multisets of a real
 reductive Lie algebra, all as tuples of int, and ``RootDatum.validate``
 refuses any other.  Values that are really rational (coweights,
-projections, restricted roots, LP points, a defining element as given)
-are tuples of Fraction; ints and Fractions mix freely in the kernels, and
-an int prints, hashes and compares as the Fraction of the same value.
+projections, LP points, a defining element as given) are tuples of
+Fraction, and ``vhalf`` keeps the even entries of a halved vector int;
+ints and Fractions mix freely in the kernels, and an int prints, hashes
+and compares as the Fraction of the same value.
 
 The kernels compute over Python integers and build a Fraction only for the
-values they return.  ``vdot`` (and ``mat_apply`` and ``projection_matrix``
-through it) sums numerators over a running common denominator.  One
+values they return.  ``dot`` (and ``mat_apply`` through it) returns an int
+when both rows are int; ``vdot`` (and ``projection_matrix`` through it)
+always returns a Fraction, summing numerators over a running common
+denominator, which is the cheaper of the two on Fraction rows.  One
 fraction-free Gauss-Jordan routine, ``_echelon``, backs ``rref``, ``rank``,
 ``nullspace``, ``solve_linear``, ``in_span``, ``dual_basis`` and
 ``projection_matrix``; ``clear_denominators`` and ``primitive_ints`` turn
@@ -55,6 +58,7 @@ class CertificateError(RuntimeError):
 # the literals the program writes, 'p' or 'p/q' in decimal digits; no
 # decimal point and no exponent, whose power of ten Fraction would expand
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+_INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
 
 
 def as_fraction(x) -> Fraction:
@@ -77,19 +81,26 @@ def vec(*entries) -> Vec:
     return tuple(as_fraction(e) for e in entries)
 
 
+def as_rational(x) -> int | Fraction:
+    """as_fraction, but an integral value comes back as int."""
+    if isinstance(x, str) and _INTEGER.fullmatch(x.strip()):
+        return int(x)
+    f = as_fraction(x)
+    return f.numerator if f.denominator == 1 else f
+
+
 def vec_from(entries: Iterable) -> Vec:
-    return tuple(as_fraction(e) for e in entries)
+    """The entries as exact rationals: int where integral, else Fraction."""
+    return tuple(as_rational(e) for e in entries)
 
 
 def vzero(n: int) -> IntVec:
     return (0,) * n
 
 
-def identity(n: int) -> tuple[Vec, ...]:
+def identity(n: int) -> tuple[IntVec, ...]:
     """The rows of the n x n identity matrix."""
-    return tuple(
-        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
@@ -114,6 +125,19 @@ def vneg(a: Vec) -> Vec:
 def vscale(c, a: Vec) -> Vec:
     c = as_fraction(c)
     return tuple(c * x for x in a)
+
+
+def vhalf(a: Vec) -> Vec:
+    """a / 2; an even int entry stays an int, and only an odd one becomes a
+    Fraction."""
+    return tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in a)
+
+
+def dot(a: Vec, b: Vec) -> int | Fraction:
+    """The dot product: an int when both rows are int, else a Fraction."""
+    if len(a) != len(b):
+        raise ValueError(f"dot of rows of lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def vdot(a: Vec, b: Vec) -> Fraction:
@@ -342,8 +366,9 @@ def projection_matrix(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
 
 
 def mat_apply(rows: Sequence[Vec], x: Vec) -> Vec:
-    """The matrix with the given rows applied to x."""
-    return tuple(vdot(r, x) for r in rows)
+    """The matrix with the given rows applied to x; int rows and an int x
+    give an int vector."""
+    return tuple(dot(r, x) for r in rows)
 
 
 def project_onto_span(v: Vec, rows: Sequence[Vec]) -> Vec:
@@ -481,7 +506,7 @@ class RootDatum:
                     "is not integral"
                 )
             for c in self.t_constraints:
-                if vdot(c, w) != 0:
+                if dot(c, w) != 0:
                     raise DatumError(
                         f"{self.name}: weight {format_vector(w)} not orthogonal "
                         "to the torus constraints"

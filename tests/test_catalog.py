@@ -6,10 +6,12 @@ import json
 import re
 import shutil
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from branchdec import catalog
 from branchdec.catalog import (
     CatalogError,
     UnknownIdError,
@@ -23,15 +25,29 @@ from branchdec.catalog import (
     _involution_from_json,
 )
 from branchdec.cli import main
-from branchdec.decider import answer_question
+from branchdec.decider import QUESTIONS, answer_question
 from branchdec.involution import (
     EmbeddingRecord,
     InvolutionData,
     InvolutionError,
     ensure_valid,
+    restricted_roots,
+    validate_involution,
 )
-from branchdec.parabolic import build_parabolic
-from branchdec.root_core import RootDatum, vec
+from branchdec.parabolic import (
+    UnsupportedQuery,
+    build_parabolic,
+    enumerate_parabolics,
+)
+from branchdec.root_core import (
+    RootDatum,
+    as_fraction,
+    build_root_datum,
+    vec,
+    vhalf,
+    vscale,
+    vsub,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO / "src" / "branchdec" / "data"
@@ -143,6 +159,86 @@ def test_involution_json_keeps_declared_restricted():
     assert rec["declared_restricted_positive"] == [
         {"weight": ["1/2", "-1/2", "1/2", "-1/2"], "mult": 4}
     ]
+
+
+# ---------------------------------------------------------------------------
+# integral entries decode to int
+
+
+def _fraction_catalog(monkeypatch):
+    """The shipped catalog decoded with every entry a Fraction, as the
+    decoder did before integral literals became int."""
+    with monkeypatch.context() as patch:
+        patch.setattr(catalog, "vec_from",
+                      lambda entries: tuple(as_fraction(e) for e in entries))
+        cat = load_catalog()
+        cat.check_all()
+    return cat
+
+
+def _verdicts(pair) -> list[str]:
+    out = []
+    for q in enumerate_parabolics(pair.base, dominant_only=True):
+        for question in QUESTIONS:
+            try:
+                v = answer_question(pair, q, question)
+            except UnsupportedQuery as exc:
+                out.append(f"unsupported: {exc}")
+                continue
+            out.append(json.dumps(v.to_json_dict()) + repr(v.notes))
+    return out
+
+
+def test_int_decode_matches_the_fraction_decode(monkeypatch):
+    fractions = _fraction_catalog(monkeypatch)
+    ints = load_catalog()
+    for pid in ints.pair_ids():
+        new, old = ints.pair(pid), fractions.pair(pid)
+        assert new == old, pid
+        assert new.report == old.report == (), pid
+        assert new.view == old.view, pid
+        assert _verdicts(new) == _verdicts(old), pid
+        if isinstance(new, EmbeddingRecord):
+            assert all(type(x) is int for r in new.tprime_rows for x in r)
+            continue
+        # the int decode really holds ints, where the old one held none
+        for pair, kind in ((new, int), (old, Fraction)):
+            assert all(type(x) is kind for r in pair.matrix for x in r), pid
+        assert all(type(x) is int
+                   for v in new.sigma_images.values() for x in v), pid
+        assert new.sigma_images == old.sigma_images, pid
+        assert restricted_roots(new) == restricted_roots(old), pid
+        assert new.t_sigma == old.t_sigma, pid
+        assert new.t_minus_sigma == old.t_minus_sigma, pid
+
+
+def test_non_integral_sigma_still_decodes_and_passes_the_matrix_checks():
+    # the reflection of g2(R) in its compact long root (1,1,-2) is an
+    # orthogonal involution of t with entries 2/3 and -1/3
+    base = build_root_datum("g2(R)")
+    rec = {
+        "id": "g2-long-reflection", "label": "", "base": "g2(R)",
+        "matrix": [["2/3", "-1/3", "2/3"], ["-1/3", "2/3", "2/3"],
+                   ["2/3", "2/3", "-1/3"]],
+        "eps": [], "zero_weight_fixed_dim": 0, "dim_gprime": 0,
+        "table_rows": [{"X": ["1", "1", "-2"], "levi": ""}],
+        "declared_restricted_positive": None,
+    }
+    inv = _involution_from_json(rec, base)
+    assert all(type(x) is Fraction for r in inv.matrix for x in r)
+    assert inv.table_rows[0].x == (1, 1, -2)
+    assert type(inv.table_rows[0].x[0]) is int
+    assert not {
+        "matrix-involutive", "matrix-orthogonal", "matrix-preserves-torus",
+        "permutes-compact-weights", "permutes-noncompact-weights",
+    } & set(validate_involution(inv))
+    # the root it reflects restricts to itself, and halving keeps the
+    # Fraction entries exact
+    for w, _ in base.compact:
+        half = vscale(Fraction(1, 2), vsub(w, inv.sigma_weight(w)))
+        assert vhalf(vsub(w, inv.sigma_weight(w))) == half
+    assert inv.sigma_weight((1, 1, -2)) == (-1, -1, 2)
+    assert {w for w, _ in inv.restricted.roots} == {(1, 1, -2), (-1, -1, 2)}
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,69 @@ def test_rank_bound(monkeypatch):
         enumerate_parabolics(base)
 
 
+def test_face_budget_refuses_su44_all_faces_part_way(monkeypatch):
+    # rank 7 passes the rank bound, but the 8! chambers of A7 have
+    # 545,835 faces; the walk stops once it has reached MAX_FACES of them
+    base = build_root_datum("su(4,4)")
+    assert base.dim_t == parabolic.DEFAULT_MAX_RANK
+    rows_made = 0
+    primitive_rows = parabolic._primitive_rows
+
+    def counted(rows, n):
+        nonlocal rows_made
+        rows_made += 1
+        return primitive_rows(rows, n)
+
+    def no_face(*args):
+        raise AssertionError("a face was built before the refusal")
+
+    monkeypatch.setattr(parabolic, "_primitive_rows", counted)
+    monkeypatch.setattr(parabolic, "build_parabolic", no_face)
+    with pytest.raises(UnsupportedQuery,
+                       match=f"more than {parabolic.MAX_FACES} faces"):
+        enumerate_parabolics(base)
+    # the walls and rays of the start, then one ray set per chamber
+    assert rows_made - 2 < math.factorial(8) // 4
+
+
+@pytest.mark.parametrize(("dominant", "count"), [(False, 4_683),
+                                                  (True, 252)])
+def test_face_budget_counts_exactly_the_faces(monkeypatch, dominant, count):
+    base = build_root_datum("su(3,3)")
+    monkeypatch.setattr(parabolic, "MAX_FACES", count)
+    assert len(enumerate_parabolics(base, dominant)) == count
+    monkeypatch.setattr(parabolic, "MAX_FACES", count - 1)
+    with pytest.raises(UnsupportedQuery):
+        enumerate_parabolics(base, dominant)
+
+
+class WalkDone(Exception):
+    pass
+
+
+def test_face_budget_admits_su43_all_faces_and_su44_dominant(monkeypatch):
+    # su(4,3) has 47,293 faces: its walk ends unrefused, and the test
+    # stops at the first face it would build (the faces are listed by
+    # the test above and by the oracle tests at lower rank)
+    assert 47_293 <= parabolic.MAX_FACES
+    ray_sum = parabolic._ray_sum
+    calls = 0
+
+    def stop_at_first_face(rays, n):
+        nonlocal calls
+        calls += 1
+        if calls > 1:
+            raise WalkDone
+        return ray_sum(rays, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(parabolic, "_ray_sum", stop_at_first_face)
+        with pytest.raises(WalkDone):
+            enumerate_parabolics(build_root_datum("su(4,3)"))
+    su44 = build_root_datum("su(4,4)")
+    assert len(enumerate_parabolics(su44, dominant_only=True)) == 2_568
+
+
 # ---------------------------------------------------------------------------
 # symmetric type
 

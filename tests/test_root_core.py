@@ -19,8 +19,10 @@ from branchdec.root_core import (
     as_fraction,
     build_root_datum,
     direct_sum,
+    dot,
     dual_basis,
     format_vector,
+    identity,
     in_span,
     lex_positive,
     mat_apply,
@@ -37,6 +39,8 @@ from branchdec.root_core import (
     vadd,
     vdot,
     vec,
+    vec_from,
+    vhalf,
     vneg,
     vscale,
     vsub,
@@ -78,6 +82,28 @@ def test_vector_arithmetic():
     assert vscale(2, a) == vec(2, 1, -4)
     assert vdot(a, b) == F(3, 4) - 2
     assert vzero(3) == vec(0, 0, 0)
+
+
+def test_int_rows_give_int_products():
+    # integral literals decode to int, and products of int rows stay int;
+    # vdot alone always returns a Fraction
+    assert vec_from(["3", "-2", " 7 ", "4/2", "1/2", F(6, 3)]) == (
+        3, -2, 7, 2, F(1, 2), 2)
+    assert [type(x) for x in vec_from(["3", "4/2", "1/2", F(6, 3)])] == [
+        int, int, F, int]
+    a, b = (1, -2, 3), (4, 0, -1)
+    assert dot(a, b) == 1 and type(dot(a, b)) is int
+    assert type(dot(a, vec(4, 0, -1))) is F
+    assert type(vdot(a, b)) is F
+    with pytest.raises(ValueError):
+        dot(a, b[:2])
+    eye = identity(3)
+    assert all(type(x) is int for row in eye for x in row)
+    image = mat_apply(eye, a)
+    assert image == a and all(type(x) is int for x in image)
+    halves = vhalf((4, -3, 0, F(-6), F(1, 3)))
+    assert halves == (2, F(-3, 2), 0, -3, F(1, 6))
+    assert [type(x) for x in halves] == [int, F, int, int, F]
 
 
 def test_parse_and_format_vector_round_trip():
