@@ -221,7 +221,6 @@ class CatalogBundle:
     root: Path
     version: str
     checksum: str
-    force: bool
     algebra_files: Mapping[str, RecordFile]
     stored_pairs: Mapping[str, RecordFile]
     _algebras: dict = field(default_factory=dict, init=False, repr=False,
@@ -279,16 +278,15 @@ class CatalogBundle:
             else:
                 pair = _embedding_from_json(rec, base)
         if pair.report:
-            if not self.force:
-                names = ", ".join(pair.report)
-                raise CatalogError(f"{name}: validation failed: {names}")
-        elif (
+            names = ", ".join(pair.report)
+            raise CatalogError(f"{name}: validation failed: {names}")
+        if (
             isinstance(pair, InvolutionData)
             and pair.declared_restricted_positive is not None
         ):
             computed = restricted_roots(pair).positive
             declared = WeightMultiset.of(pair.declared_restricted_positive)
-            if computed != declared and not self.force:
+            if computed != declared:
                 raise CatalogError(
                     f"{name}: computed restricted positive system "
                     "disagrees with the declared one"
@@ -318,8 +316,8 @@ def _decode_json(name: str, raw: bytes) -> dict:
 def load_catalog(root: Path | None = None, force: bool = False) -> CatalogBundle:
     """Check the seal and index the catalog files; records build lazily.
 
-    With ``force`` a checksum mismatch, and on access a pair that fails
-    validation or its declared restricted roots, are let through.
+    With ``force`` a checksum mismatch is let through, and nothing else:
+    a record still raises its CatalogError on access.
     """
     root = Path(root) if root is not None else default_catalog_dir()
     if not root.is_dir():
@@ -336,9 +334,7 @@ def load_catalog(root: Path | None = None, force: bool = False) -> CatalogBundle
             "catalog checksum mismatch: files were edited without "
             "regenerating meta.json (use force to load anyway)"
         )
-    return index_catalog(
-        root, files, str(meta.get("version", "")), actual, force
-    )
+    return index_catalog(root, files, str(meta.get("version", "")), actual)
 
 
 def index_catalog(
@@ -346,7 +342,6 @@ def index_catalog(
     files: list[tuple[Path, bytes]],
     version: str,
     checksum: str,
-    force: bool,
 ) -> CatalogBundle:
     """Decode the record files read by read_catalog_files and key each by
     id, building no record.
@@ -385,7 +380,6 @@ def index_catalog(
         root=root,
         version=version,
         checksum=checksum,
-        force=force,
         algebra_files=MappingProxyType(algebras),
         stored_pairs=MappingProxyType(pairs),
     )

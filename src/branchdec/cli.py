@@ -346,7 +346,8 @@ def build_arg_parser() -> _Parser:
                        help="catalog directory (default: packaged data or "
                             "BRANCHDEC_CATALOG)")
         p.add_argument("--force", action="store_true",
-                       help="load the catalog even if integrity checks fail")
+                       help="load the catalog even if its checksum does not "
+                            "match")
         p.add_argument("--format", choices=("json", "text"),
                        default="text")
 

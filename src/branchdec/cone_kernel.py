@@ -24,7 +24,6 @@ from .root_core import (
     orthogonal_complement,
     primitive_ints,
     vdot,
-    vneg,
     vscale,
     vsum,
 )
@@ -36,10 +35,9 @@ class PointednessError(RuntimeError):
 
 @dataclass(frozen=True)
 class Cone:
-    """Finitely generated cone {sum c_i g_i + sum d_j l_j : c >= 0, d free}."""
+    """Finitely generated cone {sum c_i g_i : c >= 0}."""
 
     generators: tuple[Vec, ...]
-    lineality: tuple[Vec, ...]
     ambient_dim: int
 
     def __post_init__(self) -> None:
@@ -48,15 +46,10 @@ class Cone:
                 raise ValueError("zero vector stored as a cone generator")
             if len(g) != self.ambient_dim:
                 raise ValueError("generator dimension mismatch")
-        for l in self.lineality:
-            if is_zero_vec(l):
-                raise ValueError("zero vector stored in a lineality basis")
-            if len(l) != self.ambient_dim:
-                raise ValueError("lineality dimension mismatch")
 
     @staticmethod
     def from_generators(gens: Sequence[Vec], dim: int) -> "Cone":
-        return Cone(tuple(g for g in gens if not is_zero_vec(g)), (), dim)
+        return Cone(tuple(g for g in gens if not is_zero_vec(g)), dim)
 
 
 @dataclass(frozen=True)
@@ -65,8 +58,9 @@ class MeetResult:
 
     On a meet, ``point`` is a common nonzero point and ``coefficients`` are
     the generator coefficients producing it.  Either way ``basis`` records
-    the final simplex basis (column indices; indices past the structural
-    variables are artificials left on redundant rows).
+    the final simplex basis, as column indices in the layout of
+    ``feasible_point``: the coefficients, one surplus per wall, then the
+    artificials left on redundant rows.
     """
 
     meets: bool
@@ -183,17 +177,16 @@ def simplex_feasible(
 
 
 def feasible_point(
-    constraints: Sequence[tuple[Vec, bool, Fraction]], n_nonneg: int
+    constraints: Sequence[tuple[Vec, bool, Fraction]],
 ) -> tuple[Vec | None, tuple[int, ...]]:
-    """A point z with row . z = rhs, or row . z >= rhs where is_inequality,
-    for every constraint (row, is_inequality, rhs), or None if there is none.
+    """A point z >= 0 with row . z = rhs, or row . z >= rhs where
+    is_inequality, for every constraint (row, is_inequality, rhs), or None
+    if there is none.
 
-    The first n_nonneg variables are nonnegative and the rest are free.
-    The phase-1 system has the columns: the nonnegative variables, the
-    positive parts of the free variables, their negative parts, then one
-    surplus column per inequality in row order (row . z - s = rhs).  The
-    returned basis indexes these columns, followed by one artificial
-    column per constraint.
+    The phase-1 system has the columns: the variables, then one surplus
+    column per inequality in row order (row . z - s = rhs).  The returned
+    basis indexes these columns, followed by one artificial column per
+    constraint.
     """
     if not constraints:
         raise ValueError("feasibility query without constraints")
@@ -203,54 +196,66 @@ def feasible_point(
     rhs: list[Fraction] = []
     surplus_at = 0
     for row, is_inequality, b in constraints:
-        surplus = [Fraction(0)] * n_surplus
+        surplus = [0] * n_surplus
         if is_inequality:
-            surplus[surplus_at] = Fraction(-1)
+            surplus[surplus_at] = -1
             surplus_at += 1
-        rows.append((*row, *(-x for x in row[n_nonneg:]), *surplus))
+        rows.append((*row, *surplus))
         rhs.append(b)
     sol, basis = simplex_feasible(rows, rhs)
-    if sol is None:
-        return None, basis
-    free = zip(sol[n_nonneg:n], sol[n : 2 * n - n_nonneg])
-    return (*sol[:n_nonneg], *(p - m for p, m in free)), basis
+    return (None if sol is None else sol[:n]), basis
 
 
 # ---------------------------------------------------------------------------
 # cone queries
 
 
-def _pointed_generators(cone: Cone, certificate: Vec, query: str) -> list[Vec]:
-    """The generators of a cone without lineality, after checking that the
-    certificate pairs strictly positively with each of them."""
-    if cone.lineality:
-        raise ValueError(f"{query} needs a cone without lineality")
-    for g in cone.generators:
+def _meet(
+    cone: Cone,
+    subspace_rows: Sequence[Vec],
+    walls: Sequence[Vec],
+    certificate: Vec,
+) -> MeetResult:
+    """Does the cone meet {p in span(subspace_rows) : w . p >= 0 for every
+    wall w} outside the origin?
+
+    The certificate must pair strictly positively with every generator;
+    this makes the normalisation sum(c) = 1 exhaustive.  The coefficients
+    c >= 0 satisfy one = row per normal of the subspace, sum(c) = 1, then
+    one >= row per wall, and the point is checked against both by
+    substitution.
+    """
+    generators = cone.generators
+    for g in generators:
         if vdot(g, certificate) <= 0:
             raise PointednessError(
                 "certificate does not pair strictly positively with every "
                 "generator; the cone may fail to be pointed"
             )
-    return list(cone.generators)
-
-
-def _meet(
-    generators: list[Vec],
-    constraints: list[tuple[Vec, bool, Fraction]],
-    n_nonneg: int,
-) -> MeetResult:
-    """Solve the constraints, whose first variables are the generator
-    coefficients, and sum the generators into the meeting point."""
-    z, basis = feasible_point(constraints, n_nonneg)
-    if z is None:
+    if not generators:
+        return MeetResult(False, None, None, ())
+    normals = orthogonal_complement(subspace_rows, cone.ambient_dim)
+    constraints = [
+        (tuple(vdot(nrm, g) for g in generators), False, Fraction(0))
+        for nrm in normals
+    ]
+    constraints.append(((Fraction(1),) * len(generators), False, Fraction(1)))
+    constraints += [
+        (tuple(vdot(w, g) for g in generators), True, Fraction(0))
+        for w in walls
+    ]
+    coeffs, basis = feasible_point(constraints)
+    if coeffs is None:
         return MeetResult(False, None, None, basis)
-    coeffs = z[: len(generators)]
     point = vsum(
-        (vscale(c, g) for c, g in zip(coeffs, generators)),
-        len(generators[0]),
+        (vscale(c, g) for c, g in zip(coeffs, generators)), cone.ambient_dim
     )
     if is_zero_vec(point):
         raise CertificateError("intersection point is zero")
+    if any(vdot(nrm, point) != 0 for nrm in normals):
+        raise CertificateError("intersection point is outside the subspace")
+    if any(vdot(w, point) < 0 for w in walls):
+        raise CertificateError("intersection point is outside the chamber")
     return MeetResult(True, point, coeffs, basis)
 
 
@@ -261,47 +266,20 @@ def cone_meets_subspace(
 ) -> MeetResult:
     """Does the cone meet span(subspace_rows) outside the origin?
 
-    The cone must carry no lineality, and the certificate must pair
-    strictly positively with every generator; this makes the
-    normalisation sum(c) = 1 exhaustive.
+    The certificate must pair strictly positively with every generator.
     """
-    generators = _pointed_generators(
-        cone, pointedness_certificate, "cone_meets_subspace"
-    )
-    if not generators:
-        return MeetResult(False, None, None, ())
-    # c >= 0 with sum(c) = 1 and sum c_i g_i orthogonal to every normal
-    normals = orthogonal_complement(subspace_rows, cone.ambient_dim)
-    constraints = [
-        (tuple(vdot(nrm, g) for g in generators), False, Fraction(0))
-        for nrm in normals
-    ]
-    constraints.append(((Fraction(1),) * len(generators), False, Fraction(1)))
-    result = _meet(generators, constraints, len(generators))
-    if result.meets and any(vdot(nrm, result.point) != 0 for nrm in normals):
-        raise CertificateError("intersection point is outside the subspace")
-    return result
+    return _meet(cone, subspace_rows, (), pointedness_certificate)
 
 
 def cones_meet(
     cone: Cone,
-    other: Cone,
+    subspace_rows: Sequence[Vec],
+    walls: Sequence[Vec],
     pointedness_certificate: Vec,
 ) -> MeetResult:
-    """Do the two cones share a point outside the origin?
+    """Does the cone meet the chamber {p in span(subspace_rows) : w . p >= 0
+    for every wall w} outside the origin?
 
-    Only the first cone needs the pointedness certificate (and must carry
-    no lineality); the second may contain lines.
+    The certificate must pair strictly positively with every generator.
     """
-    generators = _pointed_generators(cone, pointedness_certificate, "cones_meet")
-    if not generators:
-        return MeetResult(False, None, None, ())
-    # sum c_i g_i = sum d_j r_j + sum e_l l_l with c, d >= 0, e free and
-    # sum(c) = 1; the columns below are g, -r and -l
-    k = len(generators)
-    n_nonneg = k + len(other.generators)
-    columns = generators + [vneg(v) for v in other.generators + other.lineality]
-    constraints = [(row, False, Fraction(0)) for row in zip(*columns)]
-    normalisation = (Fraction(1),) * k + (Fraction(0),) * (len(columns) - k)
-    constraints.append((normalisation, False, Fraction(1)))
-    return _meet(generators, constraints, n_nonneg)
+    return _meet(cone, subspace_rows, walls, pointedness_certificate)

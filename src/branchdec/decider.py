@@ -193,9 +193,9 @@ def admissible_sufficient(
     """
     inv = _require_involution(pair, q)
     ensure_valid(inv)
-    chamber = momentum_chamber(inv)
+    walls = momentum_chamber(inv)
     cone, gens = _noncompact_cone(q)
-    result = cones_meet(cone, chamber, q.x)
+    result = cones_meet(cone, inv.t_minus_sigma, walls, q.x)
     if result.meets:
         # the chamber lies in t^{-sigma}, so its point settles the
         # subspace test too, once checked to lie there

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .cone_kernel import Cone
 from .parabolic import ThetaStableParabolic
 from .root_core import (
     PART_COMPACT,
@@ -35,19 +34,13 @@ from .root_core import (
     lex_positive,
     mat_apply,
     nullspace,
-    orthogonal_complement,
-    primitive_direction,
-    primitive_vector,
     projection_matrix,
     rank,
-    simple_system,
     vadd,
     vdot,
     vhalf,
     vneg,
-    vscale,
     vsub,
-    vsum,
     vzero,
 )
 
@@ -138,11 +131,6 @@ class InvolutionData:
     def restricted(self) -> RestrictedRootSystem:
         """The restricted roots, unvalidated; restricted_roots validates."""
         return _restricted_root_system(self)
-
-    @cached_property
-    def chamber(self) -> Cone:
-        """The momentum chamber, unvalidated; momentum_chamber validates."""
-        return _chamber_cone(self)
 
     def sigma_weight(self, w: Vec) -> Vec:
         # weights transform by the transpose: (sigma.w)(X) = w(sigma X)
@@ -318,7 +306,6 @@ def build_swap_involution(base: RootDatum, half: RootDatum) -> InvolutionData:
 
 @dataclass(frozen=True)
 class RestrictedRootSystem:
-    space_basis: tuple[Vec, ...]
     roots: WeightMultiset
     positive: WeightMultiset
 
@@ -345,40 +332,19 @@ def _restricted_root_system(inv: InvolutionData) -> RestrictedRootSystem:
     positive = WeightMultiset.of(
         (w, m) for w, m in roots if lex_positive(w)
     )
-    return RestrictedRootSystem(inv.t_minus_sigma, roots, positive)
+    return RestrictedRootSystem(roots, positive)
 
 
-def momentum_chamber(inv: InvolutionData) -> Cone:
-    """The dominant chamber of the restricted root system, inside
-    span(t^{-sigma}), read from the record once it has passed its
-    validation."""
-    ensure_valid(inv)
-    return inv.chamber
+def momentum_chamber(inv: InvolutionData) -> tuple[Vec, ...]:
+    """The walls of the dominant chamber of the restricted root system,
+    read from the record once it has passed its validation.
 
-
-def _chamber_cone(inv: InvolutionData) -> Cone:
-    """The chamber as generators plus lineality.
-
-    The generators are the fundamental coweights of the restricted simple
-    roots; the lineality is the part of t^{-sigma} orthogonal to every
-    restricted root.
+    The chamber is {p in t^{-sigma} : beta . p >= 0 for every positive
+    restricted root beta}, so its walls are the positive restricted
+    roots.
     """
-    system = inv.restricted
-    n = inv.base.ambient_dim
-    basis = system.space_basis
-    if not basis:
-        return Cone((), (), n)
-    _, coweights = simple_system(system.roots.support())
-    rows = [tuple(vdot(w, b) for b in basis) for w in system.roots.support()]
-    lineality = (
-        vsum((vscale(c, b) for c, b in zip(y, basis)), n)
-        for y in orthogonal_complement(rows, len(basis))
-    )
-    return Cone(
-        tuple(sorted(primitive_vector(c) for c in coweights)),
-        tuple(primitive_direction(y) for y in lineality),
-        n,
-    )
+    ensure_valid(inv)
+    return inv.restricted.positive.support()
 
 
 # ---------------------------------------------------------------------------

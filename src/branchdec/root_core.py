@@ -17,8 +17,8 @@ denominator, which is the cheaper of the two on Fraction rows.  One
 fraction-free Gauss-Jordan routine, ``_echelon``, backs ``rref``, ``rank``,
 ``nullspace``, ``solve_linear``, ``in_span``, ``dual_basis`` and
 ``projection_matrix``; ``clear_denominators`` and ``primitive_ints`` turn
-rational rows into coprime integer rows for it, for ``primitive_vector`` and
-for the simplex tableau in ``cone_kernel``.
+rational rows into coprime integer rows for it, for ``RootSystem`` and for
+the simplex tableau in ``cone_kernel``.
 """
 
 from __future__ import annotations
@@ -183,20 +183,6 @@ def primitive_ints(row: list[int]) -> list[int]:
     """The row divided by the gcd of its entries; a zero row is kept."""
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
-
-
-def primitive_vector(a: Vec) -> Vec:
-    """Scale by a positive factor to coprime integer entries; 0 stays 0."""
-    ints = clear_denominators(a)[0]
-    if not any(ints):
-        return a
-    return tuple(Fraction(v) for v in primitive_ints(ints))
-
-
-def primitive_direction(a: Vec) -> Vec:
-    """primitive_vector of a or of -a, whichever is lex-positive; 0 stays 0."""
-    p = primitive_vector(a)
-    return p if lex_positive(p) or is_zero_vec(p) else vneg(p)
 
 
 def parse_vector(text: str, expect_dim: int | None = None) -> Vec:
@@ -597,15 +583,6 @@ class RootSystem:
         simple = self._lex if x is None else self._simple(x)
         roots = tuple(self._weight[a] for a in simple)
         return roots, dual_basis(roots)
-
-
-def simple_system(
-    weights: Iterable[Vec], x: Vec | None = None
-) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """Simple roots and fundamental coweights of a set of nonzero weights,
-    for the positive system that x orders first (lexicographic without x);
-    see RootSystem."""
-    return RootSystem(weights).simple_system(x)
 
 
 # ---------------------------------------------------------------------------

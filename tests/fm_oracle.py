@@ -52,8 +52,8 @@ def _fm_feasible(
     system; the rest is classical Fourier-Motzkin with a greedy variable
     order and row deduplication.
     """
-    eqs = [(tuple(a), Fraction(b)) for a, b in equalities]
-    ineqs = [(tuple(a), Fraction(b)) for a, b in inequalities]
+    eqs = [(tuple(map(Fraction, a)), Fraction(b)) for a, b in equalities]
+    ineqs = [(tuple(map(Fraction, a)), Fraction(b)) for a, b in inequalities]
     active = set(range(n_vars))
 
     def substitute(
@@ -127,6 +127,17 @@ def brute_force_cone_meets_subspace(
     generators: Sequence[Vec], subspace_rows: Sequence[Vec]
 ) -> bool:
     """Same question as cone_meets_subspace, settled by elimination alone."""
+    return brute_force_chamber_meet(generators, subspace_rows, ())
+
+
+def brute_force_chamber_meet(
+    generators: Sequence[Vec],
+    subspace_rows: Sequence[Vec],
+    walls: Sequence[Vec],
+) -> bool:
+    """Same question as cones_meet, with the chamber {p in
+    span(subspace_rows) : w . p >= 0 for every wall w} given by its
+    inequalities, settled by elimination alone."""
     generators = list(generators)
     if not generators:
         return False
@@ -143,6 +154,8 @@ def brute_force_cone_meets_subspace(
         a = [Fraction(0)] * k
         a[i] = Fraction(-1)
         ineqs.append((tuple(a), Fraction(0)))  # c_i >= 0
+    for w in walls:  # w . sum c_i g_i >= 0
+        ineqs.append((tuple(-vdot(w, g) for g in generators), Fraction(0)))
     return _fm_feasible(k, eqs, ineqs)
 
 
@@ -151,7 +164,10 @@ def brute_force_cones_meet(
     chamber_rays: Sequence[Vec],
     chamber_lineality: Sequence[Vec],
 ) -> bool:
-    """Same question as cones_meet, settled by elimination alone."""
+    """Does the cone meet the chamber given by its rays and lines outside
+    the origin?  Settled by elimination alone; it checks the runtime's
+    chamber, which is stated by its walls, against its vertex
+    description."""
     generators = list(generators)
     if not generators:
         return False

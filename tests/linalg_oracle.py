@@ -5,19 +5,38 @@ dot product, with every entry made a ``Fraction`` first, so the tests can
 compare the runtime kernels, which compute over integers and build a
 ``Fraction`` only for what they return, with it value for value and type
 for type.  ``simple_system`` is the lexicographic simple system worked
-out on ``Fraction`` vectors, for the integer-row ``simple_system``.
+out on ``Fraction`` vectors, for ``RootSystem.simple_system``, and
+``coweight_chamber`` the momentum chamber as rays and lines built from it,
+for the chamber that the runtime states by its walls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
-from branchdec.root_core import DatumError, Vec, lex_positive, primitive_vector
+from branchdec.root_core import DatumError, Vec, is_zero_vec, lex_positive
 
 
 def vdot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+
+
+def primitive_vector(a: Vec) -> Vec:
+    """Scale by a positive factor to coprime integer entries; 0 stays 0."""
+    if is_zero_vec(a):
+        return a
+    scale = lcm(*(Fraction(x).denominator for x in a))
+    ints = [int(x * scale) for x in a]
+    g = gcd(*ints)
+    return tuple(Fraction(v // g) for v in ints)
+
+
+def primitive_direction(a: Vec) -> Vec:
+    """primitive_vector of a or of -a, whichever is lex-positive; 0 stays 0."""
+    p = primitive_vector(a)
+    return p if lex_positive(p) or is_zero_vec(p) else tuple(-x for x in p)
 
 
 def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
@@ -118,3 +137,28 @@ def simple_system(weights) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
                    for b in positive)
     )
     return tuple(simple), dual_basis(simple)
+
+
+def coweight_chamber(inv) -> tuple[list[Vec], list[Vec]]:
+    """The dominant chamber of the restricted roots of an involution pair,
+    as rays and lines: the rays are the primitive fundamental coweights of
+    the restricted simple roots, and the lines a basis of the part of
+    t^{-sigma} orthogonal to every restricted root."""
+    basis = list(inv.t_minus_sigma)
+    roots = inv.restricted.roots.support()
+    if not basis:
+        return [], []
+    _, coweights = simple_system(roots)
+    rows = [tuple(vdot(w, b) for b in basis) for w in roots]
+    lines = nullspace(rows) if rows else [
+        tuple(Fraction(int(i == j)) for j in range(len(basis)))
+        for i in range(len(basis))
+    ]
+    n = len(basis[0])
+    return (
+        sorted(primitive_vector(c) for c in coweights),
+        [primitive_direction(tuple(
+            sum((c * b[k] for c, b in zip(y, basis)), Fraction(0))
+            for k in range(n)
+        )) for y in lines],
+    )

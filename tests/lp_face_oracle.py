@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from linalg_oracle import primitive_direction
+
 from branchdec.cone_kernel import feasible_point
 from branchdec.root_core import (
     RootDatum,
@@ -19,7 +21,6 @@ from branchdec.root_core import (
     is_zero_vec,
     lex_positive,
     orthogonal_complement,
-    primitive_direction,
     vdot,
     vneg,
     vzero,
@@ -37,6 +38,7 @@ def lp_face_signatures(
     the faces in the closed dominant chamber of the lexicographic positive
     system of Delta(k,t)."""
     tbasis = orthogonal_complement(base.t_constraints, base.ambient_dim)
+    dim = len(tbasis)
 
     def restrict(w: Vec) -> Vec:
         return tuple(vdot(w, b) for b in tbasis)
@@ -46,25 +48,30 @@ def lp_face_signatures(
         for _, w, _ in base.weight_entries()
         if not is_zero_vec(w)
     })
+
+    def free(row: Vec) -> Vec:
+        # feasible_point keeps its variables >= 0, so y is y+ - y-
+        return (*row, *vneg(row))
+
     # sign s of n . y as a constraint on y; strictness is encoded as
     # |n . y| >= 1, which is harmless up to scaling
     sign_constraints = [
         {
-            -1: (vneg(n), True, Fraction(1)),
-            0: (n, False, Fraction(0)),
-            1: (n, True, Fraction(1)),
+            -1: (free(vneg(n)), True, Fraction(1)),
+            0: (free(n), False, Fraction(0)),
+            1: (free(n), True, Fraction(1)),
         }
         for n in normals
     ]
     dominance = [
-        (restrict(w), True, Fraction(0))
+        (free(restrict(w)), True, Fraction(0))
         for w, _ in base.compact
         if dominant_only and lex_positive(w)
     ]
 
     # incremental sign-vector extension; each kept prefix carries a witness
     frontier: list[tuple[tuple[int, ...], Vec]] = [
-        ((), vzero(len(tbasis)))
+        ((), vzero(dim))
     ]
     for n in normals:
         nxt: list[tuple[tuple[int, ...], Vec]] = []
@@ -77,8 +84,9 @@ def lp_face_signatures(
                 constraints = [
                     sign_constraints[i][t] for i, t in enumerate(signs + (s,))
                 ]
-                y2, _ = feasible_point(constraints + dominance, 0)
-                if y2 is not None:
+                z, _ = feasible_point(constraints + dominance)
+                if z is not None:
+                    y2 = tuple(p - m for p, m in zip(z[:dim], z[dim:]))
                     nxt.append((signs + (s,), y2))
         frontier = nxt
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
-from fm_oracle import brute_force_cone_meets_subspace, brute_force_cones_meet
+from fm_oracle import brute_force_chamber_meet, brute_force_cone_meets_subspace
 
 from branchdec.catalog import load_catalog
 from branchdec.cone_kernel import (
@@ -243,19 +243,12 @@ def test_criterion_6_kernel_oracle_agreement(capsys):
             attempts += 1
             dim = rng.randint(1, 4)
             gens, cert = _rand_pointed_gens(rng, dim, rng.randint(1, 6))
-            rays = [_rand_vec(rng, dim) for _ in range(rng.randint(0, 2))]
-            lines = [_rand_vec(rng, dim) for _ in range(rng.randint(0, 1))]
-            other = Cone(
-                tuple(g for g in rays if not is_zero_vec(g)),
-                tuple(g for g in lines if not is_zero_vec(g)),
-                dim,
-            )
+            rows = [_rand_vec(rng, dim) for _ in range(rng.randint(0, dim))]
+            walls = [_rand_vec(rng, dim) for _ in range(rng.randint(0, 3))]
             cone = Cone.from_generators(gens, dim)
-            got = cones_meet(cone, other, cert).meets
+            got = cones_meet(cone, rows, walls, cert).meets
             try:
-                want = brute_force_cones_meet(
-                    gens, other.generators, other.lineality
-                )
+                want = brute_force_chamber_meet(gens, rows, walls)
             except RuntimeError:
                 # the elimination oracle refuses rare blowup instances;
                 # they are redrawn, not counted

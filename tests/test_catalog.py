@@ -275,11 +275,19 @@ def test_edit_without_reseal_is_refused(tmp_path):
     )
     with pytest.raises(CatalogError, match="checksum mismatch"):
         load_catalog(root)
-    # force skips the checksum and the semantic validation
+    # force skips the checksum and nothing else: the broken pair fails its
+    # validation on access, so no question reaches it
     cat = load_catalog(root, force=True)
-    pair = cat.pair("(su(2,2),sp(2,R))")
-    assert pair.dim_gprime == 11
-    # but deco, admissible, transitive and rho still refuse the broken pair
+    with pytest.raises(
+        CatalogError,
+        match="_su_2_2__sp_2_R__.json: validation failed: "
+              "fixed-dimension-bookkeeping",
+    ):
+        cat.pair("(su(2,2),sp(2,R))")
+    # the same record built by library code reaches the verdicts, and
+    # deco, admissible, transitive and rho refuse it
+    pair = dataclasses.replace(load_catalog().pair("(su(2,2),sp(2,R))"),
+                               dim_gprime=11)
     q = build_parabolic(pair.base, vec(3, -1, -1, -1))
     for question in ("deco", "admissible", "transitive", "rho"):
         with pytest.raises(InvolutionError,
@@ -300,6 +308,12 @@ def test_resealed_edit_fails_validation(tmp_path, capsys):
     ):
         cat.pair("(su(2,2),sp(2,R))")
     _verify_fails(capsys, root, "fixed-dimension-bookkeeping")
+    # force admits an unsealed catalog, not a record that fails validation
+    with pytest.raises(
+        CatalogError, match="fixed-dimension-bookkeeping"
+    ):
+        load_catalog(root, force=True).pair("(su(2,2),sp(2,R))")
+    _verify_fails(capsys, root, "fixed-dimension-bookkeeping", "--force")
 
 
 @pytest.mark.parametrize("x", [["1", "1", "1", "1"], ["3", "-1", "-1"]])
@@ -354,7 +368,8 @@ def test_declared_restricted_comparison(tmp_path, capsys):
     with pytest.raises(CatalogError, match="declared"):
         cat.pair("(sl(4,C),sp(2,C))")
     _verify_fails(capsys, root, "declared")
-    load_catalog(root, force=True).pair("(sl(4,C),sp(2,C))")
+    with pytest.raises(CatalogError, match="declared"):
+        load_catalog(root, force=True).pair("(sl(4,C),sp(2,C))")
 
 
 def test_structural_errors(tmp_path):

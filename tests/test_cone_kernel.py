@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 from fm_oracle import (
     _fm_feasible,
+    brute_force_chamber_meet,
     brute_force_cone_meets_subspace,
-    brute_force_cones_meet,
 )
 
 from branchdec.cone_kernel import (
@@ -104,15 +104,14 @@ def test_simplex_bland_tie_break_pins_basis():
 
 
 def test_feasible_point_substitutes_and_agrees_with_elimination():
-    # mixed nonnegative and free variables, mixed = and >= rows; every
-    # point must satisfy the constraints it was asked for, and every
-    # refusal must be confirmed by elimination
+    # nonnegative variables, mixed = and >= rows; every point must satisfy
+    # the constraints it was asked for, and every refusal must be
+    # confirmed by elimination
     rng = random.Random(20261019)
     pool = [F(0), F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3)]
     feas = infeas = 0
     for _ in range(300):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
-        n_nonneg = rng.randint(0, n)
         constraints = [
             (
                 tuple(rng.choice(pool) for _ in range(n)),
@@ -121,12 +120,12 @@ def test_feasible_point_substitutes_and_agrees_with_elimination():
             )
             for _ in range(m)
         ]
-        z, _ = feasible_point(constraints, n_nonneg)
+        z, _ = feasible_point(constraints)
         if z is not None:
             feas += 1
             assert len(z) == n
             assert all(type(c) is Fraction for c in z)
-            assert all(c >= 0 for c in z[:n_nonneg])
+            assert all(c >= 0 for c in z)
             for row, is_inequality, b in constraints:
                 if is_inequality:
                     assert vdot(row, z) >= b
@@ -141,24 +140,23 @@ def test_feasible_point_substitutes_and_agrees_with_elimination():
         ]
         ineqs += [
             (tuple(F(-1) if k == j else F(0) for k in range(n)), F(0))
-            for j in range(n_nonneg)
+            for j in range(n)
         ]
         assert not _fm_feasible(n, eqs, ineqs)
     assert feas > 50 and infeas > 50
 
 
 def test_feasible_point_basis_indexes_the_column_layout():
-    # z0 >= 0, z1 free, one inequality: columns z0, z1+, z1-, surplus.
-    # z0 - z1 >= 1 with z0 + z1 = 0 leaves z0 = -z1 >= 1/2; the vertex
-    # found has the surplus at 0, with z0 (column 0) and the negative part
-    # of z1 (column 2) basic
+    # z >= 0 and one inequality: columns z0, z1, surplus.  z0 + z1 >= 1
+    # with z0 = 2 is met at the vertex z = (2, 0), where the surplus is 1,
+    # so z0 (column 0) and the surplus (column 2) are basic
     z, basis = feasible_point(
-        [(vec(1, -1), True, F(1)), (vec(1, 1), False, F(0))], 1
+        [(vec(1, 1), True, F(1)), (vec(1, 0), False, F(2))]
     )
-    assert z == vec(F(1, 2), F(-1, 2))
+    assert z == vec(2, 0)
     assert sorted(basis) == [0, 2]
     with pytest.raises(ValueError):
-        feasible_point([], 0)
+        feasible_point([])
 
 
 def _simplex_callers(tree: ast.AST) -> list[str | None]:
@@ -201,7 +199,8 @@ def test_simplex_feasible_is_called_only_by_the_builder():
 
 def test_enumeration_and_chamber_construction_stay_lp_free():
     # parabolic enumeration walks the Weyl group and the momentum chamber
-    # comes from fundamental coweights, so neither module reaches the LP
+    # is its walls, the positive restricted roots, so neither module
+    # reaches the LP
     package = Path(__file__).resolve().parents[1] / "src" / "branchdec"
 
     def from_cone_kernel(name):
@@ -219,7 +218,7 @@ def test_enumeration_and_chamber_construction_stay_lp_free():
         return sorted(names)
 
     assert from_cone_kernel("parabolic.py") == []
-    assert from_cone_kernel("involution.py") == ["Cone"]
+    assert from_cone_kernel("involution.py") == []
 
 
 def test_simplex_redundant_rows():
@@ -236,15 +235,12 @@ def test_simplex_redundant_rows():
 
 def test_cone_rejects_zero_and_mismatched_vectors():
     with pytest.raises(ValueError):
-        Cone((vzero(2),), (), 2)
+        Cone((vzero(2),), 2)
     with pytest.raises(ValueError):
-        Cone((vec(1, 0, 0),), (), 2)
-    with pytest.raises(ValueError):
-        Cone((), (vzero(3),), 3)
+        Cone((vec(1, 0, 0),), 2)
     c = Cone.from_generators([vec(1, 0), vzero(2)], 2)
     assert c.generators == (vec(1, 0),)
-    zero = Cone.from_generators([], 2)
-    assert (zero.generators, zero.lineality) == ((), ())
+    assert Cone.from_generators([], 2).generators == ()
 
 
 def test_pointedness_certificate_is_checked():
@@ -253,18 +249,8 @@ def test_pointedness_certificate_is_checked():
         cone_meets_subspace(Cone.from_generators(gens, 2), [vec(0, 1)], vec(1, 1))
     with pytest.raises(PointednessError):
         cones_meet(
-            Cone.from_generators(gens, 2),
-            Cone.from_generators([vec(1, 1)], 2),
-            vec(1, 1),
+            Cone.from_generators(gens, 2), [vec(0, 1)], [vec(1, 1)], vec(1, 1)
         )
-
-
-def test_subspace_query_requires_no_lineality():
-    cone = Cone((vec(1, 0),), (vec(0, 1),), 2)
-    with pytest.raises(ValueError):
-        cone_meets_subspace(cone, [vec(1, 1)], vec(1, 0))
-    with pytest.raises(ValueError):
-        cones_meet(cone, Cone.from_generators([vec(1, 1)], 2), vec(1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +291,32 @@ def test_cone_meets_subspace_certificate_reconstructs_point():
 
 
 def test_cones_meet_hand_cases():
+    # chambers in the whole plane: the cone over (-1,1) and (1,1) is the
+    # one with walls (1,1) and (-1,1), the third quadrant the one with
+    # walls (-1,0) and (0,-1)
     quad = Cone.from_generators([vec(1, 0), vec(0, 1)], 2)
-    upper = Cone.from_generators([vec(-1, 1), vec(1, 1)], 2)
-    res = cones_meet(quad, upper, vec(1, 1))
+    plane = [vec(1, 0), vec(0, 1)]
+    res = cones_meet(quad, plane, [vec(1, 1), vec(-1, 1)], vec(1, 1))
     assert res.meets
+    assert res.point is not None and res.point[1] >= abs(res.point[0])
 
-    lower_left = Cone.from_generators([vec(-1, 0), vec(0, -1)], 2)
-    res = cones_meet(quad, lower_left, vec(1, 1))
+    res = cones_meet(quad, plane, [vec(-1, 0), vec(0, -1)], vec(1, 1))
     assert not res.meets
 
 
-def test_cones_meet_with_lineality():
+def test_cones_meet_where_a_wall_decides():
     quad = Cone.from_generators([vec(1, 0), vec(0, 1)], 2)
-    # the full line through (1,1) passes through the open quadrant
-    res = cones_meet(quad, Cone((), (vec(1, 1),), 2), vec(1, 1))
+    line = [vec(1, 1)]
+    # the line through (1,1) passes through the open quadrant; a wall
+    # keeping its half with x + y >= 0 keeps the meet
+    assert cones_meet(quad, line, [], vec(1, 1)).meets
+    res = cones_meet(quad, line, [vec(1, 1)], vec(1, 1))
     assert res.meets
     assert res.point is not None and res.point[0] == res.point[1] > 0
+    # the wall -(1,1) keeps only the other half, which misses the quadrant
+    assert not cones_meet(quad, line, [vec(-1, -1)], vec(1, 1)).meets
     # the line through (1,-1) only touches the quadrant at the origin
-    res = cones_meet(quad, Cone((), (vec(1, -1),), 2), vec(1, 1))
-    assert not res.meets
+    assert not cones_meet(quad, [vec(1, -1)], [], vec(1, 1)).meets
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +362,15 @@ def test_lp_and_elimination_agree_on_cone_queries():
     for _ in range(600):
         dim = rng.randint(2, 4)
         gens, cert = _rand_cone_gens(rng, dim, rng.randint(1, 4))
-        rays = [_rand_vec(rng, dim) for _ in range(rng.randint(0, 3))]
-        rays = [r for r in rays if not all(x == 0 for x in r)]
-        lines = [_rand_vec(rng, dim) for _ in range(rng.randint(0, 1))]
-        lines = [l for l in lines if not all(x == 0 for x in l)]
-        other = Cone(tuple(rays), tuple(lines), dim)
-        lp = cones_meet(Cone.from_generators(gens, dim), other, cert)
-        fm = brute_force_cones_meet(gens, rays, lines)
+        sub = [_rand_vec(rng, dim) for _ in range(rng.randint(1, dim))]
+        walls = [_rand_vec(rng, dim) for _ in range(rng.randint(0, 3))]
+        lp = cones_meet(Cone.from_generators(gens, dim), sub, walls, cert)
+        fm = brute_force_chamber_meet(gens, sub, walls)
         assert lp.meets == fm
         if lp.meets:
             hits += 1
+            assert all(vdot(w, lp.point) >= 0 for w in walls)
+            assert in_span(lp.point, sub)
         else:
             misses += 1
     assert hits > 100 and misses > 100

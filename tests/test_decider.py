@@ -5,6 +5,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from fm_oracle import brute_force_cones_meet
+from linalg_oracle import coweight_chamber
 
 from branchdec import cli, cone_kernel, involution, root_core
 from branchdec.catalog import load_catalog
@@ -43,6 +45,7 @@ from branchdec.root_core import (
     PART_NONCOMPACT,
     build_root_datum,
     in_span,
+    lex_positive,
     vadd,
     vdot,
     vec,
@@ -254,6 +257,74 @@ def test_a_meeting_chamber_test_settles_the_subspace_note_without_an_lp(
                 assert len(lps) == 1, (pid, q.x)
                 met += 1
     assert met > 10 and missed > 10
+
+
+def _involution_pairs() -> list[InvolutionData]:
+    """Every stored involution pair, the swap pair and every theta pair."""
+    cat = _cat()
+    ids = [pid for pid in cat.pair_ids()
+           if isinstance(cat.pair(pid), InvolutionData)]
+    ids += ["swap:su(1,1)^2"] + [f"theta:{a}" for a in cat.algebra_ids()]
+    return [cat.pair(pid) for pid in ids]
+
+
+def _noncompact_u(q):
+    return [w for part, w, _ in q.u_weights() if part == PART_NONCOMPACT]
+
+
+def test_admissible_agrees_with_elimination_against_the_coweight_chamber():
+    # the runtime states the chamber by its walls; elimination against its
+    # vertex description (coweight rays and lines) gives every answer
+    faces = 0
+    for pair in _involution_pairs():
+        rays, lines = coweight_chamber(pair)
+        for q in enumerate_parabolics(pair.base, dominant_only=False):
+            want = not brute_force_cones_meet(_noncompact_u(q), rays, lines)
+            got = admissible_sufficient(pair, q).answer
+            assert got == want, (pair.pair_id, q.x)
+            faces += 1
+    assert faces == 811
+
+
+def test_admissible_intersection_points_replay_by_substitution():
+    # each point is checked with the stored matrix and the weights alone:
+    # a conic combination of the noncompact u-weights, negated by sigma
+    # (which acts on t* by the transpose of the matrix), and >= 0 on every
+    # positive restricted root (w - sigma w)/2
+    points = 0
+    for pair in _involution_pairs():
+        n = pair.base.ambient_dim
+
+        def sigma(v):
+            return tuple(
+                sum((pair.matrix[j][i] * v[j] for j in range(n)), F(0))
+                for i in range(n)
+            )
+
+        restricted = (
+            tuple((F(a) - b) / 2 for a, b in zip(w, sigma(w)))
+            for w, _ in pair.base.compact
+        )
+        positive = [b for b in restricted if any(b) and lex_positive(b)]
+        for q in enumerate_parabolics(pair.base, dominant_only=True):
+            witness = admissible_sufficient(pair, q).witness
+            if witness["kind"] != "intersection-point":
+                continue
+            point = tuple(F(x) for x in witness["point"])
+            coeffs = [F(c) for c in witness["cone_coefficients"]]
+            gens = _noncompact_u(q)
+            assert len(coeffs) == len(gens) and min(coeffs) >= 0
+            total = tuple(
+                sum((c * g[i] for c, g in zip(coeffs, gens)), F(0))
+                for i in range(n)
+            )
+            assert total == point and any(point), (pair.pair_id, q.x)
+            assert sigma(point) == tuple(-x for x in point), pair.pair_id
+            for b in positive:
+                assert sum(x * y for x, y in zip(b, point)) >= 0, (
+                    pair.pair_id, q.x, b)
+            points += 1
+    assert points > 10
 
 
 # ---------------------------------------------------------------------------

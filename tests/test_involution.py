@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from linalg_oracle import coweight_chamber, primitive_direction
 from projection_oracle import gram_projection, independent_rows
 
 from branchdec.catalog import load_catalog
@@ -37,7 +38,6 @@ from branchdec.root_core import (
     lex_positive,
     mat_apply,
     nullspace,
-    primitive_direction,
     rank,
     vadd,
     vdot,
@@ -73,8 +73,7 @@ def test_theta_involution_su22():
     assert inv.t_minus_sigma == ()
     system = restricted_roots(inv)
     assert system.roots.total() == 0
-    chamber = momentum_chamber(inv)
-    assert (chamber.generators, chamber.lineality) == ((), ())
+    assert momentum_chamber(inv) == ()
 
 
 def _dim_g_minus_sigma(inv):
@@ -92,8 +91,7 @@ def test_theta_dimension_split_on_all_catalog_algebras():
         assert validate_involution(inv) == (), name
         assert inv.dim_g_sigma() == base.dim_k
         assert inv.dim_g_sigma() + _dim_g_minus_sigma(inv) == base.dim_g
-        chamber = momentum_chamber(inv)
-        assert (chamber.generators, chamber.lineality) == ((), ())
+        assert momentum_chamber(inv) == ()
 
 
 def test_swap_involution_doubled_su11():
@@ -106,11 +104,9 @@ def test_swap_involution_doubled_su11():
     tminus = inv.t_minus_sigma
     assert len(tplus) == 1 and in_span(vec(1, 1), tplus)
     assert len(tminus) == 1 and in_span(vec(1, -1), tminus)
-    # no compact roots, so the chamber is the whole antidiagonal line
-    chamber = momentum_chamber(inv)
-    assert chamber.generators == ()
-    assert len(chamber.lineality) == 1
-    assert in_span(vec(1, -1), list(chamber.lineality))
+    # no compact roots, so no walls: the chamber is the whole
+    # antidiagonal line t^{-sigma}
+    assert momentum_chamber(inv) == ()
 
 
 def test_swap_involution_rejects_wrong_half():
@@ -140,9 +136,9 @@ def test_sp2r_pair_structure():
     assert system.positive.entries == (
         (vec(F(1, 2), F(-1, 2), F(1, 2), F(-1, 2)), 2),
     )
-    chamber = momentum_chamber(inv)
-    assert chamber.lineality == ()
-    assert chamber.generators == (vec(1, -1, 1, -1),)
+    assert momentum_chamber(inv) == (
+        vec(F(1, 2), F(-1, 2), F(1, 2), F(-1, 2)),
+    )
 
 
 def test_sp11_pair_structure():
@@ -152,10 +148,10 @@ def test_sp11_pair_structure():
     system = restricted_roots(inv)
     # both compact root lines are sigma-fixed, nothing survives restriction
     assert system.roots.total() == 0
-    chamber = momentum_chamber(inv)
-    assert chamber.generators == ()
-    assert len(chamber.lineality) == 1
-    assert in_span(vec(1, 1, -1, -1), list(chamber.lineality))
+    # so no walls: the chamber is the whole line t^{-sigma}
+    assert momentum_chamber(inv) == ()
+    assert len(inv.t_minus_sigma) == 1
+    assert in_span(vec(1, 1, -1, -1), inv.t_minus_sigma)
 
 
 def test_so32_pair_structure():
@@ -166,9 +162,9 @@ def test_so32_pair_structure():
     assert system.positive == WeightMultiset.of(
         [(vec(0, 1), 1), (vec(1, -1), 1), (vec(1, 0), 1), (vec(1, 1), 1)]
     )
-    chamber = momentum_chamber(inv)
-    assert chamber.lineality == ()
-    assert set(chamber.generators) == {vec(1, 0), vec(1, 1)}
+    assert set(momentum_chamber(inv)) == {
+        vec(0, 1), vec(1, -1), vec(1, 0), vec(1, 1)
+    }
 
 
 def test_restricted_roots_negation_and_reflection_closed():
@@ -194,13 +190,20 @@ def test_momentum_chamber_lives_in_tminus_and_is_dominant():
             continue
         tminus = pair.t_minus_sigma
         system = restricted_roots(pair)
-        chamber = momentum_chamber(pair)
-        for v in chamber.generators + chamber.lineality:
+        walls = momentum_chamber(pair)
+        # the walls are the positive restricted roots, which lie in
+        # t^{-sigma}
+        assert walls == system.positive.support(), pid
+        for w in walls:
+            assert lex_positive(w) and in_span(w, tminus), pid
+        # the chamber they cut out holds the coweight rays and the lines
+        rays, lines = coweight_chamber(pair)
+        for v in rays + lines:
             assert in_span(v, tminus), pid
-        for v in chamber.generators:
-            assert all(vdot(v, b) >= 0 for b, _ in system.positive), pid
-        for v in chamber.lineality:
-            assert all(vdot(v, b) == 0 for b, _ in system.positive), pid
+        for v in rays:
+            assert all(vdot(v, w) >= 0 for w in walls), pid
+        for v in lines:
+            assert all(vdot(v, w) == 0 for w in walls), pid
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +458,13 @@ def test_conjugating_by_a_datum_symmetry_transports_restricted_roots():
         for w, m in before.items()
     }
     assert after == transported
-    # chamber rays move the same way, as lines
-    rays_after = {primitive_direction(r) for r in momentum_chamber(conj).generators}
-    rays_moved = {
-        primitive_direction(_apply_perm_matrix(p_rows, r))
-        for r in momentum_chamber(inv).generators
+    # the walls move the same way, as lines
+    walls_after = {primitive_direction(w) for w in momentum_chamber(conj)}
+    walls_moved = {
+        primitive_direction(_apply_perm_matrix(p_rows, w))
+        for w in momentum_chamber(inv)
     }
-    assert rays_after == rays_moved
+    assert walls_after == walls_moved
 
 
 # ---------------------------------------------------------------------------
@@ -586,13 +589,11 @@ def _assert_involution_caches_fresh(inv):
         for r, m in ((gram_projection(w, tminus), m) for w, m in inv.base.compact)
         if not is_zero_vec(r)
     )
-    assert inv.restricted.space_basis == tminus
     assert inv.restricted.roots == roots
     assert inv.restricted.positive == WeightMultiset.of(
         (r, m) for r, m in roots if lex_positive(r)
     )
-    assert inv.chamber == dataclasses.replace(inv).chamber
-    for attr in ("view", "restricted", "chamber", "sigma_images"):
+    for attr in ("view", "restricted", "sigma_images"):
         assert getattr(inv, attr) is getattr(inv, attr)
 
 
@@ -661,7 +662,7 @@ def test_sigma_restriction_equals_the_gram_projection():
 
 def test_replaced_record_recomputes_its_derived_data():
     pair = _pair("(su(2,2),sp(2,R))")
-    before = (pair.t_minus_sigma, pair.view, pair.restricted, pair.chamber)
+    before = (pair.t_minus_sigma, pair.view, pair.restricted)
     assert before[0]
     # the identity fixes the whole torus, so t^-sigma becomes zero
     replaced = dataclasses.replace(
@@ -671,11 +672,8 @@ def test_replaced_record_recomputes_its_derived_data():
     _assert_involution_caches_fresh(replaced)
     assert replaced.t_minus_sigma == ()
     assert replaced.restricted.roots == WeightMultiset.of([])
-    chamber = replaced.chamber
-    assert (chamber.generators, chamber.lineality) == ((), ())
     assert replaced.view != before[1]
-    assert (pair.t_minus_sigma, pair.view, pair.restricted,
-            pair.chamber) == before
+    assert (pair.t_minus_sigma, pair.view, pair.restricted) == before
 
     emb = _pair("(so(4,3),g2(R))")
     emb.view

@@ -7,6 +7,7 @@ from math import gcd
 
 import linalg_oracle
 import pytest
+from linalg_oracle import primitive_direction, primitive_vector
 from projection_oracle import gram_projection, independent_rows
 
 from branchdec import root_core
@@ -15,6 +16,7 @@ from branchdec.root_core import (
     DatumError,
     _echelon,
     RootDatum,
+    RootSystem,
     WeightMultiset,
     as_fraction,
     build_root_datum,
@@ -28,13 +30,10 @@ from branchdec.root_core import (
     mat_apply,
     nullspace,
     parse_vector,
-    primitive_direction,
-    primitive_vector,
     project_onto_span,
     projection_matrix,
     rank,
     rref,
-    simple_system,
     solve_linear,
     vadd,
     vdot,
@@ -530,6 +529,10 @@ def test_build_root_datum_rejects_unknown_names():
     for bad in ("e8", "su(1)", "so(1,0)", "sp(0,R)", ""):
         with pytest.raises(DatumError):
             build_root_datum(bad)
+
+
+def simple_system(weights, x=None):
+    return RootSystem(weights).simple_system(x)
 
 
 def test_simple_system_of_a_non_reduced_system():

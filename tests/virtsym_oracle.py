@@ -15,12 +15,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from linalg_oracle import primitive_direction
+
 from branchdec.parabolic import ThetaStableParabolic
 from branchdec.root_core import (
     PART_COMPACT,
     Vec,
     is_zero_vec,
-    primitive_direction,
     solve_linear,
     vdot,
 )

@@ -254,8 +254,7 @@ def main(argv: list[str]) -> int:
     files = read_catalog_files(root)
     checksum = seal(files)
     try:
-        index_catalog(root, files, CATALOG_VERSION, checksum,
-                      force=False).check_all()
+        index_catalog(root, files, CATALOG_VERSION, checksum).check_all()
     except CatalogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
