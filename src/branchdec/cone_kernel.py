@@ -20,10 +20,12 @@ from .root_core import (
     CertificateError,
     Vec,
     clear_denominators,
+    dot,
     is_zero_vec,
     orthogonal_complement,
     primitive_ints,
     vdot,
+    vec_from,
     vscale,
     vsum,
 )
@@ -74,7 +76,7 @@ class MeetResult:
 
 
 def simplex_feasible(
-    rows: Sequence[Vec], rhs: Sequence[Fraction]
+    rows: Sequence[Vec], rhs: Sequence[int | Fraction]
 ) -> tuple[Vec | None, tuple[int, ...]]:
     """Find x >= 0 with rows . x = rhs, or prove there is none.
 
@@ -177,7 +179,7 @@ def simplex_feasible(
 
 
 def feasible_point(
-    constraints: Sequence[tuple[Vec, bool, Fraction]],
+    constraints: Sequence[tuple[Vec, bool, int | Fraction]],
 ) -> tuple[Vec | None, tuple[int, ...]]:
     """A point z >= 0 with row . z = rhs, or row . z >= rhs where
     is_inequality, for every constraint (row, is_inequality, rhs), or None
@@ -193,7 +195,7 @@ def feasible_point(
     n = len(constraints[0][0])
     n_surplus = sum(1 for _, is_inequality, _ in constraints if is_inequality)
     rows: list[Vec] = []
-    rhs: list[Fraction] = []
+    rhs: list[int | Fraction] = []
     surplus_at = 0
     for row, is_inequality, b in constraints:
         surplus = [0] * n_surplus
@@ -224,25 +226,33 @@ def _meet(
     c >= 0 satisfy one = row per normal of the subspace, sum(c) = 1, then
     one >= row per wall, and the point is checked against both by
     substitution.
+
+    The rows hold int where the value is integral: the normals keep their
+    scale, with integral entries as int, so each row's values, and with
+    them the tableau, the pivots and the basis, are those of the rational
+    rows.
     """
     generators = cone.generators
+    # a positive multiple of the certificate pairs with the same signs
+    cert_row = clear_denominators(certificate)[0]
     for g in generators:
-        if vdot(g, certificate) <= 0:
+        if dot(g, cert_row) <= 0:
             raise PointednessError(
                 "certificate does not pair strictly positively with every "
                 "generator; the cone may fail to be pointed"
             )
     if not generators:
         return MeetResult(False, None, None, ())
-    normals = orthogonal_complement(subspace_rows, cone.ambient_dim)
-    constraints = [
-        (tuple(vdot(nrm, g) for g in generators), False, Fraction(0))
-        for nrm in normals
+    normals = [
+        vec_from(nrm)
+        for nrm in orthogonal_complement(subspace_rows, cone.ambient_dim)
     ]
-    constraints.append(((Fraction(1),) * len(generators), False, Fraction(1)))
+    constraints = [
+        (tuple(dot(nrm, g) for g in generators), False, 0) for nrm in normals
+    ]
+    constraints.append(((1,) * len(generators), False, 1))
     constraints += [
-        (tuple(vdot(w, g) for g in generators), True, Fraction(0))
-        for w in walls
+        (tuple(dot(w, g) for g in generators), True, 0) for w in walls
     ]
     coeffs, basis = feasible_point(constraints)
     if coeffs is None:

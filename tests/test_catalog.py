@@ -15,12 +15,13 @@ from branchdec import catalog
 from branchdec.catalog import (
     CatalogError,
     UnknownIdError,
-    catalog_files,
     compute_checksum,
     default_catalog_dir,
     embedding_to_json,
     involution_to_json,
     load_catalog,
+    read_catalog_files,
+    seal,
     _embedding_from_json,
     _involution_from_json,
 )
@@ -261,10 +262,43 @@ def test_checksum_covers_names_and_bytes(tmp_path):
     assert compute_checksum(root) != base
 
 
+def catalog_files(root: Path) -> list[tuple[str, bytes]]:
+    """(name, bytes) of the record files as sorted Path.glob lists them:
+    the listing the seal was defined on, kept as the oracle for the
+    loader's."""
+    paths = sorted((root / "algebras").glob("*.json"))
+    paths += sorted((root / "pairs").glob("*.json"))
+    return [(path.name, path.read_bytes()) for path in paths]
+
+
 def test_catalog_files_listing():
-    files = catalog_files(DATA_DIR)
-    assert len(files) == 13 + 8
-    assert all(p.suffix == ".json" for p in files)
+    algebras, pairs = read_catalog_files(DATA_DIR)
+    assert len(algebras) == 13 and len(pairs) == 8
+    assert all(name.endswith(".json") for name, _ in algebras + pairs)
+
+
+def test_loader_lists_and_seals_the_files_path_glob_lists(tmp_path):
+    algebras, pairs = read_catalog_files(DATA_DIR)
+    oracle = catalog_files(DATA_DIR)
+    assert algebras + pairs == oracle
+    assert load_catalog(DATA_DIR).checksum == seal(oracle)
+
+    # a .json dotfile is listed, a non-JSON file is not, and a missing
+    # folder holds no file
+    root = _copy(tmp_path)
+    shutil.rmtree(root / "algebras")
+    (root / "pairs" / ".hidden.json").write_text("{}")
+    (root / "pairs" / "notes.txt").write_text("not a record")
+    (root / "pairs" / "upper.JSON").write_text("{}")
+    algebras, pairs = read_catalog_files(root)
+    oracle = catalog_files(root)
+    assert algebras == []
+    assert pairs == oracle
+    assert pairs[0][0] == ".hidden.json" and len(pairs) == 8 + 1
+    assert compute_checksum(root) == seal(oracle)
+    # the loader decodes the dotfile, as it does every listed file
+    with pytest.raises(CatalogError, match=r"\.hidden\.json: missing field"):
+        load_catalog(root, force=True)
 
 
 def test_edit_without_reseal_is_refused(tmp_path):
@@ -382,6 +416,33 @@ def test_structural_errors(tmp_path):
         load_catalog(root)
 
 
+def _catalog_fails(capsys, root: Path, message: str) -> None:
+    """catalog exits 1 with ``message`` on stderr, and verify fails its
+    integrity check with it."""
+    capsys.readouterr()
+    assert main(["catalog", "--catalog", str(root)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    _verify_fails(capsys, root, re.escape(message))
+
+
+def test_unreadable_record_file_is_a_catalog_error(tmp_path, capsys):
+    root = _copy(tmp_path)
+    (root / "pairs" / "zz.json").mkdir()
+    with pytest.raises(CatalogError, match="zz.json: cannot read"):
+        load_catalog(root, force=True)
+    _catalog_fails(capsys, root, "zz.json: cannot read: Is a directory")
+
+
+@pytest.mark.parametrize("meta", ["[]", '"x"'])
+def test_meta_that_is_not_an_object_is_a_catalog_error(tmp_path, capsys, meta):
+    root = _copy(tmp_path)
+    (root / "meta.json").write_text(meta)
+    with pytest.raises(CatalogError, match="meta.json: not a JSON object"):
+        load_catalog(root, force=True)
+    _catalog_fails(capsys, root, "meta.json: not a JSON object")
+
+
 def test_invalid_json_reported_with_filename(tmp_path):
     root = _copy(tmp_path)
     victim = root / "pairs" / "_so_4__so_3__.json"
@@ -389,6 +450,15 @@ def test_invalid_json_reported_with_filename(tmp_path):
     _reseal(root)
     with pytest.raises(CatalogError, match="invalid JSON"):
         load_catalog(root)
+
+
+def test_record_that_is_not_utf8_is_invalid_json(tmp_path, capsys):
+    root = _copy(tmp_path)
+    (root / "pairs" / "_so_4__so_3__.json").write_bytes(b'{"id": "\xff"}')
+    _reseal(root)
+    with pytest.raises(CatalogError, match="_so_4__so_3__.json: invalid JSON"):
+        load_catalog(root)
+    _verify_fails(capsys, root, "_so_4__so_3__.json: invalid JSON")
 
 
 def test_seal_is_checked_before_json_is_decoded(tmp_path):
@@ -402,14 +472,14 @@ def test_seal_is_checked_before_json_is_decoded(tmp_path):
 
 def test_load_reads_each_catalog_file_once(monkeypatch):
     reads = Counter()
-    for method in ("read_bytes", "read_text"):
-        def counted(self, *args, _read=getattr(Path, method), **kwargs):
-            reads[self.name] += 1
-            return _read(self, *args, **kwargs)
 
-        monkeypatch.setattr(Path, method, counted)
+    def counted(path, _read=catalog._read):
+        reads[Path(path).name] += 1
+        return _read(path)
+
+    monkeypatch.setattr(catalog, "_read", counted)
     load_catalog(DATA_DIR)
-    names = [path.name for path in catalog_files(DATA_DIR)]
+    names = [name for name, _ in catalog_files(DATA_DIR)]
     assert len(names) == 21
     assert reads == Counter(names + ["meta.json"])
 

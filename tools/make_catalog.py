@@ -251,10 +251,12 @@ def main(argv: list[str]) -> int:
             payload = embedding_to_json(pair, base_id)
         dump(root / "pairs" / file_name(pair.pair_id), payload)
 
-    files = read_catalog_files(root)
-    checksum = seal(files)
+    algebras, pairs = read_catalog_files(root)
+    checksum = seal(algebras + pairs)
     try:
-        index_catalog(root, files, CATALOG_VERSION, checksum).check_all()
+        index_catalog(
+            root, algebras, pairs, CATALOG_VERSION, checksum
+        ).check_all()
     except CatalogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
