@@ -20,9 +20,11 @@ restricts weights with integer products.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
 import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -166,10 +168,16 @@ def _embedding_from_json(rec: dict, base: RootDatum) -> EmbeddingRecord:
 
 
 def _read(path: str) -> bytes:
-    """The bytes of one file, in one read sized by fstat."""
-    fd = os.open(path, os.O_RDONLY)
+    """The bytes of one file, in one read sized by fstat.
+
+    The open does not block, so a FIFO or a device is refused as not a
+    regular file instead of waited on; a directory fails in the read."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        return os.read(fd, os.fstat(fd).st_size)
+        info = os.fstat(fd)
+        if not (stat.S_ISREG(info.st_mode) or stat.S_ISDIR(info.st_mode)):
+            raise OSError(errno.EINVAL, "not a regular file")
+        return os.read(fd, info.st_size)
     finally:
         os.close(fd)
 

@@ -28,6 +28,7 @@ from .cone_kernel import PointednessError
 from .decider import (
     QUESTIONS,
     CertificateError,
+    Query,
     answer_question,
     discretely_decomposable,
     rho_compat_check,
@@ -133,7 +134,7 @@ def _pair_payload(pair) -> dict:
             "eps_entries": len(pair.eps),
             "zero_weight_fixed_dim": pair.zero_weight_fixed_dim,
             "dim_gprime": pair.dim_gprime,
-            "dim_t_sigma": len(pair.t_sigma),
+            "dim_t_sigma": pair.dim_t_sigma,
             "dim_t_minus_sigma": len(pair.t_minus_sigma),
             "table_rows": table_rows_to_json(pair.table_rows),
         }
@@ -229,9 +230,9 @@ def cmd_check(ns) -> int:
     return EXIT_OK
 
 
-def _classify_cell(pair, q, question: str) -> str:
+def _classify_cell(row: Query, question: str) -> str:
     try:
-        verdict = answer_question(pair, q, question)
+        verdict = answer_question(row.pair, row.q, question, row)
     except UnsupportedQuery:
         return "unsupported"
     return str(verdict.answer).lower()
@@ -243,7 +244,10 @@ def cmd_classify(ns) -> int:
     qs = enumerate_parabolics(pair.base, dominant_only=True)
     rows = []
     for q in qs:
-        cells = {c: _classify_cell(pair, q, c) for c in QUESTIONS}
+        # one Query per row: its questions share the meet, the member
+        # signs and the transitive verdict
+        row = Query(pair, q)
+        cells = {c: _classify_cell(row, c) for c in QUESTIONS}
         rows.append({
             "X": format_vector(q.x),
             "dim_levi": q.dim_levi,

@@ -7,6 +7,13 @@ integer tableau), which produces witness points and bases.  An independent
 Fourier-Motzkin eliminator that rebuilds the same feasibility questions
 from scratch lives with the tests (``tests/fm_oracle.py``), which compare
 the two routes on every instance they generate.
+
+A cone query states its subspace by its normals, which the caller
+solves for once (``root_core.subspace_normals``); the decider reads the
+normals cached on a pair, so no meet eliminates.  A meet point is checked
+by substitution against every normal and wall on the integer point
+D p, D the common denominator of its coefficients, and a ``Fraction``
+is built only for the point returned.
 """
 
 from __future__ import annotations
@@ -20,14 +27,10 @@ from .root_core import (
     CertificateError,
     Vec,
     clear_denominators,
+    cleared_combination,
     dot,
     is_zero_vec,
-    orthogonal_complement,
     primitive_ints,
-    vdot,
-    vec_from,
-    vscale,
-    vsum,
 )
 
 
@@ -214,23 +217,25 @@ def feasible_point(
 
 def _meet(
     cone: Cone,
-    subspace_rows: Sequence[Vec],
+    normals: Sequence[Vec],
     walls: Sequence[Vec],
     certificate: Vec,
 ) -> MeetResult:
-    """Does the cone meet {p in span(subspace_rows) : w . p >= 0 for every
-    wall w} outside the origin?
+    """Does the cone meet {p : nrm . p = 0 for every normal, w . p >= 0 for
+    every wall w} outside the origin?
 
     The certificate must pair strictly positively with every generator;
     this makes the normalisation sum(c) = 1 exhaustive.  The coefficients
-    c >= 0 satisfy one = row per normal of the subspace, sum(c) = 1, then
-    one >= row per wall, and the point is checked against both by
-    substitution.
+    c >= 0 satisfy one = row per normal, sum(c) = 1, then one >= row per
+    wall, and the point is checked against both by substitution.
 
     The rows hold int where the value is integral: the normals keep their
     scale, with integral entries as int, so each row's values, and with
     them the tableau, the pivots and the basis, are those of the rational
-    rows.
+    rows.  The substitution runs on D p, for D the common denominator of
+    the coefficients: D > 0 keeps every sign and every zero, and with
+    integer generators D p is an integer vector, so the only Fractions
+    built are the entries of the returned point.
     """
     generators = cone.generators
     # a positive multiple of the certificate pairs with the same signs
@@ -243,10 +248,6 @@ def _meet(
             )
     if not generators:
         return MeetResult(False, None, None, ())
-    normals = [
-        vec_from(nrm)
-        for nrm in orthogonal_complement(subspace_rows, cone.ambient_dim)
-    ]
     constraints = [
         (tuple(dot(nrm, g) for g in generators), False, 0) for nrm in normals
     ]
@@ -257,39 +258,40 @@ def _meet(
     coeffs, basis = feasible_point(constraints)
     if coeffs is None:
         return MeetResult(False, None, None, basis)
-    point = vsum(
-        (vscale(c, g) for c, g in zip(coeffs, generators)), cone.ambient_dim
-    )
-    if is_zero_vec(point):
+    scaled, den = cleared_combination(coeffs, generators, cone.ambient_dim)
+    if is_zero_vec(scaled):
         raise CertificateError("intersection point is zero")
-    if any(vdot(nrm, point) != 0 for nrm in normals):
+    if any(dot(nrm, scaled) != 0 for nrm in normals):
         raise CertificateError("intersection point is outside the subspace")
-    if any(vdot(w, point) < 0 for w in walls):
+    if any(dot(w, scaled) < 0 for w in walls):
         raise CertificateError("intersection point is outside the chamber")
+    point = tuple(Fraction(x, den) for x in scaled)
     return MeetResult(True, point, coeffs, basis)
 
 
 def cone_meets_subspace(
     cone: Cone,
-    subspace_rows: Sequence[Vec],
+    normals: Sequence[Vec],
     pointedness_certificate: Vec,
 ) -> MeetResult:
-    """Does the cone meet span(subspace_rows) outside the origin?
+    """Does the cone meet the subspace {p : nrm . p = 0 for every normal}
+    outside the origin?  ``root_core.subspace_normals(rows, dim)`` gives
+    the normals of span(rows).
 
     The certificate must pair strictly positively with every generator.
     """
-    return _meet(cone, subspace_rows, (), pointedness_certificate)
+    return _meet(cone, normals, (), pointedness_certificate)
 
 
 def cones_meet(
     cone: Cone,
-    subspace_rows: Sequence[Vec],
+    normals: Sequence[Vec],
     walls: Sequence[Vec],
     pointedness_certificate: Vec,
 ) -> MeetResult:
-    """Does the cone meet the chamber {p in span(subspace_rows) : w . p >= 0
-    for every wall w} outside the origin?
+    """Does the cone meet the chamber {p : nrm . p = 0 for every normal,
+    w . p >= 0 for every wall w} outside the origin?
 
     The certificate must pair strictly positively with every generator.
     """
-    return _meet(cone, subspace_rows, walls, pointedness_certificate)
+    return _meet(cone, normals, walls, pointedness_certificate)

@@ -4,12 +4,20 @@ Each operation returns a Verdict: a boolean answer, the list of condition
 labels known to share that answer, a re-checkable rational certificate,
 and a one-line statement of the criterion that was evaluated.  Boolean
 answers are data; operational failures raise.
+
+The questions about one (pair, q) share work, which a Query holds: a
+classify row asks all six questions of one Query, so the row validates,
+meets the cone with t^{-sigma}, reads the member signs and counts for
+transitivity once.  A single question gets a fresh Query.  Meet points
+are replayed by substitution on integers, the point times the common
+denominator of its cone coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cone_kernel import Cone, MeetResult, cone_meets_subspace, cones_meet
 from .involution import (
@@ -17,8 +25,7 @@ from .involution import (
     InvolutionData,
     InvolutionError,
     as_embedding_view,
-    dim_gprime_cap_levi,
-    dim_gprime_cap_q,
+    cap_dims,
     ensure_valid,
     member_signs,
     momentum_chamber,
@@ -33,9 +40,10 @@ from .root_core import (
     PART_NONCOMPACT,
     CertificateError,
     Vec,
+    cleared_combination,
+    dot,
     is_zero_vec,
     lex_positive,
-    mat_apply,
     vadd,
     vector_strings,
     vneg,
@@ -103,33 +111,84 @@ def _require_involution(pair: object, q: ThetaStableParabolic) -> InvolutionData
     return pair
 
 
+class Query:
+    """The questions about one (pair, q), with the work they share.
+
+    Each piece is computed on first use and kept for the life of the
+    object: the validated involution, the noncompact cone of u, the
+    checked meet of that cone with t^{-sigma}, the pair's weight-cell
+    view with the member signs under q, and the transitive verdict.  A
+    classify row asks all six questions of one Query; every other caller
+    builds a fresh one per question, so nothing outlives the row.
+    """
+
+    def __init__(self, pair, q: ThetaStableParabolic):
+        self.pair = pair
+        self.q = q
+
+    @cached_property
+    def involution(self) -> InvolutionData:
+        inv = _require_involution(self.pair, self.q)
+        ensure_valid(inv)
+        return inv
+
+    @cached_property
+    def generators(self) -> list[Vec]:
+        """The noncompact weights of u."""
+        return [w for part, w, _ in self.q.u_weights()
+                if part == PART_NONCOMPACT]
+
+    @cached_property
+    def cone(self) -> Cone:
+        return Cone.from_generators(self.generators, self.q.base.ambient_dim)
+
+    @cached_property
+    def meet(self) -> MeetResult:
+        """Does the cone meet t^{-sigma} away from 0, with a checked point?"""
+        inv = self.involution
+        result = cone_meets_subspace(
+            self.cone, inv.t_minus_sigma_normals, self.q.x
+        )
+        if result.meets:
+            _verify_point(inv, self.generators, result)
+        return result
+
+    @cached_property
+    def view(self) -> EmbeddingView:
+        if not isinstance(self.pair, EmbeddingView):
+            # a bare view carries no record to validate
+            ensure_valid(self.pair)
+        return as_embedding_view(self.pair)
+
+    @cached_property
+    def signs(self) -> list[list[int]]:
+        return member_signs(self.view, self.q)
+
+    @cached_property
+    def transitive(self) -> Verdict:
+        return _transitive_verdict(self)
+
+
 def _verify_point(
     inv: InvolutionData, gens: list[Vec], result: MeetResult
 ) -> None:
     # substitution check: the claimed point really is a conic combination
     # and really lies in t^{-sigma}.  As a sum of weights it lies in t,
-    # so that means sigma p = -p.
+    # so that means sigma p = -p.  The checks run on D p, for D the
+    # common denominator of the coefficients, which has the same signs
+    # and zeros and, for integer weights, integer entries.
     if result.point is None or result.coefficients is None:
         raise CertificateError("intersection claimed without a point")
-    total = vzero(len(result.point))
-    for c, g in zip(result.coefficients, gens):
+    for c in result.coefficients:
         if c < 0:
             raise CertificateError(f"negative cone coefficient {c}")
-        total = vadd(total, vscale(c, g))
+    total, _ = cleared_combination(
+        result.coefficients, gens, len(result.point)
+    )
     if inv.sigma_weight(total) != vneg(total):
         raise CertificateError("intersection point is outside the subspace")
     if is_zero_vec(total):
         raise CertificateError("intersection point is zero")
-
-
-def _subspace_meet(
-    cone: Cone, gens: list[Vec], inv: InvolutionData, x: Vec
-) -> MeetResult:
-    """Does the cone meet t^{-sigma} away from 0, with a checked point?"""
-    result = cone_meets_subspace(cone, inv.t_minus_sigma, x)
-    if result.meets:
-        _verify_point(inv, gens, result)
-    return result
 
 
 def _meet_witness(result: MeetResult) -> dict:
@@ -142,25 +201,20 @@ def _meet_witness(result: MeetResult) -> dict:
     return {"kind": "infeasibility-basis", "basis": list(result.basis)}
 
 
-def _noncompact_cone(q: ThetaStableParabolic) -> tuple[Cone, list[Vec]]:
-    gens = [w for part, w, _ in q.u_weights() if part == PART_NONCOMPACT]
-    return Cone.from_generators(gens, q.base.ambient_dim), gens
-
-
 def discretely_decomposable(
-    pair: InvolutionData, q: ThetaStableParabolic
+    pair: InvolutionData, q: ThetaStableParabolic, row: Query | None = None
 ) -> Verdict:
     """Does the asymptotic cone of u cap p miss the split part of the torus?
 
     True means the restriction to the fixed-point subgroup splits discretely,
     with admissible multiplicities, for every weakly fair parameter.
+    ``row`` is the Query of a classify row, which shares its meet.
     """
-    inv = _require_involution(pair, q)
-    ensure_valid(inv)
-    cone, gens = _noncompact_cone(q)
-    result = _subspace_meet(cone, gens, inv, q.x)
+    row = Query(pair, q) if row is None else row
+    inv = row.involution
+    result = row.meet
     notes = [_SCOPE_NOTE]
-    if not gens:
+    if not row.generators:
         notes.append("u contains no noncompact weights; the cone is zero")
     if not inv.t_minus_sigma:
         notes.append(
@@ -182,7 +236,7 @@ def discretely_decomposable(
 
 
 def admissible_sufficient(
-    pair: InvolutionData, q: ThetaStableParabolic
+    pair: InvolutionData, q: ThetaStableParabolic, row: Query | None = None
 ) -> Verdict:
     """Sufficient test: the cone of u cap p misses the momentum chamber.
 
@@ -190,19 +244,20 @@ def admissible_sufficient(
     Hilbert-sum decomposition).  False is inconclusive by this test alone,
     since the cone only bounds the true asymptotic support from above; for
     symmetric pairs the subspace test is decisive and is cross-referenced.
+    ``row`` is the Query of a classify row, whose meet gives that
+    subspace test.
     """
-    inv = _require_involution(pair, q)
-    ensure_valid(inv)
+    row = Query(pair, q) if row is None else row
+    inv = row.involution
     walls = momentum_chamber(inv)
-    cone, gens = _noncompact_cone(q)
-    result = cones_meet(cone, inv.t_minus_sigma, walls, q.x)
+    result = cones_meet(row.cone, inv.t_minus_sigma_normals, walls, q.x)
     if result.meets:
         # the chamber lies in t^{-sigma}, so its point settles the
         # subspace test too, once checked to lie there
-        _verify_point(inv, gens, result)
+        _verify_point(inv, row.generators, result)
         subspace_meets = True
     else:
-        subspace_meets = _subspace_meet(cone, gens, inv, q.x).meets
+        subspace_meets = row.meet.meets
     notes = [
         _SCOPE_NOTE,
         f"chamber test intersects: {str(result.meets).lower()}",
@@ -231,7 +286,9 @@ def admissible_sufficient(
     )
 
 
-def transitive_check(pair, q: ThetaStableParabolic) -> Verdict:
+def transitive_check(
+    pair, q: ThetaStableParabolic, row: Query | None = None
+) -> Verdict:
     """Is the subgroup orbit of the base point open in the flag manifold?
 
     The isotropy algebra there is g' cap l, so the orbit dimension is
@@ -239,17 +296,21 @@ def transitive_check(pair, q: ThetaStableParabolic) -> Verdict:
     2 dim u.  Openness forces the span identity g' + q = g, reported
     alongside; for the catalogued families openness upgrades to a
     transitive action, which is what lets induced modules restrict.
+    ``row`` is the Query of a classify row, which keeps the verdict for
+    rho.
     """
-    if not isinstance(pair, EmbeddingView):
-        # a bare view carries no record to validate
-        ensure_valid(pair)
-    view = as_embedding_view(pair)
-    cap_q = dim_gprime_cap_q(view, q)
-    cap_l = dim_gprime_cap_levi(view, q)
+    return (Query(pair, q) if row is None else row).transitive
+
+
+def _transitive_verdict(row: Query) -> Verdict:
+    q = row.q
+    view = row.view
+    cap_q, cap_l = cap_dims(view, row.signs)
+    dim_q = q.dim_q
     orbit = view.dim_gprime - cap_l
     manifold = 2 * q.dim_u
     answer = orbit == manifold
-    span_identity = (view.dim_gprime - cap_q) == (q.base.dim_g - q.dim_q)
+    span_identity = (view.dim_gprime - cap_q) == (q.base.dim_g - dim_q)
     if answer and not span_identity:
         # openness implies the span identity
         raise CertificateError(
@@ -273,10 +334,10 @@ def transitive_check(pair, q: ThetaStableParabolic) -> Verdict:
             "dim_gprime_cap_q": cap_q,
             "dim_gprime_cap_levi": cap_l,
             "dim_g": q.base.dim_g,
-            "dim_q": q.dim_q,
+            "dim_q": dim_q,
             "dim_u": q.dim_u,
         },
-        inputs=_inputs(pair, q),
+        inputs=_inputs(row.pair, q),
         criterion=(
             "dim g' - dim(g' cap l) equals 2 dim u, so the subgroup orbit "
             "of the base point in the flag manifold is open"
@@ -285,9 +346,12 @@ def transitive_check(pair, q: ThetaStableParabolic) -> Verdict:
     )
 
 
-def _induced_rho(view: EmbeddingView, q: ThetaStableParabolic) -> tuple[Vec, int]:
+def _induced_rho(
+    view: EmbeddingView, signs: list[list[int]]
+) -> tuple[Vec, int]:
     """Half sum of restricted weights over the nilradical of the induced
-    parabolic q' = g' cap q, with the u'-cell count.
+    parabolic q' = g' cap q, with the u'-cell count; ``signs`` is
+    member_signs(view, q).
 
     Cells fully inside Delta(q) carry q'; among those, a restricted-weight
     line belongs to the induced Levi when both signs are fully present,
@@ -297,7 +361,7 @@ def _induced_rho(view: EmbeddingView, q: ThetaStableParabolic) -> tuple[Vec, int
     n = view.base.ambient_dim
     per_line: dict[Vec, list[int]] = {}
     # counts per canonical line: [plus_total, plus_in_q, minus_total, minus_in_q]
-    for cell, signs in zip(view.cells, member_signs(view, q)):
+    for cell, cell_signs in zip(view.cells, signs):
         beta = cell.restricted
         if is_zero_vec(beta):
             continue  # centralises the small torus: always induced-Levi
@@ -306,7 +370,7 @@ def _induced_rho(view: EmbeddingView, q: ThetaStableParabolic) -> tuple[Vec, int
         rec = per_line.setdefault(key, [0, 0, 0, 0])
         off = 0 if pos else 2
         rec[off] += 1
-        if all(s >= 0 for s in signs):
+        if all(s >= 0 for s in cell_signs):
             rec[off + 1] += 1
     total = vzero(n)
     count = 0
@@ -330,20 +394,29 @@ def _induced_rho(view: EmbeddingView, q: ThetaStableParabolic) -> tuple[Vec, int
     return vscale(Fraction(1, 2), total), count
 
 
-def rho_compat_check(pair, q: ThetaStableParabolic) -> Verdict:
+def rho_compat_check(
+    pair, q: ThetaStableParabolic, row: Query | None = None
+) -> Verdict:
     """Does rho of u restrict to rho of the induced u'?
 
     Requires the transitivity identity, so the induced parabolic
     q' = g' cap q is defined and its nilradical has a half sum to compare.
+    rho(u) restricts as half the restriction of the integer 2 rho(u).
+    ``row`` is the Query of a classify row, which shares the transitive
+    verdict and the member signs.
     """
-    trans = transitive_check(pair, q)  # validates the pair first
-    if not trans.answer:
+    row = Query(pair, q) if row is None else row
+    if not row.transitive.answer:  # validates the pair first
         raise UnsupportedQuery(
             "rho comparison needs the transitivity identity; it fails here"
         )
-    view = as_embedding_view(pair)
-    rho_prime, uprime_cells = _induced_rho(view, q)
-    restricted = mat_apply(view.restriction, q.rho_u)
+    view = row.view
+    rho_prime, uprime_cells = _induced_rho(view, row.signs)
+    two_rho = q.two_rho_u
+    restricted = tuple(
+        Fraction(dot(nums, two_rho), 2 * den)
+        for nums, den in view.restriction_rows
+    )
     answer = restricted == rho_prime
     return Verdict(
         question="rho",
@@ -397,16 +470,21 @@ def virtually_symmetric_verdict(q: ThetaStableParabolic) -> Verdict:
     )
 
 
-def answer_question(pair, q: ThetaStableParabolic, question: str) -> Verdict:
-    """Dispatch by question keyword; the CLI entry point."""
+def answer_question(
+    pair, q: ThetaStableParabolic, question: str, row: Query | None = None
+) -> Verdict:
+    """Dispatch by question keyword; the CLI entry point.  ``row`` is the
+    Query a classify row shares across its questions; a fresh one is
+    built for a single question."""
+    row = Query(pair, q) if row is None else row
     if question == "deco":
-        return discretely_decomposable(pair, q)
+        return discretely_decomposable(pair, q, row)
     if question == "admissible":
-        return admissible_sufficient(pair, q)
+        return admissible_sufficient(pair, q, row)
     if question == "transitive":
-        return transitive_check(pair, q)
+        return transitive_check(pair, q, row)
     if question == "rho":
-        return rho_compat_check(pair, q)
+        return rho_compat_check(pair, q, row)
     if question == "symtype":
         return symmetric_type_verdict(q)
     if question == "virtsym":

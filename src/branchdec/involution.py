@@ -26,6 +26,7 @@ from .root_core import (
     RootDatum,
     Vec,
     WeightMultiset,
+    clear_denominators,
     dot,
     format_vector,
     identity,
@@ -36,6 +37,7 @@ from .root_core import (
     nullspace,
     projection_matrix,
     rank,
+    subspace_normals,
     vadd,
     vdot,
     vhalf,
@@ -116,12 +118,18 @@ class InvolutionData:
         return signs
 
     @cached_property
-    def t_sigma(self) -> tuple[Vec, ...]:
-        return self._eigenbasis(1)
+    def dim_t_sigma(self) -> int:
+        return self.base.ambient_dim - rank(self._eigenrows(1))
 
     @cached_property
     def t_minus_sigma(self) -> tuple[Vec, ...]:
-        return self._eigenbasis(-1)
+        return tuple(nullspace(self._eigenrows(-1)))
+
+    @cached_property
+    def t_minus_sigma_normals(self) -> tuple[Vec, ...]:
+        """The normals of t^{-sigma} that the cone kernel tests a point
+        against, built once for the record rather than once per meet."""
+        return subspace_normals(self.t_minus_sigma, self.base.ambient_dim)
 
     @cached_property
     def view(self) -> EmbeddingView:
@@ -140,14 +148,15 @@ class InvolutionData:
     def eps_of(self, part: str, w: Vec) -> int | None:
         return self.eps_signs.get((part, w))
 
-    def _eigenbasis(self, sign: int) -> tuple[Vec, ...]:
+    def _eigenrows(self, sign: int) -> list[Vec]:
+        """Rows whose common kernel is the sign eigenspace of sigma on t."""
         eye = identity(self.base.ambient_dim)
         rows = [
             tuple(x - sign * y for x, y in zip(r, e))
             for r, e in zip(self.matrix, eye)
         ]
         rows.extend(self.base.t_constraints)
-        return tuple(nullspace(rows))
+        return rows
 
     def fixed_pair_counts(self) -> tuple[int, int, int]:
         """(#pairs {w, sigma w}, #fixed with eps +1, #fixed with eps -1),
@@ -171,7 +180,7 @@ class InvolutionData:
     def dim_g_sigma(self) -> int:
         pairs, plus, _ = self.fixed_pair_counts()
         return (
-            len(self.t_sigma)
+            self.dim_t_sigma
             + self.zero_weight_fixed_dim
             + pairs
             + plus
@@ -377,12 +386,18 @@ class EmbeddingView:
     dim_gprime: int
     pair_id: str
 
+    @cached_property
+    def restriction_rows(self) -> tuple[tuple[list[int], int], ...]:
+        """Each row of ``restriction`` as (integers n_j, least d > 0) with
+        row_j = n_j / d: restricting an integer vector is then an integer
+        product and one division per entry."""
+        return tuple(clear_denominators(row) for row in self.restriction)
+
 
 def involution_view(inv: InvolutionData) -> EmbeddingView:
     """One cell per line of g^sigma: a sigma-fixed weight with sign +1,
     or a pair {w, sigma w}, restricted to t^sigma as (w + sigma w)/2.
     The restriction is (I + sigma^T)/2, built with no elimination."""
-    tplus = inv.t_sigma
     restriction = tuple(
         vhalf(vadd(e, row))
         for e, row in zip(identity(inv.base.ambient_dim), inv.sigma_transpose)
@@ -401,7 +416,7 @@ def involution_view(inv: InvolutionData) -> EmbeddingView:
     return EmbeddingView(
         inv.base,
         restriction,
-        len(tplus) + inv.zero_weight_fixed_dim,
+        inv.dim_t_sigma + inv.zero_weight_fixed_dim,
         tuple(cells),
         inv.dim_gprime,
         inv.pair_id,
@@ -507,31 +522,35 @@ def dim_gprime_cap_q(
     pair: InvolutionData | EmbeddingRecord | EmbeddingView,
     q: ThetaStableParabolic,
 ) -> int:
-    """dim of (subalgebra, complexified) intersected with q.
-
-    The subalgebra torus and fixed zero-weight part always sit inside the
-    Levi; each cell contributes exactly when all of its member weights lie
-    in Delta(q).
-    """
+    """dim of (subalgebra, complexified) intersected with q."""
     view = as_embedding_view(pair)
-    return view.fixed_zero_dim + sum(
-        all(s >= 0 for s in signs) for signs in member_signs(view, q)
-    )
+    return cap_dims(view, member_signs(view, q))[0]
 
 
 def dim_gprime_cap_levi(
     pair: InvolutionData | EmbeddingRecord | EmbeddingView,
     q: ThetaStableParabolic,
 ) -> int:
-    """dim of the subalgebra intersected with the Levi of q.
+    """dim of the subalgebra intersected with the Levi of q."""
+    view = as_embedding_view(pair)
+    return cap_dims(view, member_signs(view, q))[1]
 
-    This is the isotropy algebra of the subgroup at the base point of the
-    flag manifold attached to q, so dim_gprime minus this value is the
+
+def cap_dims(
+    view: EmbeddingView, signs: Sequence[Sequence[int]]
+) -> tuple[int, int]:
+    """(dim g' cap q, dim g' cap l) from member_signs(view, q).
+
+    The subalgebra torus and fixed zero-weight part always sit inside the
+    Levi; each cell lies in q exactly when all of its member weights lie
+    in Delta(q), and in the Levi when all of them lie in Delta(l).  The
+    Levi part is the isotropy algebra of the subgroup at the base point of
+    the flag manifold attached to q, so dim_gprime minus it is the
     dimension of the subgroup orbit there.
     """
-    view = as_embedding_view(pair)
-    return view.fixed_zero_dim + sum(
-        not any(signs) for signs in member_signs(view, q)
+    return (
+        view.fixed_zero_dim + sum(all(s >= 0 for s in c) for c in signs),
+        view.fixed_zero_dim + sum(not any(c) for c in signs),
     )
 
 

@@ -27,8 +27,7 @@ from .root_core import (
     primitive_ints,
     vdot,
     vector_strings,
-    vscale,
-    vsum,
+    vhalf,
 )
 
 DEFAULT_MAX_RANK = 7
@@ -83,18 +82,24 @@ class ThetaStableParabolic:
         return {w: s for (_, w, _), s in zip(entries, self.signature)}
 
     @property
+    def two_rho_u(self) -> Vec:
+        """2 rho(u), the sum of the u-weights with multiplicity: integer
+        weights give an integer vector."""
+        total = [0] * self.base.ambient_dim
+        for _, w, m in self.u_weights():
+            for i, x in enumerate(w):
+                total[i] += m * x
+        return tuple(total)
+
+    @property
     def rho_u(self) -> Vec:
-        total = vsum(
-            (vscale(m, w) for _, w, m in self.u_weights()),
-            self.base.ambient_dim,
-        )
-        return vscale(Fraction(1, 2), total)
+        return vhalf(self.two_rho_u)
 
     @property
     def S(self) -> int:
         return sum(m for part, _, m in self.u_weights() if part == PART_COMPACT)
 
-    @property
+    @cached_property
     def dim_u(self) -> int:
         return sum(m for _, _, m in self.u_weights())
 

@@ -179,6 +179,21 @@ def clear_denominators(row: Iterable) -> tuple[list[int], int]:
     return [n * (scale // d) for n, d in ratios], scale
 
 
+def cleared_combination(
+    coefficients: Sequence[int | Fraction], vectors: Sequence[Vec], dim: int
+) -> tuple[Vec, int]:
+    """(D * sum(c_i v_i), D) for D the least common denominator of the
+    c_i: the combination with the integer coefficients D c_i, so integer
+    vectors give an integer vector, and no Fraction is built."""
+    nums, den = clear_denominators(coefficients)
+    total = [0] * dim
+    for n, v in zip(nums, vectors, strict=True):
+        if n:
+            for i, x in enumerate(v):
+                total[i] += n * x
+    return tuple(total), den
+
+
 def primitive_ints(row: list[int]) -> list[int]:
     """The row divided by the gcd of its entries; a zero row is kept."""
     g = gcd(*row)
@@ -281,6 +296,12 @@ def orthogonal_complement(rows: Sequence[Vec], dim: int) -> list[Vec]:
     if not rows:
         return list(identity(dim))
     return nullspace(rows)
+
+
+def subspace_normals(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
+    """The normals a point of span(rows) is tested against: the basis of
+    the orthogonal complement, with integral entries as int."""
+    return tuple(vec_from(nrm) for nrm in orthogonal_complement(rows, dim))
 
 
 def solve_linear(rows: Sequence[Vec], rhs: Sequence) -> Vec | None:

@@ -7,7 +7,9 @@ compare the runtime kernels, which compute over integers and build a
 for type.  ``simple_system`` is the lexicographic simple system worked
 out on ``Fraction`` vectors, for ``RootSystem.simple_system``, and
 ``coweight_chamber`` the momentum chamber as rays and lines built from it,
-for the chamber that the runtime states by its walls.
+for the chamber that the runtime states by its walls.  ``eigenbasis``
+spans t^{sigma} or t^{-sigma}, of which the runtime keeps only the
+dimension of the first.
 """
 
 from __future__ import annotations
@@ -137,6 +139,17 @@ def simple_system(weights) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
                    for b in positive)
     )
     return tuple(simple), dual_basis(simple)
+
+
+def eigenbasis(inv, sign: int) -> tuple[Vec, ...]:
+    """A basis of the sign eigenspace of an involution's sigma on t: the
+    vectors of t with sigma x = sign x."""
+    n = inv.base.ambient_dim
+    rows = [
+        tuple(r[j] - (sign if i == j else 0) for j in range(n))
+        for i, r in enumerate(inv.matrix)
+    ]
+    return tuple(nullspace(rows + list(inv.base.t_constraints)))
 
 
 def coweight_chamber(inv) -> tuple[list[Vec], list[Vec]]:

@@ -39,6 +39,7 @@ from branchdec.root_core import (
     in_span,
     is_zero_vec,
     project_onto_span,
+    subspace_normals,
     vadd,
     vdot,
     vec,
@@ -231,7 +232,9 @@ def test_criterion_6_kernel_oracle_agreement(capsys):
             gens, cert = _rand_pointed_gens(rng, dim, rng.randint(1, 8))
             rows = [_rand_vec(rng, dim) for _ in range(rng.randint(0, dim))]
             cone = Cone.from_generators(gens, dim)
-            got = cone_meets_subspace(cone, rows, cert).meets
+            got = cone_meets_subspace(
+                cone, subspace_normals(rows, dim), cert
+            ).meets
             want = brute_force_cone_meets_subspace(gens, rows)
             instances += 1
             if got != want:
@@ -246,7 +249,9 @@ def test_criterion_6_kernel_oracle_agreement(capsys):
             rows = [_rand_vec(rng, dim) for _ in range(rng.randint(0, dim))]
             walls = [_rand_vec(rng, dim) for _ in range(rng.randint(0, 3))]
             cone = Cone.from_generators(gens, dim)
-            got = cones_meet(cone, rows, walls, cert).meets
+            got = cones_meet(
+                cone, subspace_normals(rows, dim), walls, cert
+            ).meets
             try:
                 want = brute_force_chamber_meet(gens, rows, walls)
             except RuntimeError:

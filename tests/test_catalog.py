@@ -3,8 +3,11 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -209,7 +212,7 @@ def test_int_decode_matches_the_fraction_decode(monkeypatch):
                    for v in new.sigma_images.values() for x in v), pid
         assert new.sigma_images == old.sigma_images, pid
         assert restricted_roots(new) == restricted_roots(old), pid
-        assert new.t_sigma == old.t_sigma, pid
+        assert new.dim_t_sigma == old.dim_t_sigma, pid
         assert new.t_minus_sigma == old.t_minus_sigma, pid
 
 
@@ -432,6 +435,44 @@ def test_unreadable_record_file_is_a_catalog_error(tmp_path, capsys):
     with pytest.raises(CatalogError, match="zz.json: cannot read"):
         load_catalog(root, force=True)
     _catalog_fails(capsys, root, "zz.json: cannot read: Is a directory")
+
+
+def _cli_in_subprocess(*args: str) -> subprocess.CompletedProcess:
+    """Run the CLI in its own interpreter, killed after 60 s, so a command
+    that blocks fails the test instead of hanging the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(DATA_DIR.parents[1]), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "branchdec.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize(
+    "entry", ["pairs/zz.json", "algebras/zz.json", "meta.json"]
+)
+def test_a_catalog_entry_that_is_not_a_regular_file_is_refused(
+    tmp_path, entry
+):
+    # a FIFO has no writer here, so a blocking open would wait forever;
+    # every load of it runs in a subprocess
+    root = _copy(tmp_path)
+    path = root / entry
+    path.unlink(missing_ok=True)
+    os.mkfifo(path)
+    message = f"{path.name}: cannot read: not a regular file"
+    proc = _cli_in_subprocess("catalog", "--catalog", str(root))
+    assert proc.returncode == 1
+    assert proc.stdout == "" and message in proc.stderr
+    proc = _cli_in_subprocess("verify", "--catalog", str(root))
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        f"catalog-integrity: FAIL ({message})",
+        "verify: 1 check, 1 failed",
+    ]
 
 
 @pytest.mark.parametrize("meta", ["[]", '"x"'])

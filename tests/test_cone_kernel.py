@@ -12,6 +12,7 @@ from fm_oracle import (
     brute_force_cone_meets_subspace,
 )
 
+from branchdec import cone_kernel
 from branchdec.cone_kernel import (
     Cone,
     PointednessError,
@@ -20,9 +21,23 @@ from branchdec.cone_kernel import (
     feasible_point,
     simplex_feasible,
 )
-from branchdec.root_core import in_span, vadd, vdot, vec, vscale, vzero
+from branchdec.root_core import (
+    CertificateError,
+    in_span,
+    subspace_normals,
+    vadd,
+    vdot,
+    vec,
+    vscale,
+    vzero,
+)
 
 F = Fraction
+
+
+def _normals(rows, dim: int = 2):
+    """The normals of span(rows), the subspace the cone queries take."""
+    return subspace_normals(rows, dim)
 
 
 def _rand_vec(rng: random.Random, n: int) -> tuple[Fraction, ...]:
@@ -246,11 +261,12 @@ def test_cone_rejects_zero_and_mismatched_vectors():
 def test_pointedness_certificate_is_checked():
     gens = [vec(1, 0), vec(-1, 0)]
     with pytest.raises(PointednessError):
-        cone_meets_subspace(Cone.from_generators(gens, 2), [vec(0, 1)], vec(1, 1))
-    with pytest.raises(PointednessError):
-        cones_meet(
-            Cone.from_generators(gens, 2), [vec(0, 1)], [vec(1, 1)], vec(1, 1)
+        cone_meets_subspace(
+            Cone.from_generators(gens, 2), _normals([vec(0, 1)]), vec(1, 1)
         )
+    with pytest.raises(PointednessError):
+        cones_meet(Cone.from_generators(gens, 2), _normals([vec(0, 1)]),
+                   [vec(1, 1)], vec(1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -260,23 +276,27 @@ def test_pointedness_certificate_is_checked():
 def test_cone_meets_subspace_hand_cases():
     # first orthant meets the diagonal line
     cone = Cone.from_generators([vec(1, 0), vec(0, 1)], 2)
-    res = cone_meets_subspace(cone, [vec(1, 1)], vec(1, 1))
+    res = cone_meets_subspace(cone, _normals([vec(1, 1)]), vec(1, 1))
     assert res.meets
     assert res.point is not None and vdot(res.point, vec(1, -1)) == 0
 
     # first orthant misses the anti-diagonal
-    res = cone_meets_subspace(cone, [vec(1, -1)], vec(1, 1))
+    res = cone_meets_subspace(cone, _normals([vec(1, -1)]), vec(1, 1))
     assert not res.meets and res.point is None
 
     # empty cone never meets anything
-    res = cone_meets_subspace(Cone.from_generators([], 2), [vec(1, 0)], vec(1, 1))
+    res = cone_meets_subspace(
+        Cone.from_generators([], 2), _normals([vec(1, 0)]), vec(1, 1)
+    )
     assert not res.meets
 
 
 def test_cone_meets_subspace_certificate_reconstructs_point():
     gens = [vec(2, 1, 0), vec(0, 1, 1), vec(1, 0, 3)]
     cone = Cone.from_generators(gens, 3)
-    res = cone_meets_subspace(cone, [vec(1, 1, -1), vec(0, 1, 0)], vec(1, 1, 1))
+    res = cone_meets_subspace(
+        cone, _normals([vec(1, 1, -1), vec(0, 1, 0)], 3), vec(1, 1, 1)
+    )
     if res.meets:
         point = vzero(3)
         for c, g in zip(res.coefficients, gens):
@@ -296,17 +316,18 @@ def test_cones_meet_hand_cases():
     # walls (-1,0) and (0,-1)
     quad = Cone.from_generators([vec(1, 0), vec(0, 1)], 2)
     plane = [vec(1, 0), vec(0, 1)]
-    res = cones_meet(quad, plane, [vec(1, 1), vec(-1, 1)], vec(1, 1))
+    res = cones_meet(quad, _normals(plane), [vec(1, 1), vec(-1, 1)], vec(1, 1))
     assert res.meets
     assert res.point is not None and res.point[1] >= abs(res.point[0])
 
-    res = cones_meet(quad, plane, [vec(-1, 0), vec(0, -1)], vec(1, 1))
+    res = cones_meet(quad, _normals(plane), [vec(-1, 0), vec(0, -1)],
+                     vec(1, 1))
     assert not res.meets
 
 
 def test_cones_meet_where_a_wall_decides():
     quad = Cone.from_generators([vec(1, 0), vec(0, 1)], 2)
-    line = [vec(1, 1)]
+    line = _normals([vec(1, 1)])
     # the line through (1,1) passes through the open quadrant; a wall
     # keeping its half with x + y >= 0 keeps the meet
     assert cones_meet(quad, line, [], vec(1, 1)).meets
@@ -316,7 +337,42 @@ def test_cones_meet_where_a_wall_decides():
     # the wall -(1,1) keeps only the other half, which misses the quadrant
     assert not cones_meet(quad, line, [vec(-1, -1)], vec(1, 1)).meets
     # the line through (1,-1) only touches the quadrant at the origin
-    assert not cones_meet(quad, [vec(1, -1)], [], vec(1, 1)).meets
+    assert not cones_meet(quad, _normals([vec(1, -1)]), [], vec(1, 1)).meets
+
+
+@pytest.mark.parametrize(
+    ("coefficients", "line", "walls", "message"),
+    [
+        # 1/3 (1,0) + 2/3 (0,1) lies in the plane but across the wall x >= y
+        ((F(1, 3), F(2, 3)), [vec(1, 0), vec(0, 1)], [vec(1, -1)],
+         "outside the chamber"),
+        # the same point is off the diagonal line
+        ((F(1, 3), F(2, 3)), [vec(1, 1)], [], "outside the subspace"),
+        ((F(0), F(0)), [vec(1, 1)], [], "is zero"),
+    ],
+)
+def test_a_forged_lp_point_is_refused(
+    monkeypatch, coefficients, line, walls, message
+):
+    # the replay runs on 3 p, the point with the denominators cleared
+    monkeypatch.setattr(
+        cone_kernel, "feasible_point", lambda constraints: (coefficients, ())
+    )
+    quad = Cone.from_generators([vec(1, 0), vec(0, 1)], 2)
+    with pytest.raises(CertificateError, match=message):
+        cones_meet(quad, _normals(line), walls, vec(1, 1))
+
+
+def test_an_honest_fractional_lp_point_is_returned_exactly(monkeypatch):
+    monkeypatch.setattr(
+        cone_kernel, "feasible_point",
+        lambda constraints: ((F(1, 2), F(1, 3)), (0, 1)),
+    )
+    gens = [vec(2, 0), vec(0, 3)]
+    res = cones_meet(Cone.from_generators(gens, 2), _normals([vec(1, 1)]),
+                     [vec(1, 0)], vec(1, 1))
+    assert res.meets and res.point == (F(1), F(1))
+    assert all(type(x) is Fraction for x in res.point)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +402,8 @@ def test_lp_and_elimination_agree_on_subspace_queries():
         dim = rng.randint(2, 4)
         gens, cert = _rand_cone_gens(rng, dim, rng.randint(1, 4))
         sub = [_rand_vec(rng, dim) for _ in range(rng.randint(0, dim - 1))]
-        lp = cone_meets_subspace(Cone.from_generators(gens, dim), sub, cert)
+        lp = cone_meets_subspace(Cone.from_generators(gens, dim),
+                                 _normals(sub, dim), cert)
         fm = brute_force_cone_meets_subspace(gens, sub)
         assert lp.meets == fm
         if lp.meets:
@@ -364,7 +421,8 @@ def test_lp_and_elimination_agree_on_cone_queries():
         gens, cert = _rand_cone_gens(rng, dim, rng.randint(1, 4))
         sub = [_rand_vec(rng, dim) for _ in range(rng.randint(1, dim))]
         walls = [_rand_vec(rng, dim) for _ in range(rng.randint(0, 3))]
-        lp = cones_meet(Cone.from_generators(gens, dim), sub, walls, cert)
+        lp = cones_meet(Cone.from_generators(gens, dim), _normals(sub, dim),
+                        walls, cert)
         fm = brute_force_chamber_meet(gens, sub, walls)
         assert lp.meets == fm
         if lp.meets:
@@ -382,7 +440,8 @@ def test_meet_points_satisfy_membership():
         dim = rng.randint(2, 4)
         gens, cert = _rand_cone_gens(rng, dim, rng.randint(1, 4))
         sub = [_rand_vec(rng, dim) for _ in range(rng.randint(1, dim - 1))]
-        res = cone_meets_subspace(Cone.from_generators(gens, dim), sub, cert)
+        res = cone_meets_subspace(Cone.from_generators(gens, dim),
+                                  _normals(sub, dim), cert)
         if not res.meets:
             continue
         # point is a nonnegative combination and sits inside the subspace

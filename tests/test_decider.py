@@ -1,21 +1,24 @@
 from __future__ import annotations
 
+import json
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
+from io import StringIO
 
 import pytest
 from fm_oracle import brute_force_cones_meet
 from linalg_oracle import coweight_chamber
 
-from branchdec import cli, cone_kernel, involution, root_core
+from branchdec import cli, cone_kernel, decider, involution, root_core
 from branchdec.catalog import load_catalog
 from branchdec.cone_kernel import MeetResult
 from branchdec.decider import (
     DECO_EQUIVALENTS,
     QUESTIONS,
     CertificateError,
-    _induced_rho,
+    Query,
     _verify_point,
     admissible_sufficient,
     answer_question,
@@ -117,6 +120,82 @@ def test_answer_question_dispatch_matches_direct_calls():
         )
     with pytest.raises(ValueError):
         answer_question(pair, q, "decomposable")
+
+
+# ---------------------------------------------------------------------------
+# one Query per classify row
+
+# the pairs of the classify benchmark: the stored ones and one of each
+# synthesised family
+_CLASSIFY_PAIRS = ("theta:so(4,3)", "theta:su(2,2)", "swap:su(1,1)^2")
+
+
+def _run(argv) -> str:
+    out = StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def _fresh_cell(pair, q, question) -> str:
+    try:
+        return str(answer_question(pair, q, question).answer).lower()
+    except UnsupportedQuery:
+        return "unsupported"
+
+
+def test_a_shared_row_answers_as_fresh_single_questions():
+    # classify asks all six questions of one Query per row; every cell,
+    # and every check payload, equals a fresh call for that question alone
+    rows = 0
+    for pid in [*_cat().pair_ids(), *_CLASSIFY_PAIRS]:
+        pair = _pair(pid)
+        table = json.loads(_run(["classify", "--pair", pid, "--format",
+                                 "json"]))["rows"]
+        for cells in table:
+            q = _q(pair, root_core.parse_vector(cells["X"]))
+            row = Query(pair, q)
+            for question in QUESTIONS:
+                assert cells[question] == _fresh_cell(pair, q, question), (
+                    pid, cells["X"], question)
+                try:
+                    shared = answer_question(pair, q, question, row)
+                except UnsupportedQuery:
+                    continue
+                payload = json.loads(_run([
+                    "check", "--pair", pid, f"--X={cells['X']}",
+                    "--question", question, "--format", "json",
+                ]))
+                assert payload == shared.to_json_dict(), (
+                    pid, cells["X"], question)
+            rows += 1
+    assert rows == 172
+
+
+def test_classify_runs_the_meet_and_the_transitive_count_once_per_row(
+    monkeypatch, capsys
+):
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(decider, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(decider, name, counted)
+
+    for name in ("cone_meets_subspace", "cones_meet", "transitive_check",
+                 "_transitive_verdict"):
+        counting(name)
+    assert cli.main(["classify", "--pair", "(su(2,2),sp(2,R))"]) == 0
+    rows = len(capsys.readouterr().out.splitlines()) - 1
+    assert rows == 26
+    # deco's meet is the one admissible reads for its subspace note
+    assert calls["cone_meets_subspace"] <= rows
+    assert calls["cones_meet"] == rows
+    # rho reads the transitive verdict of its row
+    assert calls["transitive_check"] == calls["_transitive_verdict"] == rows
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +531,27 @@ def test_forged_meet_certificate_is_refused():
     outside = MeetResult(True, vec(1, 0, 0, -1), (F(1), F(0)), ())
     with pytest.raises(CertificateError, match="outside the subspace"):
         _verify_point(inv, gens, outside)
+    # fractional coefficients: the replay runs on D p, D the least common
+    # denominator of the coefficients (2, and 6 below)
+    _verify_point(inv, gens, MeetResult(
+        True, vec(F(1, 2), F(-1, 2), F(1, 2), F(-1, 2)), (F(1, 2), F(1, 2)),
+        (),
+    ))
+    negative = MeetResult(
+        True, vec(F(-1, 3), F(-1, 2), F(1, 2), F(1, 3)), (F(-1, 3), F(1, 2)),
+        (),
+    )
+    with pytest.raises(CertificateError, match="negative"):
+        _verify_point(inv, gens, negative)
+    outside = MeetResult(
+        True, vec(F(1, 2), F(-1, 3), F(1, 3), F(-1, 2)), (F(1, 2), F(1, 3)),
+        (),
+    )
+    with pytest.raises(CertificateError, match="outside the subspace"):
+        _verify_point(inv, gens, outside)
+    zero = MeetResult(True, vzero(4), (F(0), F(0)), ())
+    with pytest.raises(CertificateError, match="zero"):
+        _verify_point(inv, gens, zero)
 
 
 def test_stored_pair_is_validated_once(monkeypatch):
@@ -571,7 +671,8 @@ def test_a_cell_member_outside_the_base_is_refused():
         pair_id="synthetic",
     )
     q = build_parabolic(base, vec(1, 0, 0))
-    for count in (dim_gprime_cap_q, dim_gprime_cap_levi, _induced_rho):
+    for count in (dim_gprime_cap_q, dim_gprime_cap_levi, transitive_check,
+                  rho_compat_check):
         with pytest.raises(InvolutionError,
                            match="member 5,0,0 is not a weight of so"):
             count(view, q)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from linalg_oracle import coweight_chamber, primitive_direction
+from linalg_oracle import coweight_chamber, eigenbasis, primitive_direction
 from projection_oracle import gram_projection, independent_rows
 
 from branchdec.catalog import load_catalog
@@ -37,8 +37,8 @@ from branchdec.root_core import (
     is_zero_vec,
     lex_positive,
     mat_apply,
-    nullspace,
     rank,
+    subspace_normals,
     vadd,
     vdot,
     vec,
@@ -69,7 +69,7 @@ def test_theta_involution_su22():
     assert inv.pair_id == "theta:su(2,2)"
     assert validate_involution(inv) == ()
     assert inv.dim_gprime == base.dim_k == 7
-    assert len(inv.t_sigma) == 3
+    assert inv.dim_t_sigma == len(eigenbasis(inv, 1)) == 3
     assert inv.t_minus_sigma == ()
     system = restricted_roots(inv)
     assert system.roots.total() == 0
@@ -100,8 +100,9 @@ def test_swap_involution_doubled_su11():
     inv = build_swap_involution(base, half)
     assert validate_involution(inv) == ()
     assert inv.dim_gprime == 3
-    tplus = inv.t_sigma
+    tplus = eigenbasis(inv, 1)
     tminus = inv.t_minus_sigma
+    assert inv.dim_t_sigma == 1
     assert len(tplus) == 1 and in_span(vec(1, 1), tplus)
     assert len(tminus) == 1 and in_span(vec(1, -1), tminus)
     # no compact roots, so no walls: the chamber is the whole
@@ -126,8 +127,9 @@ def test_sp2r_pair_structure():
     assert inv.dim_gprime == 10
     assert inv.dim_g_sigma() + _dim_g_minus_sigma(inv) == 15
 
-    tplus = inv.t_sigma
+    tplus = eigenbasis(inv, 1)
     tminus = inv.t_minus_sigma
+    assert inv.dim_t_sigma == 2
     assert len(tplus) == 2 and len(tminus) == 1
     assert in_span(vec(1, 0, -1, 0), tplus) and in_span(vec(0, 1, 0, -1), tplus)
     assert in_span(vec(1, -1, 1, -1), tminus)
@@ -533,15 +535,6 @@ def test_cap_functions_reject_foreign_parabolic():
 _CACHE_PAIRS = ("theta:so(4,3)", "theta:su(2,2)", "swap:su(1,1)^2")
 
 
-def _fresh_eigenbasis(inv, sign):
-    n = inv.base.ambient_dim
-    rows = [
-        tuple(r[j] - (sign if i == j else 0) for j in range(n))
-        for i, r in enumerate(inv.matrix)
-    ]
-    return tuple(nullspace(rows + list(inv.base.t_constraints)))
-
-
 def _fresh_sigma_image(inv, w):
     n = inv.base.ambient_dim
     return tuple(
@@ -553,10 +546,13 @@ def _fresh_sigma_image(inv, w):
 def _assert_involution_caches_fresh(inv):
     # every value is recomputed here without the record's caches, with
     # the Gram-solve oracle for every restriction to a torus
-    tplus = _fresh_eigenbasis(inv, 1)
-    tminus = _fresh_eigenbasis(inv, -1)
-    assert inv.t_sigma == tplus
+    tplus = eigenbasis(inv, 1)
+    tminus = eigenbasis(inv, -1)
+    assert inv.dim_t_sigma == len(tplus)
     assert inv.t_minus_sigma == tminus
+    assert inv.t_minus_sigma_normals == subspace_normals(
+        tminus, inv.base.ambient_dim
+    )
     for part, w, _ in inv.base.weight_entries():
         image = _fresh_sigma_image(inv, w)
         assert inv.sigma_images[w] == image == inv.sigma_weight(w)
@@ -652,7 +648,7 @@ def test_sigma_restriction_equals_the_gram_projection():
         for _, w, _ in inv.base.weight_entries():
             sw = _fresh_sigma_image(inv, w)
             assert vscale(F(1, 2), vadd(w, sw)) == (
-                gram_projection(w, inv.t_sigma)
+                gram_projection(w, eigenbasis(inv, 1))
             ), (pid, w)
             assert vscale(F(1, 2), vsub(w, sw)) == (
                 gram_projection(w, inv.t_minus_sigma)
