@@ -172,19 +172,29 @@ class Query:
 def _verify_point(
     inv: InvolutionData, gens: list[Vec], result: MeetResult
 ) -> None:
-    # substitution check: the claimed point really is a conic combination
-    # and really lies in t^{-sigma}.  As a sum of weights it lies in t,
-    # so that means sigma p = -p.  The checks run on D p, for D the
-    # common denominator of the coefficients, which has the same signs
-    # and zeros and, for integer weights, integer entries.
+    # substitution check: the claimed point really is the conic
+    # combination of its coefficients and really lies in t^{-sigma}.  As
+    # a sum of weights it lies in t, so that means sigma p = -p.  The
+    # checks run on D p, for D the common denominator of the
+    # coefficients, which has the same signs and zeros and, for integer
+    # weights, integer entries.
     if result.point is None or result.coefficients is None:
         raise CertificateError("intersection claimed without a point")
     for c in result.coefficients:
         if c < 0:
             raise CertificateError(f"negative cone coefficient {c}")
-    total, _ = cleared_combination(
+    total, den = cleared_combination(
         result.coefficients, gens, len(result.point)
     )
+    # the entry n / d of p is the combination's D p entry t / D exactly
+    # when t d = D n
+    for t, p in zip(total, result.point, strict=True):
+        n, d = p.as_integer_ratio()
+        if t * d != den * n:
+            raise CertificateError(
+                "intersection point is not the combination of its "
+                "coefficients"
+            )
     if inv.sigma_weight(total) != vneg(total):
         raise CertificateError("intersection point is outside the subspace")
     if is_zero_vec(total):

@@ -25,7 +25,6 @@ from .root_core import (
     clear_denominators,
     lex_positive,
     primitive_ints,
-    vdot,
     vector_strings,
     vhalf,
 )
@@ -51,6 +50,12 @@ def _sign(x: int) -> int:
 
 def _dot(a: IntVec, b: IntVec) -> int:
     return sum(map(mul, a, b))
+
+
+def _ratio(n: int, d: int) -> int | Fraction:
+    """n / d for d > 0: an int when d divides n, else a Fraction."""
+    quotient, rest = divmod(n, d)
+    return Fraction(n, d) if rest else quotient
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +131,16 @@ class ThetaStableParabolic:
     def free_coefficients(self) -> tuple[tuple[str, Vec], ...]:
         """(part, c) per u-weight w: c_i = coweight_i . w for each free
         simple root i of q, a simple root of the positive system that x
-        orders first (simple_system with x) that lies in u."""
-        simple, coweights = self.base.root_system.simple_system(self.x)
+        orders first (coweight_rows with x) that lies in u.
+
+        Each c_i is the integer n_i . w over the coweight's denominator
+        d_i: an int when d_i divides it, else a Fraction (a weight that is
+        a non-integral multiple of its reduced root)."""
+        simple, coweights = self.base.root_system.coweight_rows(self.x)
         signs = self.weight_signs
         free = [c for a, c in zip(simple, coweights) if signs[a] > 0]
         return tuple(
-            (part, tuple(vdot(c, w) for c in free))
+            (part, tuple(_ratio(_dot(n, w), d) for n, d in free))
             for part, w, _ in self.u_weights()
         )
 

@@ -15,10 +15,18 @@ when both rows are int; ``vdot`` (and ``projection_matrix`` through it)
 always returns a Fraction, summing numerators over a running common
 denominator, which is the cheaper of the two on Fraction rows.  One
 fraction-free Gauss-Jordan routine, ``_echelon``, backs ``rref``, ``rank``,
-``nullspace``, ``solve_linear``, ``in_span``, ``dual_basis`` and
+``nullspace``, ``solve_linear``, ``in_span``, ``dual_rows`` and
 ``projection_matrix``; ``clear_denominators`` and ``primitive_ints`` turn
 rational rows into coprime integer rows for it, for ``RootSystem`` and for
-the simplex tableau in ``cone_kernel``.
+the simplex tableau in ``cone_kernel``.  ``dual_rows`` returns a dual basis
+as integer rows, each over one positive denominator, and ``dual_basis`` is
+its Fraction view.
+
+A ``RootSystem`` remembers each positive system it is asked about, keyed
+by which roots are positive: its simple roots and its fundamental
+coweights as ``dual_rows``.  The indecomposability scan and the Gram
+elimination run once per chamber, and the memo lives as long as the
+datum that holds the root system.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
+# rational rows n / d, each an integer row n over one denominator d > 0
+IntRows = tuple[tuple[IntVec, int], ...]
 
 PART_COMPACT = "k"
 PART_NONCOMPACT = "p"
@@ -327,9 +337,11 @@ def in_span(v: Vec, rows: Sequence[Vec]) -> bool:
     return rank(base + [v]) == rank(base) if base else is_zero_vec(v)
 
 
-def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
+def dual_rows(basis: Sequence[Vec]) -> IntRows:
     """The vectors c_i in the span of independent rows b_j with
-    c_i . b_j = 1 if i == j and 0 otherwise.
+    c_i . b_j = 1 if i == j and 0 otherwise, as integer rows: (n_i, d_i)
+    with c_i = n_i / d_i, d_i > 0 and no factor common to d_i and every
+    entry of n_i.
 
     They are the rows of G^-1 B for the Gram matrix G = B B^T, read off
     one elimination of [G | I]: row i, divided by its pivot, holds the
@@ -349,11 +361,24 @@ def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
     if pivots != list(range(k)):
         raise CertificateError("Gram matrix of independent rows is singular")
     columns = list(zip(*ints))
-    return tuple(
-        tuple(Fraction(d * sum(map(mul, row[k:], col)), row[i])
-              for col in columns)
-        for i, (row, (_, d)) in enumerate(zip(reduced, cleared))
-    )
+    out = []
+    for i, (row, (_, d)) in enumerate(zip(reduced, cleared)):
+        num = [d * sum(map(mul, row[k:], col)) for col in columns]
+        g = gcd(row[i], *num)
+        if row[i] < 0:
+            g = -g
+        out.append((tuple(x // g for x in num), row[i] // g))
+    return tuple(out)
+
+
+def _fraction_rows(rows: IntRows) -> tuple[Vec, ...]:
+    """The rows n / d of (n, d) pairs, every entry a Fraction."""
+    return tuple(tuple(Fraction(x, d) for x in n) for n, d in rows)
+
+
+def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
+    """dual_rows as Fraction vectors."""
+    return _fraction_rows(dual_rows(basis))
 
 
 def projection_matrix(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
@@ -564,9 +589,15 @@ class RootSystem:
         roots = {min(rs, key=norm.get) for rs in rays.values()}
         # the roots as integer rows, each with the weight it stands for
         self._weight = {r: rows[r] for r in roots}
-        self._dim = n
-        self._lex = self._simple(None)
-        for a in self._lex:
+        # a positive system is keyed by one flag per root, in the order of
+        # _weight; each one asked about keeps its simple roots, as the
+        # given weights, and its coweights, as dual_rows
+        self._lex_key = tuple(map(lex_positive, self._weight))
+        self._systems: dict[
+            tuple[bool, ...], tuple[tuple[Vec, ...], IntRows]
+        ] = {}
+        lex = self._indecomposable(self._lex_key)
+        for a in lex:
             for r in roots:
                 cartan, rest = divmod(2 * sum(map(mul, r, a)), norm[a])
                 if rest or tuple(s - cartan * t for s, t in zip(r, a)) not in roots:
@@ -577,22 +608,44 @@ class RootSystem:
         # the positives are sums of simple roots, so the roots span what the
         # simple roots and the roots whose negative is missing span
         lone = [r for r in roots if tuple(-t for t in r) not in roots]
-        if len(self._lex) != (k := rank(self._lex + lone)):
+        if len(lex) != (k := rank(lex + lone)):
             raise DatumError(
-                f"weights are not a root system: {len(self._lex)} simple "
+                f"weights are not a root system: {len(lex)} simple "
                 f"roots for rank {k}"
             )
 
-    def _simple(self, x: Vec | None) -> list[IntVec]:
-        """The indecomposable members of the positive system of x, sorted:
-        the roots that pair > 0 with x, or to 0 and are lexicographically
-        positive."""
-        xs = clear_denominators(x)[0] if x is not None else [0] * self._dim
-        positive = {r for r in self._weight
-                    if (s := sum(map(mul, xs, r))) > 0
-                    or s == 0 and lex_positive(r)}
+    def _indecomposable(self, key: tuple[bool, ...]) -> list[IntVec]:
+        """The indecomposable members of the positive system with that key,
+        sorted."""
+        positive = {r for r, p in zip(self._weight, key) if p}
         return sorted(a for a in positive if not any(
             tuple(map(sub, a, b)) in positive for b in positive))
+
+    def coweight_rows(
+        self, x: Vec | None = None
+    ) -> tuple[tuple[Vec, ...], IntRows]:
+        """Simple roots of the positive system that x orders first, as the
+        given weights, and the fundamental coweights as dual_rows: integer
+        rows, each over one positive denominator.
+
+        The positive system is the roots that pair > 0 with x, or to 0 and
+        are lexicographically positive, read on the integer row of x.  Its
+        simple roots and coweights are worked out the first time it is
+        asked about and then remembered, one entry per chamber.
+        """
+        if x is None:
+            key = self._lex_key
+        else:
+            xs = clear_denominators(x)[0]
+            key = tuple(
+                (s := sum(map(mul, xs, r))) > 0 or s == 0 and lex
+                for r, lex in zip(self._weight, self._lex_key)
+            )
+        system = self._systems.get(key)
+        if system is None:
+            roots = tuple(self._weight[a] for a in self._indecomposable(key))
+            system = self._systems[key] = (roots, dual_rows(roots))
+        return system
 
     def simple_system(
         self, x: Vec | None = None
@@ -600,10 +653,10 @@ class RootSystem:
         """Simple roots of the positive system that x orders first, as the
         given weights, and the fundamental coweights: coweight i pairs to 1
         with simple root i and to 0 with the others, and lies in the span
-        of the roots."""
-        simple = self._lex if x is None else self._simple(x)
-        roots = tuple(self._weight[a] for a in simple)
-        return roots, dual_basis(roots)
+        of the roots.  The coweights are the Fraction view of
+        coweight_rows."""
+        roots, coweights = self.coweight_rows(x)
+        return roots, _fraction_rows(coweights)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Test-only.  This is rational Gauss-Jordan elimination and a ``Fraction``
 dot product, with every entry made a ``Fraction`` first, so the tests can
 compare the runtime kernels, which compute over integers and build a
 ``Fraction`` only for what they return, with it value for value and type
-for type.  ``simple_system`` is the lexicographic simple system worked
-out on ``Fraction`` vectors, for ``RootSystem.simple_system``, and
+for type.  ``simple_roots`` and ``simple_system`` are the simple system
+of a positive system worked out on ``Fraction`` vectors, for
+``RootSystem.simple_system`` and ``ThetaStableParabolic.free_coefficients``,
+and
 ``coweight_chamber`` the momentum chamber as rays and lines built from it,
 for the chamber that the runtime states by its walls.  ``eigenbasis``
 spans t^{sigma} or t^{-sigma}, of which the runtime keeps only the
@@ -122,23 +124,37 @@ def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
     return tuple(coweights)
 
 
-def simple_system(weights) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """Simple roots of the lexicographic positive system of the shortest
-    weight on each ray, and their dual basis in the span of the roots.
+def simple_roots(weights, x: Vec | None = None) -> tuple[Vec, ...]:
+    """Simple roots of the positive system that x orders first, among the
+    shortest weight on each ray, sorted.
 
-    The input is assumed to be a root system; nothing is validated.
+    The positive roots pair > 0 with x, or to 0 and are lexicographically
+    positive; with no x, the lexicographic positive system.  The input is
+    assumed to be a root system; nothing is validated.
     """
     rays: dict[Vec, list[Vec]] = {}
     for w in weights:
         rays.setdefault(primitive_vector(w), []).append(w)
     roots = {min(ws, key=lambda w: vdot(w, w)) for ws in rays.values()}
-    positive = {r for r in roots if lex_positive(r)}
-    simple = sorted(
+
+    def is_positive(r: Vec) -> bool:
+        s = vdot(r, x) if x is not None else 0
+        return s > 0 or s == 0 and lex_positive(r)
+
+    positive = {r for r in roots if is_positive(r)}
+    return tuple(sorted(
         a for a in positive
-        if not any(tuple(x - y for x, y in zip(a, b)) in positive
+        if not any(tuple(s - t for s, t in zip(a, b)) in positive
                    for b in positive)
-    )
-    return tuple(simple), dual_basis(simple)
+    ))
+
+
+def simple_system(
+    weights, x: Vec | None = None
+) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """simple_roots and their dual basis in the span of the roots."""
+    simple = simple_roots(weights, x)
+    return simple, dual_basis(simple)
 
 
 def eigenbasis(inv, sign: int) -> tuple[Vec, ...]:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 from io import StringIO
 
+import linalg_oracle
 import pytest
 from fm_oracle import brute_force_cones_meet
 from linalg_oracle import coweight_chamber
@@ -196,6 +197,39 @@ def test_classify_runs_the_meet_and_the_transitive_count_once_per_row(
     assert calls["cones_meet"] == rows
     # rho reads the transitive verdict of its row
     assert calls["transitive_check"] == calls["_transitive_verdict"] == rows
+
+
+def test_classify_works_out_each_positive_system_once(monkeypatch, capsys):
+    # the simple systems of the rows are eliminated once per positive
+    # system; projection_matrix eliminates through dual_basis, counted
+    # apart.  The enumerator's lexicographic system is a row's system.
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(root_core, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(root_core, name, counted)
+
+    for name in ("dual_rows", "dual_basis"):
+        counting(name)
+    eliminations, rows = {}, 0
+    for pid in sorted([*_cat().pair_ids(), *_CLASSIFY_PAIRS]):
+        before = calls["dual_rows"] - calls["dual_basis"]
+        assert cli.main(["classify", "--pair", pid]) == 0
+        xs = [root_core.parse_vector(line.split("\t")[0])
+              for line in capsys.readouterr().out.splitlines()[1:]]
+        rows += len(xs)
+        eliminations[pid] = calls["dual_rows"] - calls["dual_basis"] - before
+        weights = [w for _, w, _ in _pair(pid).base.weight_entries()
+                   if any(w)]
+        systems = {linalg_oracle.simple_roots(weights, x) for x in xs}
+        assert linalg_oracle.simple_roots(weights) in systems, pid
+        assert eliminations[pid] == len(systems), pid
+    assert rows == 172
+    assert list(eliminations.values()) == [1, 4, 1, 6, 1, 6, 6, 1, 4, 6, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +586,15 @@ def test_forged_meet_certificate_is_refused():
     zero = MeetResult(True, vzero(4), (F(0), F(0)), ())
     with pytest.raises(CertificateError, match="zero"):
         _verify_point(inv, gens, zero)
+    # a point that is not the combination of its coefficients, though
+    # they are honest: (9,9,9,9) lies outside t^{-sigma}, and (1/3)
+    # (1,-1,1,-1) inside it, but the coefficients give (1/2)(1,-1,1,-1)
+    for point in (vec(9, 9, 9, 9), vec(F(1, 3), F(-1, 3), F(1, 3), F(-1, 3))):
+        for coefficients in ((F(1), F(1)), (F(1, 2), F(1, 2))):
+            forged = MeetResult(True, point, coefficients, ())
+            with pytest.raises(CertificateError,
+                               match="not the combination"):
+                _verify_point(inv, gens, forged)
 
 
 def test_stored_pair_is_validated_once(monkeypatch):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
 
+import linalg_oracle
 import pytest
 import reflection_walk_oracle
 import virtsym_oracle
@@ -468,29 +470,45 @@ def _oracle_predicates(q) -> tuple[bool, bool]:
             virtsym_oracle.virtually_symmetric_type(q))
 
 
+@pytest.fixture(scope="module")
+def faces_of():
+    """faces_of(name, dominant): the faces of build_root_datum(name), or
+    of every catalogued algebra for "catalog", enumerated once per module
+    for every test that asks."""
+    seen: dict[tuple[str, bool], list] = {}
+
+    def faces(name: str, dominant: bool = False) -> list:
+        if (name, dominant) not in seen:
+            if name == "catalog":
+                cat = load_catalog()
+                bases = [cat.algebra(a) for a in cat.algebra_ids()]
+            else:
+                bases = [build_root_datum(name)]
+            seen[name, dominant] = [
+                q for base in bases
+                for q in enumerate_parabolics(base, dominant_only=dominant)
+            ]
+        return seen[name, dominant]
+
+    return faces
+
+
 @pytest.mark.parametrize(
     ("name", "dominant"),
     [("catalog", False), ("su(3,2)", False), ("so(5,3)", False),
      ("sp(2,1)", False), ("so(6,2)", True), ("su(3,3)", True)],
 )
-def test_symmetric_predicates_match_the_subset_walk(name, dominant):
-    if name == "catalog":
-        cat = load_catalog()
-        bases = [cat.algebra(a) for a in cat.algebra_ids()]
-    else:
-        bases = [build_root_datum(name)]
-    for base in bases:
-        for q in enumerate_parabolics(base, dominant_only=dominant):
-            assert _predicates(q) == _oracle_predicates(q), (
-                base.name, q.signature)
+def test_symmetric_predicates_match_the_subset_walk(name, dominant, faces_of):
+    for q in faces_of(name, dominant):
+        assert _predicates(q) == _oracle_predicates(q), (
+            q.base.name, q.signature)
 
 
-def test_symmetric_predicates_on_every_split_of_bc2():
-    # the non-reduced BC2 weights +-e_i, +-2e_i and +-e1+-e2, with each
-    # +- pair compact or noncompact: 64 data, every face of each
+def _bc2_splits():
+    """The non-reduced BC2 weights +-e_i, +-2e_i and +-e1+-e2, with each
+    +- pair compact or noncompact: (split, datum) for all 64 splits."""
     lines = [vec(1, 0), vec(0, 1), vec(2, 0), vec(0, 2), vec(1, 1),
              vec(1, -1)]
-    seen = set()
     for split in itertools.product((PART_COMPACT, PART_NONCOMPACT),
                                    repeat=len(lines)):
         parts = {PART_COMPACT: [], PART_NONCOMPACT: []}
@@ -503,6 +521,13 @@ def test_symmetric_predicates_on_every_split_of_bc2():
             14,
         )
         base.validate()
+        yield split, base
+
+
+def test_symmetric_predicates_on_every_split_of_bc2():
+    # every face of each of the 64 data
+    seen = set()
+    for split, base in _bc2_splits():
         for q in enumerate_parabolics(base):
             got = _predicates(q)
             assert got == _oracle_predicates(q), (split, q.signature)
@@ -510,17 +535,88 @@ def test_symmetric_predicates_on_every_split_of_bc2():
     assert seen == {(True, True), (False, True), (False, False)}
 
 
-@pytest.mark.parametrize(
-    ("name", "x"),
-    [("sp(6,R)", (32, 17, 9, 5, 3, 1)),
-     ("sp(7,R)", (64, 33, 17, 9, 5, 3, 1))],
-)
+_LARGE_BORELS = [("sp(6,R)", (32, 17, 9, 5, 3, 1)),
+                 ("sp(7,R)", (64, 33, 17, 9, 5, 3, 1))]
+
+
+@pytest.mark.parametrize(("name", "x"), _LARGE_BORELS)
 def test_symmetric_predicates_at_a_large_borel(name, x):
     # 15 and 21 compact directions in u: 2^15 and 2^21 subsets for the
     # subset walk; X' = (1/2, ..., 1/2), the coweight of the long simple
     # root, absorbs every compact root into the Levi u(n)
     q = build_parabolic(build_root_datum(name), vec(*x))
     assert _predicates(q) == (False, True)
+
+
+# ---------------------------------------------------------------------------
+# free coefficients
+
+
+# many faces share a positive system, so each simple system is dualised
+# once per module
+_oracle_dual_basis = functools.lru_cache(maxsize=None)(
+    linalg_oracle.dual_basis)
+
+
+def _fraction_route(q) -> tuple[tuple[str, tuple], ...]:
+    """q.free_coefficients on Fraction vectors: the simple roots of the
+    positive system of X and their dual basis from linalg_oracle, and one
+    linalg_oracle.vdot per u-weight and simple root in u."""
+    weights = [w for _, w, _ in q.base.weight_entries() if any(w)]
+    simple = linalg_oracle.simple_roots(weights, q.x)
+    coweights = _oracle_dual_basis(simple)
+    free = [c for a, c in zip(simple, coweights)
+            if linalg_oracle.vdot(a, q.x) > 0]
+    return tuple(
+        (part, tuple(linalg_oracle.vdot(c, w) for c in free))
+        for part, w, _ in q.u_weights()
+    )
+
+
+def _assert_free_coefficients_exact(q) -> None:
+    # same values in the same columns, and an int wherever the value is
+    # integral
+    got = q.free_coefficients
+    assert got == _fraction_route(q), (q.base.name, q.signature)
+    for _, c in got:
+        assert all(type(v) is (int if F(v).denominator == 1 else F)
+                   for v in c), (q.base.name, q.signature, c)
+
+
+@pytest.mark.parametrize("name", ["catalog", "su(3,2)", "so(5,3)",
+                                  "sp(2,1)"])
+def test_free_coefficients_equal_the_fraction_route(name, faces_of):
+    for q in faces_of(name):
+        _assert_free_coefficients_exact(q)
+
+
+def test_free_coefficients_equal_the_fraction_route_off_the_catalog():
+    # every face of the 64 BC2 splits, where +-2e_i are doubles of roots
+    for _, base in _bc2_splits():
+        for q in enumerate_parabolics(base):
+            _assert_free_coefficients_exact(q)
+    # the large Borels, whose long-root coweight (1/2, ..., 1/2) is
+    # fractional and still gives integral coefficients
+    for name, x in _LARGE_BORELS:
+        q = build_parabolic(build_root_datum(name), vec(*x))
+        _assert_free_coefficients_exact(q)
+        _, coweights = q.base.root_system.coweight_rows(q.x)
+        assert ((1,) * len(x), 2) in coweights
+        assert all(type(v) is int for _, c in q.free_coefficients for v in c)
+    # +-2e1 compact and +-3e1 noncompact: the root is 2e1, its coweight
+    # 1/2, and the weight 3e1 has the coefficient 3/2
+    base = RootDatum(
+        "hand", 1, (),
+        WeightMultiset.from_vectors([vec(2), vec(-2)]),
+        WeightMultiset.from_vectors([vec(3), vec(-3)]),
+        5,
+    )
+    base.validate()
+    for x in (vec(1), vec(-1), vzero(1)):
+        _assert_free_coefficients_exact(build_parabolic(base, x))
+    q = build_parabolic(base, vec(1))
+    assert q.free_coefficients == (
+        (PART_COMPACT, (1,)), (PART_NONCOMPACT, (F(3, 2),)))
 
 
 def test_symmetric_predicates_refuse_weights_that_are_not_a_root_system():

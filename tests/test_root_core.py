@@ -23,6 +23,7 @@ from branchdec.root_core import (
     direct_sum,
     dot,
     dual_basis,
+    dual_rows,
     format_vector,
     identity,
     in_span,
@@ -242,6 +243,8 @@ def test_integer_kernels_match_the_fraction_oracle():
             if linalg_oracle.rank(basis + [r]) > len(basis):
                 basis.append(r)
         assert _same(dual_basis(basis), linalg_oracle.dual_basis(basis))
+        # the integer rows behind it are in lowest terms
+        assert all(d > 0 and gcd(d, *n) == 1 for n, d in dual_rows(basis))
         v = tuple(_random_entry(rng, False) for _ in range(n))
         coeffs = [rng.randint(-2, 2) for _ in rows]
         combo = tuple(
@@ -601,6 +604,36 @@ def test_simple_system_refuses_a_root_outside_the_span_of_the_simple_roots():
     # e1, for rank 2
     with pytest.raises(DatumError, match="1 simple roots for rank 2"):
         simple_system([vec(1, 0), vec(-1, 0), vec(0, -1)])
+
+
+def test_a_positive_system_is_worked_out_once_per_chamber(monkeypatch):
+    calls = []
+
+    def counted(basis):
+        calls.append(basis)
+        return dual_rows(basis)
+
+    monkeypatch.setattr(root_core, "dual_rows", counted)
+    rs = build_root_datum("su(2,2)").root_system
+    assert rs._systems == {}
+    # two X in one chamber share one entry and one elimination
+    first = rs.coweight_rows(vec(3, 1, -1, -3))
+    assert rs.coweight_rows(vec(5, 2, -3, -4)) is first
+    assert len(calls) == len(rs._systems) == 1
+    # the lexicographic system, e_i - e_j for i < j, is that chamber's,
+    # and so is the one that X on the wall e1 - e2 orders first
+    for x in (None, vzero(4), vec(1, 1, -1, -1)):
+        assert rs.coweight_rows(x) is first
+    assert rs.simple_system() == (first[0], tuple(
+        tuple(F(v, d) for v in n) for n, d in first[1]))
+    assert len(calls) == 1
+    # another chamber is another entry
+    other = rs.coweight_rows(vec(3, -1, 1, -3))
+    assert other[0] != first[0]
+    assert len(calls) == len(rs._systems) == 2
+    # a freshly built datum starts with an empty memo
+    assert build_root_datum("su(2,2)").root_system._systems == {}
+    assert load_catalog().algebra("su(2,2)").root_system._systems == {}
 
 
 def test_validate_refuses_a_non_integral_weight():
