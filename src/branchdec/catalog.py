@@ -222,11 +222,6 @@ def seal(files: list[tuple[str, bytes]]) -> str:
     return h.hexdigest()
 
 
-def compute_checksum(root: Path) -> str:
-    algebras, pairs = read_catalog_files(root)
-    return seal(algebras + pairs)
-
-
 # ---------------------------------------------------------------------------
 # bundle
 

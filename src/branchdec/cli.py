@@ -345,15 +345,16 @@ def build_arg_parser() -> _Parser:
     parser = _Parser(prog="branchdec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
+    def common(p: _Parser, formats: bool = True) -> None:
         p.add_argument("--catalog", default=None,
                        help="catalog directory (default: packaged data or "
                             "BRANCHDEC_CATALOG)")
         p.add_argument("--force", action="store_true",
                        help="load the catalog even if its checksum does not "
                             "match")
-        p.add_argument("--format", choices=("json", "text"),
-                       default="text")
+        if formats:
+            p.add_argument("--format", choices=("json", "text"),
+                           default="text")
 
     p = sub.add_parser("catalog", help="list catalog contents")
     common(p)
@@ -386,8 +387,9 @@ def build_arg_parser() -> _Parser:
     p.add_argument("--pair", required=True)
     p.set_defaults(func=cmd_classify)
 
+    # the report is text only, so verify takes no --format
     p = sub.add_parser("verify", help="run the catalog verification report")
-    common(p)
+    common(p, formats=False)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -518,24 +518,6 @@ def as_embedding_view(
     raise InvolutionError(f"cannot view {type(pair).__name__} as an embedding")
 
 
-def dim_gprime_cap_q(
-    pair: InvolutionData | EmbeddingRecord | EmbeddingView,
-    q: ThetaStableParabolic,
-) -> int:
-    """dim of (subalgebra, complexified) intersected with q."""
-    view = as_embedding_view(pair)
-    return cap_dims(view, member_signs(view, q))[0]
-
-
-def dim_gprime_cap_levi(
-    pair: InvolutionData | EmbeddingRecord | EmbeddingView,
-    q: ThetaStableParabolic,
-) -> int:
-    """dim of the subalgebra intersected with the Levi of q."""
-    view = as_embedding_view(pair)
-    return cap_dims(view, member_signs(view, q))[1]
-
-
 def cap_dims(
     view: EmbeddingView, signs: Sequence[Sequence[int]]
 ) -> tuple[int, int]:

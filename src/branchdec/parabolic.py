@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 from typing import Iterator
 
@@ -215,8 +216,12 @@ def enumerate_parabolics(
             f"{DEFAULT_MAX_RANK}"
         )
     n = base.ambient_dim
-    simple, coweights = base.root_system.simple_system()
+    simple, coweights = base.root_system.coweight_rows()
     walls = _primitive_rows(simple, n)
+    # the coweights c / d over their common denominator
+    den = lcm(*(d for _, d in coweights))
+    rays = _primitive_rows([[den // d * v for v in c] for c, d in coweights],
+                           n)
     norms = [_dot(a, a) for a in walls]
     k_positive = [
         w for w, _ in base.compact if dominant_only and lex_positive(w)
@@ -226,7 +231,6 @@ def enumerate_parabolics(
     # indices of its positive walls), keyed by a point on w.rho inside it;
     # a root is positive iff it pairs > 0 with the starting point rho, and
     # the faces built from the chamber are the subsets of its positive walls
-    rays = _primitive_rows(coweights, n)
     start = _ray_sum(rays, n)
     chambers = {start: (walls, rays, range(len(walls)))}
     faces = 1 << len(walls)

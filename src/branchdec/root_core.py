@@ -11,16 +11,16 @@ and compares as the Fraction of the same value.
 
 The kernels compute over Python integers and build a Fraction only for the
 values they return.  ``dot`` (and ``mat_apply`` through it) returns an int
-when both rows are int; ``vdot`` (and ``projection_matrix`` through it)
-always returns a Fraction, summing numerators over a running common
-denominator, which is the cheaper of the two on Fraction rows.  One
-fraction-free Gauss-Jordan routine, ``_echelon``, backs ``rref``, ``rank``,
-``nullspace``, ``solve_linear``, ``in_span``, ``dual_rows`` and
-``projection_matrix``; ``clear_denominators`` and ``primitive_ints`` turn
-rational rows into coprime integer rows for it, for ``RootSystem`` and for
-the simplex tableau in ``cone_kernel``.  ``dual_rows`` returns a dual basis
-as integer rows, each over one positive denominator, and ``dual_basis`` is
-its Fraction view.
+when both rows are int; ``vdot`` always returns a Fraction, summing
+numerators over a running common denominator, which is the cheaper of the
+two on Fraction rows.  One fraction-free Gauss-Jordan routine,
+``_echelon``, backs ``rref``, ``rank``, ``nullspace``, ``solve_linear``,
+``in_span``, ``dual_rows`` and ``projection_matrix``;
+``clear_denominators`` and ``primitive_ints`` turn rational rows into
+coprime integer rows for it, for ``RootSystem`` and for the simplex
+tableau in ``cone_kernel``.  ``dual_rows`` returns a dual basis as
+integer rows, each over one positive denominator, and
+``projection_matrix`` builds a Fraction only for each entry it returns.
 
 A ``RootSystem`` remembers each positive system it is asked about, keyed
 by which roots are positive: its simple roots and its fundamental
@@ -115,13 +115,6 @@ def identity(n: int) -> tuple[IntVec, ...]:
 
 def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsum(vectors: Iterable[Vec], dim: int) -> Vec:
-    out = vzero(dim)
-    for v in vectors:
-        out = vadd(out, v)
-    return out
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
@@ -299,19 +292,14 @@ def nullspace(rows: Sequence[Vec]) -> list[Vec]:
     return basis
 
 
-def orthogonal_complement(rows: Sequence[Vec], dim: int) -> list[Vec]:
-    """Basis of {x in Q^dim : row . x = 0 for every row}; the identity rows
-    when no row is nonzero."""
+def subspace_normals(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
+    """The normals a point of span(rows) is tested against: a basis of
+    {x in Q^dim : row . x = 0 for every row}, with integral entries as
+    int; the identity rows when no row is nonzero."""
     rows = [r for r in rows if not is_zero_vec(r)]
     if not rows:
-        return list(identity(dim))
-    return nullspace(rows)
-
-
-def subspace_normals(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
-    """The normals a point of span(rows) is tested against: the basis of
-    the orthogonal complement, with integral entries as int."""
-    return tuple(vec_from(nrm) for nrm in orthogonal_complement(rows, dim))
+        return identity(dim)
+    return tuple(vec_from(nrm) for nrm in nullspace(rows))
 
 
 def solve_linear(rows: Sequence[Vec], rhs: Sequence) -> Vec | None:
@@ -371,16 +359,6 @@ def dual_rows(basis: Sequence[Vec]) -> IntRows:
     return tuple(out)
 
 
-def _fraction_rows(rows: IntRows) -> tuple[Vec, ...]:
-    """The rows n / d of (n, d) pairs, every entry a Fraction."""
-    return tuple(tuple(Fraction(x, d) for x in n) for n, d in rows)
-
-
-def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
-    """dual_rows as Fraction vectors."""
-    return _fraction_rows(dual_rows(basis))
-
-
 def projection_matrix(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
     """The dim x dim matrix of the orthogonal projection onto span(rows).
 
@@ -389,11 +367,17 @@ def projection_matrix(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
     are allowed, and no rows give the zero matrix.
     """
     basis = _echelon(rows)[0]
-    dual = dual_basis(basis)
-    basis_columns = [tuple(b[i] for b in basis) for i in range(dim)]
-    dual_columns = [tuple(c[j] for c in dual) for j in range(dim)]
+    dual = dual_rows(basis)
+    # entry (i, j) is sum_k B_k[i] n_k[j] / d_k: integer terms over the
+    # common denominator D, each scaled by D / d_k
+    den = lcm(*(d for _, d in dual))
+    scaled = [[den // d * x for x in n] for n, d in dual]
     return tuple(
-        tuple(vdot(b, c) for c in dual_columns) for b in basis_columns
+        tuple(
+            Fraction(sum(b[i] * c[j] for b, c in zip(basis, scaled)), den)
+            for j in range(dim)
+        )
+        for i in range(dim)
     )
 
 
@@ -646,17 +630,6 @@ class RootSystem:
             roots = tuple(self._weight[a] for a in self._indecomposable(key))
             system = self._systems[key] = (roots, dual_rows(roots))
         return system
-
-    def simple_system(
-        self, x: Vec | None = None
-    ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        """Simple roots of the positive system that x orders first, as the
-        given weights, and the fundamental coweights: coweight i pairs to 1
-        with simple root i and to 0 with the others, and lies in the span
-        of the roots.  The coweights are the Fraction view of
-        coweight_rows."""
-        roots, coweights = self.coweight_rows(x)
-        return roots, _fraction_rows(coweights)
 
 
 # ---------------------------------------------------------------------------

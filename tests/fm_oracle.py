@@ -4,69 +4,71 @@ Test-only.  It rebuilds the same feasibility questions from scratch and
 settles them by elimination alone, without the simplex kernel, so the tests
 can compare the two routes on every instance they generate.  It returns
 booleans only; the simplex route also produces witness points and bases.
+Its normals and dot products come from ``linalg_oracle``; from
+``branchdec`` it imports only the vector type.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-from branchdec.root_core import Vec, identity, is_zero_vec, nullspace, vdot
+from linalg_oracle import is_zero_vec, nullspace, vdot
+
+from branchdec.root_core import Vec
 
 _FM_ROW_CAP = 200_000
 
 
+def _integer_row(coeffs: Sequence, const) -> tuple[tuple[int, ...], int]:
+    """The row coeffs . x (<)= const times the least common denominator
+    of its entries."""
+    scale = lcm(*(Fraction(x).denominator for x in (*coeffs, const)))
+    return tuple(int(x * scale) for x in coeffs), int(const * scale)
+
+
 def _fm_normalise(
-    coeffs: tuple[Fraction, ...], const: Fraction
-) -> tuple[tuple[Fraction, ...], Fraction] | None | bool:
-    """Canonical form of the row coeffs . x <= const.
+    coeffs: tuple[int, ...], const: int
+) -> tuple[tuple[int, ...], int] | None | bool:
+    """Canonical form of the integer row coeffs . x <= const.
 
     Returns None for a trivially true row, False for a contradiction, or
-    the row scaled to primitive integers.
+    the row divided by the gcd of its entries.
     """
-    if all(c == 0 for c in coeffs):
+    if not any(coeffs):
         return None if const >= 0 else False
-    denom_lcm = const.denominator
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
-    ci = int(const * denom_lcm)
-    g = abs(ci)
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-        ci //= g
-    return tuple(Fraction(v) for v in ints), Fraction(ci)
+    g = gcd(const, *coeffs)
+    return tuple(v // g for v in coeffs), const // g
 
 
-def _fm_feasible(
+def fm_feasible(
     n_vars: int,
     equalities: list[tuple[tuple[Fraction, ...], Fraction]],
     inequalities: list[tuple[tuple[Fraction, ...], Fraction]],
 ) -> bool:
     """Feasibility of {a.x = b} and {a.x <= b} by elimination.
 
-    Equalities are consumed first by substitution, which never grows the
-    system; the rest is classical Fourier-Motzkin with a greedy variable
-    order and row deduplication.
+    The rows are scaled to integers first.  Equalities are consumed by
+    substitution, which never grows the system; the rest is classical
+    Fourier-Motzkin with a greedy variable order and row deduplication.
     """
-    eqs = [(tuple(map(Fraction, a)), Fraction(b)) for a, b in equalities]
-    ineqs = [(tuple(map(Fraction, a)), Fraction(b)) for a, b in inequalities]
+    eqs = [_integer_row(a, b) for a, b in equalities]
+    ineqs = [_integer_row(a, b) for a, b in inequalities]
     active = set(range(n_vars))
 
     def substitute(
-        row: tuple[tuple[Fraction, ...], Fraction],
-        piv: tuple[tuple[Fraction, ...], Fraction],
+        row: tuple[tuple[int, ...], int],
+        piv: tuple[tuple[int, ...], int],
         j: int,
-    ) -> tuple[tuple[Fraction, ...], Fraction]:
+    ) -> tuple[tuple[int, ...], int]:
         (a, b), (pa, pb) = row, piv
         if a[j] == 0:
             return row
-        f = a[j] / pa[j]
-        na = tuple(x - f * y for x, y in zip(a, pa))
-        return na, b - f * pb
+        # |pa_j| times the row, less a multiple of the equality: an
+        # inequality keeps its direction
+        s, f = abs(pa[j]), (a[j] if pa[j] > 0 else -a[j])
+        return tuple(s * x - f * y for x, y in zip(a, pa)), s * b - f * pb
 
     while eqs:
         piv = eqs.pop()
@@ -80,7 +82,7 @@ def _fm_feasible(
         ineqs = [substitute(r, piv, j) for r in ineqs]
         active.discard(j)
 
-    rows: set[tuple[tuple[Fraction, ...], Fraction]] = set()
+    rows: set[tuple[tuple[int, ...], int]] = set()
     for a, b in ineqs:
         norm = _fm_normalise(a, b)
         if norm is False:
@@ -141,9 +143,8 @@ def brute_force_chamber_meet(
     generators = list(generators)
     if not generators:
         return False
-    dim = len(generators[0])
-    rows = [r for r in subspace_rows if not is_zero_vec(r)]
-    normals = nullspace(rows) if rows else list(identity(dim))
+    # the zero row fixes the dimension when there is no other row
+    normals = nullspace([*subspace_rows, (0,) * len(generators[0])])
     k = len(generators)
     eqs = [
         (tuple(vdot(nrm, g) for g in generators), Fraction(0)) for nrm in normals
@@ -156,7 +157,7 @@ def brute_force_chamber_meet(
         ineqs.append((tuple(a), Fraction(0)))  # c_i >= 0
     for w in walls:  # w . sum c_i g_i >= 0
         ineqs.append((tuple(-vdot(w, g) for g in generators), Fraction(0)))
-    return _fm_feasible(k, eqs, ineqs)
+    return fm_feasible(k, eqs, ineqs)
 
 
 def brute_force_cones_meet(
@@ -192,4 +193,4 @@ def brute_force_cones_meet(
         a = [Fraction(0)] * nvars
         a[i] = Fraction(-1)
         ineqs.append((tuple(a), Fraction(0)))
-    return _fm_feasible(nvars, eqs, ineqs)
+    return fm_feasible(nvars, eqs, ineqs)

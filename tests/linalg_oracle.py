@@ -1,17 +1,20 @@
-"""Fraction elimination oracle for the integer kernels of ``branchdec.root_core``.
+"""Plain ``Fraction`` linear algebra: the one kit every test oracle uses.
 
-Test-only.  This is rational Gauss-Jordan elimination and a ``Fraction``
-dot product, with every entry made a ``Fraction`` first, so the tests can
-compare the runtime kernels, which compute over integers and build a
-``Fraction`` only for what they return, with it value for value and type
-for type.  ``simple_roots`` and ``simple_system`` are the simple system
-of a positive system worked out on ``Fraction`` vectors, for
-``RootSystem.simple_system`` and ``ThetaStableParabolic.free_coefficients``,
-and
-``coweight_chamber`` the momentum chamber as rays and lines built from it,
-for the chamber that the runtime states by its walls.  ``eigenbasis``
-spans t^{sigma} or t^{-sigma}, of which the runtime keeps only the
-dimension of the first.
+Test-only.  This is rational Gauss-Jordan elimination, a ``Fraction`` dot
+product and the vector predicates, with every entry made a ``Fraction``
+first, so the tests can compare the runtime kernels, which compute over
+integers and build a ``Fraction`` only for what they return, with it
+value for value and type for type.  The other oracles (``fm_oracle``,
+``lp_face_oracle``, ``projection_oracle``, ``reflection_walk_oracle``
+and ``virtsym_oracle``) take their arithmetic from here, and no oracle
+imports anything but data types, loaders and error classes from
+``branchdec``.  ``simple_roots`` and ``simple_system`` are the simple
+system of a positive system worked out on ``Fraction`` vectors, for
+``RootSystem.coweight_rows`` and ``ThetaStableParabolic.free_coefficients``,
+and ``coweight_chamber`` the momentum chamber as rays and lines built
+from it, for the chamber that the runtime states by its walls.
+``eigenbasis`` spans t^{sigma} or t^{-sigma}, of which the runtime keeps
+only the dimension of the first.
 """
 
 from __future__ import annotations
@@ -20,11 +23,20 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from branchdec.root_core import DatumError, Vec, is_zero_vec, lex_positive
+from branchdec.root_core import DatumError, Vec
 
 
 def vdot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+
+
+def is_zero_vec(a: Vec) -> bool:
+    return all(x == 0 for x in a)
+
+
+def lex_positive(a: Vec) -> bool:
+    """True if the first nonzero entry is positive; False for 0."""
+    return next((x > 0 for x in a if x != 0), False)
 
 
 def primitive_vector(a: Vec) -> Vec:

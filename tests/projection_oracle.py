@@ -3,24 +3,19 @@
 Test-only.  It picks a greedy independent subset of the rows and solves
 the Gram system for the coefficients of each projected vector, one solve
 per call, so the tests can compare it with the runtime routine, which
-builds one projection matrix from an rref basis and its dual basis.
+builds one projection matrix from an rref basis and its dual basis.  Its
+rank, solve and dot product are ``linalg_oracle``'s; from ``branchdec`` it
+imports only the vector type and the error class.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
-from branchdec.root_core import (
-    CertificateError,
-    Vec,
-    is_zero_vec,
-    rank,
-    solve_linear,
-    vdot,
-    vscale,
-    vsum,
-    vzero,
-)
+from linalg_oracle import is_zero_vec, rank, solve_linear, vdot
+
+from branchdec.root_core import CertificateError, Vec
 
 
 def independent_rows(rows: Sequence[Vec]) -> list[Vec]:
@@ -39,10 +34,13 @@ def gram_projection(v: Vec, rows: Sequence[Vec]) -> Vec:
     """Orthogonal projection of v onto the span of the given rows."""
     basis = independent_rows([r for r in rows if not is_zero_vec(r)])
     if not basis:
-        return vzero(len(v))
+        return (Fraction(0),) * len(v)
     gram = [tuple(vdot(bi, bj) for bj in basis) for bi in basis]
     rhs = [vdot(bi, v) for bi in basis]
     coeffs = solve_linear(gram, rhs)
     if coeffs is None:
         raise CertificateError("Gram matrix of independent rows is singular")
-    return vsum((vscale(c, b) for c, b in zip(coeffs, basis)), len(v))
+    return tuple(
+        sum((c * b[i] for c, b in zip(coeffs, basis)), Fraction(0))
+        for i in range(len(v))
+    )

@@ -4,7 +4,9 @@ Test-only.  This is the chamber walk on ``Fraction`` vectors: every wall,
 ray and chamber point is reflected as v - (2 v.a / a.a) a, each face's X
 is the sum of its rays scaled to coprime integers, and its signature is
 read from ``Fraction`` dot products with every weight.  The runtime walks
-on integer rows instead and must give the same (signature, X) list.
+on integer rows instead and must give the same (signature, X) list.  The
+simple system and dot products are ``linalg_oracle``'s; from ``branchdec``
+it imports only data types.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from linalg_oracle import simple_system, vdot
+from linalg_oracle import lex_positive, simple_system, vdot
 
-from branchdec.root_core import RootDatum, Vec, lex_positive
+from branchdec.root_core import RootDatum, Vec
 
 
 def _fractions(v) -> Vec:

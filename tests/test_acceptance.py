@@ -29,8 +29,8 @@ from branchdec.decider import (
 from branchdec.involution import (
     InvolutionData,
     build_theta_involution,
-    dim_gprime_cap_levi,
-    dim_gprime_cap_q,
+    cap_dims,
+    member_signs,
     restricted_roots,
 )
 from branchdec.parabolic import build_parabolic, enumerate_parabolics
@@ -336,12 +336,9 @@ def test_criterion_7_property_suite(capsys):
                     assert not brute_force_cone_meets_subspace(gens, tminus)
 
                 t = transitive_check(pair, q)
-                assert t.witness["dim_gprime_cap_q"] == dim_gprime_cap_q(
-                    pair, q
-                )
-                assert t.witness["dim_gprime_cap_levi"] == (
-                    dim_gprime_cap_levi(pair, q)
-                )
+                cap_q, cap_l = cap_dims(pair.view, member_signs(pair.view, q))
+                assert t.witness["dim_gprime_cap_q"] == cap_q
+                assert t.witness["dim_gprime_cap_levi"] == cap_l
                 replayed += 1
         assert replayed >= 80
 

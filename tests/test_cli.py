@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from branchdec import catalog, cli, involution
-from branchdec.catalog import compute_checksum, load_catalog
+from branchdec.catalog import load_catalog, read_catalog_files, seal
 from branchdec.cli import (
     EXIT_OK,
     EXIT_UNKNOWN_ID,
@@ -98,6 +98,15 @@ def test_max_rank_is_not_an_option(capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --max-rank 1" in captured.err
+
+
+def test_verify_takes_no_format(capsys):
+    # the report is text only, so a --format it would ignore is refused
+    for fmt in ("json", "text"):
+        assert main(["verify", "--format", fmt]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --format {fmt}" in captured.err
 
 
 def test_exit_code_bad_question_value(capsys):
@@ -411,7 +420,8 @@ def _resealed_sp2r_with_dim_11(tmp_path: Path) -> Path:
         tmp_path, lambda rec: rec.update(dim_gprime=11)
     )
     meta = json.loads((root / "meta.json").read_text())
-    meta["checksum"] = compute_checksum(root)
+    algebras, pairs = read_catalog_files(root)
+    meta["checksum"] = seal(algebras + pairs)
     (root / "meta.json").write_text(json.dumps(meta))
     return root
 
@@ -457,7 +467,8 @@ def _resealed_sp2r_with_row_off_the_torus(tmp_path: Path) -> Path:
 
     root = _edited_sp2r_record(tmp_path, off_torus)
     meta = json.loads((root / "meta.json").read_text())
-    meta["checksum"] = compute_checksum(root)
+    algebras, pairs = read_catalog_files(root)
+    meta["checksum"] = seal(algebras + pairs)
     (root / "meta.json").write_text(json.dumps(meta))
     return root
 

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 from fm_oracle import (
-    _fm_feasible,
     brute_force_chamber_meet,
     brute_force_cone_meets_subspace,
+    fm_feasible,
 )
 
 from branchdec import cone_kernel
@@ -93,7 +93,7 @@ def test_simplex_feasible_rational_entries():
             (tuple(F(-1) if k == j else F(0) for k in range(n)), F(0))
             for j in range(n)
         ]
-        assert (sol is not None) == _fm_feasible(n, list(zip(rows, rhs)), nonneg)
+        assert (sol is not None) == fm_feasible(n, list(zip(rows, rhs)), nonneg)
         if sol is None:
             infeas += 1
             continue
@@ -157,7 +157,7 @@ def test_feasible_point_substitutes_and_agrees_with_elimination():
             (tuple(F(-1) if k == j else F(0) for k in range(n)), F(0))
             for j in range(n)
         ]
-        assert not _fm_feasible(n, eqs, ineqs)
+        assert not fm_feasible(n, eqs, ineqs)
     assert feas > 50 and infeas > 50
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import linalg_oracle
 import pytest
@@ -22,7 +24,6 @@ from branchdec.root_core import (
     build_root_datum,
     direct_sum,
     dot,
-    dual_basis,
     dual_rows,
     format_vector,
     identity,
@@ -217,6 +218,11 @@ def _random_matrix(rng: random.Random) -> tuple[list[tuple], set[str]]:
     return rows, features
 
 
+def _fraction_rows(rows) -> tuple:
+    """The rows n / d of dual_rows, every entry a Fraction."""
+    return tuple(tuple(F(x, d) for x in n) for n, d in rows)
+
+
 def _same(got, want) -> bool:
     """Equal, with the same type at every position."""
     if isinstance(want, (list, tuple)):
@@ -242,7 +248,8 @@ def test_integer_kernels_match_the_fraction_oracle():
         for r in rows:
             if linalg_oracle.rank(basis + [r]) > len(basis):
                 basis.append(r)
-        assert _same(dual_basis(basis), linalg_oracle.dual_basis(basis))
+        assert _same(_fraction_rows(dual_rows(basis)),
+                     linalg_oracle.dual_basis(basis))
         # the integer rows behind it are in lowest terms
         assert all(d > 0 and gcd(d, *n) == 1 for n, d in dual_rows(basis))
         v = tuple(_random_entry(rng, False) for _ in range(n))
@@ -378,10 +385,10 @@ def test_project_onto_span_matches_gram_oracle():
 
 def test_dual_basis_pairs_to_the_identity():
     basis = [vec(1, -1, 0), vec(0, 1, -1)]
-    dual = dual_basis(basis)
+    dual = _fraction_rows(dual_rows(basis))
     assert [[vdot(c, b) for b in basis] for c in dual] == [[1, 0], [0, 1]]
     assert all(in_span(c, basis) for c in dual)
-    assert dual_basis([]) == ()
+    assert dual_rows([]) == ()
 
 
 def test_independent_rows_is_a_basis_of_the_row_span():
@@ -389,6 +396,30 @@ def test_independent_rows_is_a_basis_of_the_row_span():
     basis = independent_rows(rows)
     assert len(basis) == 2 == rank(rows)
     assert all(in_span(r, basis) for r in rows)
+
+
+# what a test oracle may take from branchdec: data types, loaders and
+# error classes, never a routine that computes what the oracle checks
+ORACLE_IMPORTS = {
+    "Vec", "IntVec", "RootDatum", "ThetaStableParabolic", "PART_COMPACT",
+    "PART_NONCOMPACT", "DatumError", "CertificateError", "build_root_datum",
+    "load_catalog",
+}
+
+
+def test_oracles_import_only_data_from_branchdec():
+    oracles = sorted(Path(__file__).parent.glob("*oracle*.py"))
+    assert len(oracles) == 6
+    for path in oracles:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = {alias.name.split(".")[0] for alias in node.names}
+                assert "branchdec" not in modules, path.name
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[0] == "branchdec"):
+                names = {alias.name for alias in node.names}
+                assert names <= ORACLE_IMPORTS, (
+                    path.name, sorted(names - ORACLE_IMPORTS))
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +566,9 @@ def test_build_root_datum_rejects_unknown_names():
 
 
 def simple_system(weights, x=None):
-    return RootSystem(weights).simple_system(x)
+    """RootSystem.coweight_rows with the coweights as Fraction vectors."""
+    simple, coweights = RootSystem(weights).coweight_rows(x)
+    return simple, _fraction_rows(coweights)
 
 
 def test_simple_system_of_a_non_reduced_system():
@@ -558,13 +591,15 @@ def _frame_data() -> list[RootDatum]:
 
 def test_simple_system_matches_the_fraction_oracle():
     # the integer rows change nothing: same simple roots, same coweights;
-    # the simple roots are the integer weights, the coweights Fractions
+    # the simple roots are the integer weights, the coweights integer rows
+    # over integer denominators
     for d in _frame_data():
         ws = [w for _, w, _ in d.weight_entries() if any(w)]
-        got = simple_system(ws)
-        assert got == linalg_oracle.simple_system(ws), d.name
-        assert all(type(x) is int for v in got[0] for x in v)
-        assert all(type(x) is F for v in got[1] for x in v)
+        simple, rows = RootSystem(ws).coweight_rows()
+        assert (simple, _fraction_rows(rows)) == linalg_oracle.simple_system(
+            ws), d.name
+        assert all(type(x) is int for v in simple for x in v)
+        assert all(type(x) is int for n, den in rows for x in (*n, den))
 
 
 def test_simple_system_of_an_element_is_a_base_it_dominates():
@@ -624,8 +659,6 @@ def test_a_positive_system_is_worked_out_once_per_chamber(monkeypatch):
     # and so is the one that X on the wall e1 - e2 orders first
     for x in (None, vzero(4), vec(1, 1, -1, -1)):
         assert rs.coweight_rows(x) is first
-    assert rs.simple_system() == (first[0], tuple(
-        tuple(F(v, d) for v in n) for n, d in first[1]))
     assert len(calls) == 1
     # another chamber is another entry
     other = rs.coweight_rows(vec(3, -1, 1, -3))
