@@ -127,17 +127,24 @@ def embedding_to_json(rec: EmbeddingRecord, base_id: str) -> dict:
     }
 
 
+def _integer(x) -> int:
+    """A JSON integer field; a float or a boolean is refused, not cast."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _involution_from_json(rec: dict, base: RootDatum) -> InvolutionData:
     declared = rec.get("declared_restricted_positive")
     return InvolutionData(
         base=base,
         matrix=tuple(vec_from(r) for r in rec["matrix"]),
         eps=tuple(
-            (str(e["part"]), vec_from(e["weight"]), int(e["sign"]))
+            (str(e["part"]), vec_from(e["weight"]), _integer(e["sign"]))
             for e in rec["eps"]
         ),
-        zero_weight_fixed_dim=int(rec["zero_weight_fixed_dim"]),
-        dim_gprime=int(rec["dim_gprime"]),
+        zero_weight_fixed_dim=_integer(rec["zero_weight_fixed_dim"]),
+        dim_gprime=_integer(rec["dim_gprime"]),
         label=str(rec["label"]),
         pair_id=str(rec["id"]),
         table_rows=_table_rows_from_json(rec.get("table_rows", [])),
@@ -145,7 +152,7 @@ def _involution_from_json(rec: dict, base: RootDatum) -> InvolutionData:
             None
             if declared is None
             else tuple(
-                (vec_from(e["weight"]), int(e["mult"])) for e in declared
+                (vec_from(e["weight"]), _integer(e["mult"])) for e in declared
             )
         ),
     )
@@ -155,8 +162,8 @@ def _embedding_from_json(rec: dict, base: RootDatum) -> EmbeddingRecord:
     return EmbeddingRecord(
         base=base,
         tprime_rows=tuple(vec_from(r) for r in rec["tprime_rows"]),
-        extra_zero_dim=int(rec["extra_zero_dim"]),
-        dim_gprime=int(rec["dim_gprime"]),
+        extra_zero_dim=_integer(rec["extra_zero_dim"]),
+        dim_gprime=_integer(rec["dim_gprime"]),
         label=str(rec["label"]),
         pair_id=str(rec["id"]),
         table_rows=_table_rows_from_json(rec.get("table_rows", [])),

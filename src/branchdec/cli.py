@@ -219,7 +219,7 @@ def cmd_check(ns) -> int:
     pair = cat.pair(ns.pair)
     x = parse_vector(ns.x, expect_dim=pair.base.ambient_dim)
     q = build_parabolic(pair.base, x)
-    verdict = answer_question(pair, q, ns.question)
+    verdict = answer_question(Query(pair, q), ns.question)
     payload = verdict.to_json_dict()
     if ns.format == "text":
         print(f"{verdict.question}: {str(verdict.answer).lower()}")
@@ -232,7 +232,7 @@ def cmd_check(ns) -> int:
 
 def _classify_cell(row: Query, question: str) -> str:
     try:
-        verdict = answer_question(row.pair, row.q, question, row)
+        verdict = answer_question(row, question)
     except UnsupportedQuery:
         return "unsupported"
     return str(verdict.answer).lower()
@@ -265,14 +265,16 @@ def cmd_classify(ns) -> int:
 
 
 def _table_row_check(pair, x) -> tuple[bool, str]:
-    q = build_parabolic(pair.base, x)
-    t = transitive_check(pair, q)
-    r = rho_compat_check(pair, q)
+    # rho reads the transitive verdict of the same Query
+    row = Query(pair, build_parabolic(pair.base, x))
+    t = transitive_check(row)
+    r = rho_compat_check(row)
     return t.answer and r.answer, ""
 
 
 def _theta_sweep_check(theta, qs) -> tuple[bool, str]:
-    bad = sum(not discretely_decomposable(theta, q).answer for q in qs)
+    bad = sum(not discretely_decomposable(Query(theta, q)).answer
+              for q in qs)
     return bad == 0, "" if bad == 0 else f"{bad} failures"
 
 

@@ -5,11 +5,12 @@ labels known to share that answer, a re-checkable rational certificate,
 and a one-line statement of the criterion that was evaluated.  Boolean
 answers are data; operational failures raise.
 
-The questions about one (pair, q) share work, which a Query holds: a
-classify row asks all six questions of one Query, so the row validates,
-meets the cone with t^{-sigma}, reads the member signs and counts for
-transitivity once.  A single question gets a fresh Query.  Meet points
-are replayed by substitution on integers, the point times the common
+Every question about a pair and a parabolic q is asked of a Query,
+which holds the work the questions share: a classify row asks all six
+of one Query, and a verify table-row check asks transitivity and rho of
+one, so each validates the pair, meets the cone with t^{-sigma}, reads
+the member signs and counts for transitivity once.  Meet points are
+replayed by substitution on integers, the point times the common
 denominator of its cone coefficients.
 """
 
@@ -92,23 +93,12 @@ class Verdict:
         }
 
 
-def _inputs(pair: object, q: ThetaStableParabolic) -> dict:
+def _inputs(row: Query) -> dict:
     return {
-        "pair": getattr(pair, "pair_id", None),
-        "base": q.base.name,
-        "x": vector_strings(q.x),
+        "pair": row.pair.pair_id,
+        "base": row.q.base.name,
+        "x": vector_strings(row.q.x),
     }
-
-
-def _require_involution(pair: object, q: ThetaStableParabolic) -> InvolutionData:
-    if not isinstance(pair, InvolutionData):
-        raise UnsupportedQuery(
-            "momentum-level tests need symmetric-pair data; this pair "
-            "only carries an embedding record"
-        )
-    if pair.base != q.base:
-        raise InvolutionError("parabolic and pair live over different data")
-    return pair
 
 
 class Query:
@@ -117,9 +107,9 @@ class Query:
     Each piece is computed on first use and kept for the life of the
     object: the validated involution, the noncompact cone of u, the
     checked meet of that cone with t^{-sigma}, the pair's weight-cell
-    view with the member signs under q, and the transitive verdict.  A
-    classify row asks all six questions of one Query; every other caller
-    builds a fresh one per question, so nothing outlives the row.
+    view with the member signs under q, and the transitive verdict.
+    ``involution`` and ``view`` validate the pair on first use.  A
+    Query lives as long as the row or the command that asks it.
     """
 
     def __init__(self, pair, q: ThetaStableParabolic):
@@ -128,7 +118,15 @@ class Query:
 
     @cached_property
     def involution(self) -> InvolutionData:
-        inv = _require_involution(self.pair, self.q)
+        inv = self.pair
+        if not isinstance(inv, InvolutionData):
+            raise UnsupportedQuery(
+                "momentum-level tests need symmetric-pair data; this pair "
+                "only carries an embedding record"
+            )
+        if inv.base != self.q.base:
+            raise InvolutionError(
+                "parabolic and pair live over different data")
         ensure_valid(inv)
         return inv
 
@@ -166,7 +164,48 @@ class Query:
 
     @cached_property
     def transitive(self) -> Verdict:
-        return _transitive_verdict(self)
+        """The orbit count behind transitive_check, which rho reads."""
+        q = self.q
+        view = self.view
+        cap_q, cap_l = cap_dims(view, self.signs)
+        dim_q = q.dim_q
+        orbit = view.dim_gprime - cap_l
+        manifold = 2 * q.dim_u
+        answer = orbit == manifold
+        span_identity = (view.dim_gprime - cap_q) == (q.base.dim_g - dim_q)
+        if answer and not span_identity:
+            # openness implies the span identity
+            raise CertificateError(
+                "open orbit without the span identity: the cell data is "
+                "internally inconsistent"
+            )
+        notes = [
+            f"orbit dimension {orbit}, flag manifold dimension {manifold}",
+            "span identity dim g' - dim(g' cap q) == dim g - dim q: "
+            f"{str(span_identity).lower()}",
+        ]
+        if answer:
+            notes.append(f"induced parabolic dimension: {cap_q}")
+        return Verdict(
+            question="transitive",
+            answer=answer,
+            equivalents=(),
+            witness={
+                "kind": "dimension-count",
+                "dim_gprime": view.dim_gprime,
+                "dim_gprime_cap_q": cap_q,
+                "dim_gprime_cap_levi": cap_l,
+                "dim_g": q.base.dim_g,
+                "dim_q": dim_q,
+                "dim_u": q.dim_u,
+            },
+            inputs=_inputs(self),
+            criterion=(
+                "dim g' - dim(g' cap l) equals 2 dim u, so the subgroup orbit "
+                "of the base point in the flag manifold is open"
+            ),
+            notes=tuple(notes),
+        )
 
 
 def _verify_point(
@@ -211,16 +250,12 @@ def _meet_witness(result: MeetResult) -> dict:
     return {"kind": "infeasibility-basis", "basis": list(result.basis)}
 
 
-def discretely_decomposable(
-    pair: InvolutionData, q: ThetaStableParabolic, row: Query | None = None
-) -> Verdict:
+def discretely_decomposable(row: Query) -> Verdict:
     """Does the asymptotic cone of u cap p miss the split part of the torus?
 
     True means the restriction to the fixed-point subgroup splits discretely,
     with admissible multiplicities, for every weakly fair parameter.
-    ``row`` is the Query of a classify row, which shares its meet.
     """
-    row = Query(pair, q) if row is None else row
     inv = row.involution
     result = row.meet
     notes = [_SCOPE_NOTE]
@@ -236,7 +271,7 @@ def discretely_decomposable(
         answer=not result.meets,
         equivalents=DECO_EQUIVALENTS,
         witness=_meet_witness(result),
-        inputs=_inputs(pair, q),
+        inputs=_inputs(row),
         criterion=(
             "the closed cone spanned by the noncompact weights of u meets "
             "the -1 eigenspace of the involution on the torus only at 0"
@@ -245,22 +280,18 @@ def discretely_decomposable(
     )
 
 
-def admissible_sufficient(
-    pair: InvolutionData, q: ThetaStableParabolic, row: Query | None = None
-) -> Verdict:
+def admissible_sufficient(row: Query) -> Verdict:
     """Sufficient test: the cone of u cap p misses the momentum chamber.
 
     True guarantees admissible restriction (finite multiplicities and a
     Hilbert-sum decomposition).  False is inconclusive by this test alone,
     since the cone only bounds the true asymptotic support from above; for
-    symmetric pairs the subspace test is decisive and is cross-referenced.
-    ``row`` is the Query of a classify row, whose meet gives that
-    subspace test.
+    symmetric pairs the subspace test is decisive and is cross-referenced;
+    the row's meet gives that subspace test.
     """
-    row = Query(pair, q) if row is None else row
     inv = row.involution
     walls = momentum_chamber(inv)
-    result = cones_meet(row.cone, inv.t_minus_sigma_normals, walls, q.x)
+    result = cones_meet(row.cone, inv.t_minus_sigma_normals, walls, row.q.x)
     if result.meets:
         # the chamber lies in t^{-sigma}, so its point settles the
         # subspace test too, once checked to lie there
@@ -287,7 +318,7 @@ def admissible_sufficient(
         answer=not result.meets,
         equivalents=(),
         witness=_meet_witness(result),
-        inputs=_inputs(pair, q),
+        inputs=_inputs(row),
         criterion=(
             "the closed cone spanned by the noncompact weights of u meets "
             "the dominant chamber of the restricted root system only at 0"
@@ -296,9 +327,7 @@ def admissible_sufficient(
     )
 
 
-def transitive_check(
-    pair, q: ThetaStableParabolic, row: Query | None = None
-) -> Verdict:
+def transitive_check(row: Query) -> Verdict:
     """Is the subgroup orbit of the base point open in the flag manifold?
 
     The isotropy algebra there is g' cap l, so the orbit dimension is
@@ -306,54 +335,9 @@ def transitive_check(
     2 dim u.  Openness forces the span identity g' + q = g, reported
     alongside; for the catalogued families openness upgrades to a
     transitive action, which is what lets induced modules restrict.
-    ``row`` is the Query of a classify row, which keeps the verdict for
-    rho.
+    The row keeps the verdict for rho.
     """
-    return (Query(pair, q) if row is None else row).transitive
-
-
-def _transitive_verdict(row: Query) -> Verdict:
-    q = row.q
-    view = row.view
-    cap_q, cap_l = cap_dims(view, row.signs)
-    dim_q = q.dim_q
-    orbit = view.dim_gprime - cap_l
-    manifold = 2 * q.dim_u
-    answer = orbit == manifold
-    span_identity = (view.dim_gprime - cap_q) == (q.base.dim_g - dim_q)
-    if answer and not span_identity:
-        # openness implies the span identity
-        raise CertificateError(
-            "open orbit without the span identity: the cell data is "
-            "internally inconsistent"
-        )
-    notes = [
-        f"orbit dimension {orbit}, flag manifold dimension {manifold}",
-        "span identity dim g' - dim(g' cap q) == dim g - dim q: "
-        f"{str(span_identity).lower()}",
-    ]
-    if answer:
-        notes.append(f"induced parabolic dimension: {cap_q}")
-    return Verdict(
-        question="transitive",
-        answer=answer,
-        equivalents=(),
-        witness={
-            "kind": "dimension-count",
-            "dim_gprime": view.dim_gprime,
-            "dim_gprime_cap_q": cap_q,
-            "dim_gprime_cap_levi": cap_l,
-            "dim_g": q.base.dim_g,
-            "dim_q": dim_q,
-            "dim_u": q.dim_u,
-        },
-        inputs=_inputs(row.pair, q),
-        criterion=(
-            "dim g' - dim(g' cap l) equals 2 dim u, so the subgroup orbit "
-            "of the base point in the flag manifold is open"
-        ),
-        notes=tuple(notes),
-    )
+    return row.transitive
 
 
 def _induced_rho(
@@ -404,25 +388,21 @@ def _induced_rho(
     return vscale(Fraction(1, 2), total), count
 
 
-def rho_compat_check(
-    pair, q: ThetaStableParabolic, row: Query | None = None
-) -> Verdict:
+def rho_compat_check(row: Query) -> Verdict:
     """Does rho of u restrict to rho of the induced u'?
 
     Requires the transitivity identity, so the induced parabolic
     q' = g' cap q is defined and its nilradical has a half sum to compare.
     rho(u) restricts as half the restriction of the integer 2 rho(u).
-    ``row`` is the Query of a classify row, which shares the transitive
-    verdict and the member signs.
+    The row shares the transitive verdict and the member signs.
     """
-    row = Query(pair, q) if row is None else row
     if not row.transitive.answer:  # validates the pair first
         raise UnsupportedQuery(
             "rho comparison needs the transitivity identity; it fails here"
         )
     view = row.view
     rho_prime, uprime_cells = _induced_rho(view, row.signs)
-    two_rho = q.two_rho_u
+    two_rho = row.q.two_rho_u
     restricted = tuple(
         Fraction(dot(nums, two_rho), 2 * den)
         for nums, den in view.restriction_rows
@@ -437,7 +417,7 @@ def rho_compat_check(
             "rho_u_restricted": vector_strings(restricted),
             "rho_u_prime": vector_strings(rho_prime),
         },
-        inputs=_inputs(pair, q),
+        inputs=_inputs(row),
         criterion=(
             "rho of u, restricted to the subalgebra torus, equals rho of "
             "the induced nilradical u'"
@@ -480,23 +460,20 @@ def virtually_symmetric_verdict(q: ThetaStableParabolic) -> Verdict:
     )
 
 
-def answer_question(
-    pair, q: ThetaStableParabolic, question: str, row: Query | None = None
-) -> Verdict:
-    """Dispatch by question keyword; the CLI entry point.  ``row`` is the
-    Query a classify row shares across its questions; a fresh one is
-    built for a single question."""
-    row = Query(pair, q) if row is None else row
+def answer_question(row: Query, question: str) -> Verdict:
+    """Dispatch by question keyword; the CLI entry point.  The verdict
+    functions are looked up by their module names at each call, so a
+    wrapper bound in their place sees every dispatch."""
     if question == "deco":
-        return discretely_decomposable(pair, q, row)
+        return discretely_decomposable(row)
     if question == "admissible":
-        return admissible_sufficient(pair, q, row)
+        return admissible_sufficient(row)
     if question == "transitive":
-        return transitive_check(pair, q, row)
+        return transitive_check(row)
     if question == "rho":
-        return rho_compat_check(pair, q, row)
+        return rho_compat_check(row)
     if question == "symtype":
-        return symmetric_type_verdict(q)
+        return symmetric_type_verdict(row.q)
     if question == "virtsym":
-        return virtually_symmetric_verdict(q)
+        return virtually_symmetric_verdict(row.q)
     raise ValueError(f"unknown question {question!r}")

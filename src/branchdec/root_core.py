@@ -72,10 +72,11 @@ _INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce int, Fraction, or a 'p' or 'p/q' string to Fraction."""
+    """Coerce int, Fraction, or a 'p' or 'p/q' string to Fraction; a bool
+    is not read as 0 or 1."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         if not _RATIONAL.fullmatch(x.strip()):

@@ -22,6 +22,7 @@ from branchdec.cone_kernel import (
     cones_meet,
 )
 from branchdec.decider import (
+    Query,
     discretely_decomposable,
     rho_compat_check,
     transitive_check,
@@ -97,9 +98,9 @@ def test_criterion_1_table_restrictions(capsys):
             assert pair.table_rows, pid
             for row in pair.table_rows:
                 for x in (row.x, vneg(row.x)):
-                    q = build_parabolic(pair.base, x)
-                    assert transitive_check(pair, q).answer is True, (pid, x)
-                    assert rho_compat_check(pair, q).answer is True, (pid, x)
+                    row = Query(pair, build_parabolic(pair.base, x))
+                    assert transitive_check(row).answer is True, (pid, x)
+                    assert rho_compat_check(row).answer is True, (pid, x)
                     rows_seen += 1
         assert rows_seen == 10
 
@@ -114,7 +115,7 @@ def test_criterion_2_levi_exhaustion(capsys):
         assert len(classes) == 26
 
         passes = [
-            q for q in classes if transitive_check(pair, q).answer
+            q for q in classes if transitive_check(Query(pair, q)).answer
         ]
         trivial = [q for q in passes if q.dim_u == 0]
         proper = [q for q in passes if q.dim_u > 0]
@@ -143,7 +144,7 @@ def test_criterion_3_maximal_compact_sweep(capsys):
                 continue
             theta = build_theta_involution(base)
             for q in enumerate_parabolics(base):
-                v = discretely_decomposable(theta, q)
+                v = discretely_decomposable(Query(theta, q))
                 assert v.answer is True, (aid, q.x)
                 swept += 1
         assert swept >= 400
@@ -157,12 +158,12 @@ def test_criterion_4_doubled_group_signs(capsys):
         pair = cat.pair("swap:su(1,1)^2")
 
         same = discretely_decomposable(
-            pair, build_parabolic(pair.base, vec(1, 1))
+            Query(pair, build_parabolic(pair.base, vec(1, 1)))
         )
         assert same.answer is True
 
         q = build_parabolic(pair.base, vec(1, -1))
-        opposite = discretely_decomposable(pair, q)
+        opposite = discretely_decomposable(Query(pair, q))
         assert opposite.answer is False
         w = opposite.witness
         assert w["kind"] == "intersection-point"
@@ -192,7 +193,7 @@ def test_criterion_5_complex_pair_borel(capsys):
             for _, w, _ in q.base.weight_entries()
             if vdot(w, q.x) == 0
         )
-        v = discretely_decomposable(pair, q)
+        v = discretely_decomposable(Query(pair, q))
         assert v.answer is False
         assert v.witness["kind"] == "intersection-point"
         point = vec_from(v.witness["point"])
@@ -320,7 +321,7 @@ def test_criterion_7_property_suite(capsys):
                 continue
             tminus = pair.t_minus_sigma
             for q in enumerate_parabolics(pair.base, dominant_only=True):
-                v = discretely_decomposable(pair, q)
+                v = discretely_decomposable(Query(pair, q))
                 gens = [g for g, _ in pair.base.noncompact if vdot(g, q.x) > 0]
                 if v.witness["kind"] == "intersection-point":
                     point = vec_from(v.witness["point"])
@@ -335,7 +336,7 @@ def test_criterion_7_property_suite(capsys):
                 else:
                     assert not brute_force_cone_meets_subspace(gens, tminus)
 
-                t = transitive_check(pair, q)
+                t = transitive_check(Query(pair, q))
                 cap_q, cap_l = cap_dims(pair.view, member_signs(pair.view, q))
                 assert t.witness["dim_gprime_cap_q"] == cap_q
                 assert t.witness["dim_gprime_cap_levi"] == cap_l

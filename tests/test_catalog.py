@@ -28,7 +28,7 @@ from branchdec.catalog import (
     _involution_from_json,
 )
 from branchdec.cli import main
-from branchdec.decider import QUESTIONS, answer_question
+from branchdec.decider import QUESTIONS, Query, answer_question
 from branchdec.involution import (
     EmbeddingRecord,
     InvolutionData,
@@ -190,7 +190,7 @@ def _verdicts(pair) -> list[str]:
     for q in enumerate_parabolics(pair.base, dominant_only=True):
         for question in QUESTIONS:
             try:
-                v = answer_question(pair, q, question)
+                v = answer_question(Query(pair, q), question)
             except UnsupportedQuery as exc:
                 out.append(f"unsupported: {exc}")
                 continue
@@ -334,7 +334,7 @@ def test_edit_without_reseal_is_refused(tmp_path):
     for question in ("deco", "admissible", "transitive", "rho"):
         with pytest.raises(InvolutionError,
                            match="fixed-dimension-bookkeeping"):
-            answer_question(pair, q, question)
+            answer_question(Query(pair, q), question)
 
 
 def test_resealed_edit_fails_validation(tmp_path, capsys):
@@ -550,8 +550,19 @@ def test_unknown_pair_kind(tmp_path):
         ("algebras", "su_2_2_.json",
          lambda rec: rec.update(builder=["su(2,2)"]),
          lambda cat: cat.algebra("su(2,2)")),
+        # JSON integer fields are not cast: 10.9 would load as 10, true
+        # as 1, and a true entry of a vector as 1, each a valid record
+        ("pairs", "_su_2_2__sp_2_R__.json",
+         lambda rec: rec.update(dim_gprime=10.9),
+         lambda cat: cat.pair("(su(2,2),sp(2,R))")),
+        ("pairs", "_su_2_2__sp_2_R__.json",
+         lambda rec: rec["eps"][0].update(sign=True),
+         lambda cat: cat.pair("(su(2,2),sp(2,R))")),
+        ("pairs", "_su_2_2__sp_2_R__.json",
+         lambda rec: rec["eps"][0]["weight"].__setitem__(0, True),
+         lambda cat: cat.pair("(su(2,2),sp(2,R))")),
     ],
-    ids=["pair", "algebra"],
+    ids=["pair", "algebra", "float", "bool", "bool-in-vector"],
 )
 def test_malformed_field_is_a_catalog_error(
     tmp_path, capsys, folder, name, edit, access

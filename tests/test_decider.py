@@ -74,13 +74,17 @@ def _q(pair, x):
     return build_parabolic(pair.base, x)
 
 
+def _row(pair, x):
+    return Query(pair, _q(pair, x))
+
+
 # ---------------------------------------------------------------------------
 # wire format
 
 
 def test_verdict_json_shape():
     pair = _pair("(su(2,2),sp(2,R))")
-    v = discretely_decomposable(pair, _q(pair, vec(3, -1, -1, -1)))
+    v = discretely_decomposable(_row(pair, vec(3, -1, -1, -1)))
     d = v.to_json_dict()
     assert list(d) == [
         "question",
@@ -106,21 +110,21 @@ def test_answer_question_dispatch_matches_direct_calls():
     pair = _pair("(su(2,2),sp(2,R))")
     q = _q(pair, vec(3, -1, -1, -1))
     direct = {
-        "deco": discretely_decomposable(pair, q),
-        "admissible": admissible_sufficient(pair, q),
-        "transitive": transitive_check(pair, q),
-        "rho": rho_compat_check(pair, q),
+        "deco": discretely_decomposable(Query(pair, q)),
+        "admissible": admissible_sufficient(Query(pair, q)),
+        "transitive": transitive_check(Query(pair, q)),
+        "rho": rho_compat_check(Query(pair, q)),
         "symtype": symmetric_type_verdict(q),
         "virtsym": virtually_symmetric_verdict(q),
     }
     assert set(direct) == set(QUESTIONS)
     for question, verdict in direct.items():
         assert (
-            answer_question(pair, q, question).to_json_dict()
+            answer_question(Query(pair, q), question).to_json_dict()
             == verdict.to_json_dict()
         )
     with pytest.raises(ValueError):
-        answer_question(pair, q, "decomposable")
+        answer_question(Query(pair, q), "decomposable")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +144,7 @@ def _run(argv) -> str:
 
 def _fresh_cell(pair, q, question) -> str:
     try:
-        return str(answer_question(pair, q, question).answer).lower()
+        return str(answer_question(Query(pair, q), question).answer).lower()
     except UnsupportedQuery:
         return "unsupported"
 
@@ -160,7 +164,7 @@ def test_a_shared_row_answers_as_fresh_single_questions():
                 assert cells[question] == _fresh_cell(pair, q, question), (
                     pid, cells["X"], question)
                 try:
-                    shared = answer_question(pair, q, question, row)
+                    shared = answer_question(row, question)
                 except UnsupportedQuery:
                     continue
                 payload = json.loads(_run([
@@ -173,22 +177,45 @@ def test_a_shared_row_answers_as_fresh_single_questions():
     assert rows == 172
 
 
+# each question's verdict function, by the name answer_question calls
+_VERDICTS = {
+    "deco": "discretely_decomposable",
+    "admissible": "admissible_sufficient",
+    "transitive": "transitive_check",
+    "rho": "rho_compat_check",
+    "symtype": "symmetric_type_verdict",
+    "virtsym": "virtually_symmetric_verdict",
+}
+
+
+def _count_calls(monkeypatch, names) -> Counter:
+    """Count the calls of each named ``decider`` attribute, with a counter
+    bound in its place on the module, as the benchmark tracer binds its
+    span wrappers."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(decider, name), **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(decider, name, counted)
+    return calls
+
+
 def test_classify_runs_the_meet_and_the_transitive_count_once_per_row(
     monkeypatch, capsys
 ):
-    calls = Counter()
-
-    def counting(name):
-        original = getattr(decider, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(decider, name, counted)
-
-    for name in ("cone_meets_subspace", "cones_meet", "transitive_check",
-                 "_transitive_verdict"):
-        counting(name)
+    calls = _count_calls(monkeypatch, ("cone_meets_subspace", "cones_meet",
+                                       "cap_dims", *_VERDICTS.values()))
+    # a check reaches its own verdict function once, and no other
+    for question, name in _VERDICTS.items():
+        calls.clear()
+        assert cli.main(["check", "--pair", "(su(2,2),sp(2,R))",
+                         "--X=3,-1,-1,-1", "--question", question]) == 0
+        assert {n: calls[n] for n in _VERDICTS.values()} == {
+            n: int(n == name) for n in _VERDICTS.values()}, question
+        assert calls["cap_dims"] == (question in ("transitive", "rho"))
+    capsys.readouterr()
+    calls.clear()
     assert cli.main(["classify", "--pair", "(su(2,2),sp(2,R))"]) == 0
     rows = len(capsys.readouterr().out.splitlines()) - 1
     assert rows == 26
@@ -196,7 +223,19 @@ def test_classify_runs_the_meet_and_the_transitive_count_once_per_row(
     assert calls["cone_meets_subspace"] <= rows
     assert calls["cones_meet"] == rows
     # rho reads the transitive verdict of its row
-    assert calls["transitive_check"] == calls["_transitive_verdict"] == rows
+    assert calls["cap_dims"] == rows
+    for name in _VERDICTS.values():
+        assert calls[name] == rows, name
+
+
+def test_verify_counts_each_table_row_transitive_once(monkeypatch, capsys):
+    # a table-row check asks transitivity and rho of one Query
+    calls = _count_calls(monkeypatch, ("cap_dims",))
+    assert cli.main(["verify"]) == 0
+    checks = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("table-row ")]
+    assert len(checks) == 16
+    assert calls["cap_dims"] == len(checks)
 
 
 def test_classify_works_out_each_positive_system_once(monkeypatch, capsys):
@@ -238,17 +277,17 @@ def test_classify_works_out_each_positive_system_once(monkeypatch, capsys):
 def test_deco_sp2r_levi_row():
     pair = _pair("(su(2,2),sp(2,R))")
     for x in (vec(3, -1, -1, -1), vec(-3, 1, 1, 1)):
-        v = discretely_decomposable(pair, _q(pair, x))
+        v = discretely_decomposable(_row(pair, x))
         assert v.answer is True
         assert v.witness["kind"] == "infeasibility-basis"
 
 
 def test_deco_swap_pair_frozen_witness():
     pair = _pair("swap:su(1,1)^2")
-    hol = discretely_decomposable(pair, _q(pair, vec(1, 1)))
+    hol = discretely_decomposable(_row(pair, vec(1, 1)))
     assert hol.answer is True
 
-    mixed = discretely_decomposable(pair, _q(pair, vec(1, -1)))
+    mixed = discretely_decomposable(_row(pair, vec(1, -1)))
     assert mixed.answer is False
     assert mixed.witness == {
         "kind": "intersection-point",
@@ -267,7 +306,7 @@ def test_deco_swap_pair_frozen_witness():
 
 def test_deco_so32_borel_frozen_witness():
     pair = _pair("(so(5,C),so(3,2))")
-    v = discretely_decomposable(pair, _q(pair, vec(2, 1)))
+    v = discretely_decomposable(_row(pair, vec(2, 1)))
     assert v.answer is False
     assert v.witness == {
         "kind": "intersection-point",
@@ -280,14 +319,14 @@ def test_deco_true_for_theta_everywhere():
     base = _cat().algebra("su(2,2)")
     theta = build_theta_involution(base)
     for q in enumerate_parabolics(base):
-        v = discretely_decomposable(theta, q)
+        v = discretely_decomposable(Query(theta, q))
         assert v.answer is True
         assert any("split torus part is zero" in n for n in v.notes)
 
 
 def test_deco_full_algebra_note():
     pair = _pair("(su(2,2),sp(2,R))")
-    v = discretely_decomposable(pair, _q(pair, vzero(4)))
+    v = discretely_decomposable(_row(pair, vzero(4)))
     assert v.answer is True
     assert any("no noncompact weights" in n for n in v.notes)
 
@@ -296,16 +335,16 @@ def test_deco_rejects_embedding_pairs():
     pair = _pair("(so(4,3),g2(R))")
     q = _q(pair, vec(0, 0, 1))
     with pytest.raises(UnsupportedQuery):
-        discretely_decomposable(pair, q)
+        discretely_decomposable(Query(pair, q))
     with pytest.raises(UnsupportedQuery):
-        admissible_sufficient(pair, q)
+        admissible_sufficient(Query(pair, q))
 
 
 def test_deco_rejects_foreign_base():
     pair = _pair("(su(2,2),sp(2,R))")
     other = build_parabolic(build_root_datum("su(4)"), vec(3, -1, -1, -1))
     with pytest.raises(InvolutionError):
-        discretely_decomposable(pair, other)
+        discretely_decomposable(Query(pair, other))
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +353,11 @@ def test_deco_rejects_foreign_base():
 
 def test_admissible_cross_references_subspace_test():
     pair = _pair("swap:su(1,1)^2")
-    good = admissible_sufficient(pair, _q(pair, vec(1, 1)))
+    good = admissible_sufficient(_row(pair, vec(1, 1)))
     assert good.answer is True
     assert any("chamber test intersects: false" in n for n in good.notes)
 
-    bad = admissible_sufficient(pair, _q(pair, vec(1, -1)))
+    bad = admissible_sufficient(_row(pair, vec(1, -1)))
     assert bad.answer is False
     assert any("chamber test intersects: true" in n for n in bad.notes)
     assert any("full subspace test intersects: true" in n for n in bad.notes)
@@ -332,8 +371,8 @@ def test_deco_implies_admissible_across_catalog():
         if not isinstance(pair, InvolutionData):
             continue
         for q in enumerate_parabolics(pair.base, dominant_only=True):
-            deco = discretely_decomposable(pair, q)
-            adm = admissible_sufficient(pair, q)
+            deco = discretely_decomposable(Query(pair, q))
+            adm = admissible_sufficient(Query(pair, q))
             if deco.answer:
                 assert adm.answer, (pid, q.x)
             checked += 1
@@ -358,9 +397,9 @@ def test_a_meeting_chamber_test_settles_the_subspace_note_without_an_lp(
         if not isinstance(pair, InvolutionData):
             continue
         for q in enumerate_parabolics(pair.base, dominant_only=True):
-            deco = discretely_decomposable(pair, q)
+            deco = discretely_decomposable(Query(pair, q))
             lps.clear()
-            adm = admissible_sufficient(pair, q)
+            adm = admissible_sufficient(Query(pair, q))
             note = f"full subspace test intersects: {str(not deco.answer).lower()}"
             assert note in adm.notes, (pid, q.x)
             if adm.answer:
@@ -392,7 +431,7 @@ def test_admissible_agrees_with_elimination_against_the_coweight_chamber():
         rays, lines = coweight_chamber(pair)
         for q in enumerate_parabolics(pair.base, dominant_only=False):
             want = not brute_force_cones_meet(_noncompact_u(q), rays, lines)
-            got = admissible_sufficient(pair, q).answer
+            got = admissible_sufficient(Query(pair, q)).answer
             assert got == want, (pair.pair_id, q.x)
             faces += 1
     assert faces == 811
@@ -419,7 +458,7 @@ def test_admissible_intersection_points_replay_by_substitution():
         )
         positive = [b for b in restricted if any(b) and lex_positive(b)]
         for q in enumerate_parabolics(pair.base, dominant_only=True):
-            witness = admissible_sufficient(pair, q).witness
+            witness = admissible_sufficient(Query(pair, q)).witness
             if witness["kind"] != "intersection-point":
                 continue
             point = tuple(F(x) for x in witness["point"])
@@ -445,7 +484,7 @@ def test_admissible_intersection_points_replay_by_substitution():
 
 def test_transitive_sp2r_row_dimension_count():
     pair = _pair("(su(2,2),sp(2,R))")
-    v = transitive_check(pair, _q(pair, vec(3, -1, -1, -1)))
+    v = transitive_check(_row(pair, vec(3, -1, -1, -1)))
     assert v.answer is True
     assert v.witness == {
         "kind": "dimension-count",
@@ -461,7 +500,7 @@ def test_transitive_sp2r_row_dimension_count():
 
 def test_transitive_fails_for_borel():
     pair = _pair("(su(2,2),sp(2,R))")
-    v = transitive_check(pair, _q(pair, vec(3, 1, -1, -3)))
+    v = transitive_check(_row(pair, vec(3, 1, -1, -3)))
     assert v.answer is False
     assert v.witness["dim_gprime_cap_levi"] == 2
     assert v.witness["dim_u"] == 6
@@ -471,7 +510,7 @@ def test_transitive_separates_orbit_openness_from_span_identity():
     # for this compact-Levi parabolic the span identity holds even though
     # the orbit is not open, so only the orbit count rejects it
     pair = _pair("(su(2,2),sp(2,R))")
-    v = transitive_check(pair, _q(pair, vec(0, 0, 1, -1)))
+    v = transitive_check(_row(pair, vec(0, 0, 1, -1)))
     assert v.answer is False
     assert v.witness["dim_gprime_cap_q"] == 5
     assert v.witness["dim_gprime_cap_levi"] == 2
@@ -482,7 +521,7 @@ def test_transitive_separates_orbit_openness_from_span_identity():
 def test_transitive_g2_rows():
     pair = _pair("(so(4,3),g2(R))")
     for x in (vec(0, 0, 1), vec(0, 0, -1), vec(1, 0, 0), vec(-1, 0, 0)):
-        v = transitive_check(pair, _q(pair, x))
+        v = transitive_check(_row(pair, x))
         assert v.answer is True, x
         assert v.witness["dim_gprime"] == 14
         assert v.witness["dim_gprime_cap_levi"] == 4
@@ -495,9 +534,9 @@ def test_transitive_all_table_rows():
         pair = _pair(pid)
         for row in pair.table_rows:
             for x in (row.x, vneg(row.x)):
-                q = _q(pair, x)
-                assert transitive_check(pair, q).answer, (pid, x)
-                assert rho_compat_check(pair, q).answer, (pid, x)
+                row = _row(pair, x)
+                assert transitive_check(row).answer, (pid, x)
+                assert rho_compat_check(row).answer, (pid, x)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +545,7 @@ def test_transitive_all_table_rows():
 
 def test_rho_sp2r_row_vectors():
     pair = _pair("(su(2,2),sp(2,R))")
-    v = rho_compat_check(pair, _q(pair, vec(3, -1, -1, -1)))
+    v = rho_compat_check(_row(pair, vec(3, -1, -1, -1)))
     assert v.answer is True
     assert v.witness == {
         "kind": "rho-vectors",
@@ -518,7 +557,7 @@ def test_rho_sp2r_row_vectors():
 
 def test_rho_g2_row_vectors():
     pair = _pair("(so(4,3),g2(R))")
-    v = rho_compat_check(pair, _q(pair, vec(0, 0, 1)))
+    v = rho_compat_check(_row(pair, vec(0, 0, 1)))
     assert v.answer is True
     assert v.witness["rho_u_restricted"] == ["-5/6", "-5/6", "5/3"]
     assert v.witness["rho_u_prime"] == ["-5/6", "-5/6", "5/3"]
@@ -527,7 +566,7 @@ def test_rho_g2_row_vectors():
 def test_rho_requires_transitivity():
     pair = _pair("(su(2,2),sp(2,R))")
     with pytest.raises(UnsupportedQuery, match="transitivity"):
-        rho_compat_check(pair, _q(pair, vec(3, 1, -1, -3)))
+        rho_compat_check(_row(pair, vec(3, 1, -1, -3)))
 
 
 def test_rho_validates_pair_first():
@@ -542,13 +581,13 @@ def test_rho_validates_pair_first():
                   transitive_check, rho_compat_check):
         with pytest.raises(InvolutionError,
                            match="fixed-dimension-bookkeeping"):
-            check(bad, q)
+            check(Query(bad, q))
 
     emb = _pair("(so(4,3),g2(R))")
     bad_emb = dataclasses.replace(emb, dim_gprime=13)
     for check in (transitive_check, rho_compat_check):
         with pytest.raises(InvolutionError, match="cell-count-bookkeeping"):
-            check(bad_emb, _q(emb, vec(0, 0, 1)))
+            check(Query(bad_emb, _q(emb, vec(0, 0, 1))))
 
 
 def test_forged_meet_certificate_is_refused():
@@ -615,7 +654,7 @@ def test_stored_pair_is_validated_once(monkeypatch):
     restricted_roots(pair)
     q = _q(pair, vec(3, -1, -1, -1))
     for question in QUESTIONS:
-        answer_question(pair, q, question)
+        answer_question(Query(pair, q), question)
     assert calls == Counter({pair.pair_id: 1})
 
 
@@ -634,9 +673,9 @@ def test_involution_verdicts_build_no_projection_matrix(monkeypatch):
     pair = load_catalog().pair("(su(2,2),sp(2,R))")
     q = _q(pair, vec(3, -1, -1, -1))
     for question in ("deco", "admissible", "transitive"):
-        answer_question(pair, q, question)
+        answer_question(Query(pair, q), question)
     assert built == []
-    assert answer_question(pair, q, "rho").answer
+    assert answer_question(Query(pair, q), "rho").answer
     assert built == []
 
 
@@ -697,7 +736,7 @@ def test_rho_on_an_embedding_builds_one_projection_matrix(monkeypatch):
     for module in (root_core, involution):
         monkeypatch.setattr(module, "projection_matrix", counted)
     pair = load_catalog().pair("(so(4,3),g2(R))")
-    answer_question(pair, _q(pair, vec(1, 0, 0)), "rho")
+    answer_question(_row(pair, vec(1, 0, 0)), "rho")
     assert built == [len(pair.tprime_rows)] == [2]
 
 
@@ -713,10 +752,12 @@ def test_a_cell_member_outside_the_base_is_refused():
         pair_id="synthetic",
     )
     q = build_parabolic(base, vec(1, 0, 0))
-    for count in (member_signs, transitive_check, rho_compat_check):
+    for count in (lambda: member_signs(view, q),
+                  lambda: transitive_check(Query(view, q)),
+                  lambda: rho_compat_check(Query(view, q))):
         with pytest.raises(InvolutionError,
                            match="member 5,0,0 is not a weight of so"):
-            count(view, q)
+            count()
 
 
 # ---------------------------------------------------------------------------
@@ -759,13 +800,13 @@ def test_synthetic_view_with_rho_mismatch():
     view = _synthetic_view(_base_cells())
     q = build_parabolic(view.base, vec(1, 1, -1, -1))
 
-    trans = transitive_check(view, q)
+    trans = transitive_check(Query(view, q))
     assert trans.answer is True
     assert trans.witness["dim_gprime"] == 10
     assert trans.witness["dim_gprime_cap_q"] == 6
     assert trans.witness["dim_gprime_cap_levi"] == 2
 
-    v = rho_compat_check(view, q)
+    v = rho_compat_check(Query(view, q))
     assert v.answer is False
     assert v.witness["rho_u_restricted"] == ["1", "0", "0", "-1"]
     assert v.witness["rho_u_prime"] == ["5/4", "0", "0", "-5/4"]
@@ -781,6 +822,6 @@ def test_synthetic_view_with_ambiguous_induced_parabolic():
     view = _synthetic_view(cells)
     q = build_parabolic(view.base, vec(1, 1, -1, -1))
 
-    assert transitive_check(view, q).answer is True
+    assert transitive_check(Query(view, q)).answer is True
     with pytest.raises(UnsupportedQuery, match="ambiguous"):
-        rho_compat_check(view, q)
+        rho_compat_check(Query(view, q))
