@@ -82,7 +82,8 @@ def table_rows_to_json(rows: tuple[TableRow, ...]) -> list[dict]:
 
 
 def _table_rows_from_json(items) -> tuple[TableRow, ...]:
-    return tuple(TableRow(vec_from(it["X"]), str(it["levi"])) for it in items)
+    return tuple(TableRow(vec_from(it["X"]), _string(it["levi"]))
+                 for it in items)
 
 
 def algebra_to_json(algebra_id: str, builder: str) -> dict:
@@ -134,19 +135,26 @@ def _integer(x) -> int:
     return x
 
 
+def _string(x) -> str:
+    """A JSON string field; any other value is refused, not cast."""
+    if type(x) is not str:
+        raise TypeError(f"expected a string, got {x!r}")
+    return x
+
+
 def _involution_from_json(rec: dict, base: RootDatum) -> InvolutionData:
     declared = rec.get("declared_restricted_positive")
     return InvolutionData(
         base=base,
         matrix=tuple(vec_from(r) for r in rec["matrix"]),
         eps=tuple(
-            (str(e["part"]), vec_from(e["weight"]), _integer(e["sign"]))
+            (_string(e["part"]), vec_from(e["weight"]), _integer(e["sign"]))
             for e in rec["eps"]
         ),
         zero_weight_fixed_dim=_integer(rec["zero_weight_fixed_dim"]),
         dim_gprime=_integer(rec["dim_gprime"]),
-        label=str(rec["label"]),
-        pair_id=str(rec["id"]),
+        label=_string(rec["label"]),
+        pair_id=_string(rec["id"]),
         table_rows=_table_rows_from_json(rec.get("table_rows", [])),
         declared_restricted_positive=(
             None
@@ -164,8 +172,8 @@ def _embedding_from_json(rec: dict, base: RootDatum) -> EmbeddingRecord:
         tprime_rows=tuple(vec_from(r) for r in rec["tprime_rows"]),
         extra_zero_dim=_integer(rec["extra_zero_dim"]),
         dim_gprime=_integer(rec["dim_gprime"]),
-        label=str(rec["label"]),
-        pair_id=str(rec["id"]),
+        label=_string(rec["label"]),
+        pair_id=_string(rec["id"]),
         table_rows=_table_rows_from_json(rec.get("table_rows", [])),
     )
 
@@ -315,16 +323,16 @@ class CatalogBundle:
             raise UnknownIdError(f"unknown algebra id {algebra_id!r}") from None
         with _field_errors(name):
             datum = dataclasses.replace(
-                build_root_datum(str(rec["builder"])), name=algebra_id
+                build_root_datum(_string(rec["builder"])), name=algebra_id
             )
             datum.validate()
         return datum
 
     def _build_pair(self, pair_id: str) -> InvolutionData | EmbeddingRecord:
         name, rec = self.stored_pairs[pair_id]
-        base = self.algebra(str(rec["base"]))
+        base = self.algebra(rec["base"])
         with _field_errors(name):
-            if str(rec["kind"]) == "involution":
+            if rec["kind"] == "involution":
                 pair = _involution_from_json(rec, base)
             else:
                 pair = _embedding_from_json(rec, base)
@@ -346,7 +354,7 @@ class CatalogBundle:
 
     def _swap_pair(self, algebra_id: str) -> InvolutionData:
         base = self.algebra(algebra_id)
-        builder = str(self.algebra_files[algebra_id].data["builder"])
+        builder = self.algebra_files[algebra_id].data["builder"]
         parts = builder.split("+")
         n = len(parts)
         if n < 2 or n % 2 != 0 or parts[: n // 2] != parts[n // 2 :]:
@@ -424,15 +432,15 @@ def index_catalog(
     try:
         for name, raw in algebra_files:
             rec = _decode_json(name, raw)
-            algebra_id = str(rec["id"])
+            algebra_id = _string(rec["id"])
             if algebra_id in algebras:
                 raise CatalogError(f"duplicate algebra id {algebra_id!r}")
             algebras[algebra_id] = RecordFile(name, rec)
         for name, raw in pair_files:
             rec = _decode_json(name, raw)
-            pair_id = str(rec["id"])
-            kind = str(rec["kind"])
-            base_id = str(rec["base"])
+            pair_id = _string(rec["id"])
+            kind = _string(rec["kind"])
+            base_id = _string(rec["base"])
             if base_id not in algebras:
                 raise CatalogError(
                     f"{name}: base algebra {base_id!r} is not in the catalog"

@@ -206,6 +206,18 @@ def enumerate_parabolics(
     is a positive multiple of the X it stands for, and a chamber is keyed
     by the primitive integer point on its w.rho.
 
+    A face's signature is read, not computed.  W acts by isometries, so
+    w.F_J pairs with a weight v as F_J pairs with w^-1 v.  Once per call
+    the distinct weight vectors V are listed, with the index permutation
+    of V under each simple reflection s_i and, for each set J of simple
+    roots, the sign of every v in V at the standard point x_J, the sum of
+    the start chamber's rays outside J.  A datum's weights need not be
+    W-stable as a set (a multiple of one root may lack its conjugates),
+    so V is first closed under the s_i.  Each chamber w.C carries w^-1 as
+    the index in V of w^-1 v for each weight entry v; crossing wall i
+    reaches w.s_i, whose inverse sends v to s_i w^-1 v.  The signature of
+    w.F_J is the signs of x_J read at those indices.
+
     A datum of rank above DEFAULT_MAX_RANK is refused before the walk,
     and the walk is refused with UnsupportedQuery as soon as the chambers
     it has reached give more than MAX_FACES faces.
@@ -227,18 +239,39 @@ def enumerate_parabolics(
         w for w, _ in base.compact if dominant_only and lex_positive(w)
     ]
 
+    # V, and mirrors[i][k] the index in V of s_i applied to V[k]; V grows
+    # while it is read, until the simple reflections close it
+    vectors = list(dict.fromkeys(w for _, w, _ in base.weight_entries()))
+    index = {v: k for k, v in enumerate(vectors)}
+    mirrors = [[] for _ in walls]
+    for v in vectors:
+        for mirror, a, norm in zip(mirrors, walls, norms):
+            k = _ratio(2 * _dot(v, a), norm)
+            image = tuple(s - k * t for s, t in zip(v, a))
+            if image not in index:
+                index[image] = len(vectors)
+                vectors.append(image)
+            mirror.append(index[image])
+    # standard[J] the signs of V at x_J, the set J as a bit mask
+    standard = []
+    for mask in range(1 << len(walls)):
+        x = _ray_sum((r for i, r in enumerate(rays) if not mask >> i & 1), n)
+        standard.append([_sign(_dot(v, x)) for v in vectors])
+
     # a chamber w.C is (its walls w.simple, its rays w.coweights, the
-    # indices of its positive walls), keyed by a point on w.rho inside it;
-    # a root is positive iff it pairs > 0 with the starting point rho, and
-    # the faces built from the chamber are the subsets of its positive walls
+    # indices of its positive walls, w^-1 as indices in V), keyed by a
+    # point on w.rho inside it; a root is positive iff it pairs > 0 with
+    # the starting point rho, and the faces built from the chamber are the
+    # subsets of its positive walls
     start = _ray_sum(rays, n)
-    chambers = {start: (walls, rays, range(len(walls)))}
+    identity = tuple(index[w] for _, w, _ in base.weight_entries())
+    chambers = {start: (walls, rays, range(len(walls)), identity)}
     faces = 1 << len(walls)
     todo = [start]
     while todo:
         point = todo.pop()
-        walls, rays, _ = chambers[point]
-        for a, norm in zip(walls, norms):
+        walls, rays, _, inverse = chambers[point]
+        for a, norm, mirror in zip(walls, norms, mirrors):
             key = tuple(primitive_ints(_mirror(point, a, norm)))
             if key in chambers or any(_dot(w, key) <= 0 for w in k_positive):
                 continue
@@ -256,17 +289,24 @@ def enumerate_parabolics(
                     "enumeration bound"
                 )
             chambers[key] = (tuple(new_walls), _primitive_rows(new_rays, n),
-                             positive)
+                             positive, tuple(map(mirror.__getitem__, inverse)))
             todo.append(key)
 
     out = []
-    for _, rays, positive in chambers.values():
+    for _, rays, positive, inverse in chambers.values():
         for r in range(len(positive) + 1):
             for on_walls in itertools.combinations(positive, r):
                 x = _ray_sum(
                     (c for i, c in enumerate(rays) if i not in on_walls), n
                 )
-                out.append(build_parabolic(base, tuple(map(Fraction, x))))
+                if not base.in_torus(x):
+                    raise DatumError(
+                        "defining element violates the torus constraints"
+                    )
+                signs = standard[sum(1 << i for i in on_walls)]
+                out.append(ThetaStableParabolic(
+                    base, tuple(map(Fraction, x)),
+                    tuple(map(signs.__getitem__, inverse))))
     out.sort(key=lambda q: q.signature)
     return out
 

@@ -1,12 +1,14 @@
 """Fraction reflection walk, the oracle for ``enumerate_parabolics``.
 
 Test-only.  This is the chamber walk on ``Fraction`` vectors: every wall,
-ray and chamber point is reflected as v - (2 v.a / a.a) a, each face's X
-is the sum of its rays scaled to coprime integers, and its signature is
-read from ``Fraction`` dot products with every weight.  The runtime walks
-on integer rows instead and must give the same (signature, X) list.  The
-simple system and dot products are ``linalg_oracle``'s; from ``branchdec``
-it imports only data types.
+ray and chamber point is reflected as v - (2 v.a / a.a) a, and each
+face's X is the sum of its rays scaled to coprime integers.  Its
+signature is the sign of one dot product per weight entry, taken on
+integers: X is a primitive integer point and the weights are integer
+rows.  The runtime walks on integer rows instead, reads signatures
+through a permutation of the weights, and must give the same
+(signature, X) list.  The simple system and the walk's dot products are
+``linalg_oracle``'s; from ``branchdec`` it imports only data types.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from linalg_oracle import lex_positive, simple_system, vdot
 
@@ -46,8 +49,9 @@ def _sum(vectors, n: int) -> Vec:
 def faces(base: RootDatum, dominant_only: bool) -> list[tuple[tuple, Vec]]:
     """(signature, X) per face, in signature order."""
     n = base.ambient_dim
-    weights = [_fractions(w) for _, w, _ in base.weight_entries()]
-    simple, coweights = simple_system([w for w in weights if any(w)])
+    weights = [w for _, w, _ in base.weight_entries()]
+    simple, coweights = simple_system(
+        [_fractions(w) for w in weights if any(w)])
     simple = tuple(_fractions(a) for a in simple)
     k_positive = [_fractions(w) for w, _ in base.compact
                   if dominant_only and lex_positive(w)]
@@ -71,8 +75,10 @@ def faces(base: RootDatum, dominant_only: bool) -> list[tuple[tuple, Vec]]:
             for on_walls in itertools.combinations(positive, r):
                 x = _primitive(_sum(
                     (c for i, c in enumerate(rays) if i not in on_walls), n))
-                signature = tuple((d > 0) - (d < 0)
-                                  for d in (vdot(w, x) for w in weights))
+                xi = [int(c) for c in x]
+                signature = tuple(
+                    (d > 0) - (d < 0)
+                    for d in (sum(map(mul, w, xi)) for w in weights))
                 out.append((signature, x))
     out.sort()
     return out

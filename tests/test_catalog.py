@@ -541,38 +541,64 @@ def test_unknown_pair_kind(tmp_path):
         load_catalog(root)
 
 
+_STRING = "malformed field: expected a string"
+
+
 @pytest.mark.parametrize(
-    ("folder", "name", "edit", "access"),
+    ("folder", "name", "edit", "access", "message"),
     [
         ("pairs", "_so_4__so_3__.json",
          lambda rec: rec.update(zero_weight_fixed_dim="x"),
-         lambda cat: cat.pair("(so(4),so(3))")),
+         lambda cat: cat.pair("(so(4),so(3))"), "malformed field"),
         ("algebras", "su_2_2_.json",
          lambda rec: rec.update(builder=["su(2,2)"]),
-         lambda cat: cat.algebra("su(2,2)")),
+         lambda cat: cat.algebra("su(2,2)"), "malformed field"),
         # JSON integer fields are not cast: 10.9 would load as 10, true
         # as 1, and a true entry of a vector as 1, each a valid record
         ("pairs", "_su_2_2__sp_2_R__.json",
          lambda rec: rec.update(dim_gprime=10.9),
-         lambda cat: cat.pair("(su(2,2),sp(2,R))")),
+         lambda cat: cat.pair("(su(2,2),sp(2,R))"), "malformed field"),
         ("pairs", "_su_2_2__sp_2_R__.json",
          lambda rec: rec["eps"][0].update(sign=True),
-         lambda cat: cat.pair("(su(2,2),sp(2,R))")),
+         lambda cat: cat.pair("(su(2,2),sp(2,R))"), "malformed field"),
         ("pairs", "_su_2_2__sp_2_R__.json",
          lambda rec: rec["eps"][0]["weight"].__setitem__(0, True),
-         lambda cat: cat.pair("(su(2,2),sp(2,R))")),
+         lambda cat: cat.pair("(su(2,2),sp(2,R))"), "malformed field"),
+        # nor are string fields: ["x", 1] would load as "['x', 1]" and 7
+        # as '7'; a mistyped id is refused at load, before any access
+        ("pairs", "_su_2_2__sp_2_R__.json",
+         lambda rec: rec.update(label=["x", 1]),
+         lambda cat: cat.pair("(su(2,2),sp(2,R))"), _STRING),
+        ("pairs", "_su_2_2__sp_2_R__.json",
+         lambda rec: rec["table_rows"][0].update(levi=7),
+         lambda cat: cat.pair("(su(2,2),sp(2,R))"), _STRING),
+        ("pairs", "_su_2_2__sp_2_R__.json",
+         lambda rec: rec["eps"][0].update(part=1),
+         lambda cat: cat.pair("(su(2,2),sp(2,R))"), _STRING),
+        ("algebras", "su_2_2_.json",
+         lambda rec: rec.update(builder=7),
+         lambda cat: cat.algebra("su(2,2)"), _STRING),
+        ("pairs", "_so_4__so_3__.json",
+         lambda rec: rec.update(id=7),
+         None, _STRING),
     ],
-    ids=["pair", "algebra", "float", "bool", "bool-in-vector"],
+    ids=["pair", "algebra", "float", "bool", "bool-in-vector", "label",
+         "levi", "part", "builder", "id"],
 )
 def test_malformed_field_is_a_catalog_error(
-    tmp_path, capsys, folder, name, edit, access
+    tmp_path, capsys, folder, name, edit, access, message
 ):
     root = _copy(tmp_path)
     _edit(root / folder / name, edit)
-    cat = load_catalog(root, force=True)
-    with pytest.raises(CatalogError, match=f"{name}: malformed field"):
-        access(cat)
-    _verify_fails(capsys, root, f"{name}: malformed field", "--force")
+    if access is None:
+        with pytest.raises(CatalogError, match=f"{name}: {message}"):
+            load_catalog(root, force=True)
+    else:
+        cat = load_catalog(root, force=True)
+        with pytest.raises(CatalogError, match=f"{name}: {message}"):
+            access(cat)
+    _verify_fails(capsys, root, f"{name}: {message}", "--force")
+    assert main(["catalog", "--catalog", str(root), "--force"]) == 1
 
 
 def test_pair_with_missing_base(tmp_path):

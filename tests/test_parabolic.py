@@ -127,13 +127,13 @@ def test_enumeration_builds_each_face_once(monkeypatch, dominant):
     # each face comes from its minimal chamber only, so no candidate point
     # is made twice and none is thrown away
     calls = []
-    build = parabolic.build_parabolic
+    make = parabolic.ThetaStableParabolic
 
-    def counted(base, x):
+    def counted(base, x, signature):
         calls.append(x)
-        return build(base, x)
+        return make(base, x, signature)
 
-    monkeypatch.setattr(parabolic, "build_parabolic", counted)
+    monkeypatch.setattr(parabolic, "ThetaStableParabolic", counted)
     qs = enumerate_parabolics(build_root_datum("su(3,2)"), dominant)
     assert len(qs) == (76 if dominant else 541)
     assert len(calls) == len(qs)
@@ -330,6 +330,25 @@ def test_enumeration_refuses_weights_that_are_not_a_root_system():
         enumerate_parabolics(base)
 
 
+def test_enumeration_of_weights_that_are_not_weyl_stable():
+    # A2 with one doubled root: +-(2,-2,0) is a weight but its conjugates
+    # are not, so the simple reflections carry it outside the weights; the
+    # enumerator's signatures still agree with build_parabolic
+    roots = [vec(1, -1, 0), vec(0, 1, -1), vec(1, 0, -1)]
+    compact = WeightMultiset.from_vectors(roots[1:] + [vneg(r)
+                                                       for r in roots[1:]])
+    noncompact = WeightMultiset.from_vectors(
+        [roots[0], vneg(roots[0]), vec(2, -2, 0), vec(-2, 2, 0)])
+    base = RootDatum("a2-doubled", 3, (vec(1, 1, 1),), compact, noncompact,
+                     10)
+    base.validate()
+    for dominant, count in ((False, 13), (True, 6)):
+        qs = enumerate_parabolics(base, dominant)
+        assert len(qs) == count
+        for q in qs:
+            assert q.signature == build_parabolic(base, q.x).signature
+
+
 def test_dominant_enumeration():
     base = build_root_datum("su(2,2)")
     qs = enumerate_parabolics(base, dominant_only=True)
@@ -372,7 +391,7 @@ def test_face_budget_refuses_su44_all_faces_part_way(monkeypatch):
         raise AssertionError("a face was built before the refusal")
 
     monkeypatch.setattr(parabolic, "_primitive_rows", counted)
-    monkeypatch.setattr(parabolic, "build_parabolic", no_face)
+    monkeypatch.setattr(parabolic, "ThetaStableParabolic", no_face)
     with pytest.raises(UnsupportedQuery,
                        match=f"more than {parabolic.MAX_FACES} faces"):
         enumerate_parabolics(base)
@@ -491,6 +510,18 @@ def faces_of():
         return seen[name, dominant]
 
     return faces
+
+
+@pytest.mark.parametrize("dominant", [False, True])
+@pytest.mark.parametrize("name", ["catalog", "su(3,2)", "su(3,3)", "so(5,4)"])
+def test_enumerated_signatures_match_build_parabolic(name, dominant,
+                                                     faces_of):
+    # the enumerator reads each signature through its chamber's Weyl
+    # permutation; build_parabolic signs every weight against X
+    for q in faces_of(name, dominant):
+        built = build_parabolic(q.base, q.x)
+        assert q == built, (q.base.name, q.x)
+        assert q.signature == built.signature, (q.base.name, q.x)
 
 
 @pytest.mark.parametrize(
