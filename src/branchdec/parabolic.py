@@ -185,38 +185,35 @@ def enumerate_parabolics(
 ) -> list[ThetaStableParabolic]:
     """One parabolic per face of the arrangement {w . X = 0}.
 
-    The faces are the Weyl-group images w.F_J of the standard faces: the
-    walk crosses chamber walls by reflections, and each chamber w.C gives
-    X = sum over i not in J of w.coweight_i, scaled to coprime integers.
-    Each face is built once, from its minimal chamber: the coset wW_J has
-    one element w with w.alpha_j > 0 for every j in J, and every element
-    gives the same X, as W_J fixes the coweights outside J.  With
-    dominant_only the walk stays in the chambers inside the dominant
+    The faces are the Weyl-group images w.F_J of the standard faces, F_J
+    spanned by the fundamental coweights outside the set J of simple
+    roots.  Each face is built once, from its minimal chamber: the coset
+    wW_J has one element w with w.alpha_j > 0 for every j in J, and every
+    element gives the same face, as W_J fixes the coweights outside J.
+    With dominant_only the walk stays in the chambers inside the dominant
     chamber of the lexicographic positive system of Delta(k,t), which
     picks K-conjugacy representatives; the minimal chamber of a face in
     its closure lies inside too.  Output order is the canonical signature
     order, so runs are reproducible.
 
-    The walk runs on integer rows: the walls and rays start as the simple
-    roots and coweights, each set scaled by one positive factor to
-    coprime integers.  Walls reflect with their integral Cartan numbers.
-    Crossing wall a maps each ray r to |a|^2 r - 2 (r.a) a, |a|^2 times
-    its reflection, and the chamber's rays are then divided by their
-    common gcd, one positive scale for all of them.  So every sum of rays
-    is a positive multiple of the X it stands for, and a chamber is keyed
-    by the primitive integer point on its w.rho.
-
-    A face's signature is read, not computed.  W acts by isometries, so
-    w.F_J pairs with a weight v as F_J pairs with w^-1 v.  Once per call
-    the distinct weight vectors V are listed, with the index permutation
-    of V under each simple reflection s_i and, for each set J of simple
-    roots, the sign of every v in V at the standard point x_J, the sum of
-    the start chamber's rays outside J.  A datum's weights need not be
-    W-stable as a set (a multiple of one root may lack its conjugates),
-    so V is first closed under the s_i.  Each chamber w.C carries w^-1 as
-    the index in V of w^-1 v for each weight entry v; crossing wall i
-    reaches w.s_i, whose inverse sends v to s_i w^-1 v.  The signature of
-    w.F_J is the signs of x_J read at those indices.
+    The walk moves no vector: W acts on the distinct weight vectors V,
+    integer rows over one scale, closed under the simple reflections s_i
+    (a datum's weights need not be W-stable as a set: a multiple of one
+    root may lack its conjugates), and a chamber w.C is the pair (w, w^-1)
+    of index permutations of V.  Once per call the enumerator lists V,
+    the permutation of V under each s_i and, for each set J, the sign of
+    every v in V at the standard point x_J, the sum of the coweights
+    outside J, and the coefficients of x_J on the simple roots (its dot
+    products with the coweights, up to one positive scale).  Crossing wall
+    i reaches w.s_i: w is composed with s_i, and w^-1, kept only at the
+    weight entries, is mapped through s_i.  The wall w.alpha_j is positive
+    when it pairs > 0 with x_0, the x_J of the empty set and the point of
+    the start chamber: the signs of x_0 are read at w.alpha_j, and the
+    K-dominance test reads them at w^-1 of the compact entries.  W acts by
+    isometries, so w.F_J pairs with a weight v as F_J pairs with w^-1 v:
+    the signature of w.F_J is the signs of x_J read at w^-1.  Its X is
+    w.x_J, the combination of the roots w.alpha_k with the coefficients
+    of x_J, scaled to coprime integers.
 
     A datum of rank above DEFAULT_MAX_RANK is refused before the walk,
     and the walk is refused with UnsupportedQuery as soon as the chambers
@@ -229,109 +226,88 @@ def enumerate_parabolics(
         )
     n = base.ambient_dim
     simple, coweights = base.root_system.coweight_rows()
-    walls = _primitive_rows(simple, n)
-    # the coweights c / d over their common denominator
-    den = lcm(*(d for _, d in coweights))
-    rays = _primitive_rows([[den // d * v for v in c] for c, d in coweights],
-                           n)
-    norms = [_dot(a, a) for a in walls]
-    k_positive = [
-        w for w, _ in base.compact if dominant_only and lex_positive(w)
-    ]
+    entries = [w for _, w, _ in base.weight_entries()]
+    position = {w: k for k, w in enumerate(dict.fromkeys(entries))}
+    alphas = [position[a] for a in simple]
+    k_positive = [e for e, (w, _) in enumerate(base.compact)
+                  if dominant_only and lex_positive(w)]
 
     # V, and mirrors[i][k] the index in V of s_i applied to V[k]; V grows
     # while it is read, until the simple reflections close it
-    vectors = list(dict.fromkeys(w for _, w, _ in base.weight_entries()))
+    flat = clear_denominators(itertools.chain.from_iterable(position))[0]
+    vectors = [tuple(flat[k:k + n]) for k in range(0, len(flat), n)]
     index = {v: k for k, v in enumerate(vectors)}
-    mirrors = [[] for _ in walls]
+    roots = [vectors[k] for k in alphas]
+    mirrors = [[] for _ in roots]
     for v in vectors:
-        for mirror, a, norm in zip(mirrors, walls, norms):
-            k = _ratio(2 * _dot(v, a), norm)
+        for mirror, a in zip(mirrors, roots):
+            k = _ratio(2 * _dot(v, a), _dot(a, a))
             image = tuple(s - k * t for s, t in zip(v, a))
             if image not in index:
                 index[image] = len(vectors)
                 vectors.append(image)
             mirror.append(index[image])
-    # standard[J] the signs of V at x_J, the set J as a bit mask
-    standard = []
-    for mask in range(1 << len(walls)):
-        x = _ray_sum((r for i, r in enumerate(rays) if not mask >> i & 1), n)
+    # standard[J] the signs of V at x_J and coefficients[J] those of
+    # x_J on the simple roots, the set J as a bit mask; the coweights are
+    # taken over their common denominator
+    den = lcm(*(d for _, d in coweights))
+    rays = [[den // d * v for v in c] for c, d in coweights]
+    standard, coefficients = [], []
+    for mask in range(1 << len(rays)):
+        x = [0] * n
+        for i, r in enumerate(rays):
+            if not mask >> i & 1:
+                x = [s + t for s, t in zip(x, r)]
         standard.append([_sign(_dot(v, x)) for v in vectors])
+        coefficients.append([_dot(x, r) for r in rays])
 
-    # a chamber w.C is (its walls w.simple, its rays w.coweights, the
-    # indices of its positive walls, w^-1 as indices in V), keyed by a
-    # point on w.rho inside it; a root is positive iff it pairs > 0 with
-    # the starting point rho, and the faces built from the chamber are the
-    # subsets of its positive walls
-    start = _ray_sum(rays, n)
-    identity = tuple(index[w] for _, w, _ in base.weight_entries())
-    chambers = {start: (walls, rays, range(len(walls)), identity)}
-    faces = 1 << len(walls)
-    todo = [start]
+    # a chamber w.C is keyed by w^-1 at the weight entries and holds w and
+    # the indices j of its positive walls w.alpha_j; the faces built from
+    # the chamber are the subsets of its positive walls.  start is the
+    # signs of V at x_0, the point of the start chamber
+    start = standard[0]
+    identity = tuple(position[w] for w in entries)
+    chambers = {identity: (range(len(vectors)), range(len(alphas)))}
+    faces = 1 << len(alphas)
+    todo = [identity]
     while todo:
-        point = todo.pop()
-        walls, rays, _, inverse = chambers[point]
-        for a, norm, mirror in zip(walls, norms, mirrors):
-            key = tuple(primitive_ints(_mirror(point, a, norm)))
-            if key in chambers or any(_dot(w, key) <= 0 for w in k_positive):
+        inverse = todo.pop()
+        w = chambers[inverse][0]
+        for mirror in mirrors:
+            key = tuple(map(mirror.__getitem__, inverse))
+            if key in chambers or any(start[key[e]] <= 0 for e in k_positive):
                 continue
-            new_walls = []
-            for b in walls:
-                cartan = 2 * _dot(b, a) // norm
-                new_walls.append(tuple(s - cartan * t for s, t in zip(b, a)))
-            new_rays = [_mirror(r, a, norm) for r in rays]
-            positive = [i for i, b in enumerate(new_walls)
-                        if _dot(b, start) > 0]
+            w_next = tuple(map(w.__getitem__, mirror))
+            positive = [j for j, a in enumerate(alphas)
+                        if start[w_next[a]] > 0]
             faces += 1 << len(positive)
             if faces > MAX_FACES:
                 raise UnsupportedQuery(
                     f"{base.name} has more than {MAX_FACES} faces, the "
                     "enumeration bound"
                 )
-            chambers[key] = (tuple(new_walls), _primitive_rows(new_rays, n),
-                             positive, tuple(map(mirror.__getitem__, inverse)))
+            chambers[key] = (w_next, positive)
             todo.append(key)
 
     out = []
-    for _, rays, positive, inverse in chambers.values():
+    for inverse, (w, positive) in chambers.items():
+        # coordinate i of each root w.alpha_k, in the order of alphas
+        columns = [[vectors[w[a]][i] for a in alphas] for i in range(n)]
         for r in range(len(positive) + 1):
             for on_walls in itertools.combinations(positive, r):
-                x = _ray_sum(
-                    (c for i, c in enumerate(rays) if i not in on_walls), n
-                )
+                mask = sum(1 << i for i in on_walls)
+                c = coefficients[mask]
+                x = primitive_ints([sum(map(mul, c, col)) for col in columns])
                 if not base.in_torus(x):
                     raise DatumError(
                         "defining element violates the torus constraints"
                     )
-                signs = standard[sum(1 << i for i in on_walls)]
+                signs = standard[mask]
                 out.append(ThetaStableParabolic(
                     base, tuple(map(Fraction, x)),
                     tuple(map(signs.__getitem__, inverse))))
     out.sort(key=lambda q: q.signature)
     return out
-
-
-def _mirror(v: IntVec, a: IntVec, norm: int) -> list[int]:
-    """|a|^2 times the reflection of v in the wall a, with norm |a|^2."""
-    c = 2 * _dot(v, a)
-    return [norm * s - c * t for s, t in zip(v, a)]
-
-
-def _primitive_rows(rows, n: int) -> tuple[IntVec, ...]:
-    """The rows times one positive scale, to integers with no common
-    factor."""
-    flat = primitive_ints(
-        clear_denominators(itertools.chain.from_iterable(rows))[0]
-    )
-    return tuple(tuple(flat[k:k + n]) for k in range(0, len(flat), n))
-
-
-def _ray_sum(rays, n: int) -> IntVec:
-    """The primitive integer point on the sum of the rays; 0 stays 0."""
-    total = [0] * n
-    for r in rays:
-        total = [s + t for s, t in zip(total, r)]
-    return tuple(primitive_ints(total))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ ray and chamber point is reflected as v - (2 v.a / a.a) a, and each
 face's X is the sum of its rays scaled to coprime integers.  Its
 signature is the sign of one dot product per weight entry, taken on
 integers: X is a primitive integer point and the weights are integer
-rows.  The runtime walks on integer rows instead, reads signatures
-through a permutation of the weights, and must give the same
-(signature, X) list.  The simple system and the walk's dot products are
-``linalg_oracle``'s; from ``branchdec`` it imports only data types.
+rows.  The runtime moves no vector: it walks by index permutations of
+the weights, reads signatures through them, builds X from the images of
+the simple roots, and must give the same (signature, X) list.  The
+simple system and the walk's dot products are ``linalg_oracle``'s; from
+``branchdec`` it imports only data types.
 """
 
 from __future__ import annotations

@@ -349,6 +349,16 @@ def test_enumeration_of_weights_that_are_not_weyl_stable():
             assert q.signature == build_parabolic(base, q.x).signature
 
 
+def test_enumeration_of_a_datum_with_no_roots():
+    # a torus: no simple roots, one chamber and its one face, X = 0
+    base = RootDatum("torus", 2, (), WeightMultiset.of([]),
+                     WeightMultiset.of([]), 2)
+    base.validate()
+    for dominant in (False, True):
+        [q] = enumerate_parabolics(base, dominant)
+        assert q.x == (0, 0) and q.signature == ()
+
+
 def test_dominant_enumeration():
     base = build_root_datum("su(2,2)")
     qs = enumerate_parabolics(base, dominant_only=True)
@@ -374,29 +384,35 @@ def test_rank_bound(monkeypatch):
         enumerate_parabolics(base)
 
 
+def _chambers_held(excinfo) -> int:
+    """How many chambers the walk held in the frame that was stopped."""
+    frame = next(entry.frame for entry in reversed(excinfo.traceback)
+                 if entry.name == "enumerate_parabolics")
+    return len(frame.f_locals["chambers"])
+
+
+class WalkDone(Exception):
+    pass
+
+
+def _stop_at_first_face(*args):
+    raise WalkDone
+
+
 def test_face_budget_refuses_su44_all_faces_part_way(monkeypatch):
     # rank 7 passes the rank bound, but the 8! chambers of A7 have
     # 545,835 faces; the walk stops once it has reached MAX_FACES of them
     base = build_root_datum("su(4,4)")
     assert base.dim_t == parabolic.DEFAULT_MAX_RANK
-    rows_made = 0
-    primitive_rows = parabolic._primitive_rows
-
-    def counted(rows, n):
-        nonlocal rows_made
-        rows_made += 1
-        return primitive_rows(rows, n)
 
     def no_face(*args):
         raise AssertionError("a face was built before the refusal")
 
-    monkeypatch.setattr(parabolic, "_primitive_rows", counted)
     monkeypatch.setattr(parabolic, "ThetaStableParabolic", no_face)
     with pytest.raises(UnsupportedQuery,
-                       match=f"more than {parabolic.MAX_FACES} faces"):
+                       match=f"more than {parabolic.MAX_FACES} faces") as info:
         enumerate_parabolics(base)
-    # the walls and rays of the start, then one ray set per chamber
-    assert rows_made - 2 < math.factorial(8) // 4
+    assert _chambers_held(info) < math.factorial(8) // 4
 
 
 @pytest.mark.parametrize(("dominant", "count"), [(False, 4_683),
@@ -410,31 +426,31 @@ def test_face_budget_counts_exactly_the_faces(monkeypatch, dominant, count):
         enumerate_parabolics(base, dominant)
 
 
-class WalkDone(Exception):
-    pass
-
-
 def test_face_budget_admits_su43_all_faces_and_su44_dominant(monkeypatch):
     # su(4,3) has 47,293 faces: its walk ends unrefused, and the test
     # stops at the first face it would build (the faces are listed by
     # the test above and by the oracle tests at lower rank)
     assert 47_293 <= parabolic.MAX_FACES
-    ray_sum = parabolic._ray_sum
-    calls = 0
-
-    def stop_at_first_face(rays, n):
-        nonlocal calls
-        calls += 1
-        if calls > 1:
-            raise WalkDone
-        return ray_sum(rays, n)
-
     with monkeypatch.context() as patch:
-        patch.setattr(parabolic, "_ray_sum", stop_at_first_face)
+        patch.setattr(parabolic, "ThetaStableParabolic", _stop_at_first_face)
         with pytest.raises(WalkDone):
             enumerate_parabolics(build_root_datum("su(4,3)"))
     su44 = build_root_datum("su(4,4)")
     assert len(enumerate_parabolics(su44, dominant_only=True)) == 2_568
+
+
+@pytest.mark.parametrize(("name", "dominant", "count"), [
+    ("su(3,2)", False, 120), ("su(3,2)", True, 10), ("so(4,3)", False, 48),
+    ("g2(R)", False, 12), ("sp(2,R)", False, 8), ("su(4,3)", False, 5_040),
+    ("su(4,4)", True, 70),
+])
+def test_walk_reaches_every_chamber(monkeypatch, name, dominant, count):
+    # |W| chambers, or |W| / |W_K| inside the dominant chamber of K: two
+    # elements of W with the same key would merge two chambers into one
+    monkeypatch.setattr(parabolic, "ThetaStableParabolic", _stop_at_first_face)
+    with pytest.raises(WalkDone) as info:
+        enumerate_parabolics(build_root_datum(name), dominant)
+    assert _chambers_held(info) == count
 
 
 # ---------------------------------------------------------------------------
@@ -678,3 +694,11 @@ def test_parabolic_module_makes_no_linear_solve():
         for alias in node.names
     }
     assert "solve_linear" not in called | imported
+    # the chamber walk moves indices of weights, not walls or rays; the
+    # vector reflection and ray sums it replaced must not come back
+    defined = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not defined & {"_mirror", "_primitive_rows", "_ray_sum"}
