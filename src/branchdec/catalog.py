@@ -91,7 +91,8 @@ def algebra_to_json(algebra_id: str, builder: str) -> dict:
 
 
 def involution_to_json(inv: InvolutionData, base_id: str) -> dict:
-    out = {
+    declared = inv.declared_restricted_positive
+    return {
         "id": inv.pair_id,
         "kind": "involution",
         "base": base_id,
@@ -104,15 +105,10 @@ def involution_to_json(inv: InvolutionData, base_id: str) -> dict:
         "zero_weight_fixed_dim": inv.zero_weight_fixed_dim,
         "dim_gprime": inv.dim_gprime,
         "table_rows": table_rows_to_json(inv.table_rows),
+        "declared_restricted_positive": None if declared is None else [
+            {"weight": vector_strings(w), "mult": m} for w, m in declared
+        ],
     }
-    if inv.declared_restricted_positive is not None:
-        out["declared_restricted_positive"] = [
-            {"weight": vector_strings(w), "mult": m}
-            for w, m in inv.declared_restricted_positive
-        ]
-    else:
-        out["declared_restricted_positive"] = None
-    return out
 
 
 def embedding_to_json(rec: EmbeddingRecord, base_id: str) -> dict:

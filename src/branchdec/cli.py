@@ -4,7 +4,8 @@ Exit codes: 0 for a completed run (boolean answers are payload, never
 process status), 1 for malformed input, broken catalog data or a
 certificate that fails its own check, 2 for an unknown algebra or pair id,
 3 for questions the data cannot support or enumeration beyond the rank
-bound.
+bound, 141 when the reader of stdout closed it before the output was
+written (the shell's code for a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -58,6 +60,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNKNOWN_ID = 2
 EXIT_UNSUPPORTED = 3
+EXIT_CLOSED_STDOUT = 141
 
 # malformed input, broken catalog data or a certificate that fails its
 # own check: exit 1, and a failed check in verify
@@ -405,7 +408,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()  # a closed stdout shows here at the latest
+        return code
+    except BrokenPipeError:
+        # stdout now writes to devnull, so the flush at exit is quiet
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except UnknownIdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_ID

@@ -224,7 +224,8 @@ def _meet(
     """Does the cone meet {p : nrm . p = 0 for every normal, w . p >= 0 for
     every wall w} outside the origin?
 
-    The certificate must pair strictly positively with every generator;
+    The certificate, taken as given (the decider passes a parabolic's
+    integer row), must pair strictly positively with every generator;
     this makes the normalisation sum(c) = 1 exhaustive.  The coefficients
     c >= 0 satisfy one = row per normal, sum(c) = 1, then one >= row per
     wall, and the point is checked against both by substitution.
@@ -238,10 +239,8 @@ def _meet(
     built are the entries of the returned point.
     """
     generators = cone.generators
-    # a positive multiple of the certificate pairs with the same signs
-    cert_row = clear_denominators(certificate)[0]
     for g in generators:
-        if dot(g, cert_row) <= 0:
+        if dot(g, certificate) <= 0:
             raise PointednessError(
                 "certificate does not pair strictly positively with every "
                 "generator; the cone may fail to be pointed"

@@ -145,7 +145,7 @@ class Query:
         """Does the cone meet t^{-sigma} away from 0, with a checked point?"""
         inv = self.involution
         result = cone_meets_subspace(
-            self.cone, inv.t_minus_sigma_normals, self.q.x
+            self.cone, inv.t_minus_sigma_normals, self.q.row
         )
         if result.meets:
             _verify_point(inv, self.generators, result)
@@ -291,7 +291,7 @@ def admissible_sufficient(row: Query) -> Verdict:
     """
     inv = row.involution
     walls = momentum_chamber(inv)
-    result = cones_meet(row.cone, inv.t_minus_sigma_normals, walls, row.q.x)
+    result = cones_meet(row.cone, inv.t_minus_sigma_normals, walls, row.q.row)
     if result.meets:
         # the chamber lies in t^{-sigma}, so its point settles the
         # subspace test too, once checked to lie there

@@ -10,7 +10,7 @@ live here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -59,26 +59,21 @@ def _ratio(n: int, d: int) -> int | Fraction:
     return Fraction(n, d) if rest else quotient
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ThetaStableParabolic:
     """q = l + u determined by X; identity is the weight partition, not X.
 
-    The partition is the signature: the sign of w . X for each entry w of
+    x is X as given, the vector that is printed; row is its primitive
+    integer row, off which every sign of X is read.  The partition is the
+    signature: the sign of w . row for each entry w of
     base.weight_entries(), in that order.  Sign +1 puts w in u, 0 in the
     Levi part l.
     """
 
     base: RootDatum
-    x: Vec
+    x: Vec = field(compare=False)
     signature: tuple[int, ...]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ThetaStableParabolic):
-            return NotImplemented
-        return self.base == other.base and self.signature == other.signature
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.signature))
+    row: IntVec = field(compare=False)
 
     @cached_property
     def weight_signs(self) -> dict[IntVec, int]:
@@ -131,13 +126,13 @@ class ThetaStableParabolic:
     @cached_property
     def free_coefficients(self) -> tuple[tuple[str, Vec], ...]:
         """(part, c) per u-weight w: c_i = coweight_i . w for each free
-        simple root i of q, a simple root of the positive system that x
-        orders first (coweight_rows with x) that lies in u.
+        simple root i of q, a simple root of the positive system that X
+        orders first (coweight_rows with row) that lies in u.
 
         Each c_i is the integer n_i . w over the coweight's denominator
         d_i: an int when d_i divides it, else a Fraction (a weight that is
         a non-integral multiple of its reduced root)."""
-        simple, coweights = self.base.root_system.coweight_rows(self.x)
+        simple, coweights = self.base.root_system.coweight_rows(self.row)
         signs = self.weight_signs
         free = [c for a, c in zip(simple, coweights) if signs[a] > 0]
         return tuple(
@@ -160,20 +155,19 @@ class ThetaStableParabolic:
 def build_parabolic(base: RootDatum, x: Vec) -> ThetaStableParabolic:
     """Partition the weights of the base datum by their sign against x.
 
-    The signs are read against the integer row of x, a positive multiple.
-    """
+    x is kept as given; the signs are read against its primitive integer
+    row, the parabolic's row (the one place where X is cleared of
+    denominators)."""
     if len(x) != base.ambient_dim:
         raise DatumError(
             f"defining element has {len(x)} coordinates, expected "
             f"{base.ambient_dim}"
         )
-    xi = clear_denominators(x)[0]
-    if not base.in_torus(xi):
+    row = tuple(primitive_ints(clear_denominators(x)[0]))
+    if not base.in_torus(row):
         raise DatumError("defining element violates the torus constraints")
-    signature = tuple(
-        _sign(sum(map(mul, w, xi))) for _, w, _ in base.weight_entries()
-    )
-    return ThetaStableParabolic(base, x, signature)
+    signature = tuple(_sign(_dot(w, row)) for _, w, _ in base.weight_entries())
+    return ThetaStableParabolic(base, x, signature, row)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +207,14 @@ def enumerate_parabolics(
     isometries, so w.F_J pairs with a weight v as F_J pairs with w^-1 v:
     the signature of w.F_J is the signs of x_J read at w^-1.  Its X is
     w.x_J, the combination of the roots w.alpha_k with the coefficients
-    of x_J, scaled to coprime integers.
+    of x_J, scaled to coprime integers: one int tuple, both x and row.
 
-    A datum of rank above DEFAULT_MAX_RANK is refused before the walk,
-    and the walk is refused with UnsupportedQuery as soon as the chambers
-    it has reached give more than MAX_FACES faces.
+    A datum of rank above DEFAULT_MAX_RANK is refused before the walk, and
+    so, with DatumError, is one with a simple root outside the torus: the
+    faces' X are integer combinations of the simple roots and span them,
+    so some X leaves the torus exactly when a simple root does.  The walk
+    is refused with UnsupportedQuery as soon as the chambers it has
+    reached give more than MAX_FACES faces.
     """
     if base.dim_t > DEFAULT_MAX_RANK:
         raise UnsupportedQuery(
@@ -226,6 +223,8 @@ def enumerate_parabolics(
         )
     n = base.ambient_dim
     simple, coweights = base.root_system.coweight_rows()
+    if not all(map(base.in_torus, simple)):
+        raise DatumError("defining element violates the torus constraints")
     entries = [w for _, w, _ in base.weight_entries()]
     position = {w: k for k, w in enumerate(dict.fromkeys(entries))}
     alphas = [position[a] for a in simple]
@@ -297,15 +296,10 @@ def enumerate_parabolics(
             for on_walls in itertools.combinations(positive, r):
                 mask = sum(1 << i for i in on_walls)
                 c = coefficients[mask]
-                x = primitive_ints([sum(map(mul, c, col)) for col in columns])
-                if not base.in_torus(x):
-                    raise DatumError(
-                        "defining element violates the torus constraints"
-                    )
+                x = tuple(primitive_ints([_dot(c, col) for col in columns]))
                 signs = standard[mask]
                 out.append(ThetaStableParabolic(
-                    base, tuple(map(Fraction, x)),
-                    tuple(map(signs.__getitem__, inverse))))
+                    base, x, tuple(map(signs.__getitem__, inverse)), x))
     out.sort(key=lambda q: q.signature)
     return out
 

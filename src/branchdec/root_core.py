@@ -17,9 +17,9 @@ two on Fraction rows.  One fraction-free Gauss-Jordan routine,
 ``_echelon``, backs ``rref``, ``rank``, ``nullspace``, ``solve_linear``,
 ``in_span``, ``dual_rows`` and ``projection_matrix``;
 ``clear_denominators`` and ``primitive_ints`` turn rational rows into
-coprime integer rows for it, for ``RootSystem`` and for the simplex
-tableau in ``cone_kernel``.  ``dual_rows`` returns a dual basis as
-integer rows, each over one positive denominator, and
+coprime integer rows for it, for ``RootSystem``, for a parabolic's X and
+for the simplex tableau in ``cone_kernel``.  ``dual_rows`` returns a dual
+basis as integer rows, each over one positive denominator, and
 ``projection_matrix`` builds a Fraction only for each entry it returns.
 
 A ``RootSystem`` remembers each positive system it is asked about, keyed
@@ -614,16 +614,16 @@ class RootSystem:
         rows, each over one positive denominator.
 
         The positive system is the roots that pair > 0 with x, or to 0 and
-        are lexicographically positive, read on the integer row of x.  Its
-        simple roots and coweights are worked out the first time it is
-        asked about and then remembered, one entry per chamber.
+        are lexicographically positive; only the signs of x count, so the
+        parabolic passes its integer row.  Its simple roots and coweights
+        are worked out the first time it is asked about and then
+        remembered, one entry per chamber.
         """
         if x is None:
             key = self._lex_key
         else:
-            xs = clear_denominators(x)[0]
             key = tuple(
-                (s := sum(map(mul, xs, r))) > 0 or s == 0 and lex
+                (s := sum(map(mul, x, r))) > 0 or s == 0 and lex
                 for r, lex in zip(self._weight, self._lex_key)
             )
         system = self._systems.get(key)

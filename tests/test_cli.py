@@ -15,6 +15,7 @@ import pytest
 from branchdec import catalog, cli, involution
 from branchdec.catalog import load_catalog, read_catalog_files, seal
 from branchdec.cli import (
+    EXIT_CLOSED_STDOUT,
     EXIT_OK,
     EXIT_UNKNOWN_ID,
     EXIT_UNSUPPORTED,
@@ -670,22 +671,51 @@ def test_check_json_witness_bytes_are_pinned(capsys, x, expected):
     assert capsys.readouterr().out == expected
 
 
-def test_verify_runs_under_python_O():
-    # python -O strips assert statements; every certificate check must
-    # still run and pass
+def _source_env() -> dict[str, str]:
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = str(DATA_DIR.parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_verify_runs_under_python_O():
+    # python -O strips assert statements; every certificate check must
+    # still run and pass
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "branchdec.cli", "verify"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_source_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].endswith("all passed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["classify", "--pair", "(su(2,2),sp(2,R))", "--format", "json"],
+])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # stdout is a pipe whose read end is closed before the command
+    # starts, so its first write, or the flush at the end, fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "branchdec.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_source_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_CLOSED_STDOUT == 141, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_no_check_is_stripped_by_python_O():

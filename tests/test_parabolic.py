@@ -92,6 +92,14 @@ def test_identity_is_the_partition_not_x():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert len({a, b, c}) == 2
+    # X, 2X and X/3 share one primitive integer row; each keeps its X
+    third = build_parabolic(base, vec(1, F(-1, 3), F(-1, 3), F(-1, 3)))
+    assert a.row == b.row == third.row == (3, -1, -1, -1)
+    assert all(type(v) is int for v in third.row)
+    assert a.signature == b.signature == third.signature
+    assert [q.x for q in (a, b, third)] == [
+        vec(3, -1, -1, -1), vec(6, -2, -2, -2),
+        vec(1, F(-1, 3), F(-1, 3), F(-1, 3))]
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +137,9 @@ def test_enumeration_builds_each_face_once(monkeypatch, dominant):
     calls = []
     make = parabolic.ThetaStableParabolic
 
-    def counted(base, x, signature):
+    def counted(base, x, signature, row):
         calls.append(x)
-        return make(base, x, signature)
+        return make(base, x, signature, row)
 
     monkeypatch.setattr(parabolic, "ThetaStableParabolic", counted)
     qs = enumerate_parabolics(build_root_datum("su(3,2)"), dominant)
@@ -158,10 +166,15 @@ def test_weights_are_int_tuples():
 
 @pytest.mark.parametrize("dominant", [False, True])
 def test_integer_walk_matches_the_fraction_walk(dominant):
-    # same faces, same X (as Fractions, so the same strings), same order
+    # same faces, same X (as ints, which print as the oracle's Fractions),
+    # same order; each X is its own primitive row, the row build_parabolic
+    # finds for it
     for d in _integer_weight_data():
         qs = enumerate_parabolics(d, dominant)
-        assert all(type(v) is Fraction for q in qs for v in q.x), d.name
+        assert all(type(v) is int for q in qs for v in q.x), d.name
+        for q in qs:
+            assert q.row == q.x, (d.name, q.x)
+            assert build_parabolic(d, q.x).row == q.row, (d.name, q.x)
         want = reflection_walk_oracle.faces(d, dominant)
         assert [(q.signature, q.x) for q in qs] == want, d.name
         assert [",".join(map(str, q.x)) for q in qs] == [
@@ -328,6 +341,20 @@ def test_enumeration_refuses_weights_that_are_not_a_root_system():
     base.validate()
     with pytest.raises(DatumError, match="not a root system"):
         enumerate_parabolics(base)
+
+
+def test_enumeration_refuses_roots_outside_the_torus():
+    # an unvalidated datum: the root +-(1,0) does not pair to 0 with the
+    # constraint (1,1), so the X of some face leaves the torus
+    weights = WeightMultiset.from_vectors([vec(1, 0), vec(-1, 0)])
+    base = RootDatum("off-torus", 2, (vec(1, 1),), weights,
+                     WeightMultiset.of([]), 3)
+    with pytest.raises(DatumError, match="not orthogonal to the torus"):
+        base.validate()
+    for dominant in (False, True):
+        with pytest.raises(DatumError,
+                           match="violates the torus constraints"):
+            enumerate_parabolics(base, dominant)
 
 
 def test_enumeration_of_weights_that_are_not_weyl_stable():
