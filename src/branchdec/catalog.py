@@ -45,6 +45,7 @@ from .root_core import (
     RootDatum,
     WeightMultiset,
     build_root_datum,
+    sum_parts,
     vec_from,
     vector_strings,
 )
@@ -70,11 +71,7 @@ def default_catalog_dir() -> Path:
 
 
 # ---------------------------------------------------------------------------
-# serialization shared by the loader and the generation tool
-
-
-def _ser_rows(rows) -> list[list[str]]:
-    return [vector_strings(r) for r in rows]
+# record fields
 
 
 def table_rows_to_json(rows: tuple[TableRow, ...]) -> list[dict]:
@@ -84,44 +81,6 @@ def table_rows_to_json(rows: tuple[TableRow, ...]) -> list[dict]:
 def _table_rows_from_json(items) -> tuple[TableRow, ...]:
     return tuple(TableRow(vec_from(it["X"]), _string(it["levi"]))
                  for it in items)
-
-
-def algebra_to_json(algebra_id: str, builder: str) -> dict:
-    return {"id": algebra_id, "builder": builder}
-
-
-def involution_to_json(inv: InvolutionData, base_id: str) -> dict:
-    declared = inv.declared_restricted_positive
-    return {
-        "id": inv.pair_id,
-        "kind": "involution",
-        "base": base_id,
-        "label": inv.label,
-        "matrix": _ser_rows(inv.matrix),
-        "eps": [
-            {"part": p, "weight": vector_strings(w), "sign": s}
-            for p, w, s in inv.eps
-        ],
-        "zero_weight_fixed_dim": inv.zero_weight_fixed_dim,
-        "dim_gprime": inv.dim_gprime,
-        "table_rows": table_rows_to_json(inv.table_rows),
-        "declared_restricted_positive": None if declared is None else [
-            {"weight": vector_strings(w), "mult": m} for w, m in declared
-        ],
-    }
-
-
-def embedding_to_json(rec: EmbeddingRecord, base_id: str) -> dict:
-    return {
-        "id": rec.pair_id,
-        "kind": "embedding",
-        "base": base_id,
-        "label": rec.label,
-        "tprime_rows": _ser_rows(rec.tprime_rows),
-        "extra_zero_dim": rec.extra_zero_dim,
-        "dim_gprime": rec.dim_gprime,
-        "table_rows": table_rows_to_json(rec.table_rows),
-    }
 
 
 def _integer(x) -> int:
@@ -350,8 +309,7 @@ class CatalogBundle:
 
     def _swap_pair(self, algebra_id: str) -> InvolutionData:
         base = self.algebra(algebra_id)
-        builder = self.algebra_files[algebra_id].data["builder"]
-        parts = builder.split("+")
+        parts = sum_parts(self.algebra_files[algebra_id].data["builder"])
         n = len(parts)
         if n < 2 or n % 2 != 0 or parts[: n // 2] != parts[n // 2 :]:
             raise UnknownIdError(

@@ -27,6 +27,17 @@ by which roots are positive: its simple roots and its fundamental
 coweights as ``dual_rows``.  The indecomposability scan and the Gram
 elimination run once per chamber, and the memo lives as long as the
 datum that holds the root system.
+
+The families share one layer.  Three generators (e_i - e_j, +-e_a +- e_b
+and +-s e_a) give the root lists of types A, B, C, D and G2, and
+``_split`` makes a real form of one list by marking each root compact or
+noncompact: su(p,q) and sp(p,q) keep a root in k when its coordinates lie
+in one block, sp(n,R) when it is some e_i - e_j, g2(R) when it lies in a
+fixed su(2)+su(2), and a compact form keeps every root.  so(p,q) is the
+one family built otherwise, as a tensor product (see ``_so_datum``), and
+a complex algebra puts each root in k and in p.  ``build_root_datum``
+reads the rank of every '+' part from its parsed integers and refuses a
+total above ``MAX_FAMILY_RANK`` before any weight is built.
 """
 
 from __future__ import annotations
@@ -35,10 +46,10 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -636,227 +647,115 @@ class RootSystem:
 # ---------------------------------------------------------------------------
 # families
 
-
-def _su_datum(p: int, q: int) -> RootDatum:
-    n = p + q
-    name = f"su({p})" if q == 0 else f"su({p},{q})"
-    if n < 2:
-        raise DatumError(f"{name}: need p+q >= 2")
-    if n == 2:
-        # one coordinate t = diag(t, -t); the single root pairs as 2t
-        root = (2,)
-        ws = WeightMultiset.of([(root, 1), (vneg(root), 1)])
-        empty = WeightMultiset.of([])
-        if q == 0:
-            return RootDatum(name, 1, (), ws, empty, 3)
-        return RootDatum(name, 1, (), empty, ws, 3)
-    cons = ((1,) * n,)
-    comp: list[IntVec] = []
-    noncomp: list[IntVec] = []
-    for i, j in itertools.permutations(range(n), 2):
-        w = [0] * n
-        w[i], w[j] = 1, -1
-        same_block = (i < p) == (j < p)
-        (comp if same_block else noncomp).append(tuple(w))
-    return RootDatum(
-        name,
-        n,
-        cons,
-        WeightMultiset.from_vectors(comp),
-        WeightMultiset.from_vectors(noncomp),
-        n * n - 1,
-    )
+# the largest rank build_root_datum accepts, summed over the '+' parts of
+# an expression; read from the parsed integers before any weight is built
+MAX_FAMILY_RANK = 32
 
 
-def _so_vector_weights(size: int, coords: list[int], ambient: int) -> list[IntVec]:
-    """Nonzero weights (with repetition) of the vector rep of so(size)."""
-    out: list[IntVec] = []
-    for c in coords:
-        for s in (1, -1):
-            w = [0] * ambient
-            w[c] = s
-            out.append(tuple(w))
-    return out
+def _e(ambient: int, *terms: tuple[int, int]) -> IntVec:
+    """The sum of s e_i over the terms (i, s), in Q^ambient."""
+    w = [0] * ambient
+    for i, s in terms:
+        w[i] += s
+    return tuple(w)
 
 
-def _so_root_list(size: int, coords: list[int], ambient: int) -> list[IntVec]:
-    out: list[IntVec] = []
-    for a, b in itertools.combinations(coords, 2):
-        for sa, sb in itertools.product((1, -1), repeat=2):
-            w = [0] * ambient
-            w[a], w[b] = sa, sb
-            out.append(tuple(w))
-    if size % 2 == 1:
-        out.extend(_so_vector_weights(size, coords, ambient))
-    return out
+def _differences(coords: Sequence[int], ambient: int) -> list[IntVec]:
+    """e_i - e_j for i != j in coords."""
+    return [_e(ambient, (i, 1), (j, -1))
+            for i, j in itertools.permutations(coords, 2)]
 
 
-def _so_datum(p: int, q: int) -> RootDatum:
-    name = f"so({p})" if q == 0 else f"so({p},{q})"
-    if p + q < 3:
-        raise DatumError(f"{name}: need p+q >= 3")
-    m, l = p // 2, q // 2
-    ambient = m + l
-    a_coords = list(range(m))
-    b_coords = list(range(m, m + l))
-    comp = _so_root_list(p, a_coords, ambient) + _so_root_list(q, b_coords, ambient)
-    noncomp: list[tuple[IntVec, int]] = []
-    # p-part is the tensor product of the two vector representations
-    a_ws = _so_vector_weights(p, a_coords, ambient)
-    if p % 2 == 1:
-        a_ws.append(vzero(ambient))
-    b_ws = _so_vector_weights(q, b_coords, ambient)
-    if q % 2 == 1:
-        b_ws.append(vzero(ambient))
-    for wa in a_ws:
-        for wb in b_ws:
-            noncomp.append((vadd(wa, wb), 1))
-    n = p + q
-    return RootDatum(
-        name,
-        ambient,
-        (),
-        WeightMultiset.from_vectors(comp),
-        WeightMultiset.of(noncomp),
-        n * (n - 1) // 2,
-    )
+def _signed_pairs(coords: Sequence[int], ambient: int) -> list[IntVec]:
+    """+-e_a +- e_b for a < b in coords."""
+    return [_e(ambient, (a, sa), (b, sb))
+            for a, b in itertools.combinations(coords, 2)
+            for sa, sb in itertools.product((1, -1), repeat=2)]
 
 
-def _sp_real_datum(n: int) -> RootDatum:
-    # split symplectic sp(n, R), maximal compact u(n)
-    if n < 1:
-        raise DatumError("sp(n,R): need n >= 1")
-    comp: list[IntVec] = []
-    noncomp: list[IntVec] = []
-    for i, j in itertools.permutations(range(n), 2):
-        w = [0] * n
-        w[i], w[j] = 1, -1
-        comp.append(tuple(w))
-    for i, j in itertools.combinations(range(n), 2):
-        w = [0] * n
-        w[i] = w[j] = 1
-        noncomp.append(tuple(w))
-        noncomp.append(vneg(tuple(w)))
-    for i in range(n):
-        w = [0] * n
-        w[i] = 2
-        noncomp.append(tuple(w))
-        noncomp.append(vneg(tuple(w)))
-    return RootDatum(
-        f"sp({n},R)",
-        n,
-        (),
-        WeightMultiset.from_vectors(comp),
-        WeightMultiset.from_vectors(noncomp),
-        2 * n * n + n,
-    )
-
-
-def _sp_c_roots(coords: list[int], ambient: int) -> list[IntVec]:
-    out: list[IntVec] = []
-    for a, b in itertools.combinations(coords, 2):
-        for sa, sb in itertools.product((1, -1), repeat=2):
-            w = [0] * ambient
-            w[a], w[b] = sa, sb
-            out.append(tuple(w))
-    for a in coords:
-        for s in (2, -2):
-            w = [0] * ambient
-            w[a] = s
-            out.append(tuple(w))
-    return out
-
-
-def _sp_pq_datum(p: int, q: int) -> RootDatum:
-    name = f"sp({p})" if q == 0 else f"sp({p},{q})"
-    n = p + q
-    if n < 1:
-        raise DatumError(f"{name}: need p+q >= 1")
-    a_coords = list(range(p))
-    b_coords = list(range(p, n))
-    comp = _sp_c_roots(a_coords, n) + _sp_c_roots(b_coords, n)
-    noncomp: list[IntVec] = []
-    for a in a_coords:
-        for b in b_coords:
-            for sa, sb in itertools.product((1, -1), repeat=2):
-                w = [0] * n
-                w[a], w[b] = sa, sb
-                noncomp.append(tuple(w))
-    return RootDatum(
-        name,
-        n,
-        (),
-        WeightMultiset.from_vectors(comp),
-        WeightMultiset.from_vectors(noncomp),
-        n * (2 * n + 1),
-    )
-
-
-def _g2_roots() -> tuple[list[IntVec], list[IntVec]]:
-    """(short, long) G2 roots in the sum-zero plane of Q^3."""
-    short: list[IntVec] = []
-    for i, j in itertools.permutations(range(3), 2):
-        w = [0] * 3
-        w[i], w[j] = 1, -1
-        short.append(tuple(w))
-    long_: list[IntVec] = []
-    for i in range(3):
-        w = [-1] * 3
-        w[i] = 2
-        long_.append(tuple(w))
-        long_.append(vneg(tuple(w)))
-    return short, long_
-
-
-def _g2_split_datum() -> RootDatum:
-    # maximal compact su(2)+su(2): one short and one long root pair,
-    # mutually orthogonal
-    short, long_ = _g2_roots()
-    comp = [(1, -1, 0), (-1, 1, 0), (-1, -1, 2), (1, 1, -2)]
-    comp_set = set(comp)
-    noncomp = [w for w in short + long_ if w not in comp_set]
-    return RootDatum(
-        "g2(R)",
-        3,
-        ((1, 1, 1),),
-        WeightMultiset.from_vectors(comp),
-        WeightMultiset.from_vectors(noncomp),
-        14,
-    )
-
-
-def _g2_compact_datum() -> RootDatum:
-    short, long_ = _g2_roots()
-    return RootDatum(
-        "g2",
-        3,
-        ((1, 1, 1),),
-        WeightMultiset.from_vectors(short + long_),
-        WeightMultiset.of([]),
-        14,
-    )
+def _signed_units(coords: Sequence[int], ambient: int, s: int) -> list[IntVec]:
+    """+-s e_a for a in coords."""
+    return [_e(ambient, (a, t)) for a in coords for t in (s, -s)]
 
 
 def _complex_root_list(family: str, r: int) -> tuple[int, tuple[IntVec, ...], list[IntVec]]:
     """(ambient_dim, constraints, roots) for the split Cartan type."""
     if family == "A":
         n = r + 1
-        roots: list[IntVec] = []
-        for i, j in itertools.permutations(range(n), 2):
-            w = [0] * n
-            w[i], w[j] = 1, -1
-            roots.append(tuple(w))
-        return n, ((1,) * n,), roots
-    if family == "B":
-        return r, (), _so_root_list(2 * r + 1, list(range(r)), r)
-    if family == "D":
-        return r, (), _so_root_list(2 * r, list(range(r)), r)
-    if family == "C":
-        return r, (), _sp_c_roots(list(range(r)), r)
+        return n, ((1,) * n,), _differences(range(n), n)
     if family == "G":
-        short, long_ = _g2_roots()
-        return 3, ((1, 1, 1),), short + long_
-    raise DatumError(f"unknown Cartan family {family!r}")
+        # the short roots are A2's, the long ones +-(2 e_i - e_j - e_k)
+        long_ = [_e(3, (i, 2 * s), ((i + 1) % 3, -s), ((i + 2) % 3, -s))
+                 for i in range(3) for s in (1, -1)]
+        return 3, ((1, 1, 1),), _differences(range(3), 3) + long_
+    roots = _signed_pairs(range(r), r)
+    if family == "B":
+        roots += _signed_units(range(r), r, 1)
+    elif family == "C":
+        roots += _signed_units(range(r), r, 2)
+    elif family != "D":
+        raise DatumError(f"unknown Cartan family {family!r}")
+    return r, (), roots
+
+
+def _split(
+    name: str,
+    ambient: int,
+    constraints: tuple[IntVec, ...],
+    roots: Iterable[IntVec],
+    compact: Callable[[IntVec], bool],
+    dim_g: int,
+) -> RootDatum:
+    """The real form whose compact Cartan t carries the given roots: each
+    root in k where compact holds, else in p."""
+    k: list[IntVec] = []
+    p: list[IntVec] = []
+    for w in roots:
+        (k if compact(w) else p).append(w)
+    return RootDatum(
+        name,
+        ambient,
+        constraints,
+        WeightMultiset.from_vectors(k),
+        WeightMultiset.from_vectors(p),
+        dim_g,
+    )
+
+
+def _in_one_block(p: int) -> Callable[[IntVec], bool]:
+    """Whether a root's coordinates lie all among the first p, or all
+    after them: the roots of s(u(p)+u(q)) and of sp(p)+sp(q)."""
+    return lambda w: any(w[:p]) != any(w[p:])
+
+
+# g2(R)'s maximal compact su(2)+su(2): one short and one long root pair,
+# mutually orthogonal
+_G2_COMPACT = frozenset({(1, -1, 0), (-1, 1, 0), (-1, -1, 2), (1, 1, -2)})
+
+
+def _so_datum(name: str, p: int, q: int) -> RootDatum:
+    """so(p,q): k = so(p)+so(q), and p the tensor product of their vector
+    representations.  When p and q are both odd, t is not a Cartan
+    subalgebra and +-e_a is a weight of k and of p, so this is no split."""
+    m, l = p // 2, q // 2
+    ambient = m + l
+    comp: list[IntVec] = []
+    vector: list[list[IntVec]] = []
+    for coords, size in ((range(m), p), (range(m, ambient), q)):
+        units = _signed_units(coords, ambient, 1)
+        odd = size % 2 == 1
+        comp += _signed_pairs(coords, ambient) + (units if odd else [])
+        vector.append(units + ([vzero(ambient)] if odd else []))
+    noncomp = [vadd(wa, wb) for wa in vector[0] for wb in vector[1]]
+    n = p + q
+    return RootDatum(
+        name,
+        ambient,
+        (),
+        WeightMultiset.from_vectors(comp),
+        WeightMultiset.from_vectors(noncomp),
+        n * (n - 1) // 2,
+    )
 
 
 def _complex_datum(name: str, family: str, r: int) -> RootDatum:
@@ -908,9 +807,67 @@ def direct_sum(a: RootDatum, b: RootDatum, name: str | None = None) -> RootDatum
     )
 
 
-_TWO_ARG = re.compile(r"^(su|so|sp)\((\d+),(\d+)\)$")
-_ONE_ARG = re.compile(r"^(su|so|sp)\((\d+)\)$")
-_COMPLEX = re.compile(r"^(sl|so|sp)\((\d+),C\)$")
+_CLASSICAL = re.compile(r"(su|so|sp)\((\d+)(?:,(\d+))?\)")
+_COMPLEX = re.compile(r"(sl|so|sp)\((\d+),C\)")
+_SPLIT_SP = re.compile(r"sp\((\d+),R\)")
+# the least p + q of su(p,q), so(p,q), sp(p,q), and the least n of sl(n,C),
+# so(n,C), sp(n,C)
+_LEAST = {"su": 2, "so": 3, "sp": 1}
+_LEAST_COMPLEX = {"sl": 2, "so": 5, "sp": 1}
+
+
+def _family(text: str) -> tuple[int, Callable[[], RootDatum]]:
+    """The rank of one family string, and a function that builds its
+    datum; DatumError, before any weight is built, if it names none."""
+    if m := _CLASSICAL.fullmatch(text):
+        fam, p, q = m[1], int(m[2]), int(m[3] or 0)
+        name = f"{fam}({p})" if q == 0 else f"{fam}({p},{q})"
+        n = p + q
+        if n < _LEAST[fam]:
+            raise DatumError(f"{name}: need p+q >= {_LEAST[fam]}")
+        if fam == "so":
+            return n // 2, lambda: _so_datum(name, p, q)
+        if fam == "sp":
+            return n, lambda: _split(
+                name, *_complex_root_list("C", n), _in_one_block(p),
+                n * (2 * n + 1))
+        if n == 2:
+            # one coordinate t = diag(t, -t); the single root pairs as 2t
+            return 1, lambda: _split(
+                name, 1, (), [(2,), (-2,)], lambda w: q == 0, 3)
+        return n - 1, lambda: _split(
+            name, *_complex_root_list("A", n - 1), _in_one_block(p),
+            n * n - 1)
+    if m := _COMPLEX.fullmatch(text):
+        fam, n = m[1], int(m[2])
+        if n < _LEAST_COMPLEX[fam]:
+            raise DatumError(f"{text}: need n >= {_LEAST_COMPLEX[fam]}")
+        family, r = {"sl": ("A", n - 1), "so": ("DB"[n % 2], n // 2),
+                     "sp": ("C", n)}[fam]
+        return r, lambda: _complex_datum(text, family, r)
+    if m := _SPLIT_SP.fullmatch(text):
+        n = int(m[1])
+        if n < 1:
+            raise DatumError("sp(n,R): need n >= 1")
+        # maximal compact u(n): the roots e_i - e_j, which vanish on its
+        # centre (1, ..., 1)
+        return n, lambda: _split(
+            f"sp({n},R)", *_complex_root_list("C", n), lambda w: sum(w) == 0,
+            2 * n * n + n)
+    if text == "g2(R)":
+        return 2, lambda: _split(
+            text, *_complex_root_list("G", 2), _G2_COMPACT.__contains__, 14)
+    if text == "g2":
+        return 2, lambda: _split(
+            text, *_complex_root_list("G", 2), lambda w: True, 14)
+    if text == "g2(C)":
+        return 2, lambda: _complex_datum(text, "G", 2)
+    raise DatumError(f"unknown algebra family {text!r}")
+
+
+def sum_parts(name: str) -> list[str]:
+    """The '+'-joined parts of a family string, each stripped."""
+    return [part.strip() for part in name.split("+")]
 
 
 def build_root_datum(name: str) -> RootDatum:
@@ -918,55 +875,16 @@ def build_root_datum(name: str) -> RootDatum:
 
     Supported: su(p,q), so(p,q), sp(n,R), sp(p,q), compact forms su(n),
     so(n), sp(n), g2, split g2(R), complex algebras sl(n,C), so(n,C),
-    sp(n,C), g2(C), and '+'-joined direct sums of any of these.
+    sp(n,C), g2(C), and '+'-joined direct sums of any of these, each part
+    stripped as ``sum_parts`` does.  Every form but so(p,q) and the complex
+    ones is a ``_split`` of one complex root list.  The rank, summed over
+    the parts, is at most MAX_FAMILY_RANK; a larger one is refused with
+    DatumError before any weight is built.
     """
-    name = name.strip()
-    if "+" in name:
-        parts = [build_root_datum(s) for s in name.split("+")]
-        out = parts[0]
-        for nxt in parts[1:]:
-            out = direct_sum(out, nxt)
-        return out
-
-    m = _TWO_ARG.match(name)
-    if m:
-        fam, p, q = m.group(1), int(m.group(2)), int(m.group(3))
-        if fam == "su":
-            return _su_datum(p, q)
-        if fam == "so":
-            return _so_datum(p, q)
-        return _sp_pq_datum(p, q)
-    m = _ONE_ARG.match(name)
-    if m:
-        fam, n = m.group(1), int(m.group(2))
-        if fam == "su":
-            return _su_datum(n, 0)
-        if fam == "so":
-            return _so_datum(n, 0)
-        return _sp_pq_datum(n, 0)
-    m = _COMPLEX.match(name)
-    if m:
-        fam, n = m.group(1), int(m.group(2))
-        if fam == "sl":
-            if n < 2:
-                raise DatumError(f"{name}: need n >= 2")
-            return _complex_datum(name, "A", n - 1)
-        if fam == "so":
-            if n < 5:
-                raise DatumError(f"{name}: need n >= 5")
-            if n % 2:
-                return _complex_datum(name, "B", n // 2)
-            return _complex_datum(name, "D", n // 2)
-        if n < 1:
-            raise DatumError(f"{name}: need n >= 1")
-        return _complex_datum(name, "C", n)
-    m = re.match(r"^sp\((\d+),R\)$", name)
-    if m:
-        return _sp_real_datum(int(m.group(1)))
-    if name == "g2(R)":
-        return _g2_split_datum()
-    if name == "g2":
-        return _g2_compact_datum()
-    if name == "g2(C)":
-        return _complex_datum(name, "G", 2)
-    raise DatumError(f"unknown algebra family {name!r}")
+    families = [_family(part) for part in sum_parts(name)]
+    total = sum(r for r, _ in families)
+    if total > MAX_FAMILY_RANK:
+        raise DatumError(
+            f"{name.strip()}: rank {total} is above the bound {MAX_FAMILY_RANK}"
+        )
+    return reduce(direct_sum, (build() for _, build in families))

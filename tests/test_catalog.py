@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -19,8 +20,6 @@ from branchdec.catalog import (
     CatalogError,
     UnknownIdError,
     default_catalog_dir,
-    embedding_to_json,
-    involution_to_json,
     load_catalog,
     read_catalog_files,
     seal,
@@ -150,21 +149,22 @@ def test_stored_pairs_kinds():
 
 
 def test_involution_json_round_trip():
+    tool = _make_catalog_module()
     cat = load_catalog()
     for pid in cat.pair_ids():
         pair = cat.pair(pid)
         if isinstance(pair, InvolutionData):
-            rec = involution_to_json(pair, pair.base.name)
+            rec = tool.involution_to_json(pair, pair.base.name)
             assert _involution_from_json(rec, pair.base) == pair
         else:
-            rec = embedding_to_json(pair, pair.base.name)
+            rec = tool.embedding_to_json(pair, pair.base.name)
             assert _embedding_from_json(rec, pair.base) == pair
 
 
 def test_involution_json_keeps_declared_restricted():
     cat = load_catalog()
     pair = cat.pair("(sl(4,C),sp(2,C))")
-    rec = involution_to_json(pair, "sl(4,C)")
+    rec = _make_catalog_module().involution_to_json(pair, "sl(4,C)")
     assert rec["declared_restricted_positive"] == [
         {"weight": ["1/2", "-1/2", "1/2", "-1/2"], "mult": 4}
     ]
@@ -396,6 +396,35 @@ def test_resealed_unknown_or_missing_builder_is_refused(tmp_path, capsys):
     with pytest.raises(CatalogError, match="missing field 'builder'"):
         load_catalog(root).algebra("su(2,2)")
     _verify_fails(capsys, root, "su_2_2_.json: missing field 'builder'")
+
+
+def test_resealed_builder_above_the_rank_bound_is_refused_at_once(
+    tmp_path, capsys
+):
+    root = _copy(tmp_path)
+    _edit(root / "algebras" / "su_4_.json",
+          lambda rec: rec.update(builder="su(2000)"))
+    _reseal(root)
+    start = time.perf_counter()
+    with pytest.raises(CatalogError, match="su_4_.json: malformed field"):
+        load_catalog(root).algebra("su(4)")
+    assert time.perf_counter() - start < 0.1
+    start = time.perf_counter()
+    _catalog_fails(capsys, root, "su_4_.json: malformed field: su(2000): "
+                   "rank 1999 is above the bound")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_spaced_doubled_builder_keeps_its_swap_pair(tmp_path, capsys):
+    argv = ["pair", "--pair", "swap:su(1,1)^2"]
+    assert main(argv) == 0
+    pristine = capsys.readouterr().out
+    root = _copy(tmp_path)
+    _edit(root / "algebras" / "su_1_1__2.json",
+          lambda rec: rec.update(builder=" su(1,1) + su(1,1)"))
+    _reseal(root)
+    assert main(argv + ["--catalog", str(root)]) == 0
+    assert capsys.readouterr().out == pristine
 
 
 def test_declared_restricted_comparison(tmp_path, capsys):

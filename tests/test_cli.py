@@ -4,9 +4,11 @@ import ast
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from branchdec.cli import (
     EXIT_USAGE,
     main,
 )
+from branchdec.decider import QUESTIONS
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "branchdec" / "data"
 
@@ -732,3 +735,129 @@ def test_no_check_is_stripped_by_python_O():
                 if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
                     offenders.append(f"{path.name}:{node.lineno} RuntimeError")
     assert offenders == []
+
+
+# ---------------------------------------------------------------------------
+# seeded refusal sweep: whatever a record or argv holds, a command ends in
+# an exit code, never a traceback
+
+# reseed, or raise the case counts, only to add cases, never to drop a
+# failing one
+_SWEEP_SEED = 20261020
+_SWEEP_RECORD_CASES = 120
+_SWEEP_ARGV_CASES = 120
+_DELETE = object()
+_SWEEP_VALUES = (_DELETE, None, True, 10**30, 2.5, "1/0", [], {}, "su(2000)")
+# each command's flags, and the values the sweep gives a flag: valid ones
+# and malformed ones; verify reads no flag value, and runs in the record
+# cases
+_SWEEP_FLAGS = {
+    "catalog": ("--format", "--force"),
+    "pair": ("--pair", "--format", "--force"),
+    "parabolic": ("--algebra", "--X", "--enumerate", "--dominant", "--format"),
+    "check": ("--pair", "--X", "--question", "--format"),
+    "classify": ("--pair", "--format"),
+}
+_SWEEP_FLAG_VALUES = {
+    "--pair": ("(su(2,2),sp(2,R))", "(so(4,3),g2(R))", "(sl(4,C),sp(2,C))",
+               "swap:su(1,1)^2", "theta:su(2,2)", "theta:", "swap:su(2,2)",
+               "theta:su(2000)", "(e8,e7)"),
+    "--algebra": ("su(2,2)", "g2(R)", "su(1,1)^2", "so(5,C)", "su(2000)",
+                  "e8"),
+    "--X": ("1,-1,0,0", "1/2,-3/2,3/2,-1/2", "1,-1", "-1/2,0", "1,0,0",
+            "1,1,1,1", "1/0", "1e3", "nan", "\uff11", "9" * 5000, ""),
+    "--question": (*QUESTIONS, "nope"),
+    "--format": ("json", "text", "xml"),
+}
+_SWEEP_JUNK = ("", "1", "-1", "--max-rank", "--X", "nope")
+
+
+def _sweep_argv(rng):
+    """One command with each of its flags present or not, a flag's value
+    drawn from its own pool or from the junk, and at times a stray word."""
+    command = rng.choice(sorted(_SWEEP_FLAGS))
+    argv = [command]
+    for flag in _SWEEP_FLAGS[command]:
+        if rng.random() < 0.7:
+            argv.append(flag)
+            if flag in _SWEEP_FLAG_VALUES:
+                pool = (_SWEEP_FLAG_VALUES[flag] if rng.random() < 0.9
+                        else _SWEEP_JUNK)
+                argv.append(rng.choice(pool))
+    if rng.random() < 0.1:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(_SWEEP_JUNK))
+    return argv
+
+
+def _sweep_target(rng, rec):
+    """A field of a JSON record picked by a random walk from its top: its
+    container and its key or index."""
+    container = rec
+    while True:
+        key = (rng.choice(sorted(container)) if isinstance(container, dict)
+               else rng.randrange(len(container)))
+        value = container[key]
+        if not isinstance(value, (dict, list)) or not value or rng.random() < 0.5:
+            return container, key
+        container = value
+
+
+def _sweep_record_case(rng, files):
+    """argv for one command on a catalog with one field of one record
+    mutated, and the file's mutated text."""
+    rel = rng.choice(sorted(files))
+    rec = json.loads(files[rel])
+    record_id = rec["id"]
+    container, key = _sweep_target(rng, rec)
+    value = rng.choice(_SWEEP_VALUES)
+    if value is _DELETE:
+        del container[key]
+    else:
+        container[key] = value
+    if rel.startswith("algebras"):
+        commands = [["parabolic", "--algebra", record_id, "--enumerate",
+                     "--dominant"]]
+    else:
+        commands = [["pair", "--pair", record_id],
+                    ["classify", "--pair", record_id, "--format", "json"]]
+    argv = rng.choice([["catalog"], ["verify"], *commands])
+    return rel, json.dumps(rec), argv
+
+
+def test_a_seeded_refusal_sweep_ends_every_command_in_an_exit_code(
+    tmp_path, capsys
+):
+    rng = random.Random(_SWEEP_SEED)
+    root = tmp_path / "cat"
+    shutil.copytree(DATA_DIR, root)
+    files = {str(p.relative_to(root)): p.read_text()
+             for p in sorted(root.glob("*/*.json"))}
+    meta = (root / "meta.json").read_text()
+    cases = []
+    for _ in range(_SWEEP_RECORD_CASES):
+        rel, text, argv = _sweep_record_case(rng, files)
+        cases.append((rel, text, argv + ["--catalog", str(root)]))
+    for _ in range(_SWEEP_ARGV_CASES):
+        cases.append((None, None, _sweep_argv(rng)))
+
+    start = time.perf_counter()
+    escaped = []
+    for rel, text, argv in cases:
+        if rel is not None:
+            (root / rel).write_text(text)
+            algebras, pairs = read_catalog_files(root)
+            sealed = json.loads(meta)
+            sealed["checksum"] = seal(algebras + pairs)
+            (root / "meta.json").write_text(json.dumps(sealed))
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:
+            code = repr(exc)
+        capsys.readouterr()
+        if code not in (EXIT_OK, EXIT_USAGE, EXIT_UNKNOWN_ID, EXIT_UNSUPPORTED):
+            escaped.append((rel, text, argv, code))
+        if rel is not None:
+            (root / rel).write_text(files[rel])
+            (root / "meta.json").write_text(meta)
+    assert escaped == []
+    assert time.perf_counter() - start < 2.0

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import hashlib
 import random
+import time
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -37,6 +39,7 @@ from branchdec.root_core import (
     rank,
     rref,
     solve_linear,
+    sum_parts,
     vadd,
     vdot,
     vec,
@@ -563,6 +566,89 @@ def test_build_root_datum_rejects_unknown_names():
     for bad in ("e8", "su(1)", "so(1,0)", "sp(0,R)", ""):
         with pytest.raises(DatumError):
             build_root_datum(bad)
+
+
+def _grid(template: str) -> list[str]:
+    """The family strings of a template over p, q >= 0 with p + q <= 8,
+    then over n = 0..8 for a one-argument template."""
+    if "{q}" in template:
+        return [template.format(p=p, q=q) for p in range(9) for q in range(9 - p)]
+    return [template.format(n=n) for n in range(9)]
+
+
+# one grid of family strings per family kind, built or refused
+FAMILY_GRID = {
+    "su": _grid("su({p},{q})") + _grid("su({n})"),
+    "so": _grid("so({p},{q})") + _grid("so({n})"),
+    "sp(p,q)": _grid("sp({p},{q})") + _grid("sp({n})"),
+    "sp(n,R)": _grid("sp({n},R)"),
+    "complex": _grid("sl({n},C)") + _grid("so({n},C)") + _grid("sp({n},C)"),
+    "g2": ["g2", "g2(R)", "g2(C)"],
+    "sums": [
+        "su(1,1)+su(1,1)", " su(1,1) + su(1,1) ", "su(2)+sp(2,R)",
+        "so(4,3)+g2(R)", "su(2,1)+so(5,C)+sp(1,1)", "sl(2,C)+su(2,0)",
+        "su(2)+", "su(1)+e8", "e8", "", "su(2,2", "so(4,R)", "g2(r)",
+    ],
+}
+
+# sha256 of each kind's records, as the builders before the shared
+# family layer wrote them
+FAMILY_DIGESTS = {
+    "complex": "7e629463de247549fc9db6b1bb9cdfd5ab7812763cfd1aa55560d0d8fbb41bad",
+    "g2": "60fddc96894e046b48c3466f8e69d5f5d3a91392d0d9e2386c187e4e7848c40e",
+    "so": "28cceec794aba8b3cff19792c4839b6d1ab93378d0933f48844f9d1007a4f548",
+    "sp(n,R)": "4d951929fbe57ecc10a4b1a68dfa5f6aa4fa87dda492ede08467009e8d4c3a3d",
+    "sp(p,q)": "ccf92fdb7958ea4a90226e98b68449ebe978d5300a936ae0978bb9bcb4f5a36d",
+    "su": "f69d62f6ba98ed5e57b4126ece4c91670c60525103a311a7f6a4afd664780e60",
+    "sums": "d574694067cf5795a4ac678f56ee170798fae23501a9882d4774108771c2a49e",
+}
+
+
+def _family_record(name: str) -> str:
+    try:
+        d = build_root_datum(name)
+    except DatumError as exc:
+        return f"{name!r} refused: {exc}"
+    return repr((name, d.name, d.ambient_dim, d.t_constraints,
+                 d.compact.entries, d.noncompact.entries, d.dim_g))
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_GRID))
+def test_every_family_string_builds_the_datum_it_always_built(kind):
+    records = "\n".join(map(_family_record, FAMILY_GRID[kind]))
+    assert hashlib.sha256(records.encode()).hexdigest() == FAMILY_DIGESTS[kind]
+
+
+def test_a_rank_above_the_bound_is_refused_before_any_weight_is_built(
+    monkeypatch,
+):
+    # the largest family strings the tests, tools and catalog use, and the
+    # bound itself, build
+    bound = root_core.MAX_FAMILY_RANK
+    for name in ("su(5,4)", "sp(7,R)", "so(6,6)", "so(8,C)", f"su({bound + 1})"):
+        build_root_datum(name)
+    built = []
+    monkeypatch.setattr(root_core, "_e", lambda *args: built.append(args))
+    for name, rank in (
+        ("su(2000)", 1999),
+        ("so(2000,2000)", 2000),
+        ("sp(1000,R)", 1000),
+        (f"su({bound + 2})", bound + 1),
+        (f"su({bound}) + su(2)+ g2", bound + 2),
+        ("+".join(["su(2)"] * 10_000), 10_000),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(DatumError, match=f": rank {rank} is above the "
+                           f"bound {bound}$"):
+            build_root_datum(name)
+        assert time.perf_counter() - start < 0.1
+    assert built == []
+
+
+def test_sum_parts_strips_each_part():
+    assert sum_parts(" su(1,1) +su(1,1)\n") == ["su(1,1)", "su(1,1)"]
+    assert sum_parts("g2") == ["g2"]
+    assert sum_parts("su(2)+") == ["su(2)", ""]
 
 
 def simple_system(weights, x=None):

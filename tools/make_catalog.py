@@ -20,15 +20,13 @@ from pathlib import Path
 from branchdec.catalog import (
     CATALOG_VERSION,
     CatalogError,
-    algebra_to_json,
-    embedding_to_json,
     index_catalog,
-    involution_to_json,
     read_catalog_files,
     seal,
+    table_rows_to_json,
 )
 from branchdec.involution import EmbeddingRecord, InvolutionData, TableRow
-from branchdec.root_core import build_root_datum
+from branchdec.root_core import build_root_datum, vector_strings
 
 ALGEBRAS = [
     ("su(1,1)", "su(1,1)"),
@@ -216,6 +214,52 @@ def build_pairs() -> list[InvolutionData | EmbeddingRecord]:
         )
     )
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# the record encoders the loader in branchdec.catalog decodes
+
+
+def _ser_rows(rows) -> list[list[str]]:
+    return [vector_strings(r) for r in rows]
+
+
+def algebra_to_json(algebra_id: str, builder: str) -> dict:
+    return {"id": algebra_id, "builder": builder}
+
+
+def involution_to_json(inv: InvolutionData, base_id: str) -> dict:
+    declared = inv.declared_restricted_positive
+    return {
+        "id": inv.pair_id,
+        "kind": "involution",
+        "base": base_id,
+        "label": inv.label,
+        "matrix": _ser_rows(inv.matrix),
+        "eps": [
+            {"part": p, "weight": vector_strings(w), "sign": s}
+            for p, w, s in inv.eps
+        ],
+        "zero_weight_fixed_dim": inv.zero_weight_fixed_dim,
+        "dim_gprime": inv.dim_gprime,
+        "table_rows": table_rows_to_json(inv.table_rows),
+        "declared_restricted_positive": None if declared is None else [
+            {"weight": vector_strings(w), "mult": m} for w, m in declared
+        ],
+    }
+
+
+def embedding_to_json(rec: EmbeddingRecord, base_id: str) -> dict:
+    return {
+        "id": rec.pair_id,
+        "kind": "embedding",
+        "base": base_id,
+        "label": rec.label,
+        "tprime_rows": _ser_rows(rec.tprime_rows),
+        "extra_zero_dim": rec.extra_zero_dim,
+        "dim_gprime": rec.dim_gprime,
+        "table_rows": table_rows_to_json(rec.table_rows),
+    }
 
 
 def file_name(some_id: str) -> str:
