@@ -1,12 +1,16 @@
 """Exact cone intersection tests over Q.
 
-Every feasibility question in the package is stated as a list of
-constraints and handed to one builder, ``feasible_point``; it is the one LP
-encoding, and the only caller of the phase-1 simplex (Bland's rule on an
-integer tableau), which produces witness points and bases.  An independent
-Fourier-Motzkin eliminator that rebuilds the same feasibility questions
-from scratch lives with the tests (``tests/fm_oracle.py``), which compare
-the two routes on every instance they generate.
+Every LP in the package is stated as a list of constraints and handed
+to one builder, ``feasible_point``; it is the one LP encoding, and the
+only caller of the phase-1 simplex (Bland's rule on an integer tableau),
+which produces witness points and bases.  The decider's only runtime LP
+is ``admissible``'s chamber test (``cones_meet``) on a row whose
+functional X + sigma X does not separate the cone from t^{-sigma};
+``deco`` runs none, and ``cone_meets_subspace`` is kept as the oracle the
+tests hold that sign test against.  An independent Fourier-Motzkin
+eliminator that rebuilds the same feasibility questions from scratch
+lives with the tests (``tests/fm_oracle.py``), which compare the two
+routes on every instance they generate.
 
 A cone query states its subspace by its normals, which the caller
 solves for once (``root_core.subspace_normals``); the decider reads the

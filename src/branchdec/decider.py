@@ -8,10 +8,19 @@ answers are data; operational failures raise.
 Every question about a pair and a parabolic q is asked of a Query,
 which holds the work the questions share: a classify row asks all six
 of one Query, and a verify table-row check asks transitivity and rho of
-one, so each validates the pair, meets the cone with t^{-sigma}, reads
-the member signs and counts for transitivity once.  Meet points are
-replayed by substitution on integers, the point times the common
-denominator of its cone coefficients.
+one, so each validates the pair, tests the cone against t^{-sigma},
+reads the member signs and counts for transitivity once.
+
+The cone of the noncompact u-weights G meets t^{-sigma} away from 0
+exactly when y = X + sigma X fails to pair strictly positively with
+some g in G, so ``deco`` runs no LP: one integer sign test per
+generator decides it.  When y . g > 0 on G, y is fixed by sigma, so it
+vanishes on t^{-sigma} and separates it from the cone.  When y . g <= 0,
+-sigma g pairs positively with X, so it is in G too, and g - sigma g is
+a nonzero meet point.  Only ``admissible``'s chamber test on a row
+where y does not separate runs the LP.  Meet points are replayed by
+substitution on integers, the point times the common denominator of
+its cone coefficients.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cone_kernel import Cone, MeetResult, cone_meets_subspace, cones_meet
+from .cone_kernel import Cone, MeetResult, PointednessError, cones_meet
 from .involution import (
     EmbeddingView,
     InvolutionData,
@@ -45,6 +54,7 @@ from .root_core import (
     dot,
     is_zero_vec,
     lex_positive,
+    mat_apply,
     vadd,
     vector_strings,
     vneg,
@@ -105,9 +115,10 @@ class Query:
     """The questions about one (pair, q), with the work they share.
 
     Each piece is computed on first use and kept for the life of the
-    object: the validated involution, the noncompact cone of u, the
-    checked meet of that cone with t^{-sigma}, the pair's weight-cell
-    view with the member signs under q, and the transitive verdict.
+    object: the validated involution, the noncompact weights of u and
+    their cone, the functional y = X + sigma X with the checked meet
+    point it leaves, the pair's weight-cell view with the member signs
+    under q, and the transitive verdict.
     ``involution`` and ``view`` validate the pair on first use.  A
     Query lives as long as the row or the command that asks it.
     """
@@ -141,14 +152,49 @@ class Query:
         return Cone.from_generators(self.generators, self.q.base.ambient_dim)
 
     @cached_property
-    def meet(self) -> MeetResult:
-        """Does the cone meet t^{-sigma} away from 0, with a checked point?"""
+    def functional(self) -> Vec:
+        """y = X + sigma X on the integer row of X.  sigma is orthogonal
+        and involutive, so symmetric, and y . g = X . (g + sigma g)."""
+        row = self.q.row
+        return vadd(row, mat_apply(self.involution.matrix, row))
+
+    @cached_property
+    def meet(self) -> MeetResult | None:
+        """None when the functional separates the cone from t^{-sigma};
+        otherwise a checked nonzero point where they meet."""
         inv = self.involution
-        result = cone_meets_subspace(
-            self.cone, inv.t_minus_sigma_normals, self.q.row
-        )
-        if result.meets:
-            _verify_point(inv, self.generators, result)
+        gens = self.generators
+        row = self.q.row
+        for g in gens:
+            if dot(g, row) <= 0:
+                raise PointednessError(
+                    "the row of X does not pair strictly positively with "
+                    "every noncompact weight of u"
+                )
+        y = self.functional
+        bad = next((g for g in gens if dot(y, g) <= 0), None)
+        if bad is None:
+            # y . p > 0 on every nonzero cone point and y . p = 0 on
+            # t^{-sigma} once sigma y = y
+            if mat_apply(inv.matrix, y) != y:
+                raise CertificateError(
+                    "separating functional is not fixed by sigma")
+            return None
+        # X . (-sigma g) >= X . g > 0, so -sigma g is a weight of u when
+        # sigma permutes the noncompact weights
+        index = {g: i for i, g in enumerate(gens)}
+        partner = vneg(inv.sigma_weight(bad))
+        if partner not in index:
+            raise CertificateError(
+                "-sigma g is not a noncompact weight of u for a generator "
+                "g that the functional fails to separate"
+            )
+        coefficients = [0] * len(gens)
+        coefficients[index[bad]] += 1
+        coefficients[index[partner]] += 1
+        result = MeetResult(
+            True, vadd(bad, partner), tuple(coefficients), ())
+        _verify_point(inv, gens, result)
         return result
 
     @cached_property
@@ -250,6 +296,13 @@ def _meet_witness(result: MeetResult) -> dict:
     return {"kind": "infeasibility-basis", "basis": list(result.basis)}
 
 
+def _functional_witness(row: Query) -> dict:
+    return {
+        "kind": "separating-functional",
+        "functional": vector_strings(row.functional),
+    }
+
+
 def discretely_decomposable(row: Query) -> Verdict:
     """Does the asymptotic cone of u cap p miss the split part of the torus?
 
@@ -257,7 +310,7 @@ def discretely_decomposable(row: Query) -> Verdict:
     with admissible multiplicities, for every weakly fair parameter.
     """
     inv = row.involution
-    result = row.meet
+    meet = row.meet
     notes = [_SCOPE_NOTE]
     if not row.generators:
         notes.append("u contains no noncompact weights; the cone is zero")
@@ -268,9 +321,10 @@ def discretely_decomposable(row: Query) -> Verdict:
         )
     return Verdict(
         question="deco",
-        answer=not result.meets,
+        answer=meet is None,
         equivalents=DECO_EQUIVALENTS,
-        witness=_meet_witness(result),
+        witness=(_functional_witness(row) if meet is None
+                 else _meet_witness(meet)),
         inputs=_inputs(row),
         criterion=(
             "the closed cone spanned by the noncompact weights of u meets "
@@ -287,24 +341,29 @@ def admissible_sufficient(row: Query) -> Verdict:
     Hilbert-sum decomposition).  False is inconclusive by this test alone,
     since the cone only bounds the true asymptotic support from above; for
     symmetric pairs the subspace test is decisive and is cross-referenced;
-    the row's meet gives that subspace test.
+    the row's meet gives that subspace test.  The chamber lies in
+    t^{-sigma}, so where the row's functional separates the cone from
+    t^{-sigma} it separates the chamber too, and no LP runs.
     """
     inv = row.involution
-    walls = momentum_chamber(inv)
-    result = cones_meet(row.cone, inv.t_minus_sigma_normals, walls, row.q.row)
-    if result.meets:
-        # the chamber lies in t^{-sigma}, so its point settles the
-        # subspace test too, once checked to lie there
-        _verify_point(inv, row.generators, result)
-        subspace_meets = True
+    subspace_meets = row.meet is not None
+    if subspace_meets:
+        walls = momentum_chamber(inv)
+        result = cones_meet(
+            row.cone, inv.t_minus_sigma_normals, walls, row.q.row)
+        if result.meets:
+            _verify_point(inv, row.generators, result)
+        chamber_meets = result.meets
+        witness = _meet_witness(result)
     else:
-        subspace_meets = row.meet.meets
+        chamber_meets = False
+        witness = _functional_witness(row)
     notes = [
         _SCOPE_NOTE,
-        f"chamber test intersects: {str(result.meets).lower()}",
+        f"chamber test intersects: {str(chamber_meets).lower()}",
         f"full subspace test intersects: {str(subspace_meets).lower()}",
     ]
-    if result.meets:
+    if chamber_meets:
         notes.append(
             "inconclusive by this test alone; the bounding cone may "
             "overshoot the true asymptotic support"
@@ -315,9 +374,9 @@ def admissible_sufficient(row: Query) -> Verdict:
         )
     return Verdict(
         question="admissible",
-        answer=not result.meets,
+        answer=not chamber_meets,
         equivalents=(),
-        witness=_meet_witness(result),
+        witness=witness,
         inputs=_inputs(row),
         criterion=(
             "the closed cone spanned by the noncompact weights of u meets "

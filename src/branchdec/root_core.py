@@ -652,30 +652,43 @@ class RootSystem:
 MAX_FAMILY_RANK = 32
 
 
-def _e(ambient: int, *terms: tuple[int, int]) -> IntVec:
-    """The sum of s e_i over the terms (i, s), in Q^ambient."""
-    w = [0] * ambient
-    for i, s in terms:
-        w[i] += s
-    return tuple(w)
-
-
 def _differences(coords: Sequence[int], ambient: int) -> list[IntVec]:
     """e_i - e_j for i != j in coords."""
-    return [_e(ambient, (i, 1), (j, -1))
-            for i, j in itertools.permutations(coords, 2)]
+    roots = []
+    for i, j in itertools.permutations(coords, 2):
+        w = [0] * ambient
+        w[i] = 1
+        w[j] = -1
+        roots.append(tuple(w))
+    return roots
 
 
 def _signed_pairs(coords: Sequence[int], ambient: int) -> list[IntVec]:
     """+-e_a +- e_b for a < b in coords."""
-    return [_e(ambient, (a, sa), (b, sb))
-            for a, b in itertools.combinations(coords, 2)
-            for sa, sb in itertools.product((1, -1), repeat=2)]
+    roots = []
+    for a, b in itertools.combinations(coords, 2):
+        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            w = [0] * ambient
+            w[a] = sa
+            w[b] = sb
+            roots.append(tuple(w))
+    return roots
 
 
 def _signed_units(coords: Sequence[int], ambient: int, s: int) -> list[IntVec]:
     """+-s e_a for a in coords."""
-    return [_e(ambient, (a, t)) for a in coords for t in (s, -s)]
+    roots = []
+    for a in coords:
+        for t in (s, -s):
+            w = [0] * ambient
+            w[a] = t
+            roots.append(tuple(w))
+    return roots
+
+
+# G2's long roots +-(2 e_i - e_j - e_k), {i, j, k} = {0, 1, 2}
+_G2_LONG = ((2, -1, -1), (-2, 1, 1), (-1, 2, -1), (1, -2, 1),
+            (-1, -1, 2), (1, 1, -2))
 
 
 def _complex_root_list(family: str, r: int) -> tuple[int, tuple[IntVec, ...], list[IntVec]]:
@@ -684,10 +697,8 @@ def _complex_root_list(family: str, r: int) -> tuple[int, tuple[IntVec, ...], li
         n = r + 1
         return n, ((1,) * n,), _differences(range(n), n)
     if family == "G":
-        # the short roots are A2's, the long ones +-(2 e_i - e_j - e_k)
-        long_ = [_e(3, (i, 2 * s), ((i + 1) % 3, -s), ((i + 2) % 3, -s))
-                 for i in range(3) for s in (1, -1)]
-        return 3, ((1, 1, 1),), _differences(range(3), 3) + long_
+        # the short roots are A2's
+        return 3, ((1, 1, 1),), _differences(range(3), 3) + list(_G2_LONG)
     roots = _signed_pairs(range(r), r)
     if family == "B":
         roots += _signed_units(range(r), r, 1)

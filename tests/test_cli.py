@@ -246,7 +246,7 @@ def test_check_json_witness(capsys):
     ) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["answer"] is False
-    assert payload["witness"]["point"] == ["0", "1"]
+    assert payload["witness"]["point"] == ["0", "2"]
 
 
 def test_parabolic_single(capsys):
@@ -578,8 +578,9 @@ def test_module_entry_point():
     assert "su(2,2)" in proc.stdout
 
 
-# full stdout of two deco verdicts, one per witness kind; the witness is
-# the final simplex point or basis, so a change in pivoting shows here
+# full stdout of two deco verdicts, one per witness kind: the point
+# g - sigma g of the first generator g that y = X + sigma X fails, and
+# y itself where it separates
 _DECO_MEETS_JSON = """\
 {
   "question": "deco",
@@ -594,16 +595,16 @@ _DECO_MEETS_JSON = """\
   "witness": {
     "kind": "intersection-point",
     "point": [
-      "1/4",
-      "-1/4",
-      "1/4",
-      "-1/4"
+      "1",
+      "-1",
+      "1",
+      "-1"
     ],
     "cone_coefficients": [
-      "1/4",
-      "1/4",
       "0",
-      "1/2"
+      "0",
+      "1",
+      "1"
     ]
   },
   "inputs": {
@@ -635,12 +636,12 @@ _DECO_MISSES_JSON = """\
     "associated-variety-containment"
   ],
   "witness": {
-    "kind": "infeasibility-basis",
-    "basis": [
-      4,
-      0,
-      2,
-      7
+    "kind": "separating-functional",
+    "functional": [
+      "-4",
+      "-4",
+      "4",
+      "4"
     ]
   },
   "inputs": {
@@ -695,6 +696,21 @@ def test_verify_runs_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].endswith("all passed")
+    # at a deco-false X the meet point is replayed, and admissible runs
+    # its chamber LP and replays that point too
+    for question in ("deco", "admissible"):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "branchdec.cli", "check",
+             "--pair", "(su(2,2),sp(2,R))", "--X=1/2,-3/2,3/2,-1/2",
+             "--question", question, "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=_source_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["answer"] is False, question
+        assert payload["witness"]["kind"] == "intersection-point", question
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,7 +15,12 @@ from linalg_oracle import coweight_chamber
 
 from branchdec import cli, cone_kernel, decider, involution, root_core
 from branchdec.catalog import load_catalog
-from branchdec.cone_kernel import MeetResult
+from branchdec.cone_kernel import (
+    Cone,
+    MeetResult,
+    cone_meets_subspace,
+    cones_meet,
+)
 from branchdec.decider import (
     DECO_EQUIVALENTS,
     QUESTIONS,
@@ -37,6 +42,7 @@ from branchdec.involution import (
     WeightCell,
     build_theta_involution,
     member_signs,
+    momentum_chamber,
     restricted_roots,
 )
 from branchdec.parabolic import (
@@ -204,8 +210,17 @@ def _count_calls(monkeypatch, names) -> Counter:
 def test_classify_runs_the_meet_and_the_transitive_count_once_per_row(
     monkeypatch, capsys
 ):
-    calls = _count_calls(monkeypatch, ("cone_meets_subspace", "cones_meet",
-                                       "cap_dims", *_VERDICTS.values()))
+    calls = _count_calls(monkeypatch, ("cones_meet", "cap_dims",
+                                       *_VERDICTS.values()))
+    # every LP the kernel runs goes through simplex_feasible, looked up on
+    # the module at each call
+    simplex = cone_kernel.simplex_feasible
+    monkeypatch.setattr(
+        cone_kernel, "simplex_feasible",
+        lambda *args: calls.update(["simplex_feasible"]) or simplex(*args))
+    # deco asks no LP for its subspace test: the decider does not even
+    # bind the kernel's subspace meet
+    assert not hasattr(decider, "cone_meets_subspace")
     # a check reaches its own verdict function once, and no other
     for question, name in _VERDICTS.items():
         calls.clear()
@@ -214,14 +229,19 @@ def test_classify_runs_the_meet_and_the_transitive_count_once_per_row(
         assert {n: calls[n] for n in _VERDICTS.values()} == {
             n: int(n == name) for n in _VERDICTS.values()}, question
         assert calls["cap_dims"] == (question in ("transitive", "rho"))
+        assert calls["simplex_feasible"] == 0, question
     capsys.readouterr()
     calls.clear()
     assert cli.main(["classify", "--pair", "(su(2,2),sp(2,R))"]) == 0
-    rows = len(capsys.readouterr().out.splitlines()) - 1
+    header, *lines = capsys.readouterr().out.splitlines()
+    rows = len(lines)
     assert rows == 26
-    # deco's meet is the one admissible reads for its subspace note
-    assert calls["cone_meets_subspace"] <= rows
-    assert calls["cones_meet"] == rows
+    deco = header.split("\t").index("deco")
+    deco_false = sum(line.split("\t")[deco] == "false" for line in lines)
+    assert deco_false == 11
+    # only admissible's chamber test runs an LP, and only where deco's
+    # functional does not separate, one LP each
+    assert calls["cones_meet"] == calls["simplex_feasible"] == deco_false
     # rho reads the transitive verdict of its row
     assert calls["cap_dims"] == rows
     for name in _VERDICTS.values():
@@ -275,11 +295,14 @@ def test_classify_works_out_each_positive_system_once(monkeypatch, capsys):
 
 
 def test_deco_sp2r_levi_row():
+    # y = X + sigma X, with sigma x = -(x3, x4, x1, x2)
     pair = _pair("(su(2,2),sp(2,R))")
-    for x in (vec(3, -1, -1, -1), vec(-3, 1, 1, 1)):
+    for x, y in ((vec(3, -1, -1, -1), ["4", "0", "-4", "0"]),
+                 (vec(-3, 1, 1, 1), ["-4", "0", "4", "0"])):
         v = discretely_decomposable(_row(pair, x))
         assert v.answer is True
-        assert v.witness["kind"] == "infeasibility-basis"
+        assert v.witness == {"kind": "separating-functional",
+                             "functional": y}
 
 
 def test_deco_swap_pair_frozen_witness():
@@ -289,18 +312,20 @@ def test_deco_swap_pair_frozen_witness():
 
     mixed = discretely_decomposable(_row(pair, vec(1, -1)))
     assert mixed.answer is False
+    # y = X + sigma X is 0 here, so the first generator g = (0, -2)
+    # fails it, and the point is g - sigma g
     assert mixed.witness == {
         "kind": "intersection-point",
-        "point": ["1", "-1"],
-        "cone_coefficients": ["1/2", "1/2"],
+        "point": ["2", "-2"],
+        "cone_coefficients": ["1", "1"],
     }
     # re-derive the point from the coefficients and the stored generators
     q = _q(pair, vec(1, -1))
     gens = [w for w, _ in q.base.noncompact if vdot(w, q.x) > 0]
     point = vzero(2)
-    for c, g in zip((F(1, 2), F(1, 2)), gens):
+    for c, g in zip((1, 1), gens):
         point = vadd(point, vscale(c, g))
-    assert point == vec(1, -1)
+    assert point == vec(2, -2)
     assert in_span(point, pair.t_minus_sigma)
 
 
@@ -308,10 +333,11 @@ def test_deco_so32_borel_frozen_witness():
     pair = _pair("(so(5,C),so(3,2))")
     v = discretely_decomposable(_row(pair, vec(2, 1)))
     assert v.answer is False
+    # sigma g = -g for g = (0, 1), so the point g - sigma g is 2 g
     assert v.witness == {
         "kind": "intersection-point",
-        "point": ["0", "1"],
-        "cone_coefficients": ["1", "0", "0", "0"],
+        "point": ["0", "2"],
+        "cone_coefficients": ["2", "0", "0", "0"],
     }
 
 
@@ -423,6 +449,118 @@ def _noncompact_u(q):
     return [w for part, w, _ in q.u_weights() if part == PART_NONCOMPACT]
 
 
+# the stored involution pairs and one pair of each synthesised family
+_SIGN_TEST_FAMILIES = ("theta:su(2,2)", "theta:so(4,3)", "swap:su(1,1)^2")
+
+
+def _sigma(pair, v):
+    """sigma on t* by the transpose of the stored matrix."""
+    n = len(v)
+    return tuple(sum(pair.matrix[j][i] * v[j] for j in range(n))
+                 for i in range(n))
+
+
+def _replays(pair, gens, witness) -> bool:
+    """Whether a deco or admissible witness replays by substitution: a
+    functional fixed by sigma and > 0 on every generator, or a point
+    that _verify_point accepts."""
+    if witness["kind"] == "separating-functional":
+        y = tuple(F(c) for c in witness["functional"])
+        return _sigma(pair, y) == y and all(
+            sum(a * b for a, b in zip(y, g)) > 0 for g in gens)
+    result = MeetResult(
+        True,
+        tuple(F(c) for c in witness["point"]),
+        tuple(F(c) for c in witness["cone_coefficients"]),
+        (),
+    )
+    try:
+        _verify_point(pair, gens, result)
+    except CertificateError:
+        return False
+    return True
+
+
+def test_deco_sign_test_agrees_with_the_lp_on_every_face():
+    # the LP stays as the oracle: deco's sign test against the subspace
+    # meet, and admissible against the chamber meet, on every face
+    answers = Counter()
+    for pid in (*(pid for pid in _cat().pair_ids()
+                  if isinstance(_pair(pid), InvolutionData)),
+                *_SIGN_TEST_FAMILIES):
+        pair = _pair(pid)
+        normals = pair.t_minus_sigma_normals
+        walls = momentum_chamber(pair)
+        for q in enumerate_parabolics(pair.base, dominant_only=False):
+            gens = _noncompact_u(q)
+            cone = Cone.from_generators(gens, pair.base.ambient_dim)
+            deco = discretely_decomposable(Query(pair, q))
+            adm = admissible_sufficient(Query(pair, q))
+            assert deco.answer is not cone_meets_subspace(
+                cone, normals, q.row).meets, (pid, q.x)
+            assert adm.answer is not cones_meet(
+                cone, normals, walls, q.row).meets, (pid, q.x)
+            assert _replays(pair, gens, deco.witness), (pid, q.x)
+            if deco.answer:
+                # the chamber lies in t^{-sigma}: the same functional
+                assert adm.witness == deco.witness, (pid, q.x)
+            elif adm.witness["kind"] == "intersection-point":
+                assert _replays(pair, gens, adm.witness), (pid, q.x)
+            answers[deco.answer] += 1
+    assert (answers.total(), answers[True], answers[False]) == (566, 452, 114)
+
+
+def test_a_flipped_sign_in_a_shipped_functional_fails_the_replay():
+    flipped = 0
+    for pid in ("(su(2,2),sp(2,R))", "swap:su(1,1)^2", "(so(5,C),so(3,2))"):
+        pair = _pair(pid)
+        for q in enumerate_parabolics(pair.base, dominant_only=False):
+            witness = discretely_decomposable(Query(pair, q)).witness
+            if witness["kind"] != "separating-functional":
+                continue
+            gens = _noncompact_u(q)
+            assert _replays(pair, gens, witness)
+            y = witness["functional"]
+            for i, c in enumerate(y):
+                if F(c):
+                    forged = [str(-F(c)) if j == i else d
+                              for j, d in enumerate(y)]
+                    assert not _replays(
+                        pair, gens, {**witness, "functional": forged}), (
+                        pid, q.x, i)
+                    flipped += 1
+    assert flipped > 50
+
+
+def _unchecked(pair, matrix):
+    """The record with sigma replaced and its validation report forced
+    empty, so no check before the meet refuses it."""
+    import dataclasses
+
+    forged = dataclasses.replace(pair, matrix=matrix)
+    forged.__dict__["report"] = ()
+    return forged
+
+
+def test_a_sigma_that_breaks_the_meet_certificate_is_refused():
+    pair = _pair("(su(2,2),sp(2,R))")
+    # deco is false here: y = X + sigma X fails a generator
+    q = _q(pair, vec(F(1, 2), F(-3, 2), F(3, 2), F(-1, 2)))
+    # sigma = -2: y = -X fails every generator g, and -sigma g = 2 g is
+    # no weight at all
+    doubled = _unchecked(
+        pair, tuple(tuple(-2 * (i == j) for j in range(4)) for i in range(4)))
+    with pytest.raises(CertificateError, match="-sigma g is not"):
+        discretely_decomposable(Query(doubled, q))
+    # sigma = 2: y = 3 X separates, but is not fixed by sigma
+    stretched = _unchecked(
+        pair, tuple(tuple(2 * (i == j) for j in range(4)) for i in range(4)))
+    with pytest.raises(CertificateError, match="not fixed by sigma"):
+        discretely_decomposable(Query(stretched, q))
+    with pytest.raises(CertificateError, match="not fixed by sigma"):
+        admissible_sufficient(Query(stretched, q))
+
+
 def test_admissible_agrees_with_elimination_against_the_coweight_chamber():
     # the runtime states the chamber by its walls; elimination against its
     # vertex description (coweight rays and lines) gives every answer
@@ -445,15 +583,8 @@ def test_admissible_intersection_points_replay_by_substitution():
     points = 0
     for pair in _involution_pairs():
         n = pair.base.ambient_dim
-
-        def sigma(v):
-            return tuple(
-                sum((pair.matrix[j][i] * v[j] for j in range(n)), F(0))
-                for i in range(n)
-            )
-
         restricted = (
-            tuple((F(a) - b) / 2 for a, b in zip(w, sigma(w)))
+            tuple((F(a) - b) / 2 for a, b in zip(w, _sigma(pair, w)))
             for w, _ in pair.base.compact
         )
         positive = [b for b in restricted if any(b) and lex_positive(b)]
@@ -470,7 +601,8 @@ def test_admissible_intersection_points_replay_by_substitution():
                 for i in range(n)
             )
             assert total == point and any(point), (pair.pair_id, q.x)
-            assert sigma(point) == tuple(-x for x in point), pair.pair_id
+            assert _sigma(pair, point) == tuple(-x for x in point), (
+                pair.pair_id)
             for b in positive:
                 assert sum(x * y for x, y in zip(b, point)) >= 0, (
                     pair.pair_id, q.x, b)
