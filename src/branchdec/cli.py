@@ -138,7 +138,7 @@ def _pair_payload(pair) -> dict:
             "zero_weight_fixed_dim": pair.zero_weight_fixed_dim,
             "dim_gprime": pair.dim_gprime,
             "dim_t_sigma": pair.dim_t_sigma,
-            "dim_t_minus_sigma": len(pair.t_minus_sigma),
+            "dim_t_minus_sigma": pair.base.dim_t - pair.dim_t_sigma,
             "table_rows": table_rows_to_json(pair.table_rows),
         }
     # otherwise an EmbeddingRecord

@@ -1,16 +1,16 @@
 """Exact cone intersection tests over Q.
 
-Every LP in the package is stated as a list of constraints and handed
-to one builder, ``feasible_point``; it is the one LP encoding, and the
-only caller of the phase-1 simplex (Bland's rule on an integer tableau),
-which produces witness points and bases.  The decider's only runtime LP
-is ``admissible``'s chamber test (``cones_meet``) on a row whose
-functional X + sigma X does not separate the cone from t^{-sigma};
-``deco`` runs none, and ``cone_meets_subspace`` is kept as the oracle the
-tests hold that sign test against.  An independent Fourier-Motzkin
-eliminator that rebuilds the same feasibility questions from scratch
-lives with the tests (``tests/fm_oracle.py``), which compare the two
-routes on every instance they generate.
+Every LP in the package is a cone meet: ``_meet`` writes its phase-1
+rows itself and is the only caller of the phase-1 simplex (Bland's rule
+on an integer tableau), which produces witness points and bases.  The
+decider's only runtime LP is ``admissible``'s chamber test
+(``cones_meet``) on a row whose functional X + sigma X does not separate
+the cone from t^{-sigma}; ``deco`` runs none, and
+``cone_meets_subspace`` is kept as the oracle the tests hold that sign
+test against.  An independent Fourier-Motzkin eliminator that rebuilds
+the same feasibility questions from scratch lives with the tests
+(``tests/fm_oracle.py``), which compare the two routes on every instance
+they generate.
 
 A cone query states its subspace by its normals, which the caller
 solves for once (``root_core.subspace_normals``); the decider reads the
@@ -67,9 +67,9 @@ class MeetResult:
 
     On a meet, ``point`` is a common nonzero point and ``coefficients`` are
     the generator coefficients producing it.  Either way ``basis`` records
-    the final simplex basis, as column indices in the layout of
-    ``feasible_point``: the coefficients, one surplus per wall, then the
-    artificials left on redundant rows.
+    the final simplex basis, as column indices in the layout of the
+    meet's phase-1 rows: the coefficients, one surplus per wall, then
+    one artificial per row.
     """
 
     meets: bool
@@ -182,40 +182,6 @@ def simplex_feasible(
 
 
 # ---------------------------------------------------------------------------
-# the one LP encoding
-
-
-def feasible_point(
-    constraints: Sequence[tuple[Vec, bool, int | Fraction]],
-) -> tuple[Vec | None, tuple[int, ...]]:
-    """A point z >= 0 with row . z = rhs, or row . z >= rhs where
-    is_inequality, for every constraint (row, is_inequality, rhs), or None
-    if there is none.
-
-    The phase-1 system has the columns: the variables, then one surplus
-    column per inequality in row order (row . z - s = rhs).  The returned
-    basis indexes these columns, followed by one artificial column per
-    constraint.
-    """
-    if not constraints:
-        raise ValueError("feasibility query without constraints")
-    n = len(constraints[0][0])
-    n_surplus = sum(1 for _, is_inequality, _ in constraints if is_inequality)
-    rows: list[Vec] = []
-    rhs: list[int | Fraction] = []
-    surplus_at = 0
-    for row, is_inequality, b in constraints:
-        surplus = [0] * n_surplus
-        if is_inequality:
-            surplus[surplus_at] = -1
-            surplus_at += 1
-        rows.append((*row, *surplus))
-        rhs.append(b)
-    sol, basis = simplex_feasible(rows, rhs)
-    return (None if sol is None else sol[:n]), basis
-
-
-# ---------------------------------------------------------------------------
 # cone queries
 
 
@@ -232,7 +198,9 @@ def _meet(
     integer row), must pair strictly positively with every generator;
     this makes the normalisation sum(c) = 1 exhaustive.  The coefficients
     c >= 0 satisfy one = row per normal, sum(c) = 1, then one >= row per
-    wall, and the point is checked against both by substitution.
+    wall w, written sum_i (w . g_i) c_i - s_w = 0 with its own surplus
+    column s_w >= 0 after the coefficient columns; the point is checked
+    against both by substitution.
 
     The rows hold int where the value is integral: the normals keep their
     scale, with integral entries as int, so each row's values, and with
@@ -251,16 +219,21 @@ def _meet(
             )
     if not generators:
         return MeetResult(False, None, None, ())
-    constraints = [
-        (tuple(dot(nrm, g) for g in generators), False, 0) for nrm in normals
-    ]
-    constraints.append(((1,) * len(generators), False, 1))
-    constraints += [
-        (tuple(dot(w, g) for g in generators), True, 0) for w in walls
-    ]
-    coeffs, basis = feasible_point(constraints)
-    if coeffs is None:
+    k = len(generators)
+    no_surplus = (0,) * len(walls)
+    rows = [(*(dot(nrm, g) for g in generators), *no_surplus)
+            for nrm in normals]
+    rows.append((1,) * k + no_surplus)
+    for i, w in enumerate(walls):
+        surplus = list(no_surplus)
+        surplus[i] = -1
+        rows.append((*(dot(w, g) for g in generators), *surplus))
+    rhs = [0] * len(rows)
+    rhs[len(normals)] = 1
+    sol, basis = simplex_feasible(rows, rhs)
+    if sol is None:
         return MeetResult(False, None, None, basis)
+    coeffs = sol[:k]
     scaled, den = cleared_combination(coeffs, generators, cone.ambient_dim)
     if is_zero_vec(scaled):
         raise CertificateError("intersection point is zero")

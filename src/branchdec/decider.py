@@ -18,9 +18,11 @@ generator decides it.  When y . g > 0 on G, y is fixed by sigma, so it
 vanishes on t^{-sigma} and separates it from the cone.  When y . g <= 0,
 -sigma g pairs positively with X, so it is in G too, and g - sigma g is
 a nonzero meet point.  Only ``admissible``'s chamber test on a row
-where y does not separate runs the LP.  Meet points are replayed by
-substitution on integers, the point times the common denominator of
-its cone coefficients.
+where y does not separate runs the LP, and it alone reads t^{-sigma},
+through the normals cached on the pair; ``deco``'s note that t^{-sigma}
+is zero compares dim t^sigma with dim t, which validation has already
+computed.  Meet points are replayed by substitution on integers, the
+point times the common denominator of its cone coefficients.
 """
 
 from __future__ import annotations
@@ -115,10 +117,10 @@ class Query:
     """The questions about one (pair, q), with the work they share.
 
     Each piece is computed on first use and kept for the life of the
-    object: the validated involution, the noncompact weights of u and
-    their cone, the functional y = X + sigma X with the checked meet
-    point it leaves, the pair's weight-cell view with the member signs
-    under q, and the transitive verdict.
+    object: the validated involution, the noncompact weights of u, the
+    functional y = X + sigma X with the checked meet point it leaves,
+    the pair's weight-cell view with the member signs under q, and the
+    transitive verdict.
     ``involution`` and ``view`` validate the pair on first use.  A
     Query lives as long as the row or the command that asks it.
     """
@@ -146,10 +148,6 @@ class Query:
         """The noncompact weights of u."""
         return [w for part, w, _ in self.q.u_weights()
                 if part == PART_NONCOMPACT]
-
-    @cached_property
-    def cone(self) -> Cone:
-        return Cone.from_generators(self.generators, self.q.base.ambient_dim)
 
     @cached_property
     def functional(self) -> Vec:
@@ -314,7 +312,7 @@ def discretely_decomposable(row: Query) -> Verdict:
     notes = [_SCOPE_NOTE]
     if not row.generators:
         notes.append("u contains no noncompact weights; the cone is zero")
-    if not inv.t_minus_sigma:
+    if inv.dim_t_sigma == inv.base.dim_t:
         notes.append(
             "the split torus part is zero; restriction to the fixed "
             "subgroup is automatically admissible"
@@ -349,8 +347,8 @@ def admissible_sufficient(row: Query) -> Verdict:
     subspace_meets = row.meet is not None
     if subspace_meets:
         walls = momentum_chamber(inv)
-        result = cones_meet(
-            row.cone, inv.t_minus_sigma_normals, walls, row.q.row)
+        cone = Cone.from_generators(row.generators, row.q.base.ambient_dim)
+        result = cones_meet(cone, inv.t_minus_sigma_normals, walls, row.q.row)
         if result.meets:
             _verify_point(inv, row.generators, result)
         chamber_meets = result.meets

@@ -122,14 +122,11 @@ class InvolutionData:
         return self.base.ambient_dim - rank(self._eigenrows(1))
 
     @cached_property
-    def t_minus_sigma(self) -> tuple[Vec, ...]:
-        return tuple(nullspace(self._eigenrows(-1)))
-
-    @cached_property
     def t_minus_sigma_normals(self) -> tuple[Vec, ...]:
         """The normals of t^{-sigma} that the cone kernel tests a point
         against, built once for the record rather than once per meet."""
-        return subspace_normals(self.t_minus_sigma, self.base.ambient_dim)
+        return subspace_normals(
+            nullspace(self._eigenrows(-1)), self.base.ambient_dim)
 
     @cached_property
     def view(self) -> EmbeddingView:

@@ -185,7 +185,7 @@ def coweight_chamber(inv) -> tuple[list[Vec], list[Vec]]:
     as rays and lines: the rays are the primitive fundamental coweights of
     the restricted simple roots, and the lines a basis of the part of
     t^{-sigma} orthogonal to every restricted root."""
-    basis = list(inv.t_minus_sigma)
+    basis = list(eigenbasis(inv, -1))
     roots = inv.restricted.roots.support()
     if not basis:
         return [], []

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from fm_oracle import brute_force_chamber_meet, brute_force_cone_meets_subspace
+from linalg_oracle import eigenbasis
 
 from branchdec.catalog import load_catalog
 from branchdec.cone_kernel import (
@@ -197,7 +198,7 @@ def test_criterion_5_complex_pair_borel(capsys):
         assert v.answer is False
         assert v.witness["kind"] == "intersection-point"
         point = vec_from(v.witness["point"])
-        assert in_span(point, pair.t_minus_sigma)
+        assert in_span(point, eigenbasis(pair, -1))
 
 
 def _rand_vec(rng, dim, lo=-4, hi=4):
@@ -319,7 +320,7 @@ def test_criterion_7_property_suite(capsys):
             pair = cat.pair(pid)
             if not isinstance(pair, InvolutionData):
                 continue
-            tminus = pair.t_minus_sigma
+            tminus = eigenbasis(pair, -1)
             for q in enumerate_parabolics(pair.base, dominant_only=True):
                 v = discretely_decomposable(Query(pair, q))
                 gens = [g for g, _ in pair.base.noncompact if vdot(g, q.x) > 0]

@@ -218,7 +218,7 @@ def test_int_decode_matches_the_fraction_decode(monkeypatch):
         assert new.sigma_images == old.sigma_images, pid
         assert restricted_roots(new) == restricted_roots(old), pid
         assert new.dim_t_sigma == old.dim_t_sigma, pid
-        assert new.t_minus_sigma == old.t_minus_sigma, pid
+        assert new.t_minus_sigma_normals == old.t_minus_sigma_normals, pid
 
 
 def test_non_integral_sigma_still_decodes_and_passes_the_matrix_checks():

@@ -13,6 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from linalg_oracle import eigenbasis
 
 from branchdec import catalog, cli, involution
 from branchdec.catalog import load_catalog, read_catalog_files, seal
@@ -25,6 +26,8 @@ from branchdec.cli import (
     main,
 )
 from branchdec.decider import QUESTIONS
+from branchdec.parabolic import enumerate_parabolics
+from branchdec.root_core import vector_strings
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "branchdec" / "data"
 
@@ -218,6 +221,39 @@ def test_pair_payload_involution(capsys):
     assert payload["dim_t_sigma"] == 2
     assert payload["dim_t_minus_sigma"] == 1
     assert len(payload["matrix"]) == 4
+
+
+_SPLIT_TORUS_NOTE = (
+    "the split torus part is zero; restriction to the fixed subgroup is "
+    "automatically admissible"
+)
+
+
+def test_t_minus_sigma_dimension_on_every_involution_pair(capsys):
+    # the pair payload's dim t^-sigma and deco's note that t^-sigma is
+    # zero both agree with the oracle's basis of the -1 eigenspace, on
+    # every stored involution pair and one pair of each derived family
+    cat = load_catalog()
+    seen = []
+    for pid in (*cat.pair_ids(), "theta:so(4,3)", "theta:su(2,2)",
+                "swap:su(1,1)^2"):
+        pair = cat.pair(pid)
+        if not isinstance(pair, involution.InvolutionData):
+            continue
+        dim = len(eigenbasis(pair, -1))
+        seen.append((pid, dim))
+        assert main(["pair", "--pair", pid, "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dim_t_minus_sigma"] == dim, pid
+        for q in enumerate_parabolics(pair.base, dominant_only=True):
+            x = ",".join(vector_strings(q.x))
+            assert main(["check", "--pair", pid, f"--X={x}", "--question",
+                         "deco", "--format", "json"]) == EXIT_OK
+            notes = json.loads(capsys.readouterr().out)["notes"]
+            assert (_SPLIT_TORUS_NOTE in notes) == (dim == 0), (pid, x)
+    # both sides of the note are reached
+    assert len(seen) == 10
+    assert {dim == 0 for _, dim in seen} == {True, False}
 
 
 def test_pair_payload_embedding(capsys):
@@ -671,6 +707,97 @@ def test_check_json_witness_bytes_are_pinned(capsys, x, expected):
     assert main(
         ["check", "--pair", "(su(2,2),sp(2,R))", f"--X={x}",
          "--question", "deco", "--format", "json"]
+    ) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+# admissible's chamber LP on its two kinds of answer: the point it finds,
+# and the final basis when it finds none
+_ADMISSIBLE_MEETS_JSON = """\
+{
+  "question": "admissible",
+  "answer": false,
+  "equivalents": [],
+  "witness": {
+    "kind": "intersection-point",
+    "point": [
+      "1/4",
+      "-1/4",
+      "1/4",
+      "-1/4"
+    ],
+    "cone_coefficients": [
+      "1/2",
+      "1/4",
+      "1/4",
+      "0"
+    ]
+  },
+  "inputs": {
+    "pair": "(su(2,2),sp(2,R))",
+    "base": "su(2,2)",
+    "x": [
+      "3",
+      "-1",
+      "1",
+      "-3"
+    ]
+  },
+  "criterion": "the closed cone spanned by the noncompact weights of u meets the dominant chamber of the restricted root system only at 0",
+  "notes": [
+    "answer is uniform over nonzero modules attached to q with parameter in the weakly fair range; no specific parameter enters the test",
+    "chamber test intersects: true",
+    "full subspace test intersects: true",
+    "inconclusive by this test alone; the bounding cone may overshoot the true asymptotic support",
+    "decisive for symmetric pairs via the subspace test, which reports discrete decomposability = false"
+  ]
+}
+"""
+
+_ADMISSIBLE_MISSES_JSON = """\
+{
+  "question": "admissible",
+  "answer": true,
+  "equivalents": [],
+  "witness": {
+    "kind": "infeasibility-basis",
+    "basis": [
+      5,
+      6,
+      1,
+      8,
+      9
+    ]
+  },
+  "inputs": {
+    "pair": "(su(2,2),sp(2,R))",
+    "base": "su(2,2)",
+    "x": [
+      "1",
+      "-1",
+      "-3",
+      "3"
+    ]
+  },
+  "criterion": "the closed cone spanned by the noncompact weights of u meets the dominant chamber of the restricted root system only at 0",
+  "notes": [
+    "answer is uniform over nonzero modules attached to q with parameter in the weakly fair range; no specific parameter enters the test",
+    "chamber test intersects: false",
+    "full subspace test intersects: true"
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize(
+    ("x", "expected"),
+    [("3,-1,1,-3", _ADMISSIBLE_MEETS_JSON),
+     ("1,-1,-3,3", _ADMISSIBLE_MISSES_JSON)],
+)
+def test_check_json_lp_witness_bytes_are_pinned(capsys, x, expected):
+    assert main(
+        ["check", "--pair", "(su(2,2),sp(2,R))", f"--X={x}",
+         "--question", "admissible", "--format", "json"]
     ) == EXIT_OK
     assert capsys.readouterr().out == expected
 

@@ -18,7 +18,6 @@ from branchdec.cone_kernel import (
     PointednessError,
     cone_meets_subspace,
     cones_meet,
-    feasible_point,
     simplex_feasible,
 )
 from branchdec.root_core import (
@@ -118,10 +117,12 @@ def test_simplex_bland_tie_break_pins_basis():
     assert basis == (2, 1)
 
 
-def test_feasible_point_substitutes_and_agrees_with_elimination():
-    # nonnegative variables, mixed = and >= rows; every point must satisfy
-    # the constraints it was asked for, and every refusal must be
-    # confirmed by elimination
+def test_simplex_with_surplus_columns_agrees_with_elimination():
+    # nonnegative variables, mixed = and >= rows, each >= row written as
+    # row . z - s = b with its own surplus column s >= 0 after the
+    # variables, as a meet writes its walls; every point must satisfy the
+    # constraints it was asked for, and every refusal must be confirmed
+    # by elimination
     rng = random.Random(20261019)
     pool = [F(0), F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3)]
     feas = infeas = 0
@@ -135,12 +136,22 @@ def test_feasible_point_substitutes_and_agrees_with_elimination():
             )
             for _ in range(m)
         ]
-        z, _ = feasible_point(constraints)
-        if z is not None:
+        n_surplus = sum(1 for _, ineq, _ in constraints if ineq)
+        rows = []
+        at = 0
+        for row, ineq, _ in constraints:
+            surplus = [0] * n_surplus
+            if ineq:
+                surplus[at] = -1
+                at += 1
+            rows.append((*row, *surplus))
+        sol, _ = simplex_feasible(rows, [b for _, _, b in constraints])
+        if sol is not None:
             feas += 1
-            assert len(z) == n
-            assert all(type(c) is Fraction for c in z)
-            assert all(c >= 0 for c in z)
+            assert len(sol) == n + n_surplus
+            assert all(type(c) is Fraction for c in sol)
+            assert all(c >= 0 for c in sol)
+            z = sol[:n]
             for row, is_inequality, b in constraints:
                 if is_inequality:
                     assert vdot(row, z) >= b
@@ -161,17 +172,19 @@ def test_feasible_point_substitutes_and_agrees_with_elimination():
     assert feas > 50 and infeas > 50
 
 
-def test_feasible_point_basis_indexes_the_column_layout():
-    # z >= 0 and one inequality: columns z0, z1, surplus.  z0 + z1 >= 1
-    # with z0 = 2 is met at the vertex z = (2, 0), where the surplus is 1,
-    # so z0 (column 0) and the surplus (column 2) are basic
-    z, basis = feasible_point(
-        [(vec(1, 1), True, F(1)), (vec(1, 0), False, F(2))]
-    )
-    assert z == vec(2, 0)
-    assert sorted(basis) == [0, 2]
-    with pytest.raises(ValueError):
-        feasible_point([])
+def test_meet_basis_indexes_the_column_layout():
+    # the quadrant against the diagonal line, stated by two proportional
+    # normals, and the wall x >= 0.  The rows are the normals (rows 0 and
+    # 1), c0 + c1 = 1 (row 2) and the wall (row 3); the columns are c0,
+    # c1, the wall's surplus (column 2), then one artificial per row
+    # (columns 3 to 6).  The meet is (1/2, 1/2) with surplus 1/2, so c0,
+    # c1 and the surplus are basic, and the redundant row 1 keeps its
+    # artificial, column 3 + 1
+    quad = Cone.from_generators([vec(1, 0), vec(0, 1)], 2)
+    res = cones_meet(quad, [vec(1, -1), vec(2, -2)], [vec(1, 0)], vec(1, 1))
+    assert res.meets
+    assert res.coefficients == (F(1, 2), F(1, 2))
+    assert res.basis == (0, 4, 2, 1)
 
 
 def _simplex_callers(tree: ast.AST) -> list[str | None]:
@@ -195,8 +208,8 @@ def _simplex_callers(tree: ast.AST) -> list[str | None]:
 
 
 def test_simplex_feasible_is_called_only_by_the_builder():
-    # every feasibility question goes through feasible_point, so no other
-    # code in the package builds a tableau for the kernel itself
+    # every feasibility question is a cone meet, so no other code in the
+    # package builds a tableau for the kernel itself
     package = Path(__file__).resolve().parents[1] / "src" / "branchdec"
     callers = []
     for path in sorted(package.glob("*.py")):
@@ -209,7 +222,7 @@ def test_simplex_feasible_is_called_only_by_the_builder():
             for alias in node.names
         }
         assert "simplex_feasible" not in imported, path.name
-    assert callers == [("cone_kernel.py", "feasible_point")]
+    assert callers == [("cone_kernel.py", "_meet")]
 
 
 def test_enumeration_and_chamber_construction_stay_lp_free():
@@ -356,7 +369,7 @@ def test_a_forged_lp_point_is_refused(
 ):
     # the replay runs on 3 p, the point with the denominators cleared
     monkeypatch.setattr(
-        cone_kernel, "feasible_point", lambda constraints: (coefficients, ())
+        cone_kernel, "simplex_feasible", lambda rows, rhs: (coefficients, ())
     )
     quad = Cone.from_generators([vec(1, 0), vec(0, 1)], 2)
     with pytest.raises(CertificateError, match=message):
@@ -365,8 +378,8 @@ def test_a_forged_lp_point_is_refused(
 
 def test_an_honest_fractional_lp_point_is_returned_exactly(monkeypatch):
     monkeypatch.setattr(
-        cone_kernel, "feasible_point",
-        lambda constraints: ((F(1, 2), F(1, 3)), (0, 1)),
+        cone_kernel, "simplex_feasible",
+        lambda rows, rhs: ((F(1, 2), F(1, 3), F(1)), (0, 1)),
     )
     gens = [vec(2, 0), vec(0, 3)]
     res = cones_meet(Cone.from_generators(gens, 2), _normals([vec(1, 1)]),

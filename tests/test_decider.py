@@ -326,7 +326,7 @@ def test_deco_swap_pair_frozen_witness():
     for c, g in zip((1, 1), gens):
         point = vadd(point, vscale(c, g))
     assert point == vec(2, -2)
-    assert in_span(point, pair.t_minus_sigma)
+    assert in_span(point, linalg_oracle.eigenbasis(pair, -1))
 
 
 def test_deco_so32_borel_frozen_witness():

@@ -70,7 +70,7 @@ def test_theta_involution_su22():
     assert validate_involution(inv) == ()
     assert inv.dim_gprime == base.dim_k == 7
     assert inv.dim_t_sigma == len(eigenbasis(inv, 1)) == 3
-    assert inv.t_minus_sigma == ()
+    assert eigenbasis(inv, -1) == ()
     system = restricted_roots(inv)
     assert system.roots.total() == 0
     assert momentum_chamber(inv) == ()
@@ -81,7 +81,7 @@ def _dim_g_minus_sigma(inv):
     # pair {w, sigma w} and the fixed weights with eps -1
     pairs, _, minus = inv.fixed_pair_counts()
     zminus = inv.base.noncompact.zero_mult() - inv.zero_weight_fixed_dim
-    return len(inv.t_minus_sigma) + zminus + pairs + minus
+    return len(eigenbasis(inv, -1)) + zminus + pairs + minus
 
 
 def test_theta_dimension_split_on_all_catalog_algebras():
@@ -101,7 +101,7 @@ def test_swap_involution_doubled_su11():
     assert validate_involution(inv) == ()
     assert inv.dim_gprime == 3
     tplus = eigenbasis(inv, 1)
-    tminus = inv.t_minus_sigma
+    tminus = eigenbasis(inv, -1)
     assert inv.dim_t_sigma == 1
     assert len(tplus) == 1 and in_span(vec(1, 1), tplus)
     assert len(tminus) == 1 and in_span(vec(1, -1), tminus)
@@ -128,7 +128,7 @@ def test_sp2r_pair_structure():
     assert inv.dim_g_sigma() + _dim_g_minus_sigma(inv) == 15
 
     tplus = eigenbasis(inv, 1)
-    tminus = inv.t_minus_sigma
+    tminus = eigenbasis(inv, -1)
     assert inv.dim_t_sigma == 2
     assert len(tplus) == 2 and len(tminus) == 1
     assert in_span(vec(1, 0, -1, 0), tplus) and in_span(vec(0, 1, 0, -1), tplus)
@@ -152,8 +152,9 @@ def test_sp11_pair_structure():
     assert system.roots.total() == 0
     # so no walls: the chamber is the whole line t^{-sigma}
     assert momentum_chamber(inv) == ()
-    assert len(inv.t_minus_sigma) == 1
-    assert in_span(vec(1, 1, -1, -1), inv.t_minus_sigma)
+    tminus = eigenbasis(inv, -1)
+    assert len(tminus) == 1
+    assert in_span(vec(1, 1, -1, -1), tminus)
 
 
 def test_so32_pair_structure():
@@ -190,7 +191,7 @@ def test_momentum_chamber_lives_in_tminus_and_is_dominant():
         pair = _pair(pid)
         if not isinstance(pair, InvolutionData):
             continue
-        tminus = pair.t_minus_sigma
+        tminus = eigenbasis(pair, -1)
         system = restricted_roots(pair)
         walls = momentum_chamber(pair)
         # the walls are the positive restricted roots, which lie in
@@ -547,7 +548,6 @@ def _assert_involution_caches_fresh(inv):
     tplus = eigenbasis(inv, 1)
     tminus = eigenbasis(inv, -1)
     assert inv.dim_t_sigma == len(tplus)
-    assert inv.t_minus_sigma == tminus
     assert inv.t_minus_sigma_normals == subspace_normals(
         tminus, inv.base.ambient_dim
     )
@@ -649,25 +649,25 @@ def test_sigma_restriction_equals_the_gram_projection():
                 gram_projection(w, eigenbasis(inv, 1))
             ), (pid, w)
             assert vscale(F(1, 2), vsub(w, sw)) == (
-                gram_projection(w, inv.t_minus_sigma)
+                gram_projection(w, eigenbasis(inv, -1))
             ), (pid, w)
     assert len(seen) == 10 and set(_CACHE_PAIRS) <= seen
 
 
 def test_replaced_record_recomputes_its_derived_data():
     pair = _pair("(su(2,2),sp(2,R))")
-    before = (pair.t_minus_sigma, pair.view, pair.restricted)
-    assert before[0]
+    before = (pair.t_minus_sigma_normals, pair.view, pair.restricted)
+    assert eigenbasis(pair, -1)
     # the identity fixes the whole torus, so t^-sigma becomes zero
     replaced = dataclasses.replace(
         pair, matrix=tuple(tuple(F(int(i == j)) for j in range(4))
                            for i in range(4))
     )
     _assert_involution_caches_fresh(replaced)
-    assert replaced.t_minus_sigma == ()
+    assert eigenbasis(replaced, -1) == ()
     assert replaced.restricted.roots == WeightMultiset.of([])
     assert replaced.view != before[1]
-    assert (pair.t_minus_sigma, pair.view, pair.restricted) == before
+    assert (pair.t_minus_sigma_normals, pair.view, pair.restricted) == before
 
     emb = _pair("(so(4,3),g2(R))")
     emb.view
