@@ -2,8 +2,9 @@
 
 Each algebra file holds an id and a builder expression such as
 "su(2,2)"; the datum is built from the expression and validated.  Pair
-files hold involution or embedding records keyed to a base algebra.
-theta: and swap: pairs are synthesised on demand rather than stored.
+files hold involution or embedding records keyed to a base algebra, and
+nothing that follows from them, such as the restricted roots.  theta:
+and swap: pairs are synthesised on demand rather than stored.
 
 A load lists algebras/ and pairs/ once each, reads meta.json and every
 record file with one read sized by fstat, hashes the names and bytes of
@@ -11,7 +12,8 @@ the record files into the sha256 seal, checks it against meta.json, and
 only then decodes every file as JSON and keys each record by id: about
 a quarter of a millisecond for the shipped 21 files, half of it in the
 reads and most of the rest in ``json.loads``.  Each record is built and
-validated on its first access.
+validated on its first access, which refuses a key its decoder does not
+read, such as a misspelled optional field.
 A pair's vectors decode with ``vec_from``: an integral literal becomes an
 int and any other a Fraction, so a stored integer sigma is validated and
 restricts weights with integer products.
@@ -37,13 +39,11 @@ from .involution import (
     TableRow,
     build_swap_involution,
     build_theta_involution,
-    restricted_roots,
     # unused here; the benchmark tracer checks that this module binds it
     validate_involution,
 )
 from .root_core import (
     RootDatum,
-    WeightMultiset,
     build_root_datum,
     sum_parts,
     vec_from,
@@ -98,7 +98,6 @@ def _string(x) -> str:
 
 
 def _involution_from_json(rec: dict, base: RootDatum) -> InvolutionData:
-    declared = rec.get("declared_restricted_positive")
     return InvolutionData(
         base=base,
         matrix=tuple(vec_from(r) for r in rec["matrix"]),
@@ -111,13 +110,6 @@ def _involution_from_json(rec: dict, base: RootDatum) -> InvolutionData:
         label=_string(rec["label"]),
         pair_id=_string(rec["id"]),
         table_rows=_table_rows_from_json(rec.get("table_rows", [])),
-        declared_restricted_positive=(
-            None
-            if declared is None
-            else tuple(
-                (vec_from(e["weight"]), _integer(e["mult"])) for e in declared
-            )
-        ),
     )
 
 
@@ -131,6 +123,24 @@ def _embedding_from_json(rec: dict, base: RootDatum) -> EmbeddingRecord:
         pair_id=_string(rec["id"]),
         table_rows=_table_rows_from_json(rec.get("table_rows", [])),
     )
+
+
+# the top-level keys each decoder reads, and so the only keys a record of
+# its kind may hold
+_ALGEBRA_FIELDS = {"id", "builder"}
+_PAIR_FIELDS = {"id", "kind", "base", "label", "dim_gprime", "table_rows"}
+_PAIR_KINDS = {
+    "involution": (_PAIR_FIELDS | {"matrix", "eps", "zero_weight_fixed_dim"},
+                   _involution_from_json),
+    "embedding": (_PAIR_FIELDS | {"tprime_rows", "extra_zero_dim"},
+                  _embedding_from_json),
+}
+
+
+def _refuse_unknown_fields(name: str, rec: dict, fields: set) -> None:
+    unknown = rec.keys() - fields
+    if unknown:
+        raise CatalogError(f"{name}: unknown field {min(unknown)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,33 +213,25 @@ class RecordFile(NamedTuple):
     data: dict
 
 
-_FIELD_ERRORS = (KeyError, TypeError, ValueError)
-
-
-def _field_error(name: str, exc: Exception) -> CatalogError:
-    """A missing or mistyped field, as a CatalogError naming the file."""
-    if isinstance(exc, KeyError):
-        return CatalogError(f"{name}: missing field {exc}")
-    return CatalogError(f"{name}: malformed field: {exc}")
-
-
 @contextmanager
 def _field_errors(name: str):
     """Report a missing or mistyped field as a CatalogError naming the file."""
     try:
         yield
-    except _FIELD_ERRORS as exc:
-        raise _field_error(name, exc) from exc
+    except KeyError as exc:
+        raise CatalogError(f"{name}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CatalogError(f"{name}: malformed field: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class CatalogBundle:
     """The decoded catalog files, keyed by id.
 
-    A record is built, validated and, for a pair, compared with its
-    declared restricted roots on its first access, and kept on the
-    bundle.  A record that fails is not kept, so every access raises its
-    CatalogError again.  ``check_all`` builds every record.
+    A record is checked for unknown fields, built and validated on its
+    first access, and kept on the bundle.  A record that fails is not
+    kept, so every access raises its CatalogError again.  ``check_all``
+    builds every record.
     """
 
     root: Path
@@ -276,6 +278,7 @@ class CatalogBundle:
             name, rec = self.algebra_files[algebra_id]
         except KeyError:
             raise UnknownIdError(f"unknown algebra id {algebra_id!r}") from None
+        _refuse_unknown_fields(name, rec, _ALGEBRA_FIELDS)
         with _field_errors(name):
             datum = dataclasses.replace(
                 build_root_datum(_string(rec["builder"])), name=algebra_id
@@ -286,25 +289,13 @@ class CatalogBundle:
     def _build_pair(self, pair_id: str) -> InvolutionData | EmbeddingRecord:
         name, rec = self.stored_pairs[pair_id]
         base = self.algebra(rec["base"])
+        fields, decode = _PAIR_KINDS[rec["kind"]]
+        _refuse_unknown_fields(name, rec, fields)
         with _field_errors(name):
-            if rec["kind"] == "involution":
-                pair = _involution_from_json(rec, base)
-            else:
-                pair = _embedding_from_json(rec, base)
+            pair = decode(rec, base)
         if pair.report:
             names = ", ".join(pair.report)
             raise CatalogError(f"{name}: validation failed: {names}")
-        if (
-            isinstance(pair, InvolutionData)
-            and pair.declared_restricted_positive is not None
-        ):
-            computed = restricted_roots(pair).positive
-            declared = WeightMultiset.of(pair.declared_restricted_positive)
-            if computed != declared:
-                raise CatalogError(
-                    f"{name}: computed restricted positive system "
-                    "disagrees with the declared one"
-                )
         return pair
 
     def _swap_pair(self, algebra_id: str) -> InvolutionData:
@@ -381,16 +372,15 @@ def index_catalog(
     """
     algebras: dict[str, RecordFile] = {}
     pairs: dict[str, RecordFile] = {}
-    # only reading a field raises one of _FIELD_ERRORS, and name is then
-    # the file being indexed
-    try:
-        for name, raw in algebra_files:
+    for name, raw in algebra_files:
+        with _field_errors(name):
             rec = _decode_json(name, raw)
             algebra_id = _string(rec["id"])
             if algebra_id in algebras:
                 raise CatalogError(f"duplicate algebra id {algebra_id!r}")
             algebras[algebra_id] = RecordFile(name, rec)
-        for name, raw in pair_files:
+    for name, raw in pair_files:
+        with _field_errors(name):
             rec = _decode_json(name, raw)
             pair_id = _string(rec["id"])
             kind = _string(rec["kind"])
@@ -399,13 +389,11 @@ def index_catalog(
                 raise CatalogError(
                     f"{name}: base algebra {base_id!r} is not in the catalog"
                 )
-            if kind not in ("involution", "embedding"):
+            if kind not in _PAIR_KINDS:
                 raise CatalogError(f"{name}: unknown pair kind {kind!r}")
             if pair_id in pairs:
                 raise CatalogError(f"duplicate pair id {pair_id!r}")
             pairs[pair_id] = RecordFile(name, rec)
-    except _FIELD_ERRORS as exc:
-        raise _field_error(name, exc) from exc
 
     return CatalogBundle(
         root=root,

@@ -91,9 +91,15 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
+def _catalog_dir(text: str) -> Path:
+    """A --catalog value; an empty one names no directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return Path(text)
+
+
 def _load(ns) -> CatalogBundle:
-    path = Path(ns.catalog) if ns.catalog else None
-    return load_catalog(path, force=ns.force)
+    return load_catalog(ns.catalog, force=ns.force)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +357,7 @@ def build_arg_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: _Parser, formats: bool = True) -> None:
-        p.add_argument("--catalog", default=None,
+        p.add_argument("--catalog", type=_catalog_dir, default=None,
                        help="catalog directory (default: packaged data or "
                             "BRANCHDEC_CATALOG)")
         p.add_argument("--force", action="store_true",

@@ -86,7 +86,6 @@ class InvolutionData:
     label: str
     pair_id: str
     table_rows: tuple[TableRow, ...] = ()
-    declared_restricted_positive: tuple[tuple[Vec, int], ...] | None = None
 
     # Everything below derived from the fields is computed on first use
     # and kept on the record.  The record is frozen, so nothing can go

@@ -12,7 +12,8 @@ imports anything but data types, loaders and error classes from
 system of a positive system worked out on ``Fraction`` vectors, for
 ``RootSystem.coweight_rows`` and ``ThetaStableParabolic.free_coefficients``,
 and ``coweight_chamber`` the momentum chamber as rays and lines built
-from it, for the chamber that the runtime states by its walls.
+from it and from ``restricted_root_support``, for the chamber that the
+runtime states by its walls.
 ``eigenbasis`` spans t^{sigma} or t^{-sigma}, of which the runtime keeps
 only the dimension of the first.
 """
@@ -180,13 +181,28 @@ def eigenbasis(inv, sign: int) -> tuple[Vec, ...]:
     return tuple(nullspace(rows + list(inv.base.t_constraints)))
 
 
+def restricted_root_support(inv) -> list[Vec]:
+    """The distinct nonzero restricted roots of an involution pair,
+    sorted: each compact root w restricts to t^{-sigma} as
+    (w - sigma^T w)/2, worked out from the pair's matrix."""
+    n = inv.base.ambient_dim
+    roots = set()
+    for w, _ in inv.base.compact:
+        image = [sum((Fraction(inv.matrix[i][j]) * w[i] for i in range(n)),
+                     Fraction(0)) for j in range(n)]
+        r = tuple((w[j] - image[j]) / 2 for j in range(n))
+        if not is_zero_vec(r):
+            roots.add(r)
+    return sorted(roots)
+
+
 def coweight_chamber(inv) -> tuple[list[Vec], list[Vec]]:
     """The dominant chamber of the restricted roots of an involution pair,
     as rays and lines: the rays are the primitive fundamental coweights of
     the restricted simple roots, and the lines a basis of the part of
     t^{-sigma} orthogonal to every restricted root."""
     basis = list(eigenbasis(inv, -1))
-    roots = inv.restricted.roots.support()
+    roots = restricted_root_support(inv)
     if not basis:
         return [], []
     _, coweights = simple_system(roots)

@@ -43,6 +43,7 @@ from branchdec.parabolic import (
 )
 from branchdec.root_core import (
     RootDatum,
+    WeightMultiset,
     as_fraction,
     build_root_datum,
     vec,
@@ -161,13 +162,48 @@ def test_involution_json_round_trip():
             assert _embedding_from_json(rec, pair.base) == pair
 
 
-def test_involution_json_keeps_declared_restricted():
-    cat = load_catalog()
-    pair = cat.pair("(sl(4,C),sp(2,C))")
-    rec = _make_catalog_module().involution_to_json(pair, "sl(4,C)")
-    assert rec["declared_restricted_positive"] == [
-        {"weight": ["1/2", "-1/2", "1/2", "-1/2"], "mult": 4}
+# ---------------------------------------------------------------------------
+# the restricted positive systems of the stored involution pairs
+
+_HALF = vec("1/2", "-1/2", "1/2", "-1/2")
+RESTRICTED_POSITIVE = {
+    "(su(2,2),sp(2,R))": [(_HALF, 2)],
+    "(su(2,2),sp(1,1))": [],
+    "(su(4),sp(2))": [(_HALF, 4)],
+    "(sl(4,C),sp(2,C))": [(_HALF, 4)],
+    "(so(2,2),so(2,1))": [],
+    "(so(4),so(3))": [(vec(0, 1), 2)],
+    "(so(5,C),so(3,2))": [(vec(0, 1), 1), (vec(1, -1), 1), (vec(1, 0), 1),
+                          (vec(1, 1), 1)],
+}
+
+
+def _restricted_positive_mismatches(cat) -> list[str]:
+    return [
+        pid for pid, expected in RESTRICTED_POSITIVE.items()
+        if restricted_roots(cat.pair(pid)).positive
+        != WeightMultiset.of(expected)
     ]
+
+
+def test_restricted_positive_systems_of_the_stored_pairs_are_pinned(tmp_path):
+    cat = load_catalog()
+    assert sorted(RESTRICTED_POSITIVE) == [
+        pid for pid in cat.pair_ids()
+        if isinstance(cat.pair(pid), InvolutionData)
+    ]
+    assert _restricted_positive_mismatches(cat) == []
+    # the table tells the two sigmas of su(2,2) apart: sp(2,R)'s record
+    # with the sigma and eps of sp(1,1) is valid, and its restricted roots
+    # are not sp(2,R)'s
+    root = _copy(tmp_path)
+    other = json.loads((root / "pairs" / "_su_2_2__sp_1_1__.json").read_text())
+    _edit(root / "pairs" / "_su_2_2__sp_2_R__.json",
+          lambda rec: rec.update(matrix=other["matrix"], eps=other["eps"]))
+    _reseal(root)
+    swapped = load_catalog(root)
+    swapped.check_all()
+    assert _restricted_positive_mismatches(swapped) == ["(su(2,2),sp(2,R))"]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +267,6 @@ def test_non_integral_sigma_still_decodes_and_passes_the_matrix_checks():
                    ["2/3", "2/3", "-1/3"]],
         "eps": [], "zero_weight_fixed_dim": 0, "dim_gprime": 0,
         "table_rows": [{"X": ["1", "1", "-2"], "levi": ""}],
-        "declared_restricted_positive": None,
     }
     inv = _involution_from_json(rec, base)
     assert all(type(x) is Fraction for r in inv.matrix for x in r)
@@ -427,20 +462,69 @@ def test_a_spaced_doubled_builder_keeps_its_swap_pair(tmp_path, capsys):
     assert capsys.readouterr().out == pristine
 
 
-def test_declared_restricted_comparison(tmp_path, capsys):
+def _other_pair_still_answers(capsys, root: Path) -> None:
+    """A command on a pair whose record is intact answers on the catalog
+    at root as it does on the shipped one."""
+    argv = ["check", "--pair", "(so(4),so(3))", "--X", "1,1",
+            "--question", "deco"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    pristine = capsys.readouterr().out
+    assert main(argv + ["--catalog", str(root)]) == 0
+    assert capsys.readouterr().out == pristine
+
+
+@pytest.mark.parametrize(
+    ("folder", "name", "edit", "access", "key"),
+    [
+        # a misspelled optional field was dropped: the table rows went
+        # with it, and verify ran two checks fewer and passed
+        ("pairs", "_su_2_2__sp_2_R__.json",
+         lambda rec: rec.update(table_row=rec.pop("table_rows")),
+         lambda cat: cat.pair("(su(2,2),sp(2,R))"), "table_row"),
+        ("pairs", "_so_4_3__g2_R__.json",
+         lambda rec: rec.update(tprime_row=[]),
+         lambda cat: cat.pair("(so(4,3),g2(R))"), "tprime_row"),
+        ("algebras", "su_2_2_.json",
+         lambda rec: rec.update(name="su(2,2)"),
+         lambda cat: cat.algebra("su(2,2)"), "name"),
+    ],
+    ids=["table_row", "embedding", "algebra"],
+)
+def test_a_field_the_loader_does_not_read_is_refused(
+    tmp_path, capsys, folder, name, edit, access, key
+):
     root = _copy(tmp_path)
-
-    def bump_mult(rec):
-        rec["declared_restricted_positive"][0]["mult"] = 3
-
-    _edit(root / "pairs" / "_sl_4_C__sp_2_C__.json", bump_mult)
+    _edit(root / folder / name, edit)
     _reseal(root)
+    message = f"{name}: unknown field '{key}'"
     cat = load_catalog(root)
-    with pytest.raises(CatalogError, match="declared"):
-        cat.pair("(sl(4,C),sp(2,C))")
-    _verify_fails(capsys, root, "declared")
-    with pytest.raises(CatalogError, match="declared"):
-        load_catalog(root, force=True).pair("(sl(4,C),sp(2,C))")
+    with pytest.raises(CatalogError, match=re.escape(message)):
+        access(cat)
+    _catalog_fails(capsys, root, message)
+    _other_pair_still_answers(capsys, root)
+
+
+def test_a_record_that_still_declares_restricted_roots_is_refused(
+    tmp_path, capsys
+):
+    # the old schema stored a hand-typed copy of the restricted positive
+    # system; the loader no longer reads it, so it is refused, not skipped
+    root = _copy(tmp_path)
+    _edit(
+        root / "pairs" / "_sl_4_C__sp_2_C__.json",
+        lambda rec: rec.update(declared_restricted_positive=[
+            {"mult": 4, "weight": ["1/2", "-1/2", "1/2", "-1/2"]}
+        ]),
+    )
+    _reseal(root)
+    message = ("_sl_4_C__sp_2_C__.json: unknown field "
+               "'declared_restricted_positive'")
+    for cat in (load_catalog(root), load_catalog(root, force=True)):
+        with pytest.raises(CatalogError, match=re.escape(message)):
+            cat.pair("(sl(4,C),sp(2,C))")
+    _catalog_fails(capsys, root, message)
+    _other_pair_still_answers(capsys, root)
 
 
 def test_structural_errors(tmp_path):

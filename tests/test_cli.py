@@ -193,6 +193,22 @@ def test_tampered_catalog_is_refused(tmp_path, capsys):
     assert main(["catalog", "--catalog", str(root), "--force"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["catalog", "verify", "pair"])
+def test_an_empty_catalog_path_is_refused(capsys, monkeypatch, command):
+    # an empty --catalog names no directory; it used to load the packaged
+    # data as if the flag were absent
+    argv = [command, "--catalog", ""]
+    if command == "pair":
+        argv += ["--pair", "(su(2,2),sp(2,R))"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument --catalog: empty path\n"
+    # an empty BRANCHDEC_CATALOG still means unset
+    monkeypatch.setenv("BRANCHDEC_CATALOG", "")
+    assert main(argv[:1] + argv[3:]) == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # payloads
 

@@ -450,7 +450,6 @@ def test_conjugating_by_a_datum_symmetry_transports_restricted_roots():
         inv,
         matrix=conj_matrix,
         eps=conj_eps,
-        declared_restricted_positive=None,
         pair_id="conjugated",
     )
     assert validate_involution(conj) == ()

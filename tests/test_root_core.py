@@ -402,7 +402,8 @@ def test_independent_rows_is_a_basis_of_the_row_span():
 
 
 # what a test oracle may take from branchdec: data types, loaders and
-# error classes, never a routine that computes what the oracle checks
+# error classes, never a routine or a cached property that computes what
+# the oracle checks
 ORACLE_IMPORTS = {
     "Vec", "IntVec", "RootDatum", "ThetaStableParabolic", "PART_COMPACT",
     "PART_NONCOMPACT", "DatumError", "CertificateError", "build_root_datum",
@@ -410,12 +411,33 @@ ORACLE_IMPORTS = {
 }
 
 
+def _runtime_cached_properties() -> set[str]:
+    """The name of every cached_property of a branchdec class, read from
+    the source."""
+    names = set()
+    for path in Path(root_core.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                getattr(d, "id", getattr(d, "attr", None)) == "cached_property"
+                for d in node.decorator_list
+            ):
+                names.add(node.name)
+    return names
+
+
 def test_oracles_import_only_data_from_branchdec():
+    # nor do they read what the runtime computed and kept on a record: an
+    # attribute read, which no import shows
+    cached = _runtime_cached_properties()
+    assert {"restricted", "view", "sigma_images", "root_system"} <= cached
     oracles = sorted(Path(__file__).parent.glob("*oracle*.py"))
     assert len(oracles) == 6
     for path in oracles:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in cached, (path.name, node.lineno,
+                                                 node.attr)
+            elif isinstance(node, ast.Import):
                 modules = {alias.name.split(".")[0] for alias in node.names}
                 assert "branchdec" not in modules, path.name
             elif (isinstance(node, ast.ImportFrom)

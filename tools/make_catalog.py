@@ -67,8 +67,6 @@ def build_pairs() -> list[InvolutionData | EmbeddingRecord]:
     # adjacent transpositions with a sign; fixes the quaternionic form
     m_adj_neg = M((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0))
 
-    half = V(Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 2))
-
     pairs: list[InvolutionData | EmbeddingRecord] = []
     pairs.append(
         InvolutionData(
@@ -88,7 +86,6 @@ def build_pairs() -> list[InvolutionData | EmbeddingRecord]:
             label="sp(2,R) in su(2,2)",
             pair_id="(su(2,2),sp(2,R))",
             table_rows=(TableRow(V(3, -1, -1, -1), "u(1,2)"),),
-            declared_restricted_positive=((half, 2),),
         )
     )
     pairs.append(
@@ -109,7 +106,6 @@ def build_pairs() -> list[InvolutionData | EmbeddingRecord]:
             label="sp(1,1) in su(2,2)",
             pair_id="(su(2,2),sp(1,1))",
             table_rows=(TableRow(V(3, -1, -1, -1), "u(1,2)"),),
-            declared_restricted_positive=(),
         )
     )
     pairs.append(
@@ -130,7 +126,6 @@ def build_pairs() -> list[InvolutionData | EmbeddingRecord]:
             label="sp(2) in su(4)",
             pair_id="(su(4),sp(2))",
             table_rows=(TableRow(V(3, -1, -1, -1), "u(3)"),),
-            declared_restricted_positive=((half, 4),),
         )
     )
     pairs.append(
@@ -152,7 +147,6 @@ def build_pairs() -> list[InvolutionData | EmbeddingRecord]:
             label="sp(2,C) in sl(4,C)",
             pair_id="(sl(4,C),sp(2,C))",
             table_rows=(TableRow(V(3, -1, -1, -1), "gl(3,C)"),),
-            declared_restricted_positive=((half, 4),),
         )
     )
     pairs.append(
@@ -165,7 +159,6 @@ def build_pairs() -> list[InvolutionData | EmbeddingRecord]:
             label="so(2,1) in so(2,2)",
             pair_id="(so(2,2),so(2,1))",
             table_rows=(TableRow(V(1, 1), "u(1,1)"),),
-            declared_restricted_positive=(),
         )
     )
     pairs.append(
@@ -178,7 +171,6 @@ def build_pairs() -> list[InvolutionData | EmbeddingRecord]:
             label="so(3) in so(4)",
             pair_id="(so(4),so(3))",
             table_rows=(TableRow(V(1, 1), "u(2)"),),
-            declared_restricted_positive=((V(0, 1), 2),),
         )
     )
     pairs.append(
@@ -191,12 +183,6 @@ def build_pairs() -> list[InvolutionData | EmbeddingRecord]:
             label="so(3,2) in so(5,C)",
             pair_id="(so(5,C),so(3,2))",
             table_rows=(),
-            declared_restricted_positive=(
-                (V(0, 1), 1),
-                (V(1, -1), 1),
-                (V(1, 0), 1),
-                (V(1, 1), 1),
-            ),
         )
     )
     pairs.append(
@@ -229,7 +215,6 @@ def algebra_to_json(algebra_id: str, builder: str) -> dict:
 
 
 def involution_to_json(inv: InvolutionData, base_id: str) -> dict:
-    declared = inv.declared_restricted_positive
     return {
         "id": inv.pair_id,
         "kind": "involution",
@@ -243,9 +228,6 @@ def involution_to_json(inv: InvolutionData, base_id: str) -> dict:
         "zero_weight_fixed_dim": inv.zero_weight_fixed_dim,
         "dim_gprime": inv.dim_gprime,
         "table_rows": table_rows_to_json(inv.table_rows),
-        "declared_restricted_positive": None if declared is None else [
-            {"weight": vector_strings(w), "mult": m} for w, m in declared
-        ],
     }
 
 
