@@ -6,14 +6,18 @@ files hold involution or embedding records keyed to a base algebra, and
 nothing that follows from them, such as the restricted roots.  theta:
 and swap: pairs are synthesised on demand rather than stored.
 
-A load lists algebras/ and pairs/ once each, reads meta.json and every
-record file with one read sized by fstat, hashes the names and bytes of
-the record files into the sha256 seal, checks it against meta.json, and
-only then decodes every file as JSON and keys each record by id: about
-a quarter of a millisecond for the shipped 21 files, half of it in the
-reads and most of the rest in ``json.loads``.  Each record is built and
-validated on its first access, which refuses a key its decoder does not
-read, such as a misspelled optional field.
+meta.json seals an index of the record files: for each its path, its
+sha256 and its id, and for a pair its kind and base; the checksum is
+the sha256 of that index.  A load reads meta.json alone, checks the
+index against its checksum and against a listing of algebras/ and
+pairs/, and keys the entries by id, so a command reads only the record
+files it uses: about a tenth of a millisecond for the shipped 21 files,
+in four near-equal parts (decoding meta.json, hashing the index,
+listing the folders, keying the entries).  Each record's file is read
+on its first access and checked against its sha256 before it is
+decoded, then built and validated, which refuses a key its decoder
+does not read, such as a misspelled optional field.
+
 A pair's vectors decode with ``vec_from``: an integral literal becomes an
 int and any other a Fraction, so a stored integer sigma is validated and
 restricts weights with integer products.
@@ -27,11 +31,10 @@ import hashlib
 import json
 import os
 import stat
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .involution import (
     EmbeddingRecord,
@@ -146,6 +149,15 @@ def _refuse_unknown_fields(name: str, rec: dict, fields: set) -> None:
 # ---------------------------------------------------------------------------
 # integrity
 
+# the record folders, in the order the index lists them, and the fields
+# the index copies from a record of each
+_INDEXED = {"algebras": ("id",), "pairs": ("id", "kind", "base")}
+
+_MISMATCH = (
+    "catalog checksum mismatch: files were edited without "
+    "regenerating meta.json (use force to load anyway)"
+)
+
 
 def _read(path: str) -> bytes:
     """The bytes of one file, in one read sized by fstat.
@@ -162,83 +174,137 @@ def _read(path: str) -> bytes:
         os.close(fd)
 
 
-def _read_folder(folder: str) -> list[tuple[str, bytes]]:
-    """(name, bytes) of every ``*.json`` entry of the folder, sorted by
-    name, dotfiles included: the files ``sorted(Path.glob("*.json"))``
-    lists.  A missing folder holds none."""
+def _read_record(root: Path, path: str) -> bytes:
+    """The bytes of the record file at ``path``, relative to root."""
     try:
-        names = sorted(n for n in os.listdir(folder) if n.endswith(".json"))
-    except (FileNotFoundError, NotADirectoryError):
-        return []
+        return _read(os.path.join(root, path))
     except OSError as exc:
-        raise CatalogError(f"{folder}: cannot list: {exc.strerror}") from exc
-    files = []
-    for name in names:
+        raise CatalogError(
+            f"{_file_name(path)}: cannot read: {exc.strerror}"
+        ) from exc
+
+
+def _file_name(path: str) -> str:
+    """The name that prefixes every error about the file at ``path``."""
+    return path.rpartition("/")[2]
+
+
+def _listing(root: Path) -> list[str]:
+    """The path of every ``*.json`` entry of algebras/ and then of pairs/,
+    each folder sorted by name, dotfiles included: the files
+    ``sorted(Path.glob("*.json"))`` lists.  A missing folder holds none."""
+    paths = []
+    for folder in _INDEXED:
         try:
-            files.append((name, _read(os.path.join(folder, name))))
+            names = os.listdir(os.path.join(root, folder))
+        except (FileNotFoundError, NotADirectoryError):
+            continue
         except OSError as exc:
-            raise CatalogError(f"{name}: cannot read: {exc.strerror}") from exc
-    return files
+            raise CatalogError(
+                f"{folder}: cannot list: {exc.strerror}"
+            ) from exc
+        paths += sorted(f"{folder}/{n}" for n in names if n.endswith(".json"))
+    return paths
 
 
-def read_catalog_files(
-    root: Path,
-) -> tuple[list[tuple[str, bytes]], list[tuple[str, bytes]]]:
-    """(name, bytes) of every algebra file and of every pair file, each
-    read once; the seal covers the algebra files, then the pair files."""
-    return (_read_folder(os.path.join(root, "algebras")),
-            _read_folder(os.path.join(root, "pairs")))
+def _decode_object(name: str, raw: bytes) -> dict:
+    try:
+        obj = json.loads(raw)
+    # a JSONDecodeError, or a UnicodeDecodeError for bytes that are not
+    # UTF-8
+    except ValueError as exc:
+        raise CatalogError(f"{name}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CatalogError(f"{name}: not a JSON object")
+    return obj
 
 
-def seal(files: list[tuple[str, bytes]]) -> str:
-    """The checksum of the (name, bytes) of the record files, in the
-    order read_catalog_files reads them."""
-    h = hashlib.sha256()
-    for name, raw in files:
-        h.update(name.encode())
-        h.update(b"\0")
-        h.update(raw)
-        h.update(b"\0")
-    return h.hexdigest()
+def index_files(root: Path) -> list[dict]:
+    """The index of the record files under root, as meta.json seals it.
+
+    Reads, hashes and decodes every listed file once.  Each entry holds
+    the file's path, its sha256 and the record's id, and for a pair its
+    kind and base, copied as the record holds them: the load checks
+    their types, and a field the record lacks is left out, so the load
+    reports it missing.  Invalid JSON is refused here."""
+    index = []
+    for path in _listing(root):
+        raw = _read_record(root, path)
+        rec = _decode_object(_file_name(path), raw)
+        entry = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
+        for key in _INDEXED[path.partition("/")[0]]:
+            if key in rec:
+                entry[key] = rec[key]
+        index.append(entry)
+    return index
+
+
+def seal(index) -> str:
+    """The checksum of an index: the sha256 of its canonical JSON."""
+    text = json.dumps(index, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def write_meta(root: Path, index: list[dict] | None = None) -> None:
+    """Write the meta.json that seals the record files under root: the
+    version, the index (``index_files(root)`` unless one is given) and
+    its checksum.  Nothing is validated; tools/make_catalog.py builds
+    every record first."""
+    if index is None:
+        index = index_files(root)
+    meta = {"checksum": seal(index), "files": index,
+            "version": CATALOG_VERSION}
+    Path(root, "meta.json").write_text(
+        json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    )
 
 
 # ---------------------------------------------------------------------------
 # bundle
 
 
-class RecordFile(NamedTuple):
-    """One decoded catalog file; ``name`` prefixes every error about it."""
+class _field_errors:
+    """Report a missing or mistyped field as a CatalogError naming the file.
 
-    name: str
-    data: dict
+    A class, not a generator context manager: the load enters one per
+    index entry, and this enters in a third of the time."""
 
+    __slots__ = ("name",)
 
-@contextmanager
-def _field_errors(name: str):
-    """Report a missing or mistyped field as a CatalogError naming the file."""
-    try:
-        yield
-    except KeyError as exc:
-        raise CatalogError(f"{name}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise CatalogError(f"{name}: malformed field: {exc}") from exc
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, KeyError):
+            raise CatalogError(f"{self.name}: missing field {exc}") from exc
+        if isinstance(exc, (TypeError, ValueError)):
+            raise CatalogError(
+                f"{self.name}: malformed field: {exc}"
+            ) from exc
 
 
 @dataclass(frozen=True)
 class CatalogBundle:
-    """The decoded catalog files, keyed by id.
+    """The catalog index, keyed by id; records are read on demand.
 
-    A record is checked for unknown fields, built and validated on its
-    first access, and kept on the bundle.  A record that fails is not
-    kept, so every access raises its CatalogError again.  ``check_all``
-    builds every record.
+    A record's file is read on its first access and checked against the
+    sha256 its index entry holds, then decoded, checked against the
+    entry's id (and a pair's kind and base) and for unknown fields,
+    built, validated and kept on the bundle.  A record that fails is
+    not kept, so every access raises its CatalogError again.
+    ``check_all`` builds every record.
     """
 
     root: Path
     version: str
     checksum: str
-    algebra_files: Mapping[str, RecordFile]
-    stored_pairs: Mapping[str, RecordFile]
+    # the index entry of each algebra file and of each pair file, by id
+    algebra_files: Mapping[str, dict]
+    stored_pairs: Mapping[str, dict]
+    # id -> (builder, datum)
     _algebras: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
     _pairs: dict = field(default_factory=dict, init=False, repr=False,
@@ -253,7 +319,7 @@ class CatalogBundle:
     def algebra(self, algebra_id: str) -> RootDatum:
         if algebra_id not in self._algebras:
             self._algebras[algebra_id] = self._build_algebra(algebra_id)
-        return self._algebras[algebra_id]
+        return self._algebras[algebra_id][1]
 
     def pair(self, pair_id: str) -> InvolutionData | EmbeddingRecord:
         if pair_id in self.stored_pairs:
@@ -273,24 +339,43 @@ class CatalogBundle:
         for pair_id in self.stored_pairs:
             self.pair(pair_id)
 
-    def _build_algebra(self, algebra_id: str) -> RootDatum:
+    def _record(self, entry: dict, fields: set) -> tuple[str, dict]:
+        """The file name and the decoded record of an index entry."""
+        path = entry["path"]
+        name = _file_name(path)
+        raw = _read_record(self.root, path)
+        if hashlib.sha256(raw).hexdigest() != entry.get("sha256"):
+            raise CatalogError(_MISMATCH)
+        rec = _decode_object(name, raw)
+        with _field_errors(name):
+            for key in _INDEXED[path.partition("/")[0]]:
+                if rec[key] != entry[key]:
+                    raise CatalogError(
+                        f"{name}: {key} {rec[key]!r} is not the "
+                        f"{entry[key]!r} meta.json lists"
+                    )
+        _refuse_unknown_fields(name, rec, fields)
+        return name, rec
+
+    def _build_algebra(self, algebra_id: str) -> tuple[str, RootDatum]:
         try:
-            name, rec = self.algebra_files[algebra_id]
+            entry = self.algebra_files[algebra_id]
         except KeyError:
             raise UnknownIdError(f"unknown algebra id {algebra_id!r}") from None
-        _refuse_unknown_fields(name, rec, _ALGEBRA_FIELDS)
+        name, rec = self._record(entry, _ALGEBRA_FIELDS)
         with _field_errors(name):
+            builder = _string(rec["builder"])
             datum = dataclasses.replace(
-                build_root_datum(_string(rec["builder"])), name=algebra_id
+                build_root_datum(builder), name=algebra_id
             )
             datum.validate()
-        return datum
+        return builder, datum
 
     def _build_pair(self, pair_id: str) -> InvolutionData | EmbeddingRecord:
-        name, rec = self.stored_pairs[pair_id]
-        base = self.algebra(rec["base"])
-        fields, decode = _PAIR_KINDS[rec["kind"]]
-        _refuse_unknown_fields(name, rec, fields)
+        entry = self.stored_pairs[pair_id]
+        fields, decode = _PAIR_KINDS[entry["kind"]]
+        name, rec = self._record(entry, fields)
+        base = self.algebra(entry["base"])
         with _field_errors(name):
             pair = decode(rec, base)
         if pair.report:
@@ -300,7 +385,7 @@ class CatalogBundle:
 
     def _swap_pair(self, algebra_id: str) -> InvolutionData:
         base = self.algebra(algebra_id)
-        parts = sum_parts(self.algebra_files[algebra_id].data["builder"])
+        parts = sum_parts(self._algebras[algebra_id][0])
         n = len(parts)
         if n < 2 or n % 2 != 0 or parts[: n // 2] != parts[n // 2 :]:
             raise UnknownIdError(
@@ -310,90 +395,87 @@ class CatalogBundle:
         return build_swap_involution(base, half)
 
 
-def _decode_json(name: str, raw: bytes):
-    try:
-        return json.loads(raw)
-    # a JSONDecodeError, or a UnicodeDecodeError for bytes that are not
-    # UTF-8
-    except ValueError as exc:
-        raise CatalogError(f"{name}: invalid JSON: {exc}") from exc
-
-
 def _read_meta(root: Path) -> dict:
     try:
         raw = _read(os.path.join(root, "meta.json"))
     except (FileNotFoundError, NotADirectoryError):
-        if not root.is_dir():
+        if not root.exists():
             raise CatalogError(
                 f"catalog directory {root} does not exist"
+            ) from None
+        if not root.is_dir():
+            raise CatalogError(
+                f"catalog directory {root} is not a directory"
             ) from None
         raise CatalogError(f"{root}: missing meta.json") from None
     except OSError as exc:
         raise CatalogError(f"meta.json: cannot read: {exc.strerror}") from exc
-    meta = _decode_json("meta.json", raw)
-    if not isinstance(meta, dict):
-        raise CatalogError("meta.json: not a JSON object")
-    return meta
+    return _decode_object("meta.json", raw)
 
 
 def load_catalog(root: Path | None = None, force: bool = False) -> CatalogBundle:
-    """Check the seal and index the catalog files; records build lazily.
+    """Check the seal and index the catalog files; records read lazily.
 
-    With ``force`` a checksum mismatch is let through, and nothing else:
-    a record still raises its CatalogError on access.
+    Reads meta.json and no record file.  Its index must hash to its
+    checksum and list exactly the files in algebras/ and pairs/, so a
+    file added, removed or renamed without a reseal is refused here; an
+    edited one is refused when it is read.  With ``force`` the index is
+    built from the files on disk instead, by ``index_files``, so a
+    checksum mismatch is let through, and nothing else: a record still
+    raises its CatalogError on access.
     """
     root = Path(root) if root is not None else default_catalog_dir()
     meta = _read_meta(root)
-    algebras, pairs = read_catalog_files(root)
-    actual = seal(algebras + pairs)
-    if actual != str(meta.get("checksum", "")) and not force:
-        raise CatalogError(
-            "catalog checksum mismatch: files were edited without "
-            "regenerating meta.json (use force to load anyway)"
-        )
-    return index_catalog(
-        root, algebras, pairs, str(meta.get("version", "")), actual
-    )
+    version = str(meta.get("version", ""))
+    if force:
+        index = index_files(root)
+        return index_catalog(root, index, version, seal(index))
+    index = meta.get("files")
+    checksum = str(meta.get("checksum", ""))
+    if seal(index) != checksum:
+        raise CatalogError(_MISMATCH)
+    with _field_errors("meta.json"):
+        indexed = [entry["path"] for entry in index]
+    listed = _listing(root)
+    if indexed != listed:
+        # an added file that cannot be read says why
+        for path in sorted(set(listed) - set(indexed)):
+            _read_record(root, path)
+        raise CatalogError(_MISMATCH)
+    return index_catalog(root, index, version, checksum)
 
 
 def index_catalog(
-    root: Path,
-    algebra_files: list[tuple[str, bytes]],
-    pair_files: list[tuple[str, bytes]],
-    version: str,
-    checksum: str,
+    root: Path, index: list[dict], version: str, checksum: str
 ) -> CatalogBundle:
-    """Decode the record files read by read_catalog_files and key each by
-    id, building no record.
+    """Key the entries of an index by id, reading no record file.
 
-    Invalid JSON, a missing or mistyped id, kind or base, an unknown
-    pair kind, a base that is not catalogued and a duplicate id are
-    refused here; everything else waits for the record's first access.
+    A missing or mistyped id, kind or base, an unknown pair kind, a base
+    that is not catalogued and a duplicate id are refused here;
+    everything else waits for the record's first access.
     """
-    algebras: dict[str, RecordFile] = {}
-    pairs: dict[str, RecordFile] = {}
-    for name, raw in algebra_files:
+    algebras: dict[str, dict] = {}
+    pairs: dict[str, dict] = {}
+    for entry in index:
+        folder, _, name = entry["path"].partition("/")
         with _field_errors(name):
-            rec = _decode_json(name, raw)
-            algebra_id = _string(rec["id"])
-            if algebra_id in algebras:
-                raise CatalogError(f"duplicate algebra id {algebra_id!r}")
-            algebras[algebra_id] = RecordFile(name, rec)
-    for name, raw in pair_files:
-        with _field_errors(name):
-            rec = _decode_json(name, raw)
-            pair_id = _string(rec["id"])
-            kind = _string(rec["kind"])
-            base_id = _string(rec["base"])
+            record_id = _string(entry["id"])
+            if folder == "algebras":
+                if record_id in algebras:
+                    raise CatalogError(f"duplicate algebra id {record_id!r}")
+                algebras[record_id] = entry
+                continue
+            kind = _string(entry["kind"])
+            base_id = _string(entry["base"])
             if base_id not in algebras:
                 raise CatalogError(
                     f"{name}: base algebra {base_id!r} is not in the catalog"
                 )
             if kind not in _PAIR_KINDS:
                 raise CatalogError(f"{name}: unknown pair kind {kind!r}")
-            if pair_id in pairs:
-                raise CatalogError(f"duplicate pair id {pair_id!r}")
-            pairs[pair_id] = RecordFile(name, rec)
+            if record_id in pairs:
+                raise CatalogError(f"duplicate pair id {record_id!r}")
+            pairs[record_id] = entry
 
     return CatalogBundle(
         root=root,

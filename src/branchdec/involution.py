@@ -30,7 +30,6 @@ from .root_core import (
     dot,
     format_vector,
     identity,
-    in_span,
     is_zero_vec,
     lex_positive,
     mat_apply,
@@ -210,8 +209,12 @@ def validate_involution(inv: InvolutionData) -> tuple[str, ...]:
     checks = {
         "matrix-involutive": _mat_mul(m, m) == eye,
         "matrix-orthogonal": _mat_mul(mt, m) == eye,
-        "matrix-preserves-torus": all(
-            in_span(mat_apply(mt, c), cons) for c in cons
+        # sigma^T c lies in the span of the constraints for every
+        # constraint c exactly when adding the images keeps the rank, which
+        # is n - dim t: one elimination for all rows
+        "matrix-preserves-torus": (
+            rank([*cons, *(mat_apply(mt, c) for c in cons)])
+            == n - inv.base.dim_t
         ),
         "permutes-compact-weights": permutes(inv.base.compact),
         "permutes-noncompact-weights": permutes(inv.base.noncompact),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -20,9 +21,10 @@ from branchdec.catalog import (
     CatalogError,
     UnknownIdError,
     default_catalog_dir,
+    index_files,
     load_catalog,
-    read_catalog_files,
     seal,
+    write_meta,
     _embedding_from_json,
     _involution_from_json,
 )
@@ -64,14 +66,11 @@ def _copy(tmp_path: Path) -> Path:
 
 def _checksum(root: Path) -> str:
     """The seal of the record files under root, as the loader reads them."""
-    algebras, pairs = read_catalog_files(root)
-    return seal(algebras + pairs)
+    return seal(index_files(root))
 
 
 def _reseal(root: Path) -> None:
-    meta = json.loads((root / "meta.json").read_text())
-    meta["checksum"] = _checksum(root)
-    (root / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    write_meta(root)
 
 
 def _edit(path: Path, mutate) -> None:
@@ -305,25 +304,38 @@ def test_checksum_covers_names_and_bytes(tmp_path):
     assert _checksum(root) != base
 
 
-def catalog_files(root: Path) -> list[tuple[str, bytes]]:
-    """(name, bytes) of the record files as sorted Path.glob lists them:
-    the listing the seal was defined on, kept as the oracle for the
+def catalog_index(root: Path) -> list[dict]:
+    """The index of the record files as sorted Path.glob lists them: the
+    listing the seal was defined on, kept as the oracle for the
     loader's."""
-    paths = sorted((root / "algebras").glob("*.json"))
-    paths += sorted((root / "pairs").glob("*.json"))
-    return [(path.name, path.read_bytes()) for path in paths]
+    index = []
+    for folder, keys in (("algebras", ("id",)),
+                         ("pairs", ("id", "kind", "base"))):
+        for path in sorted((root / folder).glob("*.json")):
+            raw = path.read_bytes()
+            rec = json.loads(raw)
+            index.append({
+                "path": f"{folder}/{path.name}",
+                "sha256": hashlib.sha256(raw).hexdigest(),
+                **{key: rec[key] for key in keys if key in rec},
+            })
+    return index
 
 
 def test_catalog_files_listing():
-    algebras, pairs = read_catalog_files(DATA_DIR)
-    assert len(algebras) == 13 and len(pairs) == 8
-    assert all(name.endswith(".json") for name, _ in algebras + pairs)
+    index = index_files(DATA_DIR)
+    folders = Counter(entry["path"].split("/")[0] for entry in index)
+    assert folders == {"algebras": 13, "pairs": 8}
+    assert all(entry["path"].endswith(".json") for entry in index)
+    # the shipped meta.json seals the files as they are
+    meta = json.loads((DATA_DIR / "meta.json").read_text())
+    assert meta["files"] == index
+    assert meta["checksum"] == seal(index)
 
 
 def test_loader_lists_and_seals_the_files_path_glob_lists(tmp_path):
-    algebras, pairs = read_catalog_files(DATA_DIR)
-    oracle = catalog_files(DATA_DIR)
-    assert algebras + pairs == oracle
+    oracle = catalog_index(DATA_DIR)
+    assert index_files(DATA_DIR) == oracle
     assert load_catalog(DATA_DIR).checksum == seal(oracle)
 
     # a .json dotfile is listed, a non-JSON file is not, and a missing
@@ -333,13 +345,11 @@ def test_loader_lists_and_seals_the_files_path_glob_lists(tmp_path):
     (root / "pairs" / ".hidden.json").write_text("{}")
     (root / "pairs" / "notes.txt").write_text("not a record")
     (root / "pairs" / "upper.JSON").write_text("{}")
-    algebras, pairs = read_catalog_files(root)
-    oracle = catalog_files(root)
-    assert algebras == []
-    assert pairs == oracle
-    assert pairs[0][0] == ".hidden.json" and len(pairs) == 8 + 1
-    assert _checksum(root) == seal(oracle)
-    # the loader decodes the dotfile, as it does every listed file
+    index = index_files(root)
+    assert index == catalog_index(root)
+    assert index[0]["path"] == "pairs/.hidden.json" and len(index) == 8 + 1
+    assert _checksum(root) == seal(catalog_index(root))
+    # force indexes the dotfile, as it does every listed file
     with pytest.raises(CatalogError, match=r"\.hidden\.json: missing field"):
         load_catalog(root, force=True)
 
@@ -350,8 +360,13 @@ def test_edit_without_reseal_is_refused(tmp_path):
         root / "pairs" / "_su_2_2__sp_2_R__.json",
         lambda rec: rec.update(dim_gprime=11),
     )
+    # the load reads no record; the edited one is refused when it is read
+    cat = load_catalog(root)
+    for _ in range(2):
+        with pytest.raises(CatalogError, match="checksum mismatch"):
+            cat.pair("(su(2,2),sp(2,R))")
     with pytest.raises(CatalogError, match="checksum mismatch"):
-        load_catalog(root)
+        cat.check_all()
     # force skips the checksum and nothing else: the broken pair fails its
     # validation on access, so no question reaches it
     cat = load_catalog(root, force=True)
@@ -537,6 +552,17 @@ def test_structural_errors(tmp_path):
         load_catalog(root)
 
 
+def test_a_catalog_path_that_is_a_file_is_not_a_directory(tmp_path, capsys):
+    path = tmp_path / "README.md"
+    path.write_text("not a catalog")
+    message = f"catalog directory {path} is not a directory"
+    with pytest.raises(CatalogError, match=re.escape(message)):
+        load_catalog(path)
+    for flags in ([], ["--force"]):
+        assert main(["catalog", "--catalog", str(path), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _catalog_fails(capsys, root: Path, message: str) -> None:
     """catalog exits 1 with ``message`` on stderr, and verify fails its
     integrity check with it."""
@@ -602,45 +628,217 @@ def test_meta_that_is_not_an_object_is_a_catalog_error(tmp_path, capsys, meta):
     _catalog_fails(capsys, root, "meta.json: not a JSON object")
 
 
-def test_invalid_json_reported_with_filename(tmp_path):
+def _seal_by_hand(root: Path, victim: Path, raw: bytes, **fields) -> None:
+    """Write raw to the victim record and seal it by hand: its index
+    entry takes the new sha256 and the given fields, as no run of
+    index_files would write them."""
+    index = index_files(root)
+    path = f"{victim.parent.name}/{victim.name}"
+    victim.write_bytes(raw)
+    for entry in index:
+        if entry["path"] == path:
+            entry.update(sha256=hashlib.sha256(raw).hexdigest(), **fields)
+    write_meta(root, index)
+
+
+def _refused_unsealed_and_sealed_by_hand(
+    tmp_path, capsys, raw: bytes, message: str
+) -> None:
     root = _copy(tmp_path)
     victim = root / "pairs" / "_so_4__so_3__.json"
-    victim.write_text("{not json")
-    _reseal(root)
-    with pytest.raises(CatalogError, match="invalid JSON"):
+    original = victim.read_bytes()
+    # the index cannot be built over a record that does not decode, so
+    # neither a reseal nor force gets past it
+    victim.write_bytes(raw)
+    with pytest.raises(CatalogError, match=message):
+        _reseal(root)
+    with pytest.raises(CatalogError, match=message):
+        load_catalog(root, force=True)
+    # sealed by hand, it loads and is refused when it is read
+    victim.write_bytes(original)
+    _seal_by_hand(root, victim, raw)
+    cat = load_catalog(root)
+    with pytest.raises(CatalogError, match=message):
+        cat.pair("(so(4),so(3))")
+    _verify_fails(capsys, root, message)
+
+
+@pytest.mark.parametrize(
+    ("files", "message"),
+    [([{"id": "su(2)"}], "meta.json: missing field 'path'"),
+     ([1], "meta.json: malformed field"),
+     (7, "meta.json: malformed field"),
+     (None, "meta.json: malformed field")],
+    ids=["no-path", "not-an-entry", "not-a-list", "null"],
+)
+def test_a_sealed_index_that_is_not_a_list_of_entries_is_refused(
+    tmp_path, capsys, files, message
+):
+    root = _copy(tmp_path)
+    meta = {"checksum": seal(files), "files": files, "version": "1"}
+    (root / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(CatalogError, match=re.escape(message)):
         load_catalog(root)
+    _catalog_fails(capsys, root, message)
+
+
+def test_invalid_json_reported_with_filename(tmp_path, capsys):
+    _refused_unsealed_and_sealed_by_hand(
+        tmp_path, capsys, b"{not json", "_so_4__so_3__.json: invalid JSON"
+    )
 
 
 def test_record_that_is_not_utf8_is_invalid_json(tmp_path, capsys):
-    root = _copy(tmp_path)
-    (root / "pairs" / "_so_4__so_3__.json").write_bytes(b'{"id": "\xff"}')
-    _reseal(root)
-    with pytest.raises(CatalogError, match="_so_4__so_3__.json: invalid JSON"):
-        load_catalog(root)
-    _verify_fails(capsys, root, "_so_4__so_3__.json: invalid JSON")
+    _refused_unsealed_and_sealed_by_hand(
+        tmp_path, capsys, b'{"id": "\xff"}',
+        "_so_4__so_3__.json: invalid JSON"
+    )
+
+
+def test_a_record_that_is_not_a_json_object_is_refused(tmp_path, capsys):
+    _refused_unsealed_and_sealed_by_hand(
+        tmp_path, capsys, b'["id"]', "_so_4__so_3__.json: not a JSON object"
+    )
 
 
 def test_seal_is_checked_before_json_is_decoded(tmp_path):
     root = _copy(tmp_path)
     (root / "pairs" / "_so_4__so_3__.json").write_text("{not json")
     with pytest.raises(CatalogError, match="checksum mismatch"):
-        load_catalog(root)
+        load_catalog(root).pair("(so(4),so(3))")
     with pytest.raises(CatalogError, match="invalid JSON"):
         load_catalog(root, force=True)
 
 
-def test_load_reads_each_catalog_file_once(monkeypatch):
+def _count_reads(monkeypatch) -> Counter:
+    """Count the reads of each catalog file, by its path under the
+    catalog directory."""
     reads = Counter()
 
     def counted(path, _read=catalog._read):
-        reads[Path(path).name] += 1
+        reads[Path(path).relative_to(DATA_DIR).as_posix()] += 1
         return _read(path)
 
     monkeypatch.setattr(catalog, "_read", counted)
-    load_catalog(DATA_DIR)
-    names = [name for name, _ in catalog_files(DATA_DIR)]
-    assert len(names) == 21
-    assert reads == Counter(names + ["meta.json"])
+    return reads
+
+
+@pytest.mark.parametrize(
+    ("argv", "records"),
+    [
+        ([], []),
+        (["check", "--pair", "(su(2,2),sp(2,R))", "--X", "3,-1,-1,-1",
+          "--question", "deco"],
+         ["algebras/su_2_2_.json", "pairs/_su_2_2__sp_2_R__.json"]),
+        (["check", "--pair", "(so(4,3),g2(R))", "--X", "0,0,1",
+          "--question", "rho"],
+         ["algebras/so_4_3_.json", "pairs/_so_4_3__g2_R__.json"]),
+        (["check", "--pair", "theta:su(2,2)", "--X", "3,-1,-1,-1",
+          "--question", "deco"],
+         ["algebras/su_2_2_.json"]),
+        (["catalog"], None),
+        (["verify"], None),
+    ],
+    ids=["load", "check-involution", "check-embedding", "check-theta",
+         "catalog", "verify"],
+)
+def test_a_command_reads_each_file_it_uses_once(
+    monkeypatch, capsys, argv, records
+):
+    reads = _count_reads(monkeypatch)
+    if argv:
+        assert main([*argv, "--catalog", str(DATA_DIR)]) == 0
+    else:
+        load_catalog(DATA_DIR)
+    if records is None:
+        records = [entry["path"] for entry in catalog_index(DATA_DIR)]
+        assert len(records) == 21
+    assert reads == Counter(["meta.json", *records])
+
+
+def test_a_byte_edit_fails_every_command_that_reads_the_file(
+    tmp_path, capsys
+):
+    root = _copy(tmp_path)
+    victim = root / "pairs" / "_su_2_2__sp_2_R__.json"
+    victim.write_bytes(victim.read_bytes() + b"\n")
+    message = "error: catalog checksum mismatch: files were edited"
+    for argv in (
+        ["check", "--pair", "(su(2,2),sp(2,R))", "--X", "3,-1,-1,-1",
+         "--question", "deco"],
+        ["pair", "--pair", "(su(2,2),sp(2,R))"],
+        ["classify", "--pair", "(su(2,2),sp(2,R))"],
+        ["catalog"],
+    ):
+        assert main([*argv, "--catalog", str(root)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message), argv
+    _verify_fails(capsys, root, "checksum mismatch")
+    # a command that does not read the file answers as on the shipped
+    # catalog, and force lets the edit through
+    _other_pair_still_answers(capsys, root)
+    assert main(["pair", "--pair", "(su(2,2),sp(2,R))", "--catalog",
+                 str(root), "--force"]) == 0
+
+
+@pytest.mark.parametrize("change", ["added", "removed", "renamed"])
+def test_a_file_set_change_without_reseal_is_refused_at_load(
+    tmp_path, capsys, change
+):
+    root = _copy(tmp_path)
+    victim = root / "pairs" / "_so_4__so_3__.json"
+    if change == "added":
+        (root / "algebras" / "zz.json").write_text(
+            json.dumps({"builder": "su(2)", "id": "zz"})
+        )
+    elif change == "removed":
+        victim.unlink()
+    else:
+        victim.rename(victim.with_name("zz.json"))
+    with pytest.raises(CatalogError, match="checksum mismatch"):
+        load_catalog(root)
+    for command in ("check", "catalog"):
+        argv = [command, "--catalog", str(root)]
+        if command == "check":
+            argv += ["--pair", "(su(2,2),sp(2,R))", "--X", "3,-1,-1,-1",
+                     "--question", "deco"]
+        assert main(argv) == 1
+        assert "checksum mismatch" in capsys.readouterr().err
+    _verify_fails(capsys, root, "checksum mismatch")
+    # a reseal admits the new file set
+    _reseal(root)
+    load_catalog(root).check_all()
+
+
+@pytest.mark.parametrize(
+    ("victim", "key", "other", "access"),
+    [
+        ("pairs/_so_4__so_3__.json", "id", "(so(4),so(3)')",
+         lambda cat: cat.pair("(so(4),so(3)')")),
+        ("pairs/_so_4__so_3__.json", "base", "so(2,2)",
+         lambda cat: cat.pair("(so(4),so(3))")),
+        ("pairs/_so_4_3__g2_R__.json", "kind", "involution",
+         lambda cat: cat.pair("(so(4,3),g2(R))")),
+        ("algebras/su_2_.json", "id", "su(2)'",
+         lambda cat: cat.algebra("su(2)'")),
+    ],
+    ids=["pair-id", "pair-base", "pair-kind", "algebra-id"],
+)
+def test_a_record_that_disagrees_with_its_index_entry_is_refused(
+    tmp_path, capsys, victim, key, other, access
+):
+    # the index entry names another id, base or kind than the record it
+    # seals, and passes every check the load makes on the index alone
+    root = _copy(tmp_path)
+    path = root / victim
+    held = json.loads(path.read_text())[key]
+    _seal_by_hand(root, path, path.read_bytes(), **{key: other})
+    cat = load_catalog(root)
+    message = f"{path.name}: {key} {held!r} is not the {other!r}"
+    for _ in range(2):
+        with pytest.raises(CatalogError, match=re.escape(message)):
+            access(cat)
+    _verify_fails(capsys, root, re.escape(message))
 
 
 def test_unknown_pair_kind(tmp_path):

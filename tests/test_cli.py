@@ -16,7 +16,7 @@ import pytest
 from linalg_oracle import eigenbasis
 
 from branchdec import catalog, cli, involution
-from branchdec.catalog import load_catalog, read_catalog_files, seal
+from branchdec.catalog import load_catalog, write_meta
 from branchdec.cli import (
     EXIT_CLOSED_STDOUT,
     EXIT_OK,
@@ -475,10 +475,7 @@ def _resealed_sp2r_with_dim_11(tmp_path: Path) -> Path:
     root = _edited_sp2r_record(
         tmp_path, lambda rec: rec.update(dim_gprime=11)
     )
-    meta = json.loads((root / "meta.json").read_text())
-    algebras, pairs = read_catalog_files(root)
-    meta["checksum"] = seal(algebras + pairs)
-    (root / "meta.json").write_text(json.dumps(meta))
+    write_meta(root)
     return root
 
 
@@ -522,10 +519,7 @@ def _resealed_sp2r_with_row_off_the_torus(tmp_path: Path) -> Path:
         rec["table_rows"][0]["X"] = ["1", "1", "1", "1"]
 
     root = _edited_sp2r_record(tmp_path, off_torus)
-    meta = json.loads((root / "meta.json").read_text())
-    algebras, pairs = read_catalog_files(root)
-    meta["checksum"] = seal(algebras + pairs)
-    (root / "meta.json").write_text(json.dumps(meta))
+    write_meta(root)
     return root
 
 
@@ -1004,10 +998,7 @@ def test_a_seeded_refusal_sweep_ends_every_command_in_an_exit_code(
     for rel, text, argv in cases:
         if rel is not None:
             (root / rel).write_text(text)
-            algebras, pairs = read_catalog_files(root)
-            sealed = json.loads(meta)
-            sealed["checksum"] = seal(algebras + pairs)
-            (root / "meta.json").write_text(json.dumps(sealed))
+            write_meta(root)
         try:
             code = main(argv)
         except (Exception, SystemExit) as exc:

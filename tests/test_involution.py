@@ -266,6 +266,41 @@ def test_validation_flags_torus_violation():
     assert "matrix-preserves-torus" in set(_flags(bad))
 
 
+def _preserves_torus_row_by_row(inv) -> bool:
+    """The torus check as it was made, one span test per constraint."""
+    mt = inv.sigma_transpose
+    cons = inv.base.t_constraints
+    return all(in_span(mat_apply(mt, c), cons) for c in cons)
+
+
+def test_torus_check_agrees_with_the_row_by_row_span_tests():
+    cat = _cat()
+    pairs = [cat.pair(pid) for pid in cat.pair_ids()]
+    pairs += [cat.pair(f"theta:{aid}") for aid in cat.algebra_ids()]
+    pairs.append(cat.pair("swap:su(1,1)^2"))
+    involutions = [p for p in pairs if isinstance(p, InvolutionData)]
+    assert len(involutions) == 7 + 13 + 1
+    assert sum(bool(p.base.t_constraints) for p in involutions) >= 5
+    for inv in involutions:
+        assert _preserves_torus_row_by_row(inv), inv.pair_id
+        assert "matrix-preserves-torus" not in _flags(inv), inv.pair_id
+    # reflecting the last coordinate moves the constraint row (1,...,1)
+    # of su(2,2) and of g2(R) out of its span, and negating every
+    # coordinate keeps it in: both forms agree on each
+    for pid in ("(su(2,2),sp(2,R))", "theta:g2(R)"):
+        inv = _pair(pid)
+        n = inv.base.ambient_dim
+        for diagonal, kept in (([1] * (n - 1) + [-1], False),
+                               ([-1] * n, True)):
+            matrix = tuple(
+                tuple(diagonal[i] if i == j else 0 for j in range(n))
+                for i in range(n)
+            )
+            moved = dataclasses.replace(inv, matrix=matrix)
+            assert _preserves_torus_row_by_row(moved) is kept, pid
+            assert ("matrix-preserves-torus" not in _flags(moved)) is kept, pid
+
+
 def test_validation_flags_part_mixing_matrix():
     # swapping coordinates 1 and 2 sends the compact root e1-e2 of su(2,2)
     # to the noncompact weight e1-e3

@@ -4,7 +4,9 @@ Run from the repository root:
 
     python tools/make_catalog.py [output-dir]
 
-Writes algebras/, pairs/ and meta.json.  The default output directory is
+Writes algebras/, pairs/ and meta.json, whose index lists each record
+file's path, sha256 and id (and a pair's kind and base) and whose
+checksum is the sha256 of that index.  The default output directory is
 the package data directory, so a plain run refreshes what ships.  Every
 record is built and validated before meta.json seals the files; if one
 fails, the run exits 1 without writing meta.json.
@@ -21,9 +23,10 @@ from branchdec.catalog import (
     CATALOG_VERSION,
     CatalogError,
     index_catalog,
-    read_catalog_files,
+    index_files,
     seal,
     table_rows_to_json,
+    write_meta,
 )
 from branchdec.involution import EmbeddingRecord, InvolutionData, TableRow
 from branchdec.root_core import build_root_datum, vector_strings
@@ -277,17 +280,13 @@ def main(argv: list[str]) -> int:
             payload = embedding_to_json(pair, base_id)
         dump(root / "pairs" / file_name(pair.pair_id), payload)
 
-    algebras, pairs = read_catalog_files(root)
-    checksum = seal(algebras + pairs)
     try:
-        index_catalog(
-            root, algebras, pairs, CATALOG_VERSION, checksum
-        ).check_all()
+        index = index_files(root)
+        index_catalog(root, index, CATALOG_VERSION, seal(index)).check_all()
     except CatalogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    meta = {"version": CATALOG_VERSION, "checksum": checksum}
-    dump(root / "meta.json", meta)
+    write_meta(root, index)
     print(f"wrote catalog to {root}")
     return 0
 
