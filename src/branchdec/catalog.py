@@ -11,16 +11,16 @@ sha256 and its id, and for a pair its kind and base; the checksum is
 the sha256 of that index.  A load reads meta.json alone, checks the
 index against its checksum and against a listing of algebras/ and
 pairs/, and keys the entries by id, so a command reads only the record
-files it uses: about a tenth of a millisecond for the shipped 21 files,
-in four near-equal parts (decoding meta.json, hashing the index,
-listing the folders, keying the entries).  Each record's file is read
-on its first access and checked against its sha256 before it is
-decoded, then built and validated, which refuses a key its decoder
-does not read, such as a misspelled optional field.
+files it uses.  Each record's file is read on its first access and
+checked against its sha256 before it is decoded, then built and
+validated, which refuses a key its decoder does not read, such as a
+misspelled optional field.  A load with force builds the index from
+the files and keeps the bytes it read, so each file is still read once.
 
 A pair's vectors decode with ``vec_from``: an integral literal becomes an
 int and any other a Fraction, so a stored integer sigma is validated and
-restricts weights with integer products.
+restricts weights with integer products.  One record's decode keeps a
+table of the string literals it has met, so it parses each once.
 """
 
 from __future__ import annotations
@@ -81,9 +81,34 @@ def table_rows_to_json(rows: tuple[TableRow, ...]) -> list[dict]:
     return [{"X": vector_strings(r.x), "levi": r.levi} for r in rows]
 
 
-def _table_rows_from_json(items) -> tuple[TableRow, ...]:
-    return tuple(TableRow(vec_from(it["X"]), _string(it["levi"]))
+def _table_rows_from_json(items, vector) -> tuple[TableRow, ...]:
+    return tuple(TableRow(vector(it["X"]), _string(it["levi"]))
                  for it in items)
+
+
+class _Literals(dict):
+    """The string literals of one record's decode, each mapped to the
+    value vec_from gives it, filled as they are met.
+
+    ``vector`` decodes a vector through the table, so each literal is
+    parsed once per record, and accepted or refused exactly as vec_from
+    would: a literal that is not a string is decoded each time and not
+    kept, and an unhashable entry, or entries that are not a sequence,
+    go to vec_from whole for its error."""
+
+    __slots__ = ()
+
+    def __missing__(self, literal):
+        value = vec_from((literal,))[0]
+        if type(literal) is str:
+            self[literal] = value
+        return value
+
+    def vector(self, entries):
+        try:
+            return tuple(map(self.__getitem__, entries))
+        except TypeError:
+            return vec_from(entries)
 
 
 def _integer(x) -> int:
@@ -101,30 +126,32 @@ def _string(x) -> str:
 
 
 def _involution_from_json(rec: dict, base: RootDatum) -> InvolutionData:
+    vector = _Literals().vector
     return InvolutionData(
         base=base,
-        matrix=tuple(vec_from(r) for r in rec["matrix"]),
+        matrix=tuple(vector(r) for r in rec["matrix"]),
         eps=tuple(
-            (_string(e["part"]), vec_from(e["weight"]), _integer(e["sign"]))
+            (_string(e["part"]), vector(e["weight"]), _integer(e["sign"]))
             for e in rec["eps"]
         ),
         zero_weight_fixed_dim=_integer(rec["zero_weight_fixed_dim"]),
         dim_gprime=_integer(rec["dim_gprime"]),
         label=_string(rec["label"]),
         pair_id=_string(rec["id"]),
-        table_rows=_table_rows_from_json(rec.get("table_rows", [])),
+        table_rows=_table_rows_from_json(rec.get("table_rows", []), vector),
     )
 
 
 def _embedding_from_json(rec: dict, base: RootDatum) -> EmbeddingRecord:
+    vector = _Literals().vector
     return EmbeddingRecord(
         base=base,
-        tprime_rows=tuple(vec_from(r) for r in rec["tprime_rows"]),
+        tprime_rows=tuple(vector(r) for r in rec["tprime_rows"]),
         extra_zero_dim=_integer(rec["extra_zero_dim"]),
         dim_gprime=_integer(rec["dim_gprime"]),
         label=_string(rec["label"]),
         pair_id=_string(rec["id"]),
-        table_rows=_table_rows_from_json(rec.get("table_rows", [])),
+        table_rows=_table_rows_from_json(rec.get("table_rows", []), vector),
     )
 
 
@@ -227,16 +254,22 @@ def index_files(root: Path) -> list[dict]:
     kind and base, copied as the record holds them: the load checks
     their types, and a field the record lacks is left out, so the load
     reports it missing.  Invalid JSON is refused here."""
+    return _read_index(root)[0]
+
+
+def _read_index(root: Path) -> tuple[list[dict], dict[str, bytes]]:
+    """``index_files(root)``, and the bytes it hashed, by path."""
     index = []
+    files = {}
     for path in _listing(root):
-        raw = _read_record(root, path)
+        raw = files[path] = _read_record(root, path)
         rec = _decode_object(_file_name(path), raw)
         entry = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
         for key in _INDEXED[path.partition("/")[0]]:
             if key in rec:
                 entry[key] = rec[key]
         index.append(entry)
-    return index
+    return index, files
 
 
 def seal(index) -> str:
@@ -304,6 +337,10 @@ class CatalogBundle:
     # the index entry of each algebra file and of each pair file, by id
     algebra_files: Mapping[str, dict]
     stored_pairs: Mapping[str, dict]
+    # the bytes each record file held when the index was built from the
+    # files (under force), by path, so that no file is read twice
+    indexed_bytes: Mapping[str, bytes] = field(
+        default_factory=dict, repr=False, compare=False)
     # id -> (builder, datum)
     _algebras: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
@@ -343,7 +380,9 @@ class CatalogBundle:
         """The file name and the decoded record of an index entry."""
         path = entry["path"]
         name = _file_name(path)
-        raw = _read_record(self.root, path)
+        raw = self.indexed_bytes.get(path)
+        if raw is None:
+            raw = _read_record(self.root, path)
         if hashlib.sha256(raw).hexdigest() != entry.get("sha256"):
             raise CatalogError(_MISMATCH)
         rec = _decode_object(name, raw)
@@ -428,8 +467,8 @@ def load_catalog(root: Path | None = None, force: bool = False) -> CatalogBundle
     meta = _read_meta(root)
     version = str(meta.get("version", ""))
     if force:
-        index = index_files(root)
-        return index_catalog(root, index, version, seal(index))
+        index, files = _read_index(root)
+        return index_catalog(root, index, version, seal(index), files)
     index = meta.get("files")
     checksum = str(meta.get("checksum", ""))
     if seal(index) != checksum:
@@ -446,13 +485,16 @@ def load_catalog(root: Path | None = None, force: bool = False) -> CatalogBundle
 
 
 def index_catalog(
-    root: Path, index: list[dict], version: str, checksum: str
+    root: Path, index: list[dict], version: str, checksum: str,
+    indexed_bytes: Mapping[str, bytes] | None = None,
 ) -> CatalogBundle:
     """Key the entries of an index by id, reading no record file.
 
     A missing or mistyped id, kind or base, an unknown pair kind, a base
     that is not catalogued and a duplicate id are refused here;
-    everything else waits for the record's first access.
+    everything else waits for the record's first access, which hashes
+    and decodes the bytes ``indexed_bytes`` holds for its file, if any,
+    instead of reading the file again.
     """
     algebras: dict[str, dict] = {}
     pairs: dict[str, dict] = {}
@@ -483,4 +525,5 @@ def index_catalog(
         checksum=checksum,
         algebra_files=MappingProxyType(algebras),
         stored_pairs=MappingProxyType(pairs),
+        indexed_bytes=MappingProxyType(indexed_bytes or {}),
     )

@@ -7,7 +7,10 @@ subalgebra that is not symmetric.  Both reduce to the same weight-cell
 view, which is what the dimension and rho bookkeeping consumes.
 
 A record's validation is the tuple of the names of the checks it fails,
-() when it passes.  Once validation has made sigma an orthogonal
+() when it passes.  An involution's validation applies sigma once to
+each base weight, filling the sigma_images that later readers look up,
+and walks each part of the base once; an embedding's reads the grouping
+of its view.  Once validation has made sigma an orthogonal
 involution of t, a weight w restricts to t^{sigma} and t^{-sigma} as
 (w + sigma w)/2 and (w - sigma w)/2, so an involution's view restricts
 by (I + sigma^T)/2 and needs no projection matrix; only the torus rows
@@ -18,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .parabolic import ThetaStableParabolic
 from .root_core import (
     PART_COMPACT,
+    PART_NONCOMPACT,
     RootDatum,
     Vec,
     WeightMultiset,
@@ -63,9 +67,19 @@ def _mat_transpose(rows: Sequence[Vec]) -> tuple[Vec, ...]:
     return tuple(tuple(rows[i][j] for i in range(n)) for j in range(n))
 
 
-def _mat_mul(a: Sequence[Vec], b: Sequence[Vec]) -> tuple[Vec, ...]:
-    bt = _mat_transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+def _image_map(mt: Sequence[Vec]) -> Callable[[Vec], Vec]:
+    """w -> mt w, with the values mat_apply gives.
+
+    When every row of mt is int with at most one nonzero entry (a signed
+    permutation, as every catalogued sigma is), each entry of the image
+    is one product c * w[i], read from the row's term (i, c)."""
+    terms = [[(i, c) for i, c in enumerate(row) if c] for row in mt]
+    if all(len(t) <= 1 for t in terms) and (
+        {type(c) for row in mt for c in row} <= {int}
+    ):
+        single = [t[0] if t else (0, 0) for t in terms]
+        return lambda w: tuple([c * w[i] for i, c in single])
+    return lambda w: mat_apply(mt, w)
 
 
 @dataclass(frozen=True)
@@ -100,12 +114,18 @@ class InvolutionData:
         return _mat_transpose(self.matrix)
 
     @cached_property
+    def sigma_of(self) -> Callable[[Vec], Vec]:
+        """sigma on weights, w -> sigma^T w; it takes row k of a matrix
+        A to row k of A sigma."""
+        return _image_map(self.sigma_transpose)
+
+    @cached_property
     def sigma_images(self) -> dict[Vec, Vec]:
-        """sigma_weight of every weight of the base datum."""
-        return {
-            w: mat_apply(self.sigma_transpose, w)
-            for _, w, _ in self.base.weight_entries()
-        }
+        """sigma_weight of every weight of the base datum, each applied
+        once; validation fills it, and every later reader looks up."""
+        sigma = self.sigma_of
+        weights = self.base.compact.support() + self.base.noncompact.support()
+        return {w: sigma(w) for w in dict.fromkeys(weights)}
 
     @cached_property
     def eps_signs(self) -> dict[tuple[str, Vec], int]:
@@ -138,109 +158,114 @@ class InvolutionData:
     def sigma_weight(self, w: Vec) -> Vec:
         # weights transform by the transpose: (sigma.w)(X) = w(sigma X)
         image = self.sigma_images.get(w)
-        return mat_apply(self.sigma_transpose, w) if image is None else image
-
-    def eps_of(self, part: str, w: Vec) -> int | None:
-        return self.eps_signs.get((part, w))
+        return self.sigma_of(w) if image is None else image
 
     def _eigenrows(self, sign: int) -> list[Vec]:
         """Rows whose common kernel is the sign eigenspace of sigma on t."""
         eye = identity(self.base.ambient_dim)
         rows = [
-            tuple(x - sign * y for x, y in zip(r, e))
+            tuple([x - sign * y for x, y in zip(r, e)])
             for r, e in zip(self.matrix, eye)
         ]
         rows.extend(self.base.t_constraints)
         return rows
 
-    def fixed_pair_counts(self) -> tuple[int, int, int]:
-        """(#pairs {w, sigma w}, #fixed with eps +1, #fixed with eps -1),
-        nonzero weights, counted with multiplicity."""
-        pairs = 0
-        plus = 0
-        minus = 0
-        for part, w, m in self.base.weight_entries():
-            if is_zero_vec(w):
-                continue
-            sw = self.sigma_weight(w)
-            if sw == w:
-                if self.eps_of(part, w) == 1:
-                    plus += m
-                else:
-                    minus += m
-            else:
-                pairs += m
-        return pairs // 2, plus, minus
-
-    def dim_g_sigma(self) -> int:
-        pairs, plus, _ = self.fixed_pair_counts()
-        return (
-            self.dim_t_sigma
-            + self.zero_weight_fixed_dim
-            + pairs
-            + plus
-        )
-
 
 def validate_involution(inv: InvolutionData) -> tuple[str, ...]:
     """The names of the structural checks the record fails, in a fixed
-    order; () when it passes.  Never raises."""
-    n = inv.base.ambient_dim
+    order; () when it passes.  Never raises.
+
+    sigma is applied once per weight, to fill ``sigma_images``; then one
+    pass over each part of the base gathers what the weight checks read:
+    whether sigma permutes the part, the fixed nonzero weights and their
+    multiplicities, the pairs {w, sigma w}, the fixed weights with sign
+    +1, the zero weights of p and the compact fixed weights."""
+    base = inv.base
+    n = base.ambient_dim
     m = inv.matrix
     if not (len(m) == n and all(len(r) == n for r in m)):
         return ("matrix-shape",)
 
     eye = identity(n)
     mt = inv.sigma_transpose
-    cons = inv.base.t_constraints
-    fixed = [
-        (part, w, mm)
-        for part, w, mm in inv.base.weight_entries()
-        if not is_zero_vec(w) and inv.sigma_weight(w) == w
-    ]
+    cons = base.t_constraints
+    images = inv.sigma_images
+    signs = inv.eps_signs
+    permutes = []
+    fixed = set()
+    simple = True
+    pairs = plus = zeros = 0
+    tminus = True
+    for part, weights in (
+        (PART_COMPACT, base.compact), (PART_NONCOMPACT, base.noncompact)
+    ):
+        mult = weights.mult
+        closed = True
+        for w, mm in weights:
+            if not any(w):
+                # sigma fixes 0; a compact zero weight needs sign +1
+                if part == PART_COMPACT:
+                    tminus = tminus and signs.get((part, w)) == 1
+                else:
+                    zeros += mm
+                continue
+            sw = images[w]
+            if mult(sw) != mm:
+                closed = False
+            if sw != w:
+                pairs += mm
+                continue
+            fixed.add((part, w))
+            simple = simple and mm == 1
+            if signs.get((part, w)) == 1:
+                plus += mm
+            elif part == PART_COMPACT:
+                tminus = False
+        permutes.append(closed)
 
-    def permutes(ws: WeightMultiset) -> bool:
-        return all(
-            ws.mult(inv.sigma_weight(w)) == mm
-            for w, mm in ws
-            if not is_zero_vec(w)
-        )
-
+    # sigma sigma, row by row; an orthogonal involution is symmetric, and
+    # when sigma^T = sigma the one product serves both checks
+    sigma = inv.sigma_of
+    square = tuple(map(sigma, m))
+    images_of_cons = tuple(map(sigma, cons))
     checks = {
-        "matrix-involutive": _mat_mul(m, m) == eye,
-        "matrix-orthogonal": _mat_mul(mt, m) == eye,
+        "matrix-involutive": square == eye,
+        "matrix-orthogonal": (
+            square if mt == m else tuple(map(sigma, mt))
+        ) == eye,
         # sigma^T c lies in the span of the constraints for every
         # constraint c exactly when adding the images keeps the rank, which
-        # is n - dim t: one elimination for all rows
+        # is n - dim t: one elimination for all rows, and none when there
+        # are no rows or each image is a constraint or its negative
         "matrix-preserves-torus": (
-            rank([*cons, *(mat_apply(mt, c) for c in cons)])
-            == n - inv.base.dim_t
+            set(images_of_cons) <= {*cons, *map(vneg, cons)}
+            or rank([*cons, *images_of_cons]) == n - base.dim_t
         ),
-        "permutes-compact-weights": permutes(inv.base.compact),
-        "permutes-noncompact-weights": permutes(inv.base.noncompact),
+        "permutes-compact-weights": permutes[0],
+        "permutes-noncompact-weights": permutes[1],
         # one sign in {+1,-1} per fixed weight line, each of multiplicity 1
         "eps-covers-fixed-weights": (
-            {(p, w) for p, w, _ in fixed} == {(p, w) for p, w, _ in inv.eps}
+            fixed == signs.keys()
             and all(s in (1, -1) for _, _, s in inv.eps)
-            and all(mm == 1 for _, _, mm in fixed)
+            and simple
         ),
         "eps-negation-symmetric": all(
-            inv.eps_of(p, vneg(w)) == s for p, w, s in inv.eps
+            signs.get((p, vneg(w))) == s for p, w, s in inv.eps
         ),
-        "zero-weight-fixed-dim-range": (
-            0 <= inv.zero_weight_fixed_dim <= inv.base.noncompact.zero_mult()
+        "zero-weight-fixed-dim-range": 0 <= inv.zero_weight_fixed_dim <= zeros,
+        # dim g^sigma = dim t^sigma + the fixed zero weights of p + one
+        # line per pair {w, sigma w} + the fixed weights with sign +1
+        "fixed-dimension-bookkeeping": (
+            inv.dim_t_sigma + inv.zero_weight_fixed_dim + pairs // 2 + plus
+            == inv.dim_gprime
         ),
-        "fixed-dimension-bookkeeping": inv.dim_g_sigma() == inv.dim_gprime,
         # necessary condition for t^{-sigma} maximal abelian in
         # k^{-sigma}: a compact root vanishing on t^{-sigma} must have
         # sign +1; it restricts there to (w - sigma w)/2, so it vanishes
         # iff sigma-fixed
-        "tminus-maximality-necessary": all(
-            inv.sigma_weight(w) != w or inv.eps_of(PART_COMPACT, w) == 1
-            for w, _ in inv.base.compact
-        ),
+        "tminus-maximality-necessary": tminus,
         "table-rows-in-torus": all(
-            inv.base.in_torus(row.x) for row in inv.table_rows
+            base.in_torus(row.x) for row in inv.table_rows
         ),
     }
     return tuple(name for name, passed in checks.items() if not passed)
@@ -401,13 +426,15 @@ def involution_view(inv: InvolutionData) -> EmbeddingView:
         vhalf(vadd(e, row))
         for e, row in zip(identity(inv.base.ambient_dim), inv.sigma_transpose)
     )
+    images = inv.sigma_images
+    signs = inv.eps_signs
     cells: list[WeightCell] = []
     for part, w, m in inv.base.weight_entries():
-        if is_zero_vec(w):
+        if not any(w):
             continue
-        sw = inv.sigma_weight(w)
+        sw = images[w]
         if sw == w:
-            if inv.eps_of(part, w) == 1:
+            if signs.get((part, w)) == 1:
                 cells.extend([WeightCell(part, (w,), w)] * m)
         elif w < sw:
             restr = vhalf(vadd(w, sw))
@@ -459,16 +486,19 @@ def validate_embedding(rec: EmbeddingRecord) -> tuple[str, ...]:
     rows = rec.tprime_rows
     if not all(len(r) == n for r in rows):
         return ("tprime-shape",)
+    view = rec.view
     checks = {
         "tprime-independent": rank(list(rows)) == len(rows),
         "tprime-in-torus": all(rec.base.in_torus(r) for r in rows),
-        # a weight vanishes on t' iff it is orthogonal to every row
-        "no-weight-vanishes-on-tprime": not any(
-            not is_zero_vec(w) and all(dot(w, r) == 0 for r in rows)
-            for _, w, _ in rec.base.weight_entries()
+        # a weight vanishes on t' iff it is orthogonal to every row; the
+        # view's cells group exactly the weights that do not, so none
+        # vanishes iff they hold every nonzero weight
+        "no-weight-vanishes-on-tprime": (
+            sum(len(cell.members) for cell in view.cells)
+            == sum(any(w) for _, w, _ in rec.base.weight_entries())
         ),
         "cell-count-bookkeeping": (
-            rec.view.fixed_zero_dim + len(rec.view.cells) == rec.dim_gprime
+            view.fixed_zero_dim + len(view.cells) == rec.dim_gprime
         ),
         "table-rows-in-torus": all(
             rec.base.in_torus(row.x) for row in rec.table_rows

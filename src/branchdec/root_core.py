@@ -122,7 +122,7 @@ def vzero(n: int) -> IntVec:
 
 def identity(n: int) -> tuple[IntVec, ...]:
     """The rows of the n x n identity matrix."""
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
@@ -134,7 +134,7 @@ def vsub(a: Vec, b: Vec) -> Vec:
 
 
 def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
+    return tuple([-x for x in a])
 
 
 def vscale(c, a: Vec) -> Vec:
@@ -458,9 +458,6 @@ class WeightMultiset:
     def zero_mult(self) -> int:
         return sum(m for w, m in self.entries if is_zero_vec(w))
 
-    def is_negation_closed(self) -> bool:
-        return all(self.mult(vneg(w)) == m for w, m in self.entries)
-
 
 # ---------------------------------------------------------------------------
 # root data
@@ -515,37 +512,60 @@ class RootDatum:
         """Raise DatumError unless the datum is well formed.
 
         Weights and constraints must be integral: the parabolic and
-        enumeration code pair them with integer rows.
+        enumeration code pair them with integer rows.  Each part is
+        walked once: a weight of the wrong length, not integral or not
+        orthogonal to the constraints raises as it is met, and the zero
+        weights, negation closure and size of the part are kept for the
+        checks that follow both walks.
         """
-        for c in self.t_constraints:
-            if len(c) != self.ambient_dim:
+        n = self.ambient_dim
+        cons = self.t_constraints
+        for c in cons:
+            if len(c) != n:
                 raise DatumError(f"{self.name}: constraint row of wrong length")
             if not _is_integral(c):
                 raise DatumError(
                     f"{self.name}: torus constraint {format_vector(c)} is "
                     "not integral"
                 )
-        for part, w, m in self.weight_entries():
-            if len(w) != self.ambient_dim:
-                raise DatumError(f"{self.name}: weight of wrong length in part {part}")
-            if not _is_integral(w):
-                raise DatumError(
-                    f"{self.name}: weight {format_vector(w)} in part {part} "
-                    "is not integral"
-                )
-            for c in self.t_constraints:
-                if dot(c, w) != 0:
+        closed = []
+        zeros = total = 0
+        for part, weights in (
+            (PART_COMPACT, self.compact), (PART_NONCOMPACT, self.noncompact)
+        ):
+            # every entry an int is the common case, tested in one sweep
+            ints = {type(x) for w, _ in weights for x in w} <= {int}
+            mult = weights.mult
+            negated = True
+            for w, m in weights:
+                if len(w) != n:
                     raise DatumError(
-                        f"{self.name}: weight {format_vector(w)} not orthogonal "
-                        "to the torus constraints"
+                        f"{self.name}: weight of wrong length in part {part}"
                     )
-        if self.compact.zero_mult() != 0:
+                if not (ints or _is_integral(w)):
+                    raise DatumError(
+                        f"{self.name}: weight {format_vector(w)} in part "
+                        f"{part} is not integral"
+                    )
+                for c in cons:
+                    if sum(map(mul, c, w)) != 0:
+                        raise DatumError(
+                            f"{self.name}: weight {format_vector(w)} not "
+                            "orthogonal to the torus constraints"
+                        )
+                if part == PART_COMPACT and not any(w):
+                    zeros += m
+                if mult(vneg(w)) != m:
+                    negated = False
+                total += m
+            closed.append(negated)
+        if zeros != 0:
             raise DatumError(f"{self.name}: zero weight in the compact part")
-        if not self.compact.is_negation_closed():
+        if not closed[0]:
             raise DatumError(f"{self.name}: compact part not closed under negation")
-        if not self.noncompact.is_negation_closed():
+        if not closed[1]:
             raise DatumError(f"{self.name}: noncompact part not closed under negation")
-        expect = self.dim_t + self.compact.total() + self.noncompact.total()
+        expect = self.dim_t + total
         if expect != self.dim_g:
             raise DatumError(
                 f"{self.name}: dim bookkeeping {expect} != declared {self.dim_g}"

@@ -49,6 +49,7 @@ from branchdec.root_core import (
     as_fraction,
     build_root_datum,
     vec,
+    vec_from,
     vhalf,
     vscale,
     vsub,
@@ -254,6 +255,34 @@ def test_int_decode_matches_the_fraction_decode(monkeypatch):
         assert restricted_roots(new) == restricted_roots(old), pid
         assert new.dim_t_sigma == old.dim_t_sigma, pid
         assert new.t_minus_sigma_normals == old.t_minus_sigma_normals, pid
+
+
+def _decoded(decode, entries):
+    try:
+        out = decode(entries)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out, [type(x) for x in out]
+
+
+LITERAL_VECTORS = [
+    ["3", "-2", " 7 ", "+4", "4/2", "1/2", "-0", "007"], ["3", "3", "1/2"],
+    [1, 0, -1], [True], [1.0], [None], ["1.5"], ["1e3"], ["1/0"], [""],
+    [" "], ["\u0663"], ["0x10"], ["1", [1]], [[1], "x"], [{"a": 1}],
+    ["x", [1]], "12", 5, None, {"1": 2}, [Fraction(6, 3)], [],
+]
+
+
+def test_a_record_decodes_its_literals_exactly_as_vec_from():
+    # one table serves every vector of a record: each vector decodes (or
+    # fails) as vec_from decodes it, the first time a literal is met and
+    # every time after
+    literals = catalog._Literals()
+    for _ in range(2):
+        for entries in LITERAL_VECTORS:
+            assert _decoded(literals.vector, entries) == _decoded(
+                vec_from, entries), entries
+    assert set(map(type, literals)) == {str}
 
 
 def test_non_integral_sigma_still_decodes_and_passes_the_matrix_checks():
@@ -737,10 +766,11 @@ def _count_reads(monkeypatch) -> Counter:
           "--question", "deco"],
          ["algebras/su_2_2_.json"]),
         (["catalog"], None),
+        (["catalog", "--force"], None),
         (["verify"], None),
     ],
     ids=["load", "check-involution", "check-embedding", "check-theta",
-         "catalog", "verify"],
+         "catalog", "catalog-force", "verify"],
 )
 def test_a_command_reads_each_file_it_uses_once(
     monkeypatch, capsys, argv, records
@@ -753,6 +783,8 @@ def test_a_command_reads_each_file_it_uses_once(
     if records is None:
         records = [entry["path"] for entry in catalog_index(DATA_DIR)]
         assert len(records) == 21
+    # --force builds the index from the files and then hashes, decodes
+    # and validates the bytes it read, so it too reads each file once
     assert reads == Counter(["meta.json", *records])
 
 

@@ -13,6 +13,7 @@ import linalg_oracle
 import pytest
 from linalg_oracle import primitive_direction, primitive_vector
 from projection_oracle import gram_projection, independent_rows
+from validation_oracle import is_negation_closed
 
 from branchdec import root_core
 from branchdec.catalog import load_catalog
@@ -431,7 +432,7 @@ def test_oracles_import_only_data_from_branchdec():
     cached = _runtime_cached_properties()
     assert {"restricted", "view", "sigma_images", "root_system"} <= cached
     oracles = sorted(Path(__file__).parent.glob("*oracle*.py"))
-    assert len(oracles) == 6
+    assert len(oracles) == 7
     for path in oracles:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute):
@@ -469,8 +470,8 @@ def test_weight_multiset_zero_handling():
     ws = WeightMultiset.of([(vec(0, 0), 3), (vec(1, -1), 1), (vec(-1, 1), 1)])
     assert ws.zero_mult() == 3
     assert ws.nonzero().total() == 2
-    assert ws.is_negation_closed()
-    assert not WeightMultiset.of([(vec(1, 0), 1)]).is_negation_closed()
+    assert is_negation_closed(ws)
+    assert not is_negation_closed(WeightMultiset.of([(vec(1, 0), 1)]))
 
 
 # ---------------------------------------------------------------------------
