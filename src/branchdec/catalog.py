@@ -25,13 +25,11 @@ table of the string literals it has met, so it parses each once.
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import hashlib
 import json
 import os
 import stat
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -48,6 +46,7 @@ from .involution import (
 from .root_core import (
     RootDatum,
     build_root_datum,
+    replace,
     sum_parts,
     vec_from,
     vector_strings,
@@ -319,7 +318,6 @@ class _field_errors:
             ) from exc
 
 
-@dataclass(frozen=True)
 class CatalogBundle:
     """The catalog index, keyed by id; records are read on demand.
 
@@ -331,21 +329,27 @@ class CatalogBundle:
     ``check_all`` builds every record.
     """
 
-    root: Path
-    version: str
-    checksum: str
-    # the index entry of each algebra file and of each pair file, by id
-    algebra_files: Mapping[str, dict]
-    stored_pairs: Mapping[str, dict]
-    # the bytes each record file held when the index was built from the
-    # files (under force), by path, so that no file is read twice
-    indexed_bytes: Mapping[str, bytes] = field(
-        default_factory=dict, repr=False, compare=False)
-    # id -> (builder, datum)
-    _algebras: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
-    _pairs: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    def __init__(
+        self,
+        root: Path,
+        version: str,
+        checksum: str,
+        algebra_files: Mapping[str, dict],
+        stored_pairs: Mapping[str, dict],
+        indexed_bytes: Mapping[str, bytes],
+    ):
+        self.root = root
+        self.version = version
+        self.checksum = checksum
+        # the index entry of each algebra file and of each pair file, by id
+        self.algebra_files = algebra_files
+        self.stored_pairs = stored_pairs
+        # the bytes each record file held when the index was built from
+        # the files (under force), by path, so that no file is read twice
+        self.indexed_bytes = indexed_bytes
+        # id -> (builder, datum)
+        self._algebras: dict[str, tuple[str, RootDatum]] = {}
+        self._pairs: dict[str, InvolutionData | EmbeddingRecord] = {}
 
     def algebra_ids(self) -> list[str]:
         return sorted(self.algebra_files)
@@ -404,9 +408,7 @@ class CatalogBundle:
         name, rec = self._record(entry, _ALGEBRA_FIELDS)
         with _field_errors(name):
             builder = _string(rec["builder"])
-            datum = dataclasses.replace(
-                build_root_datum(builder), name=algebra_id
-            )
+            datum = replace(build_root_datum(builder), name=algebra_id)
             datum.validate()
         return builder, datum
 

@@ -22,7 +22,6 @@ is built only for the point returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -35,6 +34,7 @@ from .root_core import (
     dot,
     is_zero_vec,
     primitive_ints,
+    record,
 )
 
 
@@ -42,7 +42,7 @@ class PointednessError(RuntimeError):
     """The supplied certificate fails to prove the generator cone pointed."""
 
 
-@dataclass(frozen=True)
+@record
 class Cone:
     """Finitely generated cone {sum c_i g_i : c >= 0}."""
 
@@ -61,7 +61,7 @@ class Cone:
         return Cone(tuple(g for g in gens if not is_zero_vec(g)), dim)
 
 
-@dataclass(frozen=True)
+@record
 class MeetResult:
     """Outcome of a cone intersection query.
 

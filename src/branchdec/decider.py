@@ -27,7 +27,6 @@ point times the common denominator of its cone coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -57,6 +56,7 @@ from .root_core import (
     is_zero_vec,
     lex_positive,
     mat_apply,
+    record,
     vadd,
     vector_strings,
     vneg,
@@ -83,7 +83,7 @@ _SCOPE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     question: str
     answer: bool

@@ -19,7 +19,6 @@ of an embedding are projected onto.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -40,6 +39,7 @@ from .root_core import (
     nullspace,
     projection_matrix,
     rank,
+    record,
     subspace_normals,
     vadd,
     vdot,
@@ -54,7 +54,7 @@ class InvolutionError(ValueError):
     """Malformed or invalid involution/embedding data."""
 
 
-@dataclass(frozen=True)
+@record
 class TableRow:
     """A catalogued defining element with its human-readable Levi label."""
 
@@ -82,7 +82,7 @@ def _image_map(mt: Sequence[Vec]) -> Callable[[Vec], Vec]:
     return lambda w: mat_apply(mt, w)
 
 
-@dataclass(frozen=True)
+@record
 class InvolutionData:
     """sigma on t-coordinates plus sign data on sigma-fixed weight lines.
 
@@ -102,7 +102,7 @@ class InvolutionData:
 
     # Everything below derived from the fields is computed on first use
     # and kept on the record.  The record is frozen, so nothing can go
-    # stale; dataclasses.replace builds a new record with empty caches.
+    # stale; root_core.replace builds a new record with empty caches.
 
     @cached_property
     def report(self) -> tuple[str, ...]:
@@ -337,7 +337,7 @@ def build_swap_involution(base: RootDatum, half: RootDatum) -> InvolutionData:
 # restricted roots and the momentum chamber
 
 
-@dataclass(frozen=True)
+@record
 class RestrictedRootSystem:
     roots: WeightMultiset
     positive: WeightMultiset
@@ -384,7 +384,7 @@ def momentum_chamber(inv: InvolutionData) -> tuple[Vec, ...]:
 # weight cells: common view for involutions and plain embeddings
 
 
-@dataclass(frozen=True)
+@record
 class WeightCell:
     """Supports of one line of the subalgebra inside the weight spaces.
 
@@ -398,7 +398,7 @@ class WeightCell:
     restricted: Vec
 
 
-@dataclass(frozen=True)
+@record
 class EmbeddingView:
     """The weight cells of a subalgebra and ``restriction``, the matrix
     taking a vector of t to its restriction to the subalgebra torus."""
@@ -449,7 +449,7 @@ def involution_view(inv: InvolutionData) -> EmbeddingView:
     )
 
 
-@dataclass(frozen=True)
+@record
 class EmbeddingRecord:
     """A reductive subalgebra given by its torus and weight matching only.
 

@@ -10,7 +10,6 @@ live here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -26,6 +25,7 @@ from .root_core import (
     clear_denominators,
     lex_positive,
     primitive_ints,
+    record,
     vector_strings,
     vhalf,
 )
@@ -59,7 +59,7 @@ def _ratio(n: int, d: int) -> int | Fraction:
     return Fraction(n, d) if rest else quotient
 
 
-@dataclass(frozen=True)
+@record(uncompared=("x", "row"))
 class ThetaStableParabolic:
     """q = l + u determined by X; identity is the weight partition, not X.
 
@@ -71,9 +71,9 @@ class ThetaStableParabolic:
     """
 
     base: RootDatum
-    x: Vec = field(compare=False)
+    x: Vec
     signature: tuple[int, ...]
-    row: IntVec = field(compare=False)
+    row: IntVec
 
     @cached_property
     def weight_signs(self) -> dict[IntVec, int]:

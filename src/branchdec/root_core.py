@@ -38,17 +38,22 @@ one family built otherwise, as a tensor product (see ``_so_datum``), and
 a complex algebra puts each root in k and in p.  ``build_root_datum``
 reads the rank of every '+' part from its parsed integers and refuses a
 total above ``MAX_FAMILY_RANK`` before any weight is built.
+
+The runtime's records, here and in the other modules, are classes under
+``record``: frozen, equal by their fields, and copied with changes by
+``replace``.  It stands in for ``dataclasses``, whose import (with
+``inspect``) and per-class code generation took about a third of a cold
+command's import time.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
-from operator import mul, sub
+from operator import attrgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -405,6 +410,85 @@ def project_onto_span(v: Vec, rows: Sequence[Vec]) -> Vec:
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+def record(cls=None, *, uncompared: tuple[str, ...] = ()):
+    """Make ``cls`` a frozen record of its annotated fields, in order.
+
+    The annotations are read by name only, never evaluated.  A field
+    with a class-level value takes it as its default.  ``__init__``
+    stores each field in the instance dict and then runs the class's
+    ``__post_init__``, if it has one; records compare equal, and hash
+    alike, when they are of one class and their fields outside
+    ``uncompared`` are equal; assigning or deleting any attribute
+    raises AttributeError.  The instance dict stays, so a
+    cached_property still keeps its value on the record.
+    """
+    if cls is None:
+        return lambda c: record(c, uncompared=uncompared)
+    fields = tuple(cls.__annotations__)
+    key = attrgetter(*[f for f in fields if f not in uncompared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in fields)
+        return f"{cls.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    cls._fields = fields
+    cls.__init__ = _record_init(cls, fields)
+    for method in (__eq__, __hash__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+def _record_init(cls, fields: tuple[str, ...]):
+    """A record's ``__init__``, compiled for its own field names.
+
+    It costs what a hand-written one does, about half what a frozen
+    dataclass's does; one loop over the fields, shared by every
+    record, would be slower than either on the records of one to three
+    fields, which are built most."""
+    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+    params = "".join(
+        f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}"
+        for f in fields
+    )
+    lines = [f"def __init__(self{params}):", "    d = self.__dict__"]
+    lines += [f"    d[{f!r}] = {f}" for f in fields]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace = {"_defaults": defaults}
+    exec("\n".join(lines), namespace)
+    return namespace["__init__"]
+
+
+def replace(rec, **changes):
+    """A new record of rec's class with ``changes`` to its fields, and
+    so with no cached value; TypeError names a field it lacks."""
+    fields = type(rec)._fields
+    for name in changes:
+        if name not in fields:
+            raise TypeError(
+                f"{type(rec).__name__} has no field {name!r} to replace"
+            )
+    return type(rec)(*[changes.get(f, getattr(rec, f)) for f in fields])
+
+
+# ---------------------------------------------------------------------------
 # weight multisets
 
 
@@ -419,7 +503,7 @@ def _canonical_entries(entries: Iterable[tuple[Vec, int]]) -> tuple[tuple[Vec, i
     return tuple(sorted(merged.items()))
 
 
-@dataclass(frozen=True)
+@record
 class WeightMultiset:
     """Finite multiset of rational weight vectors."""
 
@@ -463,7 +547,7 @@ class WeightMultiset:
 # root data
 
 
-@dataclass(frozen=True)
+@record
 class RootDatum:
     """Weights of ad(t) on a real reductive Lie algebra g = k + p.
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -48,6 +47,7 @@ from branchdec.root_core import (
     WeightMultiset,
     as_fraction,
     build_root_datum,
+    replace,
     vec,
     vec_from,
     vhalf,
@@ -407,7 +407,7 @@ def test_edit_without_reseal_is_refused(tmp_path):
         cat.pair("(su(2,2),sp(2,R))")
     # the same record built by library code reaches the verdicts, and
     # deco, admissible, transitive and rho refuse it
-    pair = dataclasses.replace(load_catalog().pair("(su(2,2),sp(2,R))"),
+    pair = replace(load_catalog().pair("(su(2,2),sp(2,R))"),
                                dim_gprime=11)
     q = build_parabolic(pair.base, vec(3, -1, -1, -1))
     for question in ("deco", "admissible", "transitive", "rho"):
@@ -1039,11 +1039,11 @@ def test_make_catalog_does_not_seal_a_broken_catalog(
     build_pairs = tool.build_pairs
 
     def off_torus_row(p):
-        row = dataclasses.replace(p.table_rows[0], x=vec(1, 1, 1, 1))
-        return dataclasses.replace(p, table_rows=(row,))
+        row = replace(p.table_rows[0], x=vec(1, 1, 1, 1))
+        return replace(p, table_rows=(row,))
 
     for breaks, name, check in (
-        (lambda p: dataclasses.replace(p, dim_gprime=11), "dim",
+        (lambda p: replace(p, dim_gprime=11), "dim",
          "fixed-dimension-bookkeeping"),
         (off_torus_row, "row", "table-rows-in-torus"),
     ):

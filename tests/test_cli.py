@@ -624,6 +624,28 @@ def test_module_entry_point():
     assert "su(2,2)" in proc.stdout
 
 
+def test_a_cold_check_imports_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, since pytest itself imports both; together
+    # they were about a third of a cold check's import time
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from branchdec import cli\n"
+        "rc = cli.main(['check', '--pair', '(su(2,2),sp(2,R))',\n"
+        "              '--X=3,-1,-1,-1', '--question', 'deco',\n"
+        "              '--format', 'json'])\n"
+        "print(rc, *sorted({'dataclasses', 'inspect'} & set(sys.modules)),\n"
+        "      file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(DATA_DIR.parents[1])],
+        capture_output=True,
+        text=True,
+    )
+    assert json.loads(proc.stdout)["question"] == "deco"
+    assert proc.stderr == f"{EXIT_OK}\n"
+
+
 # full stdout of two deco verdicts, one per witness kind: the point
 # g - sigma g of the first generator g that y = X + sigma X fails, and
 # y itself where it separates

@@ -56,6 +56,7 @@ from branchdec.root_core import (
     build_root_datum,
     in_span,
     lex_positive,
+    replace,
     vadd,
     vdot,
     vec,
@@ -535,9 +536,7 @@ def test_a_flipped_sign_in_a_shipped_functional_fails_the_replay():
 def _unchecked(pair, matrix):
     """The record with sigma replaced and its validation report forced
     empty, so no check before the meet refuses it."""
-    import dataclasses
-
-    forged = dataclasses.replace(pair, matrix=matrix)
+    forged = replace(pair, matrix=matrix)
     forged.__dict__["report"] = ()
     return forged
 
@@ -702,12 +701,10 @@ def test_rho_requires_transitivity():
 
 
 def test_rho_validates_pair_first():
-    import dataclasses
-
     pair = _pair("(su(2,2),sp(2,R))")
     # a replaced record is new and unvalidated, even after pair.report ran
     assert pair.report == ()
-    bad = dataclasses.replace(pair, dim_gprime=11)
+    bad = replace(pair, dim_gprime=11)
     q = _q(pair, vec(3, -1, -1, -1))
     for check in (discretely_decomposable, admissible_sufficient,
                   transitive_check, rho_compat_check):
@@ -716,7 +713,7 @@ def test_rho_validates_pair_first():
             check(Query(bad, q))
 
     emb = _pair("(so(4,3),g2(R))")
-    bad_emb = dataclasses.replace(emb, dim_gprime=13)
+    bad_emb = replace(emb, dim_gprime=13)
     for check in (transitive_check, rho_compat_check):
         with pytest.raises(InvolutionError, match="cell-count-bookkeeping"):
             check(Query(bad_emb, _q(emb, vec(0, 0, 1))))

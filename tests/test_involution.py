@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,6 +38,7 @@ from branchdec.root_core import (
     lex_positive,
     mat_apply,
     rank,
+    replace,
     subspace_normals,
     vadd,
     vdot,
@@ -219,13 +219,13 @@ def _retyped(record, entry):
     def vecs(rows):
         return tuple(tuple(map(entry, r)) for r in rows)
 
-    rows = tuple(dataclasses.replace(r, x=tuple(map(entry, r.x)))
+    rows = tuple(replace(r, x=tuple(map(entry, r.x)))
                  for r in record.table_rows)
     if isinstance(record, EmbeddingRecord):
-        return dataclasses.replace(
+        return replace(
             record, tprime_rows=vecs(record.tprime_rows), table_rows=rows
         )
-    return dataclasses.replace(
+    return replace(
         record,
         matrix=vecs(record.matrix),
         eps=tuple((p, tuple(map(entry, w)), s) for p, w, s in record.eps),
@@ -248,7 +248,7 @@ def test_validation_flags_non_involutive_matrix():
     bad_matrix = tuple(
         vscale(2, row) if i == 0 else row for i, row in enumerate(inv.matrix)
     )
-    bad = dataclasses.replace(inv, matrix=bad_matrix)
+    bad = replace(inv, matrix=bad_matrix)
     names = set(_flags(bad))
     assert "matrix-involutive" in names
     assert "matrix-orthogonal" in names
@@ -263,7 +263,7 @@ def test_validation_flags_torus_violation():
         vec(0, 0, 1, 0),
         vec(0, 0, 0, -1),
     )
-    bad = dataclasses.replace(inv, matrix=reflect_last)
+    bad = replace(inv, matrix=reflect_last)
     assert "matrix-preserves-torus" in set(_flags(bad))
 
 
@@ -297,7 +297,7 @@ def test_torus_check_agrees_with_the_row_by_row_span_tests():
                 tuple(diagonal[i] if i == j else 0 for j in range(n))
                 for i in range(n)
             )
-            moved = dataclasses.replace(inv, matrix=matrix)
+            moved = replace(inv, matrix=matrix)
             assert _preserves_torus_row_by_row(moved) is kept, pid
             assert ("matrix-preserves-torus" not in _flags(moved)) is kept, pid
 
@@ -313,7 +313,7 @@ def test_validation_flags_part_mixing_matrix():
         vec(0, 1, 0, 0),
         vec(0, 0, 0, 1),
     )
-    bad = dataclasses.replace(inv, matrix=swap_middle)
+    bad = replace(inv, matrix=swap_middle)
     names = set(_flags(bad))
     assert "permutes-compact-weights" in names
     assert "permutes-noncompact-weights" in names
@@ -321,7 +321,7 @@ def test_validation_flags_part_mixing_matrix():
 
 def test_validation_flags_missing_eps():
     inv = _pair("(su(2,2),sp(2,R))")
-    bad = dataclasses.replace(inv, eps=inv.eps[1:])
+    bad = replace(inv, eps=inv.eps[1:])
     assert "eps-covers-fixed-weights" in set(_flags(bad))
 
 
@@ -330,7 +330,7 @@ def test_validation_flags_asymmetric_eps():
     part, w, s = inv.eps[0]
     flipped = ((part, w, -s),) + inv.eps[1:]
     assert "eps-negation-symmetric" in _flags(
-        dataclasses.replace(inv, eps=flipped)
+        replace(inv, eps=flipped)
     )
 
 
@@ -342,7 +342,7 @@ def test_validation_catches_eps_perturbation_through_dimensions():
     flipped = tuple(
         (p, v, -sv) if v in (w, vneg(w)) else (p, v, sv) for p, v, sv in inv.eps
     )
-    bad = dataclasses.replace(inv, eps=flipped)
+    bad = replace(inv, eps=flipped)
     assert set(validate_involution(bad)) == {
         "fixed-dimension-bookkeeping"
     }
@@ -352,15 +352,15 @@ def test_validation_catches_eps_perturbation_through_dimensions():
 
 def test_validation_flags_zero_weight_dim_out_of_range():
     inv = _pair("(so(5,C),so(3,2))")
-    bad = dataclasses.replace(inv, zero_weight_fixed_dim=3)
+    bad = replace(inv, zero_weight_fixed_dim=3)
     assert "zero-weight-fixed-dim-range" in set(_flags(bad))
-    low = dataclasses.replace(inv, zero_weight_fixed_dim=1)
+    low = replace(inv, zero_weight_fixed_dim=1)
     assert "fixed-dimension-bookkeeping" in set(_flags(low))
 
 
 def test_validation_flags_wrong_declared_dimension():
     inv = _pair("(su(2,2),sp(2,R))")
-    bad = dataclasses.replace(inv, dim_gprime=11)
+    bad = replace(inv, dim_gprime=11)
     assert set(_flags(bad)) == {
         "fixed-dimension-bookkeeping"
     }
@@ -376,7 +376,7 @@ def test_validation_flags_compact_centraliser_of_tminus():
         (p, v, -s) if p == PART_COMPACT and v in (target, vneg(target)) else (p, v, s)
         for p, v, s in inv.eps
     )
-    bad = dataclasses.replace(inv, eps=flipped)
+    bad = replace(inv, eps=flipped)
     names = set(_flags(bad))
     assert "tminus-maximality-necessary" in names
     assert "fixed-dimension-bookkeeping" in names
@@ -386,14 +386,14 @@ def test_validation_flags_non_square_matrix():
     # a matrix of the wrong shape stops validation before any product
     inv = _pair("(su(2,2),sp(2,R))")
     for matrix in (inv.matrix[:3], tuple(row[:3] for row in inv.matrix)):
-        bad = dataclasses.replace(inv, matrix=matrix)
+        bad = replace(inv, matrix=matrix)
         assert set(_flags(bad)) == {"matrix-shape"}
 
 
 def test_validation_flags_short_tprime_row():
     emb = _pair("(so(4,3),g2(R))")
     r1, r2 = emb.tprime_rows
-    bad = dataclasses.replace(emb, tprime_rows=(r1, r2[:2]))
+    bad = replace(emb, tprime_rows=(r1, r2[:2]))
     assert set(_flags(bad)) == {"tprime-shape"}
 
 
@@ -402,7 +402,7 @@ def test_validation_flags_dependent_tprime_rows():
     # g2(R); one more torus row is declared with them
     emb = _pair("(so(4,3),g2(R))")
     r1, r2 = emb.tprime_rows
-    bad = dataclasses.replace(
+    bad = replace(
         emb, tprime_rows=(r1, r2, vadd(r1, r2)), dim_gprime=15
     )
     assert set(_flags(bad)) == {"tprime-independent"}
@@ -426,7 +426,7 @@ def test_validation_flags_weight_vanishing_on_tprime():
     # on the line through 1,-1,0 the roots +-(1,1,0) and +-e3 vanish; the
     # declared dimension is the one the cells give
     emb = _pair("(so(4,3),g2(R))")
-    bad = dataclasses.replace(emb, tprime_rows=emb.tprime_rows[:1],
+    bad = replace(emb, tprime_rows=emb.tprime_rows[:1],
                               dim_gprime=5)
     assert set(_flags(bad)) == {
         "no-weight-vanishes-on-tprime"
@@ -439,8 +439,8 @@ def test_validation_flags_table_row_off_the_torus():
     emb = _pair("(so(4,3),g2(R))")
     for pair, x in ((inv, vec(1, 1, 1, 1)), (inv, vec(3, -1, -1)),
                     (emb, vec(1, 0))):
-        row = dataclasses.replace(pair.table_rows[0], x=x)
-        bad = dataclasses.replace(pair, table_rows=(row,))
+        row = replace(pair.table_rows[0], x=x)
+        bad = replace(pair, table_rows=(row,))
         assert _flags(bad) == ("table-rows-in-torus",), x
 
 
@@ -482,7 +482,7 @@ def test_conjugating_by_a_datum_symmetry_transports_restricted_roots():
     conj_eps = tuple(
         (part, _apply_perm_matrix(p_rows, w), s) for part, w, s in inv.eps
     )
-    conj = dataclasses.replace(
+    conj = replace(
         inv,
         matrix=conj_matrix,
         eps=conj_eps,
@@ -694,7 +694,7 @@ def test_replaced_record_recomputes_its_derived_data():
     before = (pair.t_minus_sigma_normals, pair.view, pair.restricted)
     assert eigenbasis(pair, -1)
     # the identity fixes the whole torus, so t^-sigma becomes zero
-    replaced = dataclasses.replace(
+    replaced = replace(
         pair, matrix=tuple(tuple(F(int(i == j)) for j in range(4))
                            for i in range(4))
     )
@@ -706,7 +706,7 @@ def test_replaced_record_recomputes_its_derived_data():
 
     emb = _pair("(so(4,3),g2(R))")
     emb.view
-    moved = dataclasses.replace(emb, tprime_rows=(vec(1, 0, 0),))
+    moved = replace(emb, tprime_rows=(vec(1, 0, 0),))
     _assert_embedding_caches_fresh(moved)
     assert moved.view != emb.view
 

@@ -15,6 +15,9 @@ from lp_face_oracle import lp_face_signatures
 
 from branchdec import parabolic
 from branchdec.catalog import load_catalog
+from branchdec.cone_kernel import Cone, MeetResult
+from branchdec.decider import Verdict
+from branchdec.involution import TableRow
 from branchdec.parabolic import (
     UnsupportedQuery,
     build_parabolic,
@@ -30,6 +33,8 @@ from branchdec.root_core import (
     WeightMultiset,
     build_root_datum,
     lex_positive,
+    record,
+    replace,
     vdot,
     vec,
     vneg,
@@ -84,14 +89,80 @@ def test_su22_hermitian_parabolic():
     assert q.rho_u == vec(1, 1, -1, -1)
 
 
+def _record_cases():
+    """(a, b, c, changes) for one record of each runtime record class: a
+    and b equal but built apart, c unequal to both, and a change of one
+    field for replace."""
+    pairs = [load_catalog().pair for _ in range(2)]
+    inv, inv2 = (get("(su(2,2),sp(2,R))") for get in pairs)
+    emb, emb2 = (get("(so(4,3),g2(R))") for get in pairs)
+    other = pairs[0]("(su(2,2),sp(1,1))")
+    base, base2 = build_root_datum("su(2,2)"), build_root_datum("su(2,2)")
+    row = inv.table_rows[0]
+    gens = (vec(1, 0), vec(1, 1))
+    point = (True, vec(2, 1), (F(1), F(1)), (0, 1))
+    verdict = ("deco", True, ("deco-some",), None, {"pair": "p"}, "c")
+    return [
+        (base, base2, build_root_datum("su(3,1)"), {"name": "renamed"}),
+        (base.compact, base2.compact, base.noncompact, {"entries": ()}),
+        (row, TableRow(row.x, row.levi), TableRow(row.x, "l"),
+         {"levi": "l"}),
+        (inv, inv2, other, {"dim_gprime": 11}),
+        (inv.restricted, inv2.restricted, other.restricted,
+         {"positive": other.restricted.positive}),
+        (inv.view.cells[0], inv2.view.cells[0], inv.view.cells[-1],
+         {"part": PART_NONCOMPACT}),
+        (inv.view, inv2.view, other.view, {"pair_id": "p"}),
+        (emb, emb2, replace(emb, label="l"), {"extra_zero_dim": 1}),
+        (Verdict(*verdict), Verdict(*verdict), Verdict(*verdict, ("n",)),
+         {"answer": False}),
+        (Cone(gens, 2), Cone(gens, 2), Cone(gens[:1], 2),
+         {"generators": gens[1:]}),
+        (MeetResult(*point), MeetResult(*point),
+         MeetResult(False, None, None, ()), {"basis": ()}),
+    ]
+
+
 def test_identity_is_the_partition_not_x():
     base = build_root_datum("su(2,2)")
     a = build_parabolic(base, vec(3, -1, -1, -1))
     b = build_parabolic(base, vec(6, -2, -2, -2))
     c = build_parabolic(base, vec(1, 1, -1, -1))
-    assert a == b and hash(a) == hash(b)
-    assert a != c
-    assert len({a, b, c}) == 2
+    # the same contract holds for every runtime record: equal fields
+    # (x and row aside, for a parabolic) make equal records, of one class
+    # only; no field can be assigned or deleted; replace makes a new
+    # record with no cached value
+    cases = [(a, b, c, {"x": vec(1, 1, -1, -1)}), *_record_cases()]
+    assert len({type(case[0]) for case in cases}) == 12
+    for one, equal, unequal, changes in cases:
+        cls = type(one)
+        assert one == equal and one is not equal and one != unequal, cls
+        if cls is not Verdict:  # its witness and inputs are dicts
+            assert hash(one) == hash(equal)
+            assert len({one, equal, unequal}) == 2, cls
+        twin = record(type("Twin", (), {
+            "__annotations__": dict.fromkeys(cls._fields, "object")}))
+        same = twin(*[getattr(one, f) for f in cls._fields])
+        assert one != same and same != one, cls
+        for f in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(one, f, getattr(one, f))
+            with pytest.raises(AttributeError):
+                delattr(one, f)
+        cached = [n for n, v in vars(cls).items()
+                  if isinstance(v, functools.cached_property)]
+        for name in cached:
+            getattr(one, name)
+        assert set(vars(one)) == {*cls._fields, *cached}, cls
+        new = replace(one, **changes)
+        assert type(new) is cls, cls
+        assert all(getattr(new, f) == v for f, v in changes.items()), cls
+        assert set(vars(new)) == set(cls._fields), cls
+        with pytest.raises(TypeError):
+            replace(one, no_such_field=0)
+    # a replaced cone is checked as a new one is
+    with pytest.raises(ValueError):
+        replace(Cone((vec(1, 0),), 2), generators=(vzero(2),))
     # X, 2X and X/3 share one primitive integer row; each keeps its X
     third = build_parabolic(base, vec(1, F(-1, 3), F(-1, 3), F(-1, 3)))
     assert a.row == b.row == third.row == (3, -1, -1, -1)

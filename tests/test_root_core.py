@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import hashlib
 import random
 import time
@@ -38,6 +37,7 @@ from branchdec.root_core import (
     project_onto_span,
     projection_matrix,
     rank,
+    replace,
     rref,
     solve_linear,
     sum_parts,
@@ -790,7 +790,7 @@ def test_validate_refuses_a_non_integral_weight():
     d = build_root_datum("su(2,2)")
     cons = (vec(F(1, 2), F(1, 2), F(1, 2), F(1, 2)),)
     with pytest.raises(DatumError, match="constraint 1/2,1/2,1/2,1/2 is not"):
-        dataclasses.replace(d, t_constraints=cons).validate()
+        replace(d, t_constraints=cons).validate()
 
 
 def test_from_dict_validates():
@@ -798,7 +798,7 @@ def test_from_dict_validates():
     # bookkeeping and a compact part that is not closed under negation
     d = build_root_datum("su(2,2)")
     with pytest.raises(DatumError, match="dim bookkeeping"):
-        dataclasses.replace(d, dim_g=16).validate()
+        replace(d, dim_g=16).validate()
     compact = WeightMultiset(d.compact.entries[1:])
     with pytest.raises(DatumError, match="not closed under negation"):
-        dataclasses.replace(d, compact=compact).validate()
+        replace(d, compact=compact).validate()

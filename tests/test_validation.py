@@ -11,7 +11,6 @@ check left out fails this test.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +28,7 @@ from branchdec.involution import (
     InvolutionData,
     TableRow,
 )
-from branchdec.root_core import DatumError, WeightMultiset
+from branchdec.root_core import DatumError, WeightMultiset, replace
 
 SEED = 20261021
 # seeded mutations per catalogued involution and embedding, and the
@@ -80,15 +79,15 @@ def _mutate_base(rng, base):
     n = base.ambient_dim
     kind = rng.choice(["compact", "noncompact", "constraint", "dim_g"])
     if kind == "dim_g":
-        return dataclasses.replace(base, dim_g=base.dim_g + rng.choice([-1, 1]))
+        return replace(base, dim_g=base.dim_g + rng.choice([-1, 1]))
     if kind == "constraint" and base.t_constraints:
         c = base.t_constraints[0]
         c = rng.choice([_bump(c, rng.randrange(n), 1), c[:-1],
                         _bump(c, 0, Fraction(1, 3))])
-        return dataclasses.replace(
+        return replace(
             base, t_constraints=(c,) + base.t_constraints[1:])
     part = "noncompact" if kind == "noncompact" else "compact"
-    return dataclasses.replace(
+    return replace(
         base, **{part: _mutate_entries(rng, getattr(base, part), n)})
 
 
@@ -113,12 +112,12 @@ def _mutate_involution(rng, inv):
         value = rng.choice([v for v in (-2, -1, 0, 1, 2, Fraction(1, 2))
                             if v != m[i][j]])
         row = m[i][:j] + (value,) + m[i][j + 1:]
-        return dataclasses.replace(inv, matrix=m[:i] + (row,) + m[i + 1:])
+        return replace(inv, matrix=m[:i] + (row,) + m[i + 1:])
     if kind == "shape":
         i = rng.randrange(n)
         shorter = (m[:i] + m[i + 1:] if rng.random() < 0.5
                    else m[:i] + (m[i][:-1],) + m[i + 1:])
-        return dataclasses.replace(inv, matrix=shorter)
+        return replace(inv, matrix=shorter)
     if kind.startswith("eps") and eps:
         i = rng.randrange(len(eps))
         p, w, s = eps[i]
@@ -129,19 +128,19 @@ def _mutate_involution(rng, inv):
         else:
             entry = [(p, tuple(-x for x in w), s)] if rng.random() < 0.5 else [
                 (p, _bump(w, rng.randrange(n), 1), s)]
-        return dataclasses.replace(inv, eps=eps[:i] + tuple(entry) + eps[i + 1:])
+        return replace(inv, eps=eps[:i] + tuple(entry) + eps[i + 1:])
     if kind == "dim_gprime":
-        return dataclasses.replace(
+        return replace(
             inv, dim_gprime=inv.dim_gprime + rng.choice([-2, -1, 1, 2]))
     if kind == "zero_dim":
         z = inv.base.noncompact.zero_mult()
-        return dataclasses.replace(
+        return replace(
             inv, zero_weight_fixed_dim=rng.choice(
                 [v for v in range(-1, z + 2) if v != inv.zero_weight_fixed_dim]))
     if kind == "table":
-        return dataclasses.replace(
+        return replace(
             inv, table_rows=_mutate_table_rows(rng, inv.table_rows, n))
-    return dataclasses.replace(inv, base=_mutate_base(rng, inv.base))
+    return replace(inv, base=_mutate_base(rng, inv.base))
 
 
 def _mutate_embedding(rng, rec):
@@ -160,17 +159,17 @@ def _mutate_embedding(rng, rec):
     elif kind == "shape" and rows:
         rows = rows[:i] + (rows[i][:-1],) + rows[i + 1:]
     elif kind == "extra":
-        return dataclasses.replace(
+        return replace(
             rec, extra_zero_dim=rec.extra_zero_dim + rng.choice([-1, 1]))
     elif kind == "dim_gprime":
-        return dataclasses.replace(
+        return replace(
             rec, dim_gprime=rec.dim_gprime + rng.choice([-1, 1]))
     elif kind == "table":
-        return dataclasses.replace(
+        return replace(
             rec, table_rows=_mutate_table_rows(rng, rec.table_rows, n))
     elif kind == "base":
-        return dataclasses.replace(rec, base=_mutate_base(rng, rec.base))
-    return dataclasses.replace(rec, tprime_rows=rows)
+        return replace(rec, base=_mutate_base(rng, rec.base))
+    return replace(rec, tprime_rows=rows)
 
 
 def _synthetic_embedding(rng, base):
@@ -187,7 +186,7 @@ def _synthetic_embedding(rng, base):
                     for p, w, _ in base.weight_entries()}
     cells = sum(any(values) for _, values in restrictions)
     dim = len(rows) + rec.extra_zero_dim + cells + rng.choice([0, 0, 1, -1])
-    return dataclasses.replace(rec, dim_gprime=dim)
+    return replace(rec, dim_gprime=dim)
 
 
 def _records() -> list:
