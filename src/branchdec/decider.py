@@ -462,7 +462,7 @@ def rho_compat_check(row: Query) -> Verdict:
     two_rho = row.q.two_rho_u
     restricted = tuple(
         Fraction(dot(nums, two_rho), 2 * den)
-        for nums, den in view.restriction_rows
+        for nums, den in view.restriction
     )
     answer = restricted == rho_prime
     return Verdict(

@@ -13,12 +13,14 @@ and walks each part of the base once; an embedding's reads the grouping
 of its view.  Once validation has made sigma an orthogonal
 involution of t, a weight w restricts to t^{sigma} and t^{-sigma} as
 (w + sigma w)/2 and (w - sigma w)/2, so an involution's view restricts
-by (I + sigma^T)/2 and needs no projection matrix; only the torus rows
-of an embedding are projected onto.
+by (I + sigma^T)/2, built with no elimination; only an embedding's view
+projects onto its torus rows.  Either way the view keeps its one
+restriction map as integer rows over positive denominators.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -26,6 +28,7 @@ from .parabolic import ThetaStableParabolic
 from .root_core import (
     PART_COMPACT,
     PART_NONCOMPACT,
+    IntRows,
     RootDatum,
     Vec,
     WeightMultiset,
@@ -37,12 +40,11 @@ from .root_core import (
     lex_positive,
     mat_apply,
     nullspace,
-    projection_matrix,
+    projection_rows,
     rank,
     record,
     subspace_normals,
     vadd,
-    vdot,
     vhalf,
     vneg,
     vsub,
@@ -401,31 +403,26 @@ class WeightCell:
 @record
 class EmbeddingView:
     """The weight cells of a subalgebra and ``restriction``, the matrix
-    taking a vector of t to its restriction to the subalgebra torus."""
+    taking a vector of t to its restriction to the subalgebra torus, as
+    integer rows in lowest terms: restricting an integer vector is an
+    integer product and one division per entry."""
 
     base: RootDatum
-    restriction: tuple[Vec, ...]
+    restriction: IntRows
     fixed_zero_dim: int
     cells: tuple[WeightCell, ...]
     dim_gprime: int
     pair_id: str
-
-    @cached_property
-    def restriction_rows(self) -> tuple[tuple[list[int], int], ...]:
-        """Each row of ``restriction`` as (integers n_j, least d > 0) with
-        row_j = n_j / d: restricting an integer vector is then an integer
-        product and one division per entry."""
-        return tuple(clear_denominators(row) for row in self.restriction)
 
 
 def involution_view(inv: InvolutionData) -> EmbeddingView:
     """One cell per line of g^sigma: a sigma-fixed weight with sign +1,
     or a pair {w, sigma w}, restricted to t^sigma as (w + sigma w)/2.
     The restriction is (I + sigma^T)/2, built with no elimination."""
-    restriction = tuple(
-        vhalf(vadd(e, row))
-        for e, row in zip(identity(inv.base.ambient_dim), inv.sigma_transpose)
-    )
+    restriction = []
+    for e, row in zip(identity(inv.base.ambient_dim), inv.sigma_transpose):
+        nums, den = clear_denominators(vhalf(vadd(e, row)))
+        restriction.append((tuple(nums), den))
     images = inv.sigma_images
     signs = inv.eps_signs
     cells: list[WeightCell] = []
@@ -441,7 +438,7 @@ def involution_view(inv: InvolutionData) -> EmbeddingView:
             cells.extend([WeightCell(part, (w, sw), restr)] * m)
     return EmbeddingView(
         inv.base,
-        restriction,
+        tuple(restriction),
         inv.dim_t_sigma + inv.zero_weight_fixed_dim,
         tuple(cells),
         inv.dim_gprime,
@@ -508,30 +505,28 @@ def validate_embedding(rec: EmbeddingRecord) -> tuple[str, ...]:
 
 
 def embedding_view(rec: EmbeddingRecord) -> EmbeddingView:
-    """Weights with equal dot products with every t' row have equal
-    projections onto t', so the weights are grouped by those integer dot
-    products and each cell is projected once, by vdot, which builds one
-    Fraction per entry of the rational projection; a weight whose
-    products all vanish restricts to 0 and is in no cell."""
-    projection = projection_matrix(rec.tprime_rows, rec.base.ambient_dim)
+    """The weights are grouped by their projections onto t', read as the
+    integer products with the projection's rows; a cell's restriction is
+    those products over the rows' denominators, one Fraction per entry,
+    and a weight whose products all vanish restricts to 0 and is in no
+    cell.  Each entry's denominator is the same for every weight, so
+    the cells sort by their products as by their restrictions."""
+    projection = projection_rows(rec.tprime_rows, rec.base.ambient_dim)
     groups: dict[tuple[str, tuple], list[Vec]] = {}
     for part, w, _ in rec.base.weight_entries():
-        products = tuple(dot(w, r) for r in rec.tprime_rows)
+        products = tuple(dot(nums, w) for nums, _ in projection)
         if any(products):
             groups.setdefault((part, products), []).append(w)
-    cells = sorted(
-        (
-            WeightCell(part, tuple(sorted(members)),
-                       tuple(vdot(row, members[0]) for row in projection))
-            for (part, _), members in groups.items()
-        ),
-        key=lambda cell: (cell.part, cell.restricted),
+    cells = tuple(
+        WeightCell(part, tuple(sorted(members)), tuple(
+            Fraction(x, den) for x, (_, den) in zip(products, projection)))
+        for (part, products), members in sorted(groups.items())
     )
     return EmbeddingView(
         rec.base,
         projection,
         len(rec.tprime_rows) + rec.extra_zero_dim,
-        tuple(cells),
+        cells,
         rec.dim_gprime,
         rec.pair_id,
     )

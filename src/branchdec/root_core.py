@@ -11,16 +11,15 @@ and compares as the Fraction of the same value.
 
 The kernels compute over Python integers and build a Fraction only for the
 values they return.  ``dot`` (and ``mat_apply`` through it) returns an int
-when both rows are int; ``vdot`` always returns a Fraction, summing
-numerators over a running common denominator, which is the cheaper of the
-two on Fraction rows.  One fraction-free Gauss-Jordan routine,
+when both rows are int.  One fraction-free Gauss-Jordan routine,
 ``_echelon``, backs ``rref``, ``rank``, ``nullspace``, ``solve_linear``,
-``in_span``, ``dual_rows`` and ``projection_matrix``;
-``clear_denominators`` and ``primitive_ints`` turn rational rows into
-coprime integer rows for it, for ``RootSystem``, for a parabolic's X and
-for the simplex tableau in ``cone_kernel``.  ``dual_rows`` returns a dual
-basis as integer rows, each over one positive denominator, and
-``projection_matrix`` builds a Fraction only for each entry it returns.
+``dual_rows`` and ``projection_rows``; ``clear_denominators`` and
+``primitive_ints`` turn rational rows into coprime integer rows for it,
+for ``RootSystem``, for a parabolic's X and for the simplex tableau in
+``cone_kernel``.  ``dual_rows`` returns a dual basis, and
+``projection_rows`` the orthogonal projection onto a span, as
+``IntRows``: integer rows, each over one positive denominator, so a
+restriction to a subgroup torus is an integer product per entry.
 
 A ``RootSystem`` remembers each positive system it is asked about, keyed
 by which roots are positive: its simple roots and its fundamental
@@ -158,24 +157,6 @@ def dot(a: Vec, b: Vec) -> int | Fraction:
     if len(a) != len(b):
         raise ValueError(f"dot of rows of lengths {len(a)} and {len(b)}")
     return sum(map(mul, a, b))
-
-
-def vdot(a: Vec, b: Vec) -> Fraction:
-    """The dot product; int and Fraction entries mix freely."""
-    # integer numerators over a running common denominator, so the only
-    # Fraction built is the result
-    num, den = 0, 1
-    for x, y in zip(a, b, strict=True):
-        xn, xd = x.as_integer_ratio()
-        yn, yd = y.as_integer_ratio()
-        d = xd * yd
-        if d == den:
-            num += xn * yn
-        else:
-            g = gcd(den, d)
-            num = num * (d // g) + xn * yn * (den // g)
-            den = den // g * d
-    return Fraction(num, den)
 
 
 def is_zero_vec(a: Vec) -> bool:
@@ -337,11 +318,6 @@ def solve_linear(rows: Sequence[Vec], rhs: Sequence) -> Vec | None:
     return tuple(x)
 
 
-def in_span(v: Vec, rows: Sequence[Vec]) -> bool:
-    base = [r for r in rows if not is_zero_vec(r)]
-    return rank(base + [v]) == rank(base) if base else is_zero_vec(v)
-
-
 def dual_rows(basis: Sequence[Vec]) -> IntRows:
     """The vectors c_i in the span of independent rows b_j with
     c_i . b_j = 1 if i == j and 0 otherwise, as integer rows: (n_i, d_i)
@@ -376,12 +352,14 @@ def dual_rows(basis: Sequence[Vec]) -> IntRows:
     return tuple(out)
 
 
-def projection_matrix(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
-    """The dim x dim matrix of the orthogonal projection onto span(rows).
+def projection_rows(rows: Sequence[Vec], dim: int) -> IntRows:
+    """The dim x dim matrix of the orthogonal projection onto span(rows),
+    as integer rows: (n_i, d_i) with row i = n_i / d_i, d_i > 0 and no
+    factor common to d_i and every entry of n_i.
 
     Built once from an integer echelon basis B of the span and its dual
-    basis C as B^T C; apply it with mat_apply.  Zero and dependent rows
-    are allowed, and no rows give the zero matrix.
+    basis C as B^T C; it is symmetric, so row i is also the image of e_i.
+    Zero and dependent rows are allowed, and no rows give the zero matrix.
     """
     basis = _echelon(rows)[0]
     dual = dual_rows(basis)
@@ -389,13 +367,13 @@ def projection_matrix(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
     # common denominator D, each scaled by D / d_k
     den = lcm(*(d for _, d in dual))
     scaled = [[den // d * x for x in n] for n, d in dual]
-    return tuple(
-        tuple(
-            Fraction(sum(b[i] * c[j] for b, c in zip(basis, scaled)), den)
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
+    out = []
+    for i in range(dim):
+        num = [sum(b[i] * c[j] for b, c in zip(basis, scaled))
+               for j in range(dim)]
+        g = gcd(den, *num)
+        out.append((tuple(x // g for x in num), den // g))
+    return tuple(out)
 
 
 def mat_apply(rows: Sequence[Vec], x: Vec) -> Vec:
@@ -406,7 +384,9 @@ def mat_apply(rows: Sequence[Vec], x: Vec) -> Vec:
 
 def project_onto_span(v: Vec, rows: Sequence[Vec]) -> Vec:
     """Orthogonal projection of v onto the span of the given rows."""
-    return mat_apply(projection_matrix(rows, len(v)), v)
+    return tuple(
+        Fraction(dot(n, v), d) for n, d in projection_rows(rows, len(v))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Test-only.  It picks a greedy independent subset of the rows and solves
 the Gram system for the coefficients of each projected vector, one solve
 per call, so the tests can compare it with the runtime routine, which
-builds one projection matrix from an rref basis and its dual basis.  Its
-rank, solve and dot product are ``linalg_oracle``'s; from ``branchdec`` it
-imports only the vector type and the error class.
+builds the projection's integer rows from an echelon basis and its dual
+basis.  Its rank, solve and dot product are ``linalg_oracle``'s; from
+``branchdec`` it imports only the vector type and the error class.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from fm_oracle import brute_force_chamber_meet, brute_force_cone_meets_subspace
-from linalg_oracle import eigenbasis
+from linalg_oracle import eigenbasis, in_span, vdot
 
 from branchdec.catalog import load_catalog
 from branchdec.cone_kernel import (
@@ -38,12 +38,10 @@ from branchdec.involution import (
 from branchdec.parabolic import build_parabolic, enumerate_parabolics
 from branchdec.root_core import (
     WeightMultiset,
-    in_span,
     is_zero_vec,
     project_onto_span,
     subspace_normals,
     vadd,
-    vdot,
     vec,
     vec_from,
     vneg,

@@ -730,15 +730,161 @@ _DECO_MISSES_JSON = """\
 """
 
 
+# rho and transitive on the one embedding, whose restriction is the
+# projection onto t', and rho on an involution pair whose restriction
+# (I + sigma^T)/2 has entries 1/2
+_G2_RHO_001_JSON = """\
+{
+  "question": "rho",
+  "answer": true,
+  "equivalents": [],
+  "witness": {
+    "kind": "rho-vectors",
+    "rho_u_restricted": [
+      "-5/6",
+      "-5/6",
+      "5/3"
+    ],
+    "rho_u_prime": [
+      "-5/6",
+      "-5/6",
+      "5/3"
+    ]
+  },
+  "inputs": {
+    "pair": "(so(4,3),g2(R))",
+    "base": "so(4,3)",
+    "x": [
+      "0",
+      "0",
+      "1"
+    ]
+  },
+  "criterion": "rho of u, restricted to the subalgebra torus, equals rho of the induced nilradical u'",
+  "notes": [
+    "u' carries 5 restricted weights"
+  ]
+}
+"""
+
+_G2_RHO_100_JSON = """\
+{
+  "question": "rho",
+  "answer": true,
+  "equivalents": [],
+  "witness": {
+    "kind": "rho-vectors",
+    "rho_u_restricted": [
+      "5/3",
+      "-5/6",
+      "-5/6"
+    ],
+    "rho_u_prime": [
+      "5/3",
+      "-5/6",
+      "-5/6"
+    ]
+  },
+  "inputs": {
+    "pair": "(so(4,3),g2(R))",
+    "base": "so(4,3)",
+    "x": [
+      "1",
+      "0",
+      "0"
+    ]
+  },
+  "criterion": "rho of u, restricted to the subalgebra torus, equals rho of the induced nilradical u'",
+  "notes": [
+    "u' carries 5 restricted weights"
+  ]
+}
+"""
+
+_G2_TRANSITIVE_100_JSON = """\
+{
+  "question": "transitive",
+  "answer": true,
+  "equivalents": [],
+  "witness": {
+    "kind": "dimension-count",
+    "dim_gprime": 14,
+    "dim_gprime_cap_q": 9,
+    "dim_gprime_cap_levi": 4,
+    "dim_g": 21,
+    "dim_q": 16,
+    "dim_u": 5
+  },
+  "inputs": {
+    "pair": "(so(4,3),g2(R))",
+    "base": "so(4,3)",
+    "x": [
+      "1",
+      "0",
+      "0"
+    ]
+  },
+  "criterion": "dim g' - dim(g' cap l) equals 2 dim u, so the subgroup orbit of the base point in the flag manifold is open",
+  "notes": [
+    "orbit dimension 10, flag manifold dimension 10",
+    "span identity dim g' - dim(g' cap q) == dim g - dim q: true",
+    "induced parabolic dimension: 9"
+  ]
+}
+"""
+
+_SO21_RHO_11_JSON = """\
+{
+  "question": "rho",
+  "answer": true,
+  "equivalents": [],
+  "witness": {
+    "kind": "rho-vectors",
+    "rho_u_restricted": [
+      "1/2",
+      "0"
+    ],
+    "rho_u_prime": [
+      "1/2",
+      "0"
+    ]
+  },
+  "inputs": {
+    "pair": "(so(2,2),so(2,1))",
+    "base": "so(2,2)",
+    "x": [
+      "1",
+      "1"
+    ]
+  },
+  "criterion": "rho of u, restricted to the subalgebra torus, equals rho of the induced nilradical u'",
+  "notes": [
+    "u' carries 1 restricted weights"
+  ]
+}
+"""
+
+_PINNED_WITNESSES = [
+    ("(su(2,2),sp(2,R))", "deco", "1/2,-3/2,3/2,-1/2", _DECO_MEETS_JSON),
+    ("(su(2,2),sp(2,R))", "deco", "-1/2,-3/2,3/2,1/2", _DECO_MISSES_JSON),
+    ("(so(4,3),g2(R))", "rho", "0,0,1", _G2_RHO_001_JSON),
+    ("(so(4,3),g2(R))", "rho", "1,0,0", _G2_RHO_100_JSON),
+    ("(so(4,3),g2(R))", "transitive", "1,0,0", _G2_TRANSITIVE_100_JSON),
+    ("(so(2,2),so(2,1))", "rho", "1,1", _SO21_RHO_11_JSON),
+]
+
+
 @pytest.mark.parametrize(
-    ("x", "expected"),
-    [("1/2,-3/2,3/2,-1/2", _DECO_MEETS_JSON),
-     ("-1/2,-3/2,3/2,1/2", _DECO_MISSES_JSON)],
+    ("pair", "question", "x", "expected"),
+    # each case is named by its X and its bytes, as the deco cases were
+    [pytest.param(*case, id=f"{case[2]}-{case[3]}")
+     for case in _PINNED_WITNESSES],
 )
-def test_check_json_witness_bytes_are_pinned(capsys, x, expected):
+def test_check_json_witness_bytes_are_pinned(capsys, pair, question, x,
+                                             expected):
     assert main(
-        ["check", "--pair", "(su(2,2),sp(2,R))", f"--X={x}",
-         "--question", "deco", "--format", "json"]
+        ["check", "--pair", pair, f"--X={x}",
+         "--question", question, "--format", "json"]
     ) == EXIT_OK
     assert capsys.readouterr().out == expected
 

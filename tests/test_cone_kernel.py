@@ -11,6 +11,7 @@ from fm_oracle import (
     brute_force_cone_meets_subspace,
     fm_feasible,
 )
+from linalg_oracle import in_span, vdot
 
 from branchdec import cone_kernel
 from branchdec.cone_kernel import (
@@ -22,10 +23,8 @@ from branchdec.cone_kernel import (
 )
 from branchdec.root_core import (
     CertificateError,
-    in_span,
     subspace_normals,
     vadd,
-    vdot,
     vec,
     vscale,
     vzero,

@@ -11,7 +11,7 @@ from io import StringIO
 import linalg_oracle
 import pytest
 from fm_oracle import brute_force_cones_meet
-from linalg_oracle import coweight_chamber
+from linalg_oracle import coweight_chamber, in_span, vdot
 
 from branchdec import cli, cone_kernel, decider, involution, root_core
 from branchdec.catalog import load_catalog
@@ -54,11 +54,9 @@ from branchdec.root_core import (
     PART_COMPACT,
     PART_NONCOMPACT,
     build_root_datum,
-    in_span,
     lex_positive,
     replace,
     vadd,
-    vdot,
     vec,
     vneg,
     vscale,
@@ -262,7 +260,7 @@ def test_verify_counts_each_table_row_transitive_once(monkeypatch, capsys):
 def test_classify_works_out_each_positive_system_once(monkeypatch, capsys):
     # the simple systems of the rows are eliminated once per positive
     # system, by the dual_rows calls RootSystem.coweight_rows makes;
-    # projection_matrix's are not counted.  The enumerator's lexicographic
+    # projection_rows' are not counted.  The enumerator's lexicographic
     # system is a row's system.
     calls = 0
     dual_rows = root_core.dual_rows
@@ -791,14 +789,14 @@ def test_involution_verdicts_build_no_projection_matrix(monkeypatch):
     # sigma restricts every weight, tests every certified point and gives
     # rho its restriction to the torus of g' as (I + sigma^T)/2
     built = []
-    projection_matrix = root_core.projection_matrix
+    projection_rows = root_core.projection_rows
 
     def counted(rows, dim):
         built.append(len(rows))
-        return projection_matrix(rows, dim)
+        return projection_rows(rows, dim)
 
     for module in (root_core, involution):
-        monkeypatch.setattr(module, "projection_matrix", counted)
+        monkeypatch.setattr(module, "projection_rows", counted)
     pair = load_catalog().pair("(su(2,2),sp(2,R))")
     q = _q(pair, vec(3, -1, -1, -1))
     for question in ("deco", "admissible", "transitive"):
@@ -854,16 +852,16 @@ def test_classify_checks_the_base_root_system_once(monkeypatch, capsys,
 
 def test_rho_on_an_embedding_builds_one_projection_matrix(monkeypatch):
     # embedding_view groups the weights with the projection onto t' and
-    # hands the same matrix to the view, where rho reads it
+    # hands the same rows to the view, where rho reads them
     built = []
-    projection_matrix = root_core.projection_matrix
+    projection_rows = root_core.projection_rows
 
     def counted(rows, dim):
         built.append(len(rows))
-        return projection_matrix(rows, dim)
+        return projection_rows(rows, dim)
 
     for module in (root_core, involution):
-        monkeypatch.setattr(module, "projection_matrix", counted)
+        monkeypatch.setattr(module, "projection_rows", counted)
     pair = load_catalog().pair("(so(4,3),g2(R))")
     answer_question(_row(pair, vec(1, 0, 0)), "rho")
     assert built == [len(pair.tprime_rows)] == [2]
@@ -874,7 +872,7 @@ def test_a_cell_member_outside_the_base_is_refused():
     base = build_root_datum("so(4,3)")
     view = EmbeddingView(
         base=base,
-        restriction=(vec(1, 0, 0), vzero(3), vzero(3)),
+        restriction=(((1, 0, 0), 1), ((0, 0, 0), 1), ((0, 0, 0), 1)),
         fixed_zero_dim=1,
         cells=(WeightCell(PART_NONCOMPACT, (vec(5, 0, 0),), vec(5, 0, 0)),),
         dim_gprime=2,
@@ -899,8 +897,9 @@ _HALF_D = vec(F(1, 2), 0, 0, F(-1, 2))
 def _synthetic_view(cells):
     return EmbeddingView(
         base=build_root_datum("su(2,2)"),
-        # the projection onto the line through _D
-        restriction=(_HALF_D, vzero(4), vzero(4), vneg(_HALF_D)),
+        # the projection onto the line through _D, as integer rows
+        restriction=(((1, 0, 0, -1), 2), ((0, 0, 0, 0), 1),
+                     ((0, 0, 0, 0), 1), ((-1, 0, 0, 1), 2)),
         fixed_zero_dim=1,
         cells=tuple(cells),
         dim_gprime=1 + len(cells),

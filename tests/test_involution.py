@@ -2,10 +2,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
-from linalg_oracle import coweight_chamber, eigenbasis, primitive_direction
+from linalg_oracle import (
+    coweight_chamber,
+    eigenbasis,
+    in_span,
+    primitive_direction,
+    vdot,
+)
 from projection_oracle import gram_projection, independent_rows
+from test_validation import seeded_embeddings
 from validation_oracle import dim_g_sigma, fixed_pair_counts, is_negation_closed
 
 from branchdec.catalog import load_catalog
@@ -33,7 +41,6 @@ from branchdec.root_core import (
     PART_NONCOMPACT,
     WeightMultiset,
     build_root_datum,
-    in_span,
     is_zero_vec,
     lex_positive,
     mat_apply,
@@ -41,7 +48,6 @@ from branchdec.root_core import (
     replace,
     subspace_normals,
     vadd,
-    vdot,
     vec,
     vneg,
     vscale,
@@ -577,6 +583,21 @@ def _fresh_sigma_image(inv, w):
     )
 
 
+def _int_rows(rows) -> tuple:
+    """Rational rows as (integers, least denominator > 0), the form of a
+    view's restriction."""
+    out = []
+    for row in rows:
+        den = lcm(*(F(x).denominator for x in row))
+        out.append((tuple(int(x * den) for x in row), den))
+    return tuple(out)
+
+
+def _restrict(rows, w):
+    """A view's integer restriction rows applied to w."""
+    return tuple(vdot(nums, w) / den for nums, den in rows)
+
+
 def _assert_involution_caches_fresh(inv):
     # every value is recomputed here without the record's caches, with
     # the Gram-solve oracle for every restriction to a torus
@@ -602,7 +623,7 @@ def _assert_involution_caches_fresh(inv):
             cells += [WeightCell(part, members, gram_projection(w, tplus))] * m
     n = inv.base.ambient_dim
     # (I + sigma^T)/2, read off the matrix as stored
-    restriction = tuple(
+    restriction = _int_rows(
         tuple((int(i == j) + inv.matrix[j][i]) / F(2) for j in range(n))
         for i in range(n)
     )
@@ -611,7 +632,7 @@ def _assert_involution_caches_fresh(inv):
         tuple(cells), inv.dim_gprime, inv.pair_id,
     )
     for _, w, _ in inv.base.weight_entries():
-        assert mat_apply(inv.view.restriction, w) == gram_projection(w, tplus)
+        assert _restrict(inv.view.restriction, w) == gram_projection(w, tplus)
 
     roots = WeightMultiset.of(
         (r, m)
@@ -638,7 +659,7 @@ def _assert_embedding_caches_fresh(rec):
     )
     # the projection is symmetric, so its row j is the image of e_j
     n = rec.base.ambient_dim
-    restriction = tuple(
+    restriction = _int_rows(
         gram_projection(tuple(F(int(i == j)) for i in range(n)),
                         rec.tprime_rows)
         for j in range(n)
@@ -648,7 +669,7 @@ def _assert_embedding_caches_fresh(rec):
         cells, rec.dim_gprime, rec.pair_id,
     )
     for _, w, _ in rec.base.weight_entries():
-        assert mat_apply(rec.view.restriction, w) == (
+        assert _restrict(rec.view.restriction, w) == (
             gram_projection(w, rec.tprime_rows)
         )
     assert rec.view is rec.view
@@ -664,6 +685,15 @@ def test_cached_pair_data_equals_a_fresh_computation():
             _assert_involution_caches_fresh(pair)
         else:
             _assert_embedding_caches_fresh(pair)
+    # the seeded embeddings of the validation test: moved, dropped and
+    # duplicated t' rows, mutated bases and random rows
+    dependent = 0
+    for rec in seeded_embeddings():
+        _assert_embedding_caches_fresh(rec)
+        if len(independent_rows(rec.tprime_rows)) < len(rec.tprime_rows):
+            assert "tprime-independent" in rec.report, rec.tprime_rows
+            dependent += 1
+    assert dependent > 0
 
 
 def test_sigma_restriction_equals_the_gram_projection():

@@ -11,6 +11,7 @@ import linalg_oracle
 import pytest
 import reflection_walk_oracle
 import virtsym_oracle
+from linalg_oracle import vdot
 from lp_face_oracle import lp_face_signatures
 
 from branchdec import parabolic
@@ -35,7 +36,6 @@ from branchdec.root_core import (
     lex_positive,
     record,
     replace,
-    vdot,
     vec,
     vneg,
     vzero,

@@ -207,6 +207,17 @@ def _records() -> list:
     return out
 
 
+def seeded_embeddings() -> list[EmbeddingRecord]:
+    """The seeded embedding records whose base data and t' rows have
+    the ambient length, so that each one's view can be built."""
+    return [
+        rec for rec in _records()
+        if isinstance(rec, EmbeddingRecord)
+        and "wrong length" not in (datum_error(rec.base) or "")
+        and all(len(r) == rec.base.ambient_dim for r in rec.tprime_rows)
+    ]
+
+
 def _runtime_datum_error(datum) -> str | None:
     try:
         datum.validate()
