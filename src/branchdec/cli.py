@@ -258,7 +258,7 @@ def cmd_classify(ns) -> int:
         row = Query(pair, q)
         cells = {c: _classify_cell(row, c) for c in QUESTIONS}
         rows.append({
-            "X": format_vector(q.x),
+            "X": ",".join(q.x_strings),
             "dim_levi": q.dim_levi,
             "dim_u": q.dim_u,
             **cells,

@@ -23,12 +23,19 @@ through the normals cached on the pair; ``deco``'s note that t^{-sigma}
 is zero compares dim t^sigma with dim t, which validation has already
 computed.  Meet points are replayed by substitution on integers, the
 point times the common denominator of its cone coefficients.
+
+``rho`` runs on integers too: the pair's view keeps each cell's
+restriction as its integer products with the view's restriction rows,
+so the restricted lines are keyed and summed on those products, and
+twice the induced rho is compared with the same rows applied to the
+integer 2 rho(u).  A Fraction is built only for the two vectors its
+witness prints.  Each verdict's inputs take X's strings from the
+parabolic, which formats them once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
 from .cone_kernel import Cone, MeetResult, PointednessError, cones_meet
 from .involution import (
@@ -50,7 +57,9 @@ from .parabolic import (
 from .root_core import (
     PART_NONCOMPACT,
     CertificateError,
+    IntVec,
     Vec,
+    cached_property,
     cleared_combination,
     dot,
     is_zero_vec,
@@ -60,8 +69,6 @@ from .root_core import (
     vadd,
     vector_strings,
     vneg,
-    vscale,
-    vzero,
 )
 
 QUESTIONS = ("deco", "admissible", "transitive", "rho", "symtype", "virtsym")
@@ -109,7 +116,7 @@ def _inputs(row: Query) -> dict:
     return {
         "pair": row.pair.pair_id,
         "base": row.q.base.name,
-        "x": vector_strings(row.q.x),
+        "x": list(row.q.x_strings),
     }
 
 
@@ -399,22 +406,24 @@ def transitive_check(row: Query) -> Verdict:
 
 def _induced_rho(
     view: EmbeddingView, signs: list[list[int]]
-) -> tuple[Vec, int]:
-    """Half sum of restricted weights over the nilradical of the induced
-    parabolic q' = g' cap q, with the u'-cell count; ``signs`` is
+) -> tuple[IntVec, int]:
+    """Twice the half sum of restricted weights over the nilradical of
+    the induced parabolic q' = g' cap q, as integer products with the
+    view's restriction rows, with the u'-cell count; ``signs`` is
     member_signs(view, q).
 
     Cells fully inside Delta(q) carry q'; among those, a restricted-weight
     line belongs to the induced Levi when both signs are fully present,
     and to u' when only one sign is.  Partial two-sided lines leave q'
     ill-defined at this level of data and are reported as unsupported.
+    Each row keeps one denominator for every cell, so lines are keyed,
+    and their signs read, on the cells' products.
     """
-    n = view.base.ambient_dim
-    per_line: dict[Vec, list[int]] = {}
+    per_line: dict[IntVec, list[int]] = {}
     # counts per canonical line: [plus_total, plus_in_q, minus_total, minus_in_q]
     for cell, cell_signs in zip(view.cells, signs):
-        beta = cell.restricted
-        if is_zero_vec(beta):
+        beta = cell.products
+        if not any(beta):
             continue  # centralises the small torus: always induced-Levi
         pos = lex_positive(beta)
         key = beta if pos else vneg(beta)
@@ -423,26 +432,25 @@ def _induced_rho(
         rec[off] += 1
         if all(s >= 0 for s in cell_signs):
             rec[off + 1] += 1
-    total = vzero(n)
+    total = [0] * len(view.restriction)
     count = 0
-    for key in sorted(per_line):
-        plus_total, plus_q, minus_total, minus_q = per_line[key]
+    for key, (plus_total, plus_q, minus_total, minus_q) in per_line.items():
         if plus_q == 0 and minus_q == 0:
             continue
         if plus_q == plus_total and minus_q == minus_total:
             continue  # full line: induced Levi, cancels in the half sum
         if minus_q == 0:
-            total = vadd(total, vscale(plus_q, key))
-            count += plus_q
+            c = plus_q
         elif plus_q == 0:
-            total = vadd(total, vscale(minus_q, vneg(key)))
-            count += minus_q
+            c = -minus_q
         else:
             raise UnsupportedQuery(
                 "induced parabolic is ambiguous: a restricted weight line "
                 "is only partially inside q on both sides"
             )
-    return vscale(Fraction(1, 2), total), count
+        total = [t + c * x for t, x in zip(total, key)]
+        count += abs(c)
+    return tuple(total), count
 
 
 def rho_compat_check(row: Query) -> Verdict:
@@ -450,29 +458,36 @@ def rho_compat_check(row: Query) -> Verdict:
 
     Requires the transitivity identity, so the induced parabolic
     q' = g' cap q is defined and its nilradical has a half sum to compare.
-    rho(u) restricts as half the restriction of the integer 2 rho(u).
-    The row shares the transitive verdict and the member signs.
+    Both sides are compared as twice their restrictions, in integer
+    products with the view's restriction rows: the integer 2 rho(u)
+    against the sum over u'.  A Fraction is built only for the two
+    vectors of the witness.  The row shares the transitive verdict and
+    the member signs.
     """
     if not row.transitive.answer:  # validates the pair first
         raise UnsupportedQuery(
             "rho comparison needs the transitivity identity; it fails here"
         )
     view = row.view
-    rho_prime, uprime_cells = _induced_rho(view, row.signs)
+    two_rho_prime, uprime_cells = _induced_rho(view, row.signs)
     two_rho = row.q.two_rho_u
-    restricted = tuple(
-        Fraction(dot(nums, two_rho), 2 * den)
-        for nums, den in view.restriction
-    )
-    answer = restricted == rho_prime
+    two_rho_restricted = tuple(
+        [dot(nums, two_rho) for nums, _ in view.restriction])
+
+    def halved(products: IntVec) -> list[str]:
+        return vector_strings(
+            Fraction(x, 2 * den)
+            for x, (_, den) in zip(products, view.restriction)
+        )
+
     return Verdict(
         question="rho",
-        answer=answer,
+        answer=two_rho_restricted == two_rho_prime,
         equivalents=(),
         witness={
             "kind": "rho-vectors",
-            "rho_u_restricted": vector_strings(restricted),
-            "rho_u_prime": vector_strings(rho_prime),
+            "rho_u_restricted": halved(two_rho_restricted),
+            "rho_u_prime": halved(two_rho_prime),
         },
         inputs=_inputs(row),
         criterion=(
@@ -490,7 +505,7 @@ def symmetric_type_verdict(q: ThetaStableParabolic) -> Verdict:
         answer=answer,
         equivalents=(),
         witness=None,
-        inputs={"base": q.base.name, "x": vector_strings(q.x)},
+        inputs={"base": q.base.name, "x": list(q.x_strings)},
         criterion=(
             "some torus element pairs to 0 on the Levi weights and to 1 "
             "on the nilradical weights, so the Levi is a symmetric-pair "
@@ -508,7 +523,7 @@ def virtually_symmetric_verdict(q: ThetaStableParabolic) -> Verdict:
         answer=answer,
         equivalents=(),
         witness=None,
-        inputs={"base": q.base.name, "x": vector_strings(q.x)},
+        inputs={"base": q.base.name, "x": list(q.x_strings)},
         criterion=(
             "some enlargement of q obtained by absorbing compact walls "
             "into the Levi has symmetric type"

@@ -15,13 +15,12 @@ involution of t, a weight w restricts to t^{sigma} and t^{-sigma} as
 (w + sigma w)/2 and (w - sigma w)/2, so an involution's view restricts
 by (I + sigma^T)/2, built with no elimination; only an embedding's view
 projects onto its torus rows.  Either way the view keeps its one
-restriction map as integer rows over positive denominators.
+restriction map as integer rows over positive denominators, and each
+weight cell its restriction as the integer products with those rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Sequence
 
 from .parabolic import ThetaStableParabolic
@@ -29,9 +28,11 @@ from .root_core import (
     PART_COMPACT,
     PART_NONCOMPACT,
     IntRows,
+    IntVec,
     RootDatum,
     Vec,
     WeightMultiset,
+    cached_property,
     clear_denominators,
     dot,
     format_vector,
@@ -392,12 +393,15 @@ class WeightCell:
 
     The subalgebra meets the span of the listed (part, weight) lines in a
     one-dimensional space; it lies inside a parabolic exactly when every
-    member weight does.
+    member weight does.  ``products`` is the line's restriction to the
+    subalgebra torus as the integer products of a member weight with the
+    numerators of the view's ``restriction`` rows; entry i over row i's
+    denominator is the restricted weight's entry i.
     """
 
     part: str
     members: tuple[Vec, ...]
-    restricted: Vec
+    products: IntVec
 
 
 @record
@@ -405,7 +409,10 @@ class EmbeddingView:
     """The weight cells of a subalgebra and ``restriction``, the matrix
     taking a vector of t to its restriction to the subalgebra torus, as
     integer rows in lowest terms: restricting an integer vector is an
-    integer product and one division per entry."""
+    integer product and one division per entry.  The cells keep those
+    products and no Fraction: two cells restrict alike, or to opposite
+    weights, exactly when their products do, and a restriction's sign
+    pattern is its products'."""
 
     base: RootDatum
     restriction: IntRows
@@ -418,11 +425,14 @@ class EmbeddingView:
 def involution_view(inv: InvolutionData) -> EmbeddingView:
     """One cell per line of g^sigma: a sigma-fixed weight with sign +1,
     or a pair {w, sigma w}, restricted to t^sigma as (w + sigma w)/2.
-    The restriction is (I + sigma^T)/2, built with no elimination."""
+    The restriction is (I + sigma^T)/2, built with no elimination, and a
+    cell's products are (w + sigma w)/2 times each row's denominator, the
+    integer products of the rows' numerators with w."""
     restriction = []
     for e, row in zip(identity(inv.base.ambient_dim), inv.sigma_transpose):
         nums, den = clear_denominators(vhalf(vadd(e, row)))
         restriction.append((tuple(nums), den))
+    dens = [den for _, den in restriction]
     images = inv.sigma_images
     signs = inv.eps_signs
     cells: list[WeightCell] = []
@@ -432,10 +442,12 @@ def involution_view(inv: InvolutionData) -> EmbeddingView:
         sw = images[w]
         if sw == w:
             if signs.get((part, w)) == 1:
-                cells.extend([WeightCell(part, (w,), w)] * m)
+                products = tuple([x * d for x, d in zip(w, dens)])
+                cells.extend([WeightCell(part, (w,), products)] * m)
         elif w < sw:
-            restr = vhalf(vadd(w, sw))
-            cells.extend([WeightCell(part, (w, sw), restr)] * m)
+            products = tuple(
+                [(x + y) * d // 2 for x, y, d in zip(w, sw, dens)])
+            cells.extend([WeightCell(part, (w, sw), products)] * m)
     return EmbeddingView(
         inv.base,
         tuple(restriction),
@@ -506,11 +518,10 @@ def validate_embedding(rec: EmbeddingRecord) -> tuple[str, ...]:
 
 def embedding_view(rec: EmbeddingRecord) -> EmbeddingView:
     """The weights are grouped by their projections onto t', read as the
-    integer products with the projection's rows; a cell's restriction is
-    those products over the rows' denominators, one Fraction per entry,
-    and a weight whose products all vanish restricts to 0 and is in no
-    cell.  Each entry's denominator is the same for every weight, so
-    the cells sort by their products as by their restrictions."""
+    integer products with the projection's rows, which each cell keeps;
+    a weight whose products all vanish restricts to 0 and is in no cell.
+    Each entry's denominator is the same for every weight, so the cells
+    sort by their products as by their restrictions."""
     projection = projection_rows(rec.tprime_rows, rec.base.ambient_dim)
     groups: dict[tuple[str, tuple], list[Vec]] = {}
     for part, w, _ in rec.base.weight_entries():
@@ -518,8 +529,7 @@ def embedding_view(rec: EmbeddingRecord) -> EmbeddingView:
         if any(products):
             groups.setdefault((part, products), []).append(w)
     cells = tuple(
-        WeightCell(part, tuple(sorted(members)), tuple(
-            Fraction(x, den) for x, (_, den) in zip(products, projection)))
+        WeightCell(part, tuple(sorted(members)), products)
         for (part, products), members in sorted(groups.items())
     )
     return EmbeddingView(

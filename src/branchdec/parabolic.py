@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import Iterator
 
 from .root_core import (
     DatumError,
@@ -22,6 +20,7 @@ from .root_core import (
     IntVec,
     RootDatum,
     Vec,
+    cached_property,
     clear_denominators,
     lex_positive,
     primitive_ints,
@@ -104,7 +103,7 @@ class ThetaStableParabolic:
     def dim_u(self) -> int:
         return sum(m for _, _, m in self.u_weights())
 
-    @property
+    @cached_property
     def dim_levi(self) -> int:
         return self.base.dim_t + sum(
             m
@@ -116,12 +115,25 @@ class ThetaStableParabolic:
     def dim_q(self) -> int:
         return self.dim_levi + self.dim_u
 
-    def u_weights(self) -> Iterator[tuple[str, Vec, int]]:
+    @cached_property
+    def _u_weights(self) -> tuple[tuple[str, IntVec, int], ...]:
+        return tuple([
+            entry
+            for entry, s in zip(self.base.weight_entries(), self.signature)
+            if s > 0
+        ])
+
+    def u_weights(self) -> tuple[tuple[str, IntVec, int], ...]:
         """(part, w, m) for the weights of u, compact ones first, each part
-        in the canonical order of the base datum."""
-        for entry, s in zip(self.base.weight_entries(), self.signature):
-            if s > 0:
-                yield entry
+        in the canonical order of the base datum; the tuple is built once
+        per parabolic."""
+        return self._u_weights
+
+    @cached_property
+    def x_strings(self) -> tuple[str, ...]:
+        """X as given, as the literals parse_vector reads; formatted once
+        for every verdict and row that prints it."""
+        return tuple(vector_strings(self.x))
 
     @cached_property
     def free_coefficients(self) -> tuple[tuple[str, Vec], ...]:
@@ -142,7 +154,7 @@ class ThetaStableParabolic:
 
     def describe(self) -> dict:
         return {
-            "X": vector_strings(self.x),
+            "X": list(self.x_strings),
             "dim_levi": self.dim_levi,
             "dim_u": self.dim_u,
             "u_compact": self.S,

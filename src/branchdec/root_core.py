@@ -42,15 +42,18 @@ The runtime's records, here and in the other modules, are classes under
 ``record``: frozen, equal by their fields, and copied with changes by
 ``replace``.  It stands in for ``dataclasses``, whose import (with
 ``inspect``) and per-class code generation took about a third of a cold
-command's import time.
+command's import time.  What a record derives from its fields is kept
+on it by ``cached_property``, the functools descriptor without the lock
+that CPython before 3.12 takes on every first read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from math import gcd, lcm
 from operator import attrgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
@@ -393,6 +396,23 @@ def project_onto_span(v: Vec, rows: Sequence[Vec]) -> Vec:
 # records
 
 
+class cached_property(functools.cached_property):
+    """functools.cached_property, but the first read computes the value
+    and stores it in the instance dict without taking a lock; later
+    reads find it there and never reach the descriptor.
+
+    CPython 3.10 and 3.11 take one RLock per descriptor, shared by every
+    instance, on each first read (3.12 dropped it).  Each value cached in
+    the runtime is a pure function of a frozen record or query, so two
+    threads racing on a first read can at worst compute equal values."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 def record(cls=None, *, uncompared: tuple[str, ...] = ()):
     """Make ``cls`` a frozen record of its annotated fields, in order.
 
@@ -561,11 +581,17 @@ class RootDatum:
     def dim_k(self) -> int:
         return self.dim_t + self.compact.total()
 
-    def weight_entries(self) -> Iterator[tuple[str, IntVec, int]]:
-        for w, m in self.compact:
-            yield PART_COMPACT, w, m
-        for w, m in self.noncompact:
-            yield PART_NONCOMPACT, w, m
+    @cached_property
+    def _weight_entries(self) -> tuple[tuple[str, IntVec, int], ...]:
+        return tuple(
+            [(PART_COMPACT, w, m) for w, m in self.compact]
+            + [(PART_NONCOMPACT, w, m) for w, m in self.noncompact]
+        )
+
+    def weight_entries(self) -> tuple[tuple[str, IntVec, int], ...]:
+        """(part, w, m) for every weight, the compact part first, each in
+        its canonical order; the tuple is built once per datum."""
+        return self._weight_entries
 
     def in_torus(self, x: Vec) -> bool:
         return len(x) == self.ambient_dim and not any(

@@ -12,6 +12,8 @@ import linalg_oracle
 import pytest
 from fm_oracle import brute_force_cones_meet
 from linalg_oracle import coweight_chamber, in_span, vdot
+from projection_oracle import gram_projection
+from validation_oracle import dim_t_sigma, sigma_image
 
 from branchdec import cli, cone_kernel, decider, involution, root_core
 from branchdec.catalog import load_catalog
@@ -698,6 +700,120 @@ def test_rho_requires_transitivity():
         rho_compat_check(_row(pair, vec(3, 1, -1, -3)))
 
 
+# the derived pairs whose every face the rho oracle also walks
+_RHO_DERIVED = ("theta:su(2,2)", "theta:so(4,3)", "swap:su(1,1)^2")
+
+
+def _rho_oracle_cells(pair):
+    """The lines of g' outside its torus, worked out here in Fractions,
+    as (members, multiplicity, restricted weight), with the dimension of
+    the torus part of g' and the restriction map.  An involution's line
+    is a sigma-fixed weight with sign +1 or a pair {w, sigma w}, and w
+    restricts to t^sigma as (w + sigma w)/2; the embedding groups its
+    weights by their Gram projections onto the t' rows."""
+    entries = ([(PART_COMPACT, w, m) for w, m in pair.base.compact.entries]
+               + [(PART_NONCOMPACT, w, m)
+                  for w, m in pair.base.noncompact.entries])
+    if isinstance(pair, InvolutionData):
+        def restrict(v):
+            image = sigma_image(pair.matrix, v)
+            return tuple(F(x + y) / 2 for x, y in zip(v, image))
+
+        signs = {}
+        for part, w, s in pair.eps:
+            signs.setdefault((part, w), s)
+        cells = []
+        for part, w, m in entries:
+            sw = sigma_image(pair.matrix, w)
+            if not any(w) or (sw == w and signs.get((part, w)) != 1):
+                continue
+            if sw == w or w < sw:
+                members = (w,) if sw == w else (w, sw)
+                cells.append((members, m, restrict(w)))
+        return cells, dim_t_sigma(pair) + pair.zero_weight_fixed_dim, restrict
+
+    def restrict(v):
+        return gram_projection(v, pair.tprime_rows)
+
+    groups = {}
+    for part, w, _ in entries:
+        r = restrict(w)
+        if any(r):
+            groups.setdefault((part, r), []).append(w)
+    cells = [(tuple(ws), 1, r) for (_, r), ws in groups.items()]
+    return cells, len(pair.tprime_rows) + pair.extra_zero_dim, restrict
+
+
+def _rho_oracle(pair, cells, torus_dim, restrict, x):
+    """rho's answer on the face of x, from the oracle's cells: None when
+    the orbit is not open, "ambiguous" when a restricted line lies partly
+    inside q on both sides, else (rho(u) restricted, rho(u'), u' count)."""
+    weights = pair.base.compact.entries + pair.base.noncompact.entries
+    sign = {}
+    for w, _ in weights:
+        d = vdot(w, x)
+        sign[w] = (d > 0) - (d < 0)
+    u = [(w, m) for w, m in weights if sign[w] > 0]
+    levi = torus_dim + sum(m for ws, m, _ in cells
+                           if all(sign[w] == 0 for w in ws))
+    if pair.dim_gprime - levi != 2 * sum(m for _, m in u):
+        return None
+    lines = {}
+    for ws, m, r in cells:
+        pos = lex_positive(r)
+        counts = lines.setdefault(r if pos else vneg(r), [0, 0, 0, 0])
+        off = 0 if pos else 2
+        counts[off] += m
+        if all(sign[w] >= 0 for w in ws):
+            counts[off + 1] += m
+    n = pair.base.ambient_dim
+    prime = (F(0),) * n
+    count = 0
+    for key, (plus, plus_q, minus, minus_q) in lines.items():
+        if (plus_q, minus_q) in ((0, 0), (plus, minus)):
+            continue
+        if plus_q and minus_q:
+            return "ambiguous"
+        c = F(plus_q - minus_q, 2)
+        prime = tuple(a + c * b for a, b in zip(prime, key))
+        count += plus_q + minus_q
+    rho_u = tuple(sum((F(m * w[i], 2) for w, m in u), F(0))
+                  for i in range(n))
+    return restrict(rho_u), prime, count
+
+
+def test_rho_on_every_face_matches_a_fraction_computation():
+    # every face of every stored pair and of three derived ones, not just
+    # the dominant rows: the answer, both witness vectors and the u'
+    # count, and the refusals on the faces where the oracle finds no
+    # open orbit or an ambiguous induced parabolic
+    outcomes = Counter()
+    for pid in _cat().pair_ids() + list(_RHO_DERIVED):
+        pair = _pair(pid)
+        cells, torus_dim, restrict = _rho_oracle_cells(pair)
+        for q in enumerate_parabolics(pair.base):
+            expected = _rho_oracle(pair, cells, torus_dim, restrict, q.x)
+            if expected is None or expected == "ambiguous":
+                match = "transitivity" if expected is None else "ambiguous"
+                with pytest.raises(UnsupportedQuery, match=match):
+                    rho_compat_check(Query(pair, q))
+                outcomes[match] += 1
+                continue
+            restricted, prime, count = expected
+            v = rho_compat_check(Query(pair, q))
+            assert v.answer is (restricted == prime), (pid, q.x)
+            assert v.witness == {
+                "kind": "rho-vectors",
+                "rho_u_restricted": [str(x) for x in restricted],
+                "rho_u_prime": [str(x) for x in prime],
+            }, (pid, q.x)
+            assert v.notes == (f"u' carries {count} restricted weights",)
+            outcomes[v.answer] += 1
+    # rho holds wherever these pairs define it; the synthetic views below
+    # reach a false answer and an ambiguous induced parabolic
+    assert outcomes == {"transitivity": 652, True: 61}
+
+
 def test_rho_validates_pair_first():
     pair = _pair("(su(2,2),sp(2,R))")
     # a replaced record is new and unvalidated, even after pair.report ran
@@ -874,7 +990,7 @@ def test_a_cell_member_outside_the_base_is_refused():
         base=base,
         restriction=(((1, 0, 0), 1), ((0, 0, 0), 1), ((0, 0, 0), 1)),
         fixed_zero_dim=1,
-        cells=(WeightCell(PART_NONCOMPACT, (vec(5, 0, 0),), vec(5, 0, 0)),),
+        cells=(WeightCell(PART_NONCOMPACT, (vec(5, 0, 0),), (5, 0, 0)),),
         dim_gprime=2,
         pair_id="synthetic",
     )
@@ -892,14 +1008,15 @@ def test_a_cell_member_outside_the_base_is_refused():
 
 _D = vec(1, 0, 0, -1)
 _HALF_D = vec(F(1, 2), 0, 0, F(-1, 2))
+# the projection onto the line through _D, as integer rows
+_LINE_RESTRICTION = (((1, 0, 0, -1), 2), ((0, 0, 0, 0), 1),
+                     ((0, 0, 0, 0), 1), ((-1, 0, 0, 1), 2))
 
 
 def _synthetic_view(cells):
     return EmbeddingView(
         base=build_root_datum("su(2,2)"),
-        # the projection onto the line through _D, as integer rows
-        restriction=(((1, 0, 0, -1), 2), ((0, 0, 0, 0), 1),
-                     ((0, 0, 0, 0), 1), ((-1, 0, 0, 1), 2)),
+        restriction=_LINE_RESTRICTION,
         fixed_zero_dim=1,
         cells=tuple(cells),
         dim_gprime=1 + len(cells),
@@ -907,18 +1024,26 @@ def _synthetic_view(cells):
     )
 
 
+def _cell(part, member, restricted):
+    """A one-member cell with the given restriction, kept as a view keeps
+    it: each entry times its restriction row's denominator."""
+    products = tuple(int(x * den)
+                     for x, (_, den) in zip(restricted, _LINE_RESTRICTION))
+    return WeightCell(part, (member,), products)
+
+
 def _base_cells():
     # restrictions are the orthogonal projections onto the line through _D
     return [
-        WeightCell(PART_NONCOMPACT, (vec(1, 0, -1, 0),), _HALF_D),
-        WeightCell(PART_NONCOMPACT, (vec(-1, 0, 1, 0),), vneg(_HALF_D)),
-        WeightCell(PART_NONCOMPACT, (vec(0, 1, 0, -1),), _HALF_D),
-        WeightCell(PART_NONCOMPACT, (vec(0, -1, 0, 1),), vneg(_HALF_D)),
-        WeightCell(PART_NONCOMPACT, (vec(1, 0, 0, -1),), _D),
-        WeightCell(PART_NONCOMPACT, (vec(-1, 0, 0, 1),), vneg(_D)),
-        WeightCell(PART_NONCOMPACT, (vec(0, 1, -1, 0),), vzero(4)),
-        WeightCell(PART_NONCOMPACT, (vec(0, -1, 1, 0),), vzero(4)),
-        WeightCell(PART_COMPACT, (vec(1, -1, 0, 0),), _HALF_D),
+        _cell(PART_NONCOMPACT, vec(1, 0, -1, 0), _HALF_D),
+        _cell(PART_NONCOMPACT, vec(-1, 0, 1, 0), vneg(_HALF_D)),
+        _cell(PART_NONCOMPACT, vec(0, 1, 0, -1), _HALF_D),
+        _cell(PART_NONCOMPACT, vec(0, -1, 0, 1), vneg(_HALF_D)),
+        _cell(PART_NONCOMPACT, vec(1, 0, 0, -1), _D),
+        _cell(PART_NONCOMPACT, vec(-1, 0, 0, 1), vneg(_D)),
+        _cell(PART_NONCOMPACT, vec(0, 1, -1, 0), vzero(4)),
+        _cell(PART_NONCOMPACT, vec(0, -1, 1, 0), vzero(4)),
+        _cell(PART_COMPACT, vec(1, -1, 0, 0), _HALF_D),
     ]
 
 
@@ -945,7 +1070,7 @@ def test_synthetic_view_with_ambiguous_induced_parabolic():
     # restoring the negated compact cell puts that restricted line
     # partially inside q on both sides, so no induced nilradical exists
     cells = _base_cells() + [
-        WeightCell(PART_COMPACT, (vec(-1, 1, 0, 0),), vneg(_HALF_D)),
+        _cell(PART_COMPACT, vec(-1, 1, 0, 0), vneg(_HALF_D)),
     ]
     view = _synthetic_view(cells)
     q = build_parabolic(view.base, vec(1, 1, -1, -1))

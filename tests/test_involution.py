@@ -551,14 +551,16 @@ def test_g2_embedding_view_matches_branching():
 
     norms = {}
     for cell in view.cells:
-        norms.setdefault(vdot(cell.restricted, cell.restricted), []).append(cell)
+        r = _cell_restriction(view, cell)
+        norms.setdefault(vdot(r, r), []).append(cell)
     short, long_ = sorted(norms)
     assert long_ == 3 * short
     # the complement of the subalgebra is its 7-dimensional representation:
     # doubled weight lines sit over the short roots only
     assert all(len(c.members) == 2 for c in norms[short])
     assert all(len(c.members) == 1 for c in norms[long_])
-    restricted = WeightMultiset.from_vectors([c.restricted for c in view.cells])
+    restricted = WeightMultiset.from_vectors(
+        [_cell_restriction(view, c) for c in view.cells])
     assert is_negation_closed(restricted)
 
 
@@ -598,6 +600,21 @@ def _restrict(rows, w):
     return tuple(vdot(nums, w) / den for nums, den in rows)
 
 
+def _products(rows, restricted):
+    """A restricted weight as a view's cell keeps it: entry i times the
+    denominator of restriction row i, which must give an integer."""
+    scaled = [F(x) * den for x, (_, den) in zip(restricted, rows, strict=True)]
+    assert all(x.denominator == 1 for x in scaled), restricted
+    return tuple(int(x) for x in scaled)
+
+
+def _cell_restriction(view, cell):
+    """A cell's restricted weight: its products over the denominators of
+    the view's restriction rows."""
+    return tuple(F(x, den) for x, (_, den) in zip(
+        cell.products, view.restriction, strict=True))
+
+
 def _assert_involution_caches_fresh(inv):
     # every value is recomputed here without the record's caches, with
     # the Gram-solve oracle for every restriction to a torus
@@ -613,6 +630,12 @@ def _assert_involution_caches_fresh(inv):
         first = next((s for p, v, s in inv.eps if (p, v) == (part, w)), None)
         assert inv.eps_signs.get((part, w)) == first
 
+    n = inv.base.ambient_dim
+    # (I + sigma^T)/2, read off the matrix as stored
+    restriction = _int_rows(
+        tuple((int(i == j) + inv.matrix[j][i]) / F(2) for j in range(n))
+        for i in range(n)
+    )
     cells = []
     for part, w, m in inv.base.weight_entries():
         sw = inv.sigma_images[w]
@@ -620,13 +643,8 @@ def _assert_involution_caches_fresh(inv):
             continue
         if sw == w or w < sw:
             members = (w,) if sw == w else (w, sw)
-            cells += [WeightCell(part, members, gram_projection(w, tplus))] * m
-    n = inv.base.ambient_dim
-    # (I + sigma^T)/2, read off the matrix as stored
-    restriction = _int_rows(
-        tuple((int(i == j) + inv.matrix[j][i]) / F(2) for j in range(n))
-        for i in range(n)
-    )
+            products = _products(restriction, gram_projection(w, tplus))
+            cells += [WeightCell(part, members, products)] * m
     assert inv.view == EmbeddingView(
         inv.base, restriction, len(tplus) + inv.zero_weight_fixed_dim,
         tuple(cells), inv.dim_gprime, inv.pair_id,
@@ -648,21 +666,21 @@ def _assert_involution_caches_fresh(inv):
 
 
 def _assert_embedding_caches_fresh(rec):
-    groups = {}
-    for part, w, _ in rec.base.weight_entries():
-        r = gram_projection(w, rec.tprime_rows)
-        if not is_zero_vec(r):
-            groups.setdefault((part, r), []).append(w)
-    cells = tuple(
-        WeightCell(part, tuple(sorted(ws)), r)
-        for (part, r), ws in sorted(groups.items())
-    )
     # the projection is symmetric, so its row j is the image of e_j
     n = rec.base.ambient_dim
     restriction = _int_rows(
         gram_projection(tuple(F(int(i == j)) for i in range(n)),
                         rec.tprime_rows)
         for j in range(n)
+    )
+    groups = {}
+    for part, w, _ in rec.base.weight_entries():
+        r = gram_projection(w, rec.tprime_rows)
+        if not is_zero_vec(r):
+            groups.setdefault((part, r), []).append(w)
+    cells = tuple(
+        WeightCell(part, tuple(sorted(ws)), _products(restriction, r))
+        for (part, r), ws in sorted(groups.items())
     )
     assert rec.view == EmbeddingView(
         rec.base, restriction, len(rec.tprime_rows) + rec.extra_zero_dim,

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
+import importlib
 import random
 import time
 from fractions import Fraction
@@ -419,6 +421,61 @@ def _runtime_cached_properties() -> set[str]:
             ):
                 names.add(node.name)
     return names
+
+
+def test_runtime_caches_through_root_core_cached_property():
+    # no module takes functools.cached_property itself: each decorates
+    # with the lock-free subclass that root_core defines
+    modules = sorted(Path(root_core.__file__).parent.glob("*.py"))
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert "cached_property" not in {
+                    alias.name for alias in node.names}, path.name
+            elif isinstance(node, ast.FunctionDef):
+                for d in node.decorator_list:
+                    assert not (isinstance(d, ast.Attribute)
+                                and d.attr == "cached_property"), (
+                        path.name, node.name)
+    # and every cached property of a runtime class is that subclass
+    found = set()
+    for path in modules:
+        module = importlib.import_module(f"branchdec.{path.stem}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                for name, value in vars(cls).items():
+                    if isinstance(value, functools.cached_property):
+                        assert type(value) is root_core.cached_property, (
+                            cls.__name__, name)
+                        found.add(name)
+    assert found == _runtime_cached_properties()
+
+
+def test_cached_property_stores_on_first_read_and_computes_once():
+    calls = []
+
+    @root_core.record
+    class Frozen:
+        a: int
+
+        @root_core.cached_property
+        def doubled(self) -> int:
+            """Twice a."""
+            calls.append(self.a)
+            return 2 * self.a
+
+    assert isinstance(Frozen.doubled, root_core.cached_property)
+    assert Frozen.doubled.__doc__ == "Twice a."
+    one, two = Frozen(1), Frozen(5)
+    assert "doubled" not in vars(one)
+    assert one.doubled == 2 and vars(one)["doubled"] == 2
+    assert [one.doubled, two.doubled, two.doubled, one.doubled] == [2, 10, 10, 2]
+    assert calls == [1, 5]
+    # the value sits in the instance dict, not behind the record's
+    # refusal to assign; a replaced record starts with no value
+    with pytest.raises(AttributeError):
+        one.doubled = 3
+    assert replace(one, a=4).doubled == 8 and calls == [1, 5, 4]
 
 
 def test_oracles_import_only_data_from_branchdec():
